@@ -1,7 +1,8 @@
 # Tier-1 targets. `make check` is the PR gate: vet + gofmt + build + tests
 # + race detector over the concurrent paths (GEMM kernel, parallel engine,
 # trainers, telemetry, RPC) + a 1-iteration bench smoke over the tensor/nn
-# kernels + a 1-round wire-protocol smoke + a chaos smoke (one
+# kernels + a smoke of the repo benchmark's pipeline workload (its output
+# checks must pass) + a 1-round wire-protocol smoke + a chaos smoke (one
 # participant killed and resurrected mid-run, fixed seed). `make bench`
 # measures round throughput across worker counts and writes
 # BENCH_rounds.json; `make benchrpc` measures the RPC wire protocol

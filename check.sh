@@ -38,6 +38,17 @@ go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... \
 echo "== bench smoke (tensor, nn kernels; 1 iteration, catches crashes/regressed shapes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/...
 
+echo "== repo benchmark smoke (pipeline workload at 1/50 size; its double-run theta-hash and accuracy checks must hold)"
+bench_last=$(bash bench/run.sh --workload pipeline --smoke | tail -n 1)
+case "$bench_last" in
+*'"correct":true'*) ;;
+*)
+	echo "bench/run.sh --workload pipeline --smoke did not end with \"correct\":true:" >&2
+	echo "$bench_last" >&2
+	exit 1
+	;;
+esac
+
 echo "== benchrpc smoke (1 round over loopback per encoding; fails on theta-hash mismatch)"
 go run ./cmd/benchrpc -k 2 -rounds 1 -out ""
 
@@ -50,9 +61,9 @@ go vet ./cmd/benchscale
 go run ./cmd/benchscale -out "" -enrolled 1000 -cohort 8 -warmup 1 -rounds 2 \
 	-shards 1,4 -max-round-ratio 10 -max-bytes-ratio 10 >/dev/null
 
-echo "== benchserve smoke (1 background job, batched inference, drain; speedup gate off)"
+echo "== benchserve smoke (1 background job, batched inference, drain; speedup gate off, 256 requests so the window spans ~20 job rounds)"
 go vet ./cmd/benchserve ./cmd/fedserve
-go run ./cmd/benchserve -out "" -clients 4 -requests 2 -batches 1,4 -min-speedup 0 >/dev/null
+go run ./cmd/benchserve -out "" -clients 4 -requests 64 -batches 1,4 -min-speedup 0 >/dev/null
 
 echo "== benchprofiles smoke (1 round per catalog profile + mixed population; pin gate on, A/B gate off)"
 go vet ./cmd/benchprofiles

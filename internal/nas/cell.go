@@ -335,9 +335,7 @@ func (c *Cell) concatStates(ts []*tensor.Tensor) *tensor.Tensor {
 	for _, t := range ts {
 		totalC += t.Dim(1)
 	}
-	if c.concatBuf == nil || !c.concatBuf.ShapeIs(n, totalC, h, w) {
-		c.concatBuf = tensor.New(n, totalC, h, w)
-	}
+	c.concatBuf = tensor.Reuse(c.concatBuf, n, totalC, h, w)
 	concatChannelsInto(c.concatBuf, ts)
 	return c.concatBuf
 }
@@ -351,9 +349,7 @@ func (c *Cell) splitGrad(grad *tensor.Tensor) []*tensor.Tensor {
 	c.splitBufs = c.splitBufs[:c.Spec.Nodes]
 	n, h, w := grad.Dim(0), grad.Dim(2), grad.Dim(3)
 	for p := range c.splitBufs {
-		if c.splitBufs[p] == nil || !c.splitBufs[p].ShapeIs(n, c.Spec.C, h, w) {
-			c.splitBufs[p] = tensor.New(n, c.Spec.C, h, w)
-		}
+		c.splitBufs[p] = tensor.Reuse(c.splitBufs[p], n, c.Spec.C, h, w)
 	}
 	splitChannelsInto(c.splitBufs, grad, c.Spec.Nodes, c.Spec.C)
 	return c.splitBufs

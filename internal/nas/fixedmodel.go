@@ -23,6 +23,7 @@ type FixedModel struct {
 	// nothing per batch (see forwardbatch.go).
 	batchIn  *tensor.Tensor
 	batchOut []*tensor.Tensor
+	batchBNs []*nn.BatchNorm2D // the eval-mode check's layer list, collected once
 }
 
 // NewFixedModel materializes a fresh (re-initialized) discrete model for a

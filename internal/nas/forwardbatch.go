@@ -30,7 +30,12 @@ func (m *FixedModel) ForwardBatch(xs []*tensor.Tensor, padTo int) ([]*tensor.Ten
 	if n == 0 {
 		return nil, fmt.Errorf("nas: ForwardBatch on empty batch")
 	}
-	for _, bn := range m.Net.BatchNorms() {
+	if m.batchBNs == nil {
+		// The module tree is fixed at construction, and walking it
+		// allocates; a dispatch must not.
+		m.batchBNs = m.Net.BatchNorms()
+	}
+	for _, bn := range m.batchBNs {
 		if bn.Training() {
 			return nil, fmt.Errorf("nas: ForwardBatch requires eval mode (SetTraining(false)); training-mode batch norm couples rows")
 		}
@@ -38,12 +43,14 @@ func (m *FixedModel) ForwardBatch(xs []*tensor.Tensor, padTo int) ([]*tensor.Ten
 	if padTo < n {
 		padTo = n
 	}
-	shape := xs[0].Shape()
-	if len(shape) == 4 && shape[0] == 1 {
-		shape = shape[1:]
-	}
-	if len(shape) != 3 {
-		return nil, fmt.Errorf("nas: ForwardBatch example shape %v, want [1,C,H,W] or [C,H,W]", xs[0].Shape())
+	var shape [3]int
+	switch x0 := xs[0]; {
+	case x0.Dims() == 4 && x0.Dim(0) == 1:
+		shape = [3]int{x0.Dim(1), x0.Dim(2), x0.Dim(3)}
+	case x0.Dims() == 3:
+		shape = [3]int{x0.Dim(0), x0.Dim(1), x0.Dim(2)}
+	default:
+		return nil, fmt.Errorf("nas: ForwardBatch example shape %v, want [1,C,H,W] or [C,H,W]", x0.Shape())
 	}
 	exampleLen := shape[0] * shape[1] * shape[2]
 	for i, x := range xs {

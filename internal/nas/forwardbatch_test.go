@@ -118,3 +118,36 @@ func TestForwardBatchRejectsBadInput(t *testing.T) {
 		t.Error("expected error for non-image example")
 	}
 }
+
+// TestForwardBatchSteadyStateAllocs pins what FixedModel's scratch fields
+// promise: once warm, a padded dispatch of any fill allocates nothing, so
+// serving's allocations per request do not depend on how requests coalesce.
+// A model switched back to training mode is still refused afterwards.
+func TestForwardBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, defeating scratch reuse")
+	}
+	m := batchTestModel(t)
+	rng := rand.New(rand.NewSource(23))
+	xs := make([]*tensor.Tensor, 8)
+	for i := range xs {
+		xs[i] = tensor.Randn(rng, 1, 1, 3, 8, 8)
+	}
+	fill := 0
+	dispatch := func() {
+		fill = fill%len(xs) + 1
+		if _, err := m.ForwardBatch(xs[:fill], len(xs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < len(xs); i++ {
+		dispatch()
+	}
+	if allocs := testing.AllocsPerRun(20, dispatch); allocs != 0 {
+		t.Fatalf("steady-state ForwardBatch allocates %v objects per dispatch, want 0", allocs)
+	}
+	m.SetTraining(true)
+	if _, err := m.ForwardBatch(xs, len(xs)); err == nil {
+		t.Fatal("training mode set after the first dispatch must still be refused")
+	}
+}

@@ -312,7 +312,7 @@ func (s *Supernet) BackwardMixed(gradLogits *tensor.Tensor) MixedGrads {
 // gradient accumulation copies into per-slot persistent buffers instead of
 // cloning: a cell's backward outputs (gs0/gs1) live in buffers the next
 // cell's backward overwrites, so they must be captured, but the capture
-// target's shape never changes between passes.
+// target only ever changes its batch dimension between passes (tensor.Reuse).
 func (s *Supernet) backwardCells(grad *tensor.Tensor, mg *MixedGrads) {
 	n := len(s.cells)
 	if cap(s.cellGrads) < n {
@@ -332,11 +332,8 @@ func (s *Supernet) backwardCells(grad *tensor.Tensor, mg *MixedGrads) {
 			gradOut[slot].AddInPlace(g)
 			return
 		}
-		buf := s.cellGradBufs[slot]
-		if buf == nil || !buf.ShapeIs(g.Dim(0), g.Dim(1), g.Dim(2), g.Dim(3)) {
-			buf = tensor.New(g.Shape()...)
-			s.cellGradBufs[slot] = buf
-		}
+		buf := tensor.Reuse(s.cellGradBufs[slot], g.Dim(0), g.Dim(1), g.Dim(2), g.Dim(3))
+		s.cellGradBufs[slot] = buf
 		buf.CopyFrom(g)
 		gradOut[slot] = buf
 	}
@@ -346,9 +343,7 @@ func (s *Supernet) backwardCells(grad *tensor.Tensor, mg *MixedGrads) {
 			gradStem.AddInPlace(g)
 			return
 		}
-		if s.stemGradBuf == nil || !s.stemGradBuf.ShapeIs(g.Dim(0), g.Dim(1), g.Dim(2), g.Dim(3)) {
-			s.stemGradBuf = tensor.New(g.Shape()...)
-		}
+		s.stemGradBuf = tensor.Reuse(s.stemGradBuf, g.Dim(0), g.Dim(1), g.Dim(2), g.Dim(3))
 		s.stemGradBuf.CopyFrom(g)
 		gradStem = s.stemGradBuf
 	}
@@ -378,7 +373,8 @@ func (s *Supernet) backwardCells(grad *tensor.Tensor, mg *MixedGrads) {
 			addStem(gs0)
 		}
 	}
-	s.stem.Backward(gradStem)
+	// Nothing upstream of the stem reads its input gradient.
+	nn.BackwardParams(s.stem, gradStem)
 }
 
 func addProbRows(acc, rows [][]float64) [][]float64 {

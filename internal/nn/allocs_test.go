@@ -47,6 +47,47 @@ func TestConvBackwardAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestFastPathSteadyStateAllocs pins the layers around the GEMM: once warm,
+// a forward/backward pair of the depthwise convolution (lane tables, padded
+// planes and all), batch norm, the pools, the parameter-free ops and ReLU allocates nothing, so no
+// new scratch can leak into the benchmark's allocs_per_op. (None of them
+// goes through a sync.Pool, so the pin holds under -race as well.)
+func TestFastPathSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, tc := range []struct {
+		name string
+		m    Module
+	}{
+		{"depthwise 3x3", NewConv2D("dw", rng, 8, 8, 3, ConvOpts{Pad: 1, Groups: 8})},
+		{"depthwise 5x5 dilated stride 2", NewConv2D("dw", rng, 8, 8, 5, ConvOpts{Stride: 2, Pad: 4, Dilation: 2, Groups: 8})},
+		{"depthwise with a remainder group", NewConv2D("dw", rng, 6, 6, 3, ConvOpts{Pad: 1, Groups: 6})},
+		{"batch norm", NewBatchNorm2D("bn", 8)},
+		{"max pool", NewMaxPool2D(3, 1, 1)},
+		{"max pool stride 2", NewMaxPool2D(3, 2, 1)},
+		{"avg pool", NewAvgPool2D(3, 1, 1)},
+		{"avg pool stride 2", NewAvgPool2D(3, 2, 1)},
+		{"global avg pool", NewGlobalAvgPool()},
+		{"zero stride 2", NewZero(2)},
+		{"subsample stride 2", NewSubSample(2)},
+		{"relu", NewReLU()},
+	} {
+		c := 8
+		if conv, ok := tc.m.(*Conv2D); ok {
+			c = conv.InC
+		}
+		x := tensor.Randn(rng, 1, 4, c, 8, 8)
+		grad := tensor.Randn(rng, 1, tc.m.Forward(x).Shape()...)
+		tc.m.Backward(grad) // warm the scratch buffers
+		allocs := testing.AllocsPerRun(20, func() {
+			tc.m.Forward(x)
+			tc.m.Backward(grad)
+		})
+		if allocs > 0 {
+			t.Errorf("%s: forward+backward allocates %.0f objects/call, want 0", tc.name, allocs)
+		}
+	}
+}
+
 func TestConvScratchReuseKeepsResults(t *testing.T) {
 	// Reusing scratch across differently-shaped inputs must not leak state:
 	// run big, then small, then compare the small result against a fresh

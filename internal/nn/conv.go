@@ -27,6 +27,7 @@ type Conv2D struct {
 	// Safe because a layer belongs to exactly one model replica and each
 	// replica is driven by at most one worker at a time (see internal/parallel).
 	colBuf     []float64
+	colValid   bool // colBuf holds the lowering of lastX (set by the fp64 forward)
 	colGradBuf []float64
 	outColBuf  []float64
 	gradColBuf []float64
@@ -49,6 +50,9 @@ type Conv2D struct {
 	// stays inside the image (see convValid).
 	oy0s, oy1s []int
 	ox0s, ox1s []int
+
+	// Tables and scratch of the depthwise lane path (see depthwise.go).
+	dw *dwPlan
 }
 
 var _ Module = (*Conv2D)(nil)
@@ -112,14 +116,37 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
-	c.outBuf = reuseBuf(c.outBuf, n, c.OutC, oh, ow)
-	out := c.outBuf
+	c.outBuf = tensor.Reuse(c.outBuf, n, c.OutC, oh, ow)
+	c.forwardGrouped(x, c.outBuf, tensor.DepthwiseSIMD())
+	return c.outBuf
+}
 
-	// Shift-and-AXPY formulation: the kernel offsets are the outer loops and
-	// each (ky,kx) contributes one branch-free strided row update over the
-	// precomputed in-bounds output range. Per output element the additions
-	// still arrive in (ic,ky,kx) order, so the result is bit-identical to
-	// the per-pixel accumulator this replaced.
+// forwardGrouped fills out for Groups > 1. With useLanes set, a qualifying
+// depthwise layer sends its whole groups of four channels to the lane
+// kernels; the direct loops take whatever is left (everything, otherwise).
+func (c *Conv2D) forwardGrouped(x, out *tensor.Tensor, useLanes bool) {
+	lanes := 0
+	if useLanes && c.laneDepthwise() {
+		lanes = c.OutC &^ (tensor.DWLanes - 1)
+		c.forwardDepthwiseLanes(x, out, lanes)
+	}
+	if lanes < c.OutC {
+		c.forwardDirect(x, out, lanes)
+	}
+}
+
+// forwardDirect computes output channels [oc0, OutC) of a grouped
+// convolution with the direct loops. It is the general grouped path, the
+// depthwise path where no vector kernel exists, and the reference the lane
+// kernels are tested against.
+//
+// Shift-and-AXPY formulation: the kernel offsets are the outer loops and
+// each (ky,kx) contributes one branch-free strided row update over the
+// precomputed in-bounds output range. Per output element the additions
+// arrive in (ic,ky,kx) order.
+func (c *Conv2D) forwardDirect(x, out *tensor.Tensor, oc0 int) {
+	n, _, h, w := mustDims4(x, "Conv2D")
+	oh, ow := out.Dim(2), out.Dim(3)
 	xd, wd, od := x.Data(), c.weight.Value.Data(), out.Data()
 	var biasD []float64
 	if c.bias != nil {
@@ -130,7 +157,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.hoistRanges(oh, ow, h, w)
 	oy0s, oy1s, ox0s, ox1s := c.oy0s, c.oy1s, c.ox0s, c.ox1s
 	for b := 0; b < n; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
+		for oc := oc0; oc < c.OutC; oc++ {
 			g := oc / ocg
 			plane := od[((b*c.OutC+oc)*oh)*ow : ((b*c.OutC+oc)*oh+oh)*ow]
 			bv := 0.0
@@ -180,31 +207,24 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return out
 }
 
 // hoistRanges fills the per-kernel-offset valid output ranges used by the
 // grouped direct path, reusing the layer's scratch slices.
 func (c *Conv2D) hoistRanges(oh, ow, h, w int) {
-	c.oy0s = growInts(c.oy0s, c.KH)
-	c.oy1s = growInts(c.oy1s, c.KH)
-	c.ox0s = growInts(c.ox0s, c.KW)
-	c.ox1s = growInts(c.ox1s, c.KW)
+	if len(c.oy0s) != c.KH || len(c.ox0s) != c.KW {
+		// One allocation backs all four tables.
+		buf := make([]int, 2*(c.KH+c.KW))
+		c.oy0s, buf = buf[:c.KH:c.KH], buf[c.KH:]
+		c.oy1s, buf = buf[:c.KH:c.KH], buf[c.KH:]
+		c.ox0s, c.ox1s = buf[:c.KW:c.KW], buf[c.KW:]
+	}
 	for ky := 0; ky < c.KH; ky++ {
 		c.oy0s[ky], c.oy1s[ky] = convValid(oh, ky*c.Dilation-c.Pad, c.Stride, h)
 	}
 	for kx := 0; kx < c.KW; kx++ {
 		c.ox0s[kx], c.ox1s[kx] = convValid(ow, kx*c.Dilation-c.Pad, c.Stride, w)
 	}
-}
-
-// growInts returns a length-n int slice backed by buf when it is large
-// enough, allocating only on growth.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
 }
 
 // convValid returns the inclusive output-index range [lo, hi] whose sampled
@@ -237,19 +257,52 @@ func divFloor(a, b int) int {
 
 // Backward implements Module.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, true)
+}
+
+// backward accumulates the parameter gradients and, when needGradX is set,
+// computes dL/d(input). Callers that discard the input gradient (the first
+// layer of a network, see BackwardParams) pass false: the Groups==1 path
+// then skips the colGrad GEMM, the col2im scatter and the buffer clear, and
+// returns nil.
+func (c *Conv2D) backward(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 	x := c.lastX
 	if x == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
 	if c.Groups == 1 {
-		return c.backwardIm2col(grad)
+		return c.backwardIm2col(grad, needGradX)
 	}
-	n, _, h, w := mustDims4(x, "Conv2D")
-	_, _, oh, ow := mustDims4(grad, "Conv2D.Backward")
+	mustDims4(grad, "Conv2D.Backward")
+	c.gradXBuf = tensor.ReuseLike(c.gradXBuf, x)
+	c.backwardGrouped(x, grad, c.gradXBuf, tensor.DepthwiseSIMD())
+	return c.gradXBuf
+}
 
-	c.gradXBuf = reuseBufLike(c.gradXBuf, x)
-	gradX := c.gradXBuf
-	gradX.Zero() // the direct path accumulates into it
+// backwardGrouped is forwardGrouped's counterpart: it accumulates the
+// parameter gradients and overwrites gradX.
+func (c *Conv2D) backwardGrouped(x, grad, gradX *tensor.Tensor, useLanes bool) {
+	lanes := 0
+	if useLanes && c.laneDepthwise() {
+		lanes = c.OutC &^ (tensor.DWLanes - 1)
+	}
+	if lanes < c.OutC {
+		gradX.Zero() // the direct path accumulates into its channels
+	}
+	if lanes > 0 {
+		c.backwardDepthwiseLanes(x, grad, gradX, lanes) // overwrites its own
+	}
+	if lanes < c.OutC {
+		c.backwardDirect(x, grad, gradX, lanes)
+	}
+}
+
+// backwardDirect is forwardDirect's counterpart for output channels
+// [oc0, OutC): it accumulates their weight (and bias) gradients and adds
+// their contribution into gradX, which the caller has cleared.
+func (c *Conv2D) backwardDirect(x, grad, gradX *tensor.Tensor, oc0 int) {
+	n, _, h, w := mustDims4(x, "Conv2D")
+	oh, ow := grad.Dim(2), grad.Dim(3)
 	xd, wd := x.Data(), c.weight.Value.Data()
 	gd, gxd, gwd := grad.Data(), gradX.Data(), c.weight.Grad.Data()
 	icg := c.InC / c.Groups
@@ -264,7 +317,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.hoistRanges(oh, ow, h, w)
 	oy0s, oy1s, ox0s, ox1s := c.oy0s, c.oy1s, c.ox0s, c.ox1s
 	for b := 0; b < n; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
+		for oc := oc0; oc < c.OutC; oc++ {
 			g := oc / ocg
 			gplane := gd[((b*c.OutC+oc)*oh)*ow : ((b*c.OutC+oc)*oh+oh)*ow]
 			if gbd != nil {
@@ -320,5 +373,4 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return gradX
 }

@@ -1,0 +1,192 @@
+package nn
+
+import (
+	"fedrlnas/internal/tensor"
+)
+
+// Depthwise fast path: Conv2D with Groups == InC == OutC and no bias (the
+// first stage of every sep_conv / dil_conv candidate) handed, four channels at
+// a time, to the lane-interleaved kernels in tensor/depthwise.go.
+//
+// Contract, shared with the direct loops in conv.go that remain the reference
+// (and the only path without a vector kernel): every output, input-gradient
+// and per-plane weight-gradient element is one accumulator started at +0 that
+// adds its taps in (ky,kx) ascending order — weight-gradient chains add their
+// pixels in (oy,ox) ascending order — with a separate multiply and add. The
+// direct loops skip taps that fall outside the image; this path reads them
+// from a zero border instead, which adds ±0 terms and so cannot change an
+// accumulator that started at +0 (tensor/depthwise.go has the argument and
+// its one caveat, non-finite factors). That is why a bias rules the path out:
+// an accumulator started at a bias of -0 would be flipped to +0 by a padding
+// term.
+//
+// Layout per call on one (image, 4-channel group):
+//
+//	xp  the four input planes, lane-interleaved, inside a Pad-wide zero
+//	    border, so tap (ky,kx) of output (oy,ox) sits at a fixed offset from
+//	    the pixel's window origin;
+//	gp  the four output-gradient planes, lane-interleaved, spread Stride
+//	    apart (zeros between) inside a zero border wide enough that the
+//	    input gradient is the same tap table walked backwards from each
+//	    input pixel.
+//
+// The borders and the gaps are written once, when the tables are built for a
+// geometry; each call overwrites only the live positions.
+
+// dwPlan holds the offset tables and scratch for one input geometry.
+type dwPlan struct {
+	h, w        int
+	npix, ntaps int // oh*ow and KH*KW; tables are padded to multiples of 4
+
+	xp           []float64
+	xpW          int
+	gp           []float64
+	gpW          int
+	gOffY, gOffX int // position of output gradient (0,0) in gp
+
+	xpix  []int // per output pixel: window origin in xp (padded)
+	gpix  []int // per output pixel: its position in gp
+	gxpix []int // per input pixel: window origin in gp (padded)
+	ftaps []int // tap offsets from an xp origin (padded for the gradW kernel)
+	btaps []int // tap offsets from a gp origin (all ≤ 0)
+
+	wl  []float64 // the group's weights, [tap][lane]
+	gwl []float64 // per-plane weight gradient, [tap][lane]
+	res []float64 // kernel output, [pixel][lane]
+}
+
+func roundUp4(n int) int { return (n + 3) &^ 3 }
+
+// laneDepthwise reports whether the layer qualifies for the lane kernels.
+// Pad beyond the kernel's reach would put gradient positions outside gp.
+func (c *Conv2D) laneDepthwise() bool {
+	return c.Groups == c.InC && c.Groups == c.OutC && c.bias == nil &&
+		c.OutC >= tensor.DWLanes &&
+		c.Pad <= (c.KH-1)*c.Dilation && c.Pad <= (c.KW-1)*c.Dilation
+}
+
+// dwPlanFor returns the layer's plan for an h×w input, rebuilding it when the
+// geometry changed.
+func (c *Conv2D) dwPlanFor(h, w, oh, ow int) *dwPlan {
+	if p := c.dw; p != nil && p.h == h && p.w == w {
+		return p
+	}
+	const L = tensor.DWLanes
+	d, s, pad := c.Dilation, c.Stride, c.Pad
+	p := &dwPlan{h: h, w: w, npix: oh * ow, ntaps: c.KH * c.KW}
+	p.xpW = w + 2*pad
+	p.gOffY, p.gOffX = (c.KH-1)*d-pad, (c.KW-1)*d-pad
+	p.gpW = w + (c.KW-1)*d
+	npixPad, hwPad, ntapsPad := roundUp4(p.npix), roundUp4(h*w), roundUp4(p.ntaps)
+
+	// One allocation per element type backs every table and buffer (new
+	// layers are built per round on some paths; see allocs_per_op).
+	ints := make([]int, npixPad+p.npix+hwPad+ntapsPad+p.ntaps)
+	carveInts := func(n int) []int {
+		s := ints[:n:n]
+		ints = ints[n:]
+		return s
+	}
+	p.xpix, p.gpix, p.gxpix = carveInts(npixPad), carveInts(p.npix), carveInts(hwPad)
+	p.ftaps, p.btaps = carveInts(ntapsPad), carveInts(p.ntaps)
+	xpLen, gpLen := (h+2*pad)*p.xpW*L, (h+(c.KH-1)*d)*p.gpW*L
+	floats := make([]float64, xpLen+gpLen+2*ntapsPad*L+max(npixPad, hwPad)*L)
+	carveFloats := func(n int) []float64 {
+		s := floats[:n:n]
+		floats = floats[n:]
+		return s
+	}
+	p.xp, p.gp = carveFloats(xpLen), carveFloats(gpLen)
+	p.wl, p.gwl = carveFloats(ntapsPad*L), carveFloats(ntapsPad*L)
+	p.res = carveFloats(max(npixPad, hwPad) * L)
+
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			p.xpix[oy*ow+ox] = (oy*s*p.xpW + ox*s) * L
+			p.gpix[oy*ow+ox] = ((oy*s+p.gOffY)*p.gpW + ox*s + p.gOffX) * L
+		}
+	}
+	for iy := 0; iy < h; iy++ {
+		for ix := 0; ix < w; ix++ {
+			p.gxpix[iy*w+ix] = ((iy+pad+p.gOffY)*p.gpW + ix + pad + p.gOffX) * L
+		}
+	}
+	// Table padding repeats a valid entry (index 0 is the zero value
+	// already for the taps); the extra results are ignored.
+	for i := p.npix; i < len(p.xpix); i++ {
+		p.xpix[i] = p.xpix[0]
+	}
+	for i := h * w; i < len(p.gxpix); i++ {
+		p.gxpix[i] = p.gxpix[0]
+	}
+	for ky := 0; ky < c.KH; ky++ {
+		for kx := 0; kx < c.KW; kx++ {
+			p.ftaps[ky*c.KW+kx] = (ky*d*p.xpW + kx*d) * L
+			p.btaps[ky*c.KW+kx] = -(ky*d*p.gpW + kx*d) * L
+		}
+	}
+	c.dw = p
+	return p
+}
+
+// loadWeights interleaves the filters of channels ch0..ch0+3 into wl.
+func (p *dwPlan) loadWeights(wd []float64, ch0 int) {
+	for l := 0; l < tensor.DWLanes; l++ {
+		f := wd[(ch0+l)*p.ntaps : (ch0+l+1)*p.ntaps]
+		for t, v := range f {
+			p.wl[t*tensor.DWLanes+l] = v
+		}
+	}
+}
+
+// forwardDepthwiseLanes computes output channels [0, chEnd), chEnd a multiple
+// of 4, through the lane kernel.
+func (c *Conv2D) forwardDepthwiseLanes(x, out *tensor.Tensor, chEnd int) {
+	const L = tensor.DWLanes
+	n, _, h, w := mustDims4(x, "Conv2D")
+	oh, ow := out.Dim(2), out.Dim(3)
+	p := c.dwPlanFor(h, w, oh, ow)
+	xd, od, wd := x.Data(), out.Data(), c.weight.Value.Data()
+	xorg := c.Pad*p.xpW + c.Pad
+	taps := p.ftaps[:p.ntaps]
+	for ch0 := 0; ch0 < chEnd; ch0 += L {
+		p.loadWeights(wd, ch0)
+		for b := 0; b < n; b++ {
+			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*c.InC+ch0)*h*w:], h, w)
+			tensor.DWTaps(p.res, p.xp, p.xpix, taps, p.wl)
+			tensor.DWDeinterleave(od[(b*c.OutC+ch0)*p.npix:], p.res, p.npix)
+		}
+	}
+}
+
+// backwardDepthwiseLanes accumulates the weight gradient of channels
+// [0, chEnd) and overwrites their planes of gradX.
+func (c *Conv2D) backwardDepthwiseLanes(x, grad, gradX *tensor.Tensor, chEnd int) {
+	const L = tensor.DWLanes
+	n, _, h, w := mustDims4(x, "Conv2D")
+	oh, ow := grad.Dim(2), grad.Dim(3)
+	p := c.dwPlanFor(h, w, oh, ow)
+	xd, wd := x.Data(), c.weight.Value.Data()
+	gd, gxd, gwd := grad.Data(), gradX.Data(), c.weight.Grad.Data()
+	xorg := c.Pad*p.xpW + c.Pad
+	gorg := p.gOffY*p.gpW + p.gOffX
+	s := c.Stride
+	for ch0 := 0; ch0 < chEnd; ch0 += L {
+		p.loadWeights(wd, ch0)
+		for b := 0; b < n; b++ {
+			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*c.InC+ch0)*h*w:], h, w)
+			tensor.DWInterleave(p.gp, gorg, s*p.gpW, s, gd[(b*c.OutC+ch0)*p.npix:], oh, ow)
+
+			tensor.DWGradW(p.gwl, p.gp, p.gpix, p.xp, p.xpix[:p.npix], p.ftaps)
+			for l := 0; l < L; l++ {
+				gw := gwd[(ch0+l)*p.ntaps : (ch0+l+1)*p.ntaps]
+				for t := range gw {
+					gw[t] += p.gwl[t*L+l]
+				}
+			}
+
+			tensor.DWTaps(p.res, p.gp, p.gxpix, p.btaps, p.wl)
+			tensor.DWDeinterleave(gxd[(b*c.InC+ch0)*h*w:], p.res, h*w)
+		}
+	}
+}

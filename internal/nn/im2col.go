@@ -11,8 +11,14 @@ import (
 // amortize the kernel's packing) instead of a small matmul per image.
 //
 // Conv2D uses it automatically for Groups == 1; grouped (depthwise)
-// convolutions keep the direct path, whose shift-and-AXPY loops are already
-// branch-free (see conv.go).
+// convolutions take the paths in conv.go and depthwise.go.
+//
+// A pointwise convolution (1×1, stride 1, no padding) needs no lowering at
+// all: image b's column matrix is its [C, H·W] activation block as it lies in
+// memory, so the forward product and the input gradient run as one batched
+// GEMM straight between the NCHW tensors (tensor.GemmRawBatched). Only the
+// weight gradient, whose reduction runs across the whole batch in one
+// ascending chain, still gathers its operands into batch-wide matrices.
 
 // floatT constrains the lowering helpers to the two precisions the compute
 // switch supports (see precision.go); the generic bodies compile to exactly
@@ -120,6 +126,14 @@ func col2imAdd[F floatT](cols []F, c, h, w, kh, kw, stride, pad, dilation, oh, o
 	}
 }
 
+// pointwise reports whether the layer's column matrix is its input as it
+// lies in memory. Such a layer offers its products to tensor.GemmRawBatched,
+// which declines planes that are not whole GEMM tiles (2×2 on every kernel);
+// those keep the batch-wide column matrix, which tiles across images.
+func (c *Conv2D) pointwise() bool {
+	return c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
+}
+
 // lowerBatch fills colBuf (row stride total = n*cols) with the whole batch.
 func (c *Conv2D) lowerBatch(x *tensor.Tensor, n, h, w, oh, ow int) {
 	xd := x.Data()
@@ -145,18 +159,34 @@ func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
 	cols := oh * ow
 	total := n * cols
 
-	c.outBuf = reuseBuf(c.outBuf, n, c.OutC, oh, ow)
+	c.outBuf = tensor.Reuse(c.outBuf, n, c.OutC, oh, ow)
 	out := c.outBuf
+	od := out.Data()
+	if c.pointwise() && tensor.GemmRawBatched(false, n, c.OutC, cols, c.InC, 1,
+		c.weight.Value.Data(), c.InC, x.Data(), cols, c.InC*cols, 0, od, cols, c.OutC*cols) {
+		c.colValid = false // nothing was lowered
+		if c.bias != nil {
+			for i, bv := range c.bias.Value.Data() {
+				for b := 0; b < n; b++ {
+					dst := od[(b*c.OutC+i)*cols : (b*c.OutC+i+1)*cols]
+					for j, v := range dst {
+						dst[j] = v + bv
+					}
+				}
+			}
+		}
+		return out
+	}
 	c.colBuf = growScratch(c.colBuf, k*total)
 	c.outColBuf = growScratch(c.outColBuf, c.OutC*total)
 	c.lowerBatch(x, n, h, w, oh, ow)
+	c.colValid = true
 
 	// outCol [OutC, total] = W [OutC, k] · colAll [k, total]
 	tensor.GemmRaw(false, false, c.OutC, total, k, 1,
 		c.weight.Value.Data(), k, c.colBuf, total, 0, c.outColBuf, total)
 
 	// Scatter image-major: outCol[oc, b*cols+j] → out[b, oc, j], plus bias.
-	od := out.Data()
 	var biasD []float64
 	if c.bias != nil {
 		biasD = c.bias.Value.Data()
@@ -180,10 +210,11 @@ func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardIm2col computes weight/bias/input gradients with two GEMMs over
-// the batch-wide column representation for Groups==1.
-func (c *Conv2D) backwardIm2col(grad *tensor.Tensor) *tensor.Tensor {
+// the batch-wide column representation for Groups==1. With needGradX false
+// only the parameter gradients are accumulated and nil is returned.
+func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 	if ActivePrecision() == FP32 {
-		return c.backwardIm2colF32(grad)
+		return c.backwardIm2colF32(grad, needGradX)
 	}
 	x := c.lastX
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -192,13 +223,12 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor) *tensor.Tensor {
 	cols := oh * ow
 	total := n * cols
 
-	c.colBuf = growScratch(c.colBuf, k*total)
-	c.colGradBuf = growScratch(c.colGradBuf, k*total)
 	c.gradColBuf = growScratch(c.gradColBuf, c.OutC*total)
-	c.gradXBuf = reuseBufLike(c.gradXBuf, x)
-	gradX := c.gradXBuf
-	gradX.Zero() // col2imAdd accumulates into it
-	c.lowerBatch(x, n, h, w, oh, ow)
+	if !c.colValid {
+		c.colBuf = growScratch(c.colBuf, k*total)
+		c.lowerBatch(x, n, h, w, oh, ow)
+		c.colValid = true
+	}
 
 	// Gather the output gradient image-major into gradCol [OutC, total].
 	gd := grad.Data()
@@ -222,10 +252,24 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor) *tensor.Tensor {
 	// gradW [OutC, k] += gradCol [OutC, total] · colAllᵀ [total, k]
 	tensor.GemmRaw(false, true, c.OutC, k, total, 1,
 		c.gradColBuf, total, c.colBuf, total, 1, c.weight.Grad.Data(), k)
+	if !needGradX {
+		return nil
+	}
+	c.gradXBuf = tensor.ReuseLike(c.gradXBuf, x)
+	// Pointwise: gradX[b] [InC, cols] = Wᵀ [InC, OutC] · grad[b] [OutC, cols].
+	// A GEMM accumulator starts at +0 and so is never -0: storing it equals
+	// the 0 + v the scatter below would produce.
+	if c.pointwise() && tensor.GemmRawBatched(true, n, c.InC, cols, c.OutC, 1,
+		c.weight.Value.Data(), c.InC, gd, cols, c.OutC*cols, 0, c.gradXBuf.Data(), cols, c.InC*cols) {
+		return c.gradXBuf
+	}
 	// colGrad [k, total] = Wᵀ [k, OutC] · gradCol [OutC, total]
+	c.colGradBuf = growScratch(c.colGradBuf, k*total)
 	tensor.GemmRaw(true, false, k, total, c.OutC, 1,
 		c.weight.Value.Data(), k, c.gradColBuf, total, 0, c.colGradBuf, total)
 
+	gradX := c.gradXBuf
+	gradX.Zero() // col2imAdd accumulates into it
 	gxd := gradX.Data()
 	imgSize := c.InC * h * w
 	for b := 0; b < n; b++ {
@@ -251,6 +295,7 @@ func (c *Conv2D) lowerBatchF32(n, h, w, oh, ow int) {
 // float32, and the product widened back into the float64 output (bias is
 // added in float64). See precision.go for the contract.
 func (c *Conv2D) forwardIm2colF32(x *tensor.Tensor) *tensor.Tensor {
+	c.colValid = false // this forward lowers into col32, not colBuf
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
@@ -258,7 +303,7 @@ func (c *Conv2D) forwardIm2colF32(x *tensor.Tensor) *tensor.Tensor {
 	cols := oh * ow
 	total := n * cols
 
-	c.outBuf = reuseBuf(c.outBuf, n, c.OutC, oh, ow)
+	c.outBuf = tensor.Reuse(c.outBuf, n, c.OutC, oh, ow)
 	out := c.outBuf
 	c.x32 = tensor.Narrow(c.x32, x.Data())
 	c.col32 = growScratch(c.col32, k*total)
@@ -300,7 +345,7 @@ func (c *Conv2D) forwardIm2colF32(x *tensor.Tensor) *tensor.Tensor {
 // beta=0 into scratch and widen-added, so gradient accumulation across
 // cells keeps float64 carry. Bias gradients sum the narrowed output
 // gradient in float64.
-func (c *Conv2D) backwardIm2colF32(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) backwardIm2colF32(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 	x := c.lastX
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := grad.Dim(2), grad.Dim(3)
@@ -343,13 +388,16 @@ func (c *Conv2D) backwardIm2colF32(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.GemmRawF32(false, true, c.OutC, k, total, 1,
 		c.gradCol32, total, c.col32, total, 0, c.dw32, k)
 	tensor.WidenAdd(c.weight.Grad.Data(), c.dw32)
+	if !needGradX {
+		return nil
+	}
 
 	// colGrad [k, total] = Wᵀ [k, OutC] · gradCol [OutC, total]
 	c.colGrad32 = growScratch(c.colGrad32, k*total)
 	tensor.GemmRawF32(true, false, k, total, c.OutC, 1,
 		c.w32, k, c.gradCol32, total, 0, c.colGrad32, total)
 
-	c.gradXBuf = reuseBufLike(c.gradXBuf, x)
+	c.gradXBuf = tensor.ReuseLike(c.gradXBuf, x)
 	gradX := c.gradXBuf
 	c.gx32 = growScratch(c.gx32, n*imgSize)
 	for i := range c.gx32 {

@@ -27,26 +27,36 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Module.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	r.outBuf = reuseBufLike(r.outBuf, x)
+	r.outBuf = tensor.ReuseLike(r.outBuf, x)
 	xd, d := x.Data(), r.outBuf.Data()
 	if cap(r.mask) < len(xd) {
 		r.mask = make([]float64, len(xd))
 	}
 	r.mask = r.mask[:len(xd)]
-	m := r.mask
+	m := r.mask[:len(d)]
+	xd = xd[:len(d)]
+	// Branch-free: on activations the sign is a coin flip, so a compare and
+	// jump mispredicts every other element. v > 0 holds exactly when the bit
+	// pattern lies in [1, +Inf] (sign clear, not zero, not NaN); that range
+	// test becomes an all-ones/all-zeros keep mask ANDed into the value and
+	// into 1.0, giving the same bits as the branch: ReLU(NaN) = ReLU(-0) = +0.
+	const (
+		infBits = 0x7FF0000000000000
+		oneBits = 0x3FF0000000000000
+	)
 	for i, v := range xd {
-		if v > 0 {
-			d[i], m[i] = v, 1
-		} else {
-			d[i], m[i] = 0, 0
-		}
+		b := math.Float64bits(v)
+		t := b - 1 // 0 wraps to the top of the range and fails the test
+		keep := uint64(int64((t-infBits)&^t) >> 63)
+		d[i] = math.Float64frombits(b & keep)
+		m[i] = math.Float64frombits(oneBits & keep)
 	}
 	return r.outBuf
 }
 
 // Backward implements Module.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	r.gradXBuf = reuseBufLike(r.gradXBuf, grad)
+	r.gradXBuf = tensor.ReuseLike(r.gradXBuf, grad)
 	srcD, gd := grad.Data(), r.gradXBuf.Data()
 	m := r.mask[:len(srcD)]
 	for i, v := range srcD {
@@ -72,14 +82,14 @@ func (id *Identity) Params() []*Param { return nil }
 
 // Forward implements Module.
 func (id *Identity) Forward(x *tensor.Tensor) *tensor.Tensor {
-	id.outBuf = reuseBufLike(id.outBuf, x)
+	id.outBuf = tensor.ReuseLike(id.outBuf, x)
 	id.outBuf.CopyFrom(x)
 	return id.outBuf
 }
 
 // Backward implements Module.
 func (id *Identity) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	id.gradXBuf = reuseBufLike(id.gradXBuf, grad)
+	id.gradXBuf = tensor.ReuseLike(id.gradXBuf, grad)
 	id.gradXBuf.CopyFrom(grad)
 	return id.gradXBuf
 }
@@ -89,7 +99,7 @@ func (id *Identity) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type Zero struct {
 	Stride int
 
-	lastShape []int
+	lastShape [4]int
 
 	outBuf, gradXBuf *tensor.Tensor
 }
@@ -105,20 +115,20 @@ func (z *Zero) Params() []*Param { return nil }
 // Forward implements Module.
 func (z *Zero) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := mustDims4(x, "Zero")
-	z.lastShape = x.Shape()
+	z.lastShape = [4]int{n, c, h, w}
 	oh, ow := h, w
 	if z.Stride != 1 {
 		oh = (h + z.Stride - 1) / z.Stride
 		ow = (w + z.Stride - 1) / z.Stride
 	}
-	z.outBuf = reuseBuf(z.outBuf, n, c, oh, ow)
+	z.outBuf = tensor.Reuse(z.outBuf, n, c, oh, ow)
 	z.outBuf.Zero() // callers accumulate into returned buffers in place
 	return z.outBuf
 }
 
 // Backward implements Module.
 func (z *Zero) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	z.gradXBuf = reuseBuf(z.gradXBuf, z.lastShape...)
+	z.gradXBuf = tensor.Reuse(z.gradXBuf, z.lastShape[:]...)
 	z.gradXBuf.Zero()
 	return z.gradXBuf
 }
@@ -167,7 +177,7 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	l.lastX = x
 	n := x.Dim(0)
-	l.outBuf = reuseBuf(l.outBuf, n, l.Out)
+	l.outBuf = tensor.Reuse(l.outBuf, n, l.Out)
 	out := l.outBuf
 	// out [N, Out] = x [N, In] · Wᵀ [In, Out], then broadcast the bias.
 	if ActivePrecision() == FP32 {
@@ -194,7 +204,7 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward implements Module.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Dim(0)
-	l.gradXBuf = reuseBuf(l.gradXBuf, n, l.In)
+	l.gradXBuf = tensor.Reuse(l.gradXBuf, n, l.In)
 	gradX := l.gradXBuf
 	gd, gbd := grad.Data(), l.bias.Grad.Data()
 	for b := 0; b < n; b++ {
@@ -306,9 +316,9 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: BatchNorm2D got %d channels, want %d", c, bn.C))
 	}
 	bn.lastX = x
-	bn.outBuf = reuseBuf(bn.outBuf, n, c, h, w)
+	bn.outBuf = tensor.Reuse(bn.outBuf, n, c, h, w)
 	out := bn.outBuf
-	bn.lastXHat = reuseBuf(bn.lastXHat, n, c, h, w)
+	bn.lastXHat = tensor.Reuse(bn.lastXHat, n, c, h, w)
 	xhat := bn.lastXHat
 	if cap(bn.lastStd) < c {
 		bn.lastStd = make([]float64, c)
@@ -327,48 +337,45 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			capStats = BNStats{Mean: make([]float64, c), Var: make([]float64, c)}
 		}
 	}
-	for ch := 0; ch < c; ch++ {
-		var mean, variance float64
-		if bn.training {
-			sum := 0.0
-			for b := 0; b < n; b++ {
-				base := ((b*c + ch) * h) * w
-				for i := 0; i < h*w; i++ {
-					sum += xd[base+i]
-				}
+	hw := h * w
+	for ch0 := 0; ch0 < c; ch0 += bnLanes {
+		lanes := min(bnLanes, c-ch0)
+		var mean, variance [bnLanes]float64
+		switch {
+		case !bn.training:
+			copy(mean[:lanes], bn.runningMean[ch0:])
+			copy(variance[:lanes], bn.runningVar[ch0:])
+		case lanes == bnLanes:
+			mean, variance = bnMoments4(xd, n, c, hw, ch0, m)
+		default:
+			for j := 0; j < lanes; j++ {
+				mean[j], variance[j] = bnMoments1(xd, n, c, hw, ch0+j, m)
 			}
-			mean = sum / m
-			sq := 0.0
-			for b := 0; b < n; b++ {
-				base := ((b*c + ch) * h) * w
-				for i := 0; i < h*w; i++ {
-					d := xd[base+i] - mean
-					sq += d * d
-				}
-			}
-			variance = sq / m
-			if capStats.Mean != nil {
-				capStats.Mean[ch], capStats.Var[ch] = mean, variance
-			} else {
-				bn.runningMean[ch] = (1-bn.Momentum)*bn.runningMean[ch] + bn.Momentum*mean
-				bn.runningVar[ch] = (1-bn.Momentum)*bn.runningVar[ch] + bn.Momentum*variance
-			}
-		} else {
-			mean, variance = bn.runningMean[ch], bn.runningVar[ch]
 		}
-		std := math.Sqrt(variance + bn.Eps)
-		bn.lastStd[ch] = std
-		inv := 1 / std
-		g, bta := gd[ch], bd[ch]
-		for b := 0; b < n; b++ {
-			base := ((b*c + ch) * h) * w
-			xr := xd[base : base+h*w]
-			xhr := xh[base : base+h*w]
-			or := od[base : base+h*w]
-			for i, v := range xr {
-				xhv := (v - mean) * inv
-				xhr[i] = xhv
-				or[i] = g*xhv + bta
+		for j := 0; j < lanes; j++ {
+			ch := ch0 + j
+			if bn.training {
+				if capStats.Mean != nil {
+					capStats.Mean[ch], capStats.Var[ch] = mean[j], variance[j]
+				} else {
+					bn.runningMean[ch] = (1-bn.Momentum)*bn.runningMean[ch] + bn.Momentum*mean[j]
+					bn.runningVar[ch] = (1-bn.Momentum)*bn.runningVar[ch] + bn.Momentum*variance[j]
+				}
+			}
+			std := math.Sqrt(variance[j] + bn.Eps)
+			bn.lastStd[ch] = std
+			inv := 1 / std
+			mu, g, bta := mean[j], gd[ch], bd[ch]
+			for b := 0; b < n; b++ {
+				base := (b*c + ch) * hw
+				xr := xd[base : base+hw]
+				xhr := xh[base : base+hw]
+				or := od[base : base+hw]
+				for i, v := range xr {
+					xhv := (v - mu) * inv
+					xhr[i] = xhv
+					or[i] = g*xhv + bta
+				}
 			}
 		}
 	}
@@ -382,7 +389,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // as constants; in training mode the full batch-statistics gradient is used.
 func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := mustDims4(grad, "BatchNorm2D.Backward")
-	bn.gradXBuf = reuseBuf(bn.gradXBuf, n, c, h, w)
+	bn.gradXBuf = tensor.Reuse(bn.gradXBuf, n, c, h, w)
 	gradX := bn.gradXBuf
 	m := float64(n * h * w)
 	gd := grad.Data()
@@ -390,36 +397,149 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gxd := gradX.Data()
 	ggd, gbd := bn.gamma.Grad.Data(), bn.beta.Grad.Data()
 	gammaD := bn.gamma.Value.Data()
-	for ch := 0; ch < c; ch++ {
-		var sumDy, sumDyXHat float64
-		for b := 0; b < n; b++ {
-			base := ((b*c + ch) * h) * w
-			for i := 0; i < h*w; i++ {
-				dy := gd[base+i]
-				sumDy += dy
-				sumDyXHat += dy * xh[base+i]
+	hw := h * w
+	for ch0 := 0; ch0 < c; ch0 += bnLanes {
+		lanes := min(bnLanes, c-ch0)
+		var sumDy, sumDyXHat [bnLanes]float64
+		if lanes == bnLanes {
+			sumDy, sumDyXHat = bnGradSums4(gd, xh, n, c, hw, ch0)
+		} else {
+			for j := 0; j < lanes; j++ {
+				sumDy[j], sumDyXHat[j] = bnGradSums1(gd, xh, n, c, hw, ch0+j)
 			}
 		}
-		ggd[ch] += sumDyXHat
-		gbd[ch] += sumDy
-		scale := gammaD[ch] / bn.lastStd[ch]
-		if !bn.training {
-			for b := 0; b < n; b++ {
-				base := ((b*c + ch) * h) * w
-				for i := 0; i < h*w; i++ {
-					gxd[base+i] = scale * gd[base+i]
+		for j := 0; j < lanes; j++ {
+			ch := ch0 + j
+			ggd[ch] += sumDyXHat[j]
+			gbd[ch] += sumDy[j]
+			scale := gammaD[ch] / bn.lastStd[ch]
+			if !bn.training {
+				for b := 0; b < n; b++ {
+					base := (b*c + ch) * hw
+					gr := gd[base : base+hw]
+					gxr := gxd[base : base+hw]
+					for i, dy := range gr {
+						gxr[i] = scale * dy
+					}
 				}
+				continue
 			}
-			continue
-		}
-		meanDy := sumDy / m
-		meanDyXHat := sumDyXHat / m
-		for b := 0; b < n; b++ {
-			base := ((b*c + ch) * h) * w
-			for i := 0; i < h*w; i++ {
-				gxd[base+i] = scale * (gd[base+i] - meanDy - xh[base+i]*meanDyXHat)
+			meanDy := sumDy[j] / m
+			meanDyXHat := sumDyXHat[j] / m
+			for b := 0; b < n; b++ {
+				base := (b*c + ch) * hw
+				gr := gd[base : base+hw]
+				xhr := xh[base : base+hw]
+				gxr := gxd[base : base+hw]
+				for i, dy := range gr {
+					gxr[i] = scale * (dy - meanDy - xhr[i]*meanDyXHat)
+				}
 			}
 		}
 	}
 	return gradX
+}
+
+// bnLanes is how many channels the batch-norm reductions walk at once. One
+// channel's sum is a single dependent chain (an add every ~4 cycles);
+// advancing four channels' chains together fills the adder's pipeline while
+// each chain still adds its own elements in (batch, pixel) ascending order,
+// so every statistic keeps the bits of the one-channel loop.
+const bnLanes = 4
+
+// bnMoments1 is the reference reduction: one channel's batch mean and biased
+// variance over m = n*hw elements.
+func bnMoments1(xd []float64, n, c, hw, ch int, m float64) (mean, variance float64) {
+	sum := 0.0
+	for b := 0; b < n; b++ {
+		base := (b*c + ch) * hw
+		for _, v := range xd[base : base+hw] {
+			sum += v
+		}
+	}
+	mean = sum / m
+	sq := 0.0
+	for b := 0; b < n; b++ {
+		base := (b*c + ch) * hw
+		for _, v := range xd[base : base+hw] {
+			d := v - mean
+			sq += d * d
+		}
+	}
+	return mean, sq / m
+}
+
+// bnMoments4 is bnMoments1 for channels ch0..ch0+3 with the four chains
+// interleaved.
+func bnMoments4(xd []float64, n, c, hw, ch0 int, m float64) (mean, variance [bnLanes]float64) {
+	var s0, s1, s2, s3 float64
+	for b := 0; b < n; b++ {
+		base := (b*c + ch0) * hw
+		p0 := xd[base : base+hw]
+		p1 := xd[base+hw : base+2*hw]
+		p2 := xd[base+2*hw : base+3*hw]
+		p3 := xd[base+3*hw : base+4*hw]
+		for i, v := range p0 {
+			s0 += v
+			s1 += p1[i]
+			s2 += p2[i]
+			s3 += p3[i]
+		}
+	}
+	m0, m1, m2, m3 := s0/m, s1/m, s2/m, s3/m
+	var q0, q1, q2, q3 float64
+	for b := 0; b < n; b++ {
+		base := (b*c + ch0) * hw
+		p0 := xd[base : base+hw]
+		p1 := xd[base+hw : base+2*hw]
+		p2 := xd[base+2*hw : base+3*hw]
+		p3 := xd[base+3*hw : base+4*hw]
+		for i, v := range p0 {
+			d0, d1, d2, d3 := v-m0, p1[i]-m1, p2[i]-m2, p3[i]-m3
+			q0 += d0 * d0
+			q1 += d1 * d1
+			q2 += d2 * d2
+			q3 += d3 * d3
+		}
+	}
+	return [bnLanes]float64{m0, m1, m2, m3}, [bnLanes]float64{q0 / m, q1 / m, q2 / m, q3 / m}
+}
+
+// bnGradSums1 is the reference backward reduction for one channel: Σdy and
+// Σdy·x̂.
+func bnGradSums1(gd, xh []float64, n, c, hw, ch int) (sumDy, sumDyXHat float64) {
+	for b := 0; b < n; b++ {
+		base := (b*c + ch) * hw
+		xr := xh[base : base+hw]
+		for i, dy := range gd[base : base+hw] {
+			sumDy += dy
+			sumDyXHat += dy * xr[i]
+		}
+	}
+	return sumDy, sumDyXHat
+}
+
+// bnGradSums4 is bnGradSums1 for channels ch0..ch0+3 with the eight chains
+// interleaved.
+func bnGradSums4(gd, xh []float64, n, c, hw, ch0 int) (sumDy, sumDyXHat [bnLanes]float64) {
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	for b := 0; b < n; b++ {
+		base := (b*c + ch0) * hw
+		g0, x0 := gd[base:base+hw], xh[base:base+hw]
+		g1, x1 := gd[base+hw:base+2*hw], xh[base+hw:base+2*hw]
+		g2, x2 := gd[base+2*hw:base+3*hw], xh[base+2*hw:base+3*hw]
+		g3, x3 := gd[base+3*hw:base+4*hw], xh[base+3*hw:base+4*hw]
+		for i, dy := range g0 {
+			dy1, dy2, dy3 := g1[i], g2[i], g3[i]
+			a0 += dy
+			a1 += dy1
+			a2 += dy2
+			a3 += dy3
+			b0 += dy * x0[i]
+			b1 += dy1 * x1[i]
+			b2 += dy2 * x2[i]
+			b3 += dy3 * x3[i]
+		}
+	}
+	return [bnLanes]float64{a0, a1, a2, a3}, [bnLanes]float64{b0, b1, b2, b3}
 }

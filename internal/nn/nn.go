@@ -16,7 +16,10 @@
 // Backward call, which may overwrite them in place. Callers that need a
 // result to outlive the next call must Clone it. This is what makes the
 // steady-state training loop allocation-free: every layer reuses its
-// output and input-gradient buffers as long as shapes repeat.
+// output and input-gradient buffers as long as shapes repeat, and their
+// storage (under a new tensor header, see tensor.Reuse) whenever a
+// differently shaped call fits in it, so batches of varying size cost a
+// small header, not a cleared activation, per layer.
 package nn
 
 import (
@@ -126,30 +129,6 @@ func SetTraining(training bool, ms ...Module) {
 			t.SetTraining(training)
 		}
 	}
-}
-
-// reuseBuf returns buf when its shape matches exactly, else a fresh zeroed
-// tensor. Reuse never resizes a tensor in place — a caller still holding
-// the previously returned tensor must keep seeing its old shape — and does
-// NOT clear the data: callers that accumulate (+=) into the buffer must
-// Zero it first.
-func reuseBuf(buf *tensor.Tensor, shape ...int) *tensor.Tensor {
-	if buf != nil && buf.ShapeIs(shape...) {
-		return buf
-	}
-	// Hand tensor.New its own copy so the variadic slice does not escape:
-	// steady-state calls must stay allocation-free.
-	fresh := make([]int, len(shape))
-	copy(fresh, shape)
-	return tensor.New(fresh...)
-}
-
-// reuseBufLike is reuseBuf matching src's shape, without the Shape() clone.
-func reuseBufLike(buf, src *tensor.Tensor) *tensor.Tensor {
-	if buf != nil && buf.SameShape(src) {
-		return buf
-	}
-	return tensor.New(src.Shape()...)
 }
 
 // conv output size helper shared by conv and pooling layers.

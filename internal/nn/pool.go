@@ -13,6 +13,10 @@ type MaxPool2D struct {
 	lastX   *tensor.Tensor
 	argmaxI []int // flat input index of each output's max
 
+	// Row-pass scratch of the separable 3×3 path: per input row and output
+	// column, the window's first maximum and its flat input index.
+	rows []rowMax
+
 	outBuf, gradXBuf *tensor.Tensor
 }
 
@@ -32,17 +36,28 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.lastX = x
 	oh := convOutDim(h, p.K, p.Stride, p.Pad, 1)
 	ow := convOutDim(w, p.K, p.Stride, p.Pad, 1)
-	p.outBuf = reuseBuf(p.outBuf, n, c, oh, ow)
+	p.outBuf = tensor.Reuse(p.outBuf, n, c, oh, ow)
 	out := p.outBuf
 	if cap(p.argmaxI) < out.Size() {
 		p.argmaxI = make([]int, out.Size())
 	}
 	p.argmaxI = p.argmaxI[:out.Size()]
-	// The window's in-bounds kernel range is clamped once per output row and
-	// column, so the scan itself is branch-free (first-max semantics: the
-	// strict > keeps the earliest maximum, matching the padded-window scan
-	// this replaced).
 	xd, od := x.Data(), out.Data()
+	// Planes narrower than three outputs are all border: the row pass buys
+	// nothing there and the window scan is quicker.
+	if p.K == 3 && ow >= 3 {
+		p.forward3(xd, od, n*c, h, w, oh, ow)
+		return out
+	}
+	p.forwardWindow(xd, od, n, c, h, w, oh, ow)
+	return out
+}
+
+// forwardWindow is the general path and the reference the 3×3 path is tested
+// against: the window's in-bounds kernel range is clamped once per output row
+// and column and scanned in (ky,kx) order. First-max semantics: the strict >
+// keeps the earliest maximum and never selects a NaN.
+func (p *MaxPool2D) forwardWindow(xd, od []float64, n, c, h, w, oh, ow int) {
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
 			base := ((b*c + ch) * h) * w
@@ -72,7 +87,104 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return out
+}
+
+// forward3 is the 3×3 path: a row pass reduces each input row to the first
+// maximum of every output column's three-wide window, then a column pass
+// takes the first maximum of those over the window's rows. The earliest
+// (ky,kx) holding the window's maximum lies in the first row that reaches
+// it, at that row's leftmost position, so the result and the argmax equal
+// forwardWindow's scan — with 6 compares per output instead of 9 and the
+// clamping confined to the border columns and rows.
+func (p *MaxPool2D) forward3(xd, od []float64, planes, h, w, oh, ow int) {
+	if cap(p.rows) < h*ow {
+		p.rows = make([]rowMax, h*ow)
+	}
+	rows := p.rows[:h*ow]
+	s, pad := p.Stride, p.Pad
+	negInf := math.Inf(-1)
+	// Output columns [oxLo, oxHi) see a full in-bounds window.
+	oxLo, oxHi := interiorRange(ow, 3, s, pad, w)
+	for pl := 0; pl < planes; pl++ {
+		base := pl * h * w
+		for iy := 0; iy < h; iy++ {
+			rbase := base + iy*w
+			row := xd[rbase : rbase+w]
+			rm := rows[iy*ow : (iy+1)*ow]
+			for ox := 0; ox < oxLo; ox++ {
+				rm[ox] = rowMaxClamped(row, rbase, ox*s-pad)
+			}
+			ix := oxLo*s - pad
+			for ox := oxLo; ox < oxHi; ox++ {
+				win := row[ix : ix+3 : ix+3]
+				best, bi := negInf, -1
+				if v := win[0]; v > best {
+					best, bi = v, rbase+ix
+				}
+				if v := win[1]; v > best {
+					best, bi = v, rbase+ix+1
+				}
+				if v := win[2]; v > best {
+					best, bi = v, rbase+ix+2
+				}
+				rm[ox] = rowMax{best, bi}
+				ix += s
+			}
+			for ox := oxHi; ox < ow; ox++ {
+				rm[ox] = rowMaxClamped(row, rbase, ox*s-pad)
+			}
+		}
+		obase := pl * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*s - pad
+			k0, k1 := clampWindow(iy0, 3, h)
+			orow := od[obase+oy*ow : obase+(oy+1)*ow]
+			arow := p.argmaxI[obase+oy*ow : obase+(oy+1)*ow]
+			for ox := range orow {
+				best, bi := negInf, -1
+				for k := k0; k <= k1; k++ {
+					if r := rows[(iy0+k)*ow+ox]; r.v > best {
+						best, bi = r.v, r.at
+					}
+				}
+				if bi < 0 { // window entirely in padding
+					best = 0
+				}
+				orow[ox], arow[ox] = best, bi
+			}
+		}
+	}
+}
+
+// rowMax is one row-pass result: the first maximum of a three-wide window
+// and its flat input index (-Inf, -1 when nothing in bounds exceeds -Inf).
+type rowMax struct {
+	v  float64
+	at int
+}
+
+// rowMaxClamped is forward3's row pass for a border column: the window
+// row[ix0:ix0+3] clipped to the row.
+func rowMaxClamped(row []float64, rbase, ix0 int) rowMax {
+	k0, k1 := clampWindow(ix0, 3, len(row))
+	best := rowMax{math.Inf(-1), -1}
+	for k := k0; k <= k1; k++ {
+		if v := row[ix0+k]; v > best.v {
+			best = rowMax{v, rbase + ix0 + k}
+		}
+	}
+	return best
+}
+
+// interiorRange returns the half-open range [lo, hi) of output indices whose
+// k-wide window, starting at o*stride-pad, lies wholly inside [0, limit);
+// outputs outside it need clamping.
+func interiorRange(outDim, k, stride, pad, limit int) (lo, hi int) {
+	lo, _ = convValid(outDim, -pad, stride, limit)
+	_, hi = convValid(outDim, k-1-pad, stride, limit)
+	lo = min(lo, outDim)
+	hi = max(hi+1, lo)
+	return lo, hi
 }
 
 // clampWindow returns the inclusive kernel-offset range [k0, k1] for which
@@ -90,7 +202,7 @@ func clampWindow(i0, k, limit int) (k0, k1 int) {
 
 // Backward implements Module.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	p.gradXBuf = reuseBufLike(p.gradXBuf, p.lastX)
+	p.gradXBuf = tensor.ReuseLike(p.gradXBuf, p.lastX)
 	gradX := p.gradXBuf
 	gradX.Zero() // the argmax scatter accumulates
 	gd, gxd := grad.Data(), gradX.Data()
@@ -107,7 +219,7 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type AvgPool2D struct {
 	K, Stride, Pad int
 
-	lastShape []int
+	lastShape [4]int
 
 	outBuf, gradXBuf *tensor.Tensor
 }
@@ -125,73 +237,147 @@ func (p *AvgPool2D) Params() []*Param { return nil }
 // Forward implements Module.
 func (p *AvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := mustDims4(x, "AvgPool2D")
-	p.lastShape = x.Shape()
+	p.lastShape = [4]int{n, c, h, w}
 	oh := convOutDim(h, p.K, p.Stride, p.Pad, 1)
 	ow := convOutDim(w, p.K, p.Stride, p.Pad, 1)
-	p.outBuf = reuseBuf(p.outBuf, n, c, oh, ow)
+	p.outBuf = tensor.Reuse(p.outBuf, n, c, oh, ow)
 	out := p.outBuf
 	inv := 1.0 / float64(p.K*p.K)
 	xd, od := x.Data(), out.Data()
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := ((b*c + ch) * h) * w
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*p.Stride - p.Pad
-				ky0, ky1 := clampWindow(iy0, p.K, h)
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*p.Stride - p.Pad
-					kx0, kx1 := clampWindow(ix0, p.K, w)
-					acc := 0.0
-					for ky := ky0; ky <= ky1; ky++ {
-						row := base + (iy0+ky)*w + ix0
-						for kx := kx0; kx <= kx1; kx++ {
-							acc += xd[row+kx]
-						}
-					}
-					od[((b*c+ch)*oh+oy)*ow+ox] = acc * inv
-				}
+	s, pad := p.Stride, p.Pad
+	oyLo, oyHi, oxLo, oxHi := p.interior(oh, ow, h, w)
+	for pl := 0; pl < n*c; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*s - pad
+			orow := od[(pl*oh+oy)*ow : (pl*oh+oy+1)*ow]
+			lo, hi := oxLo, oxHi
+			if oy < oyLo || oy >= oyHi {
+				lo, hi = 0, 0 // a border row: every column is clamped
+			}
+			for ox := 0; ox < lo; ox++ {
+				orow[ox] = p.sumClamped(xd, base, h, w, iy0, ox*s-pad) * inv
+			}
+			// Interior: the whole 3×3 window is in bounds, summed in the same
+			// (ky,kx) order as the clamped scan.
+			at := base + iy0*w + lo*s - pad
+			for ox := lo; ox < hi; ox++ {
+				r0 := xd[at : at+3 : at+3]
+				r1 := xd[at+w : at+w+3 : at+w+3]
+				r2 := xd[at+2*w : at+2*w+3 : at+2*w+3]
+				acc := 0.0
+				acc += r0[0]
+				acc += r0[1]
+				acc += r0[2]
+				acc += r1[0]
+				acc += r1[1]
+				acc += r1[2]
+				acc += r2[0]
+				acc += r2[1]
+				acc += r2[2]
+				orow[ox] = acc * inv
+				at += s
+			}
+			for ox := hi; ox < ow; ox++ {
+				orow[ox] = p.sumClamped(xd, base, h, w, iy0, ox*s-pad) * inv
 			}
 		}
 	}
 	return out
 }
 
+// interior returns the output rows [oyLo, oyHi) and columns [oxLo, oxHi)
+// whose whole window is in bounds and takes the unrolled 3×3 body; other
+// kernel sizes have none, so every output takes the clamped scan.
+func (p *AvgPool2D) interior(oh, ow, h, w int) (oyLo, oyHi, oxLo, oxHi int) {
+	if p.K != 3 {
+		return 0, 0, 0, 0
+	}
+	oyLo, oyHi = interiorRange(oh, 3, p.Stride, p.Pad, h)
+	oxLo, oxHi = interiorRange(ow, 3, p.Stride, p.Pad, w)
+	return oyLo, oyHi, oxLo, oxHi
+}
+
+// sumClamped adds the in-bounds part of the K×K window whose top-left input
+// coordinate is (iy0, ix0), in (ky,kx) order.
+func (p *AvgPool2D) sumClamped(xd []float64, base, h, w, iy0, ix0 int) float64 {
+	ky0, ky1 := clampWindow(iy0, p.K, h)
+	kx0, kx1 := clampWindow(ix0, p.K, w)
+	acc := 0.0
+	for ky := ky0; ky <= ky1; ky++ {
+		row := base + (iy0+ky)*w + ix0
+		for kx := kx0; kx <= kx1; kx++ {
+			acc += xd[row+kx]
+		}
+	}
+	return acc
+}
+
 // Backward implements Module.
 func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, oh, ow := mustDims4(grad, "AvgPool2D.Backward")
-	p.gradXBuf = reuseBuf(p.gradXBuf, p.lastShape...)
+	p.gradXBuf = tensor.Reuse(p.gradXBuf, p.lastShape[:]...)
 	gradX := p.gradXBuf
 	gradX.Zero() // overlapping windows accumulate
 	h, w := p.lastShape[2], p.lastShape[3]
 	inv := 1.0 / float64(p.K*p.K)
 	gd, gxd := grad.Data(), gradX.Data()
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := ((b*c + ch) * h) * w
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*p.Stride - p.Pad
-				ky0, ky1 := clampWindow(iy0, p.K, h)
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*p.Stride - p.Pad
-					kx0, kx1 := clampWindow(ix0, p.K, w)
-					gv := gd[((b*c+ch)*oh+oy)*ow+ox] * inv
-					for ky := ky0; ky <= ky1; ky++ {
-						row := base + (iy0+ky)*w + ix0
-						for kx := kx0; kx <= kx1; kx++ {
-							gxd[row+kx] += gv
-						}
-					}
-				}
+	s, pad := p.Stride, p.Pad
+	oyLo, oyHi, oxLo, oxHi := p.interior(oh, ow, h, w)
+	for pl := 0; pl < n*c; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*s - pad
+			grow := gd[(pl*oh+oy)*ow : (pl*oh+oy+1)*ow]
+			lo, hi := oxLo, oxHi
+			if oy < oyLo || oy >= oyHi {
+				lo, hi = 0, 0
+			}
+			for ox := 0; ox < lo; ox++ {
+				p.spreadClamped(gxd, base, h, w, iy0, ox*s-pad, grow[ox]*inv)
+			}
+			at := base + iy0*w + lo*s - pad
+			for ox := lo; ox < hi; ox++ {
+				gv := grow[ox] * inv
+				r0 := gxd[at : at+3 : at+3]
+				r1 := gxd[at+w : at+w+3 : at+w+3]
+				r2 := gxd[at+2*w : at+2*w+3 : at+2*w+3]
+				r0[0] += gv
+				r0[1] += gv
+				r0[2] += gv
+				r1[0] += gv
+				r1[1] += gv
+				r1[2] += gv
+				r2[0] += gv
+				r2[1] += gv
+				r2[2] += gv
+				at += s
+			}
+			for ox := hi; ox < ow; ox++ {
+				p.spreadClamped(gxd, base, h, w, iy0, ox*s-pad, grow[ox]*inv)
 			}
 		}
 	}
 	return gradX
 }
 
+// spreadClamped adds gv to the in-bounds part of the K×K window at
+// (iy0, ix0): the transpose of sumClamped.
+func (p *AvgPool2D) spreadClamped(gxd []float64, base, h, w, iy0, ix0 int, gv float64) {
+	ky0, ky1 := clampWindow(iy0, p.K, h)
+	kx0, kx1 := clampWindow(ix0, p.K, w)
+	for ky := ky0; ky <= ky1; ky++ {
+		row := base + (iy0+ky)*w + ix0
+		for kx := kx0; kx <= kx1; kx++ {
+			gxd[row+kx] += gv
+		}
+	}
+}
+
 // GlobalAvgPool averages each channel's spatial map to a single value,
 // producing [N, C] output from [N, C, H, W] input.
 type GlobalAvgPool struct {
-	lastShape []int
+	lastShape [4]int
 
 	outBuf, gradXBuf *tensor.Tensor
 }
@@ -207,8 +393,8 @@ func (p *GlobalAvgPool) Params() []*Param { return nil }
 // Forward implements Module.
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := mustDims4(x, "GlobalAvgPool")
-	p.lastShape = x.Shape()
-	p.outBuf = reuseBuf(p.outBuf, n, c)
+	p.lastShape = [4]int{n, c, h, w}
+	p.outBuf = tensor.Reuse(p.outBuf, n, c)
 	out := p.outBuf
 	inv := 1.0 / float64(h*w)
 	xd, od := x.Data(), out.Data()
@@ -227,7 +413,7 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Module.
 func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	p.gradXBuf = reuseBuf(p.gradXBuf, p.lastShape...)
+	p.gradXBuf = tensor.Reuse(p.gradXBuf, p.lastShape[:]...)
 	gradX := p.gradXBuf // fully overwritten below, no zeroing needed
 	n, c, h, w := p.lastShape[0], p.lastShape[1], p.lastShape[2], p.lastShape[3]
 	inv := 1.0 / float64(h*w)
@@ -250,7 +436,7 @@ func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type SubSample struct {
 	Stride int
 
-	lastShape []int
+	lastShape [4]int
 
 	outBuf, gradXBuf *tensor.Tensor
 }
@@ -266,16 +452,16 @@ func (s *SubSample) Params() []*Param { return nil }
 // Forward implements Module.
 func (s *SubSample) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if s.Stride == 1 {
-		s.lastShape = x.Shape()
-		s.outBuf = reuseBuf(s.outBuf, s.lastShape...)
+		// A copy of any shape; Backward sizes itself from its gradient.
+		s.outBuf = tensor.ReuseLike(s.outBuf, x)
 		s.outBuf.CopyFrom(x)
 		return s.outBuf
 	}
 	n, c, h, w := mustDims4(x, "SubSample")
-	s.lastShape = x.Shape()
+	s.lastShape = [4]int{n, c, h, w}
 	oh := (h + s.Stride - 1) / s.Stride
 	ow := (w + s.Stride - 1) / s.Stride
-	s.outBuf = reuseBuf(s.outBuf, n, c, oh, ow)
+	s.outBuf = tensor.Reuse(s.outBuf, n, c, oh, ow)
 	out := s.outBuf
 	xd, od := x.Data(), out.Data()
 	for b := 0; b < n; b++ {
@@ -293,12 +479,13 @@ func (s *SubSample) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Module.
 func (s *SubSample) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	s.gradXBuf = reuseBuf(s.gradXBuf, s.lastShape...)
-	gradX := s.gradXBuf
 	if s.Stride == 1 {
-		gradX.CopyFrom(grad)
-		return gradX
+		s.gradXBuf = tensor.ReuseLike(s.gradXBuf, grad)
+		s.gradXBuf.CopyFrom(grad)
+		return s.gradXBuf
 	}
+	s.gradXBuf = tensor.Reuse(s.gradXBuf, s.lastShape[:]...)
+	gradX := s.gradXBuf
 	gradX.Zero() // only the strided positions are written below
 	n, c, oh, ow := mustDims4(grad, "SubSample.Backward")
 	h, w := s.lastShape[2], s.lastShape[3]

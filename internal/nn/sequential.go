@@ -56,6 +56,27 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// BackwardParams back-propagates grad through m for its parameter gradients
+// only, for callers that throw dL/d(input) away (m is the first block of a
+// network, fed by data). Where m's first layer is a convolution, the input
+// gradient is never computed; parameter gradients are bit-identical to
+// Backward's.
+func BackwardParams(m Module, grad *tensor.Tensor) {
+	switch v := m.(type) {
+	case *Sequential:
+		for i := len(v.mods) - 1; i >= 1; i-- {
+			grad = v.mods[i].Backward(grad)
+		}
+		if len(v.mods) > 0 {
+			BackwardParams(v.mods[0], grad)
+		}
+	case *Conv2D:
+		v.backward(grad, false)
+	default:
+		m.Backward(grad)
+	}
+}
+
 // SetTraining implements TrainToggler, propagating to children.
 func (s *Sequential) SetTraining(training bool) {
 	SetTraining(training, s.mods...)

@@ -1,0 +1,200 @@
+package tensor
+
+import "fmt"
+
+// Depthwise convolution kernels: the second entry behind the kernel dispatch
+// seam (gemm.go holds the first). A depthwise convolution has one filter per
+// channel, so it never becomes a GEMM; its cost is taps × pixels multiply-adds
+// per plane, and what makes the direct loops slow is latency (the weight
+// gradient is one dependent chain per tap) and loop overhead on planes of 64,
+// 16 or 4 pixels — not arithmetic.
+//
+// The kernels here work on DWLanes = 4 channels at once, one channel per
+// vector lane. The caller (nn.Conv2D) copies four planes into a zero-padded,
+// lane-interleaved buffer (element (y,x) of lane l at index (y*W+x)*4+l) and
+// describes the geometry with two small offset tables — one start offset per
+// output pixel, one relative offset per kernel tap — so a single kernel serves
+// every kernel size, stride, dilation and plane shape, including 1-wide and
+// odd planes, with no edge cases in the vector code.
+//
+// Contract (the same as GEMM's): every result element is ONE accumulator that
+// starts at +0 and adds its terms in ascending table order, each term a
+// separate multiply then add (never fused). Lanes are independent channels
+// and the unrolled accumulators are independent pixels (DWTaps) or
+// independent taps (DWGradW), so the AVX2 kernels and the portable loops
+// below produce the same bits.
+//
+// Padding positions hold +0 and contribute a ±0 term. An accumulator that
+// starts at +0 can never become -0 (x + y is -0 only when both are), so adding
+// ±0 never changes it: for finite weights and gradients the padded sums equal,
+// bit for bit, loops that skip out-of-bounds taps. (A non-finite factor times
+// a padding zero is NaN where skipping would give none; training has already
+// diverged by then.)
+
+// DWLanes is the number of channels a depthwise kernel call processes.
+const DWLanes = 4
+
+// dwKernel is one implementation of the pair.
+type dwKernel struct {
+	name  string
+	taps  func(out, src []float64, pix, taps []int, w []float64)
+	gradW func(gw, g []float64, gpix []int, x []float64, xpix, taps []int)
+
+	interleave   func(dst []float64, org, rowStep, colStep int, src []float64, h, w int)
+	deinterleave func(dst, src []float64, n int)
+}
+
+// dwGo is the portable reference pair — always compiled, and what the
+// assembly is tested against.
+var dwGo = dwKernel{
+	name: "go-lanes4", taps: dwTapsGo, gradW: dwGradWGo,
+	interleave: func(dst []float64, org, rowStep, colStep int, src []float64, h, w int) {
+		dwInterleaveCols(dst, org, rowStep, colStep, src, h, w, 0)
+	},
+	deinterleave: func(dst, src []float64, n int) { dwDeinterleaveFrom(dst, src, n, 0) },
+}
+
+// dwActive is written once, by init (depthwise_amd64.go), like gemmActiveF64.
+var dwActive = &dwGo
+
+// DepthwiseSIMD reports whether a vector depthwise kernel was selected. The
+// lane-interleaved formulation only pays inside a vector kernel — in pure Go
+// the copy into the padded buffer costs more than the skipped bounds logic
+// saves — so nn.Conv2D keeps its direct valid-range loops when this is false.
+func DepthwiseSIMD() bool { return dwActive != &dwGo }
+
+// depthwiseKernelName is what KernelInfo reports: the selected vector kernel,
+// or "direct" when DepthwiseSIMD is false — dwGo is then only the reference
+// the tests compare against, not code a convolution runs.
+func depthwiseKernelName() string {
+	if !DepthwiseSIMD() {
+		return "direct"
+	}
+	return dwActive.name
+}
+
+// DWTaps computes, for every pixel p and lane l,
+//
+//	out[p*4+l] = Σ_t w[t*4+l] · src[pix[p]+taps[t]+l]      (t ascending)
+//
+// pix[p] is the element offset of pixel p's window origin in the interleaved
+// buffer src and taps[t] the element offset of tap t from that origin (it may
+// be negative: the input-gradient pass walks the taps backwards). len(pix)
+// must be a multiple of 4 — pad the table by repeating an entry — and out
+// must hold 4·len(pix) elements. Offsets are the caller's to get right: the
+// vector kernel does not bounds-check them.
+func DWTaps(out, src []float64, pix, taps []int, w []float64) {
+	if len(pix)%4 != 0 || len(out) < DWLanes*len(pix) || len(w) < DWLanes*len(taps) {
+		panic(fmt.Sprintf("tensor: DWTaps pix %d out %d taps %d w %d", len(pix), len(out), len(taps), len(w)))
+	}
+	if len(pix) == 0 || len(taps) == 0 {
+		for i := range out[:DWLanes*len(pix)] {
+			out[i] = 0
+		}
+		return
+	}
+	dwActive.taps(out, src, pix, taps, w)
+}
+
+// DWGradW computes, for every tap t and lane l,
+//
+//	gw[t*4+l] = Σ_p g[gpix[p]+l] · x[xpix[p]+taps[t]+l]    (p ascending)
+//
+// the per-plane weight gradient: one chain per tap, four taps advanced
+// together. len(taps) must be a multiple of 4 (pad by repeating a tap and
+// ignore the extra results) and gw must hold 4·len(taps) elements.
+func DWGradW(gw, g []float64, gpix []int, x []float64, xpix, taps []int) {
+	if len(taps)%4 != 0 || len(gw) < DWLanes*len(taps) || len(gpix) != len(xpix) {
+		panic(fmt.Sprintf("tensor: DWGradW taps %d gw %d pix %d/%d", len(taps), len(gw), len(gpix), len(xpix)))
+	}
+	if len(taps) == 0 || len(gpix) == 0 {
+		for i := range gw[:DWLanes*len(taps)] {
+			gw[i] = 0
+		}
+		return
+	}
+	dwActive.gradW(gw, g, gpix, x, xpix, taps)
+}
+
+func dwTapsGo(out, src []float64, pix, taps []int, w []float64) {
+	for p, base := range pix {
+		var a0, a1, a2, a3 float64
+		for t, off := range taps {
+			s := src[base+off : base+off+4 : base+off+4]
+			wt := w[t*4 : t*4+4 : t*4+4]
+			a0 += wt[0] * s[0]
+			a1 += wt[1] * s[1]
+			a2 += wt[2] * s[2]
+			a3 += wt[3] * s[3]
+		}
+		o := out[p*4 : p*4+4 : p*4+4]
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+	}
+}
+
+func dwGradWGo(gw, g []float64, gpix []int, x []float64, xpix, taps []int) {
+	for t, off := range taps {
+		var a0, a1, a2, a3 float64
+		for p, gb := range gpix {
+			gv := g[gb : gb+4 : gb+4]
+			xb := xpix[p] + off
+			xv := x[xb : xb+4 : xb+4]
+			a0 += gv[0] * xv[0]
+			a1 += gv[1] * xv[1]
+			a2 += gv[2] * xv[2]
+			a3 += gv[3] * xv[3]
+		}
+		o := gw[t*4 : t*4+4 : t*4+4]
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+	}
+}
+
+// DWInterleave copies four consecutive h×w planes of src into the lane slots
+// of dst: element (y,x) of plane l lands at
+// dst[(org + y*rowStep + x*colStep)*4 + l]. A colStep above 1 spreads the
+// pixels apart (the zero-stuffed gradient of a strided convolution).
+func DWInterleave(dst []float64, org, rowStep, colStep int, src []float64, h, w int) {
+	if h <= 0 || w <= 0 {
+		return
+	}
+	last := org + (h-1)*rowStep + (w-1)*colStep
+	if org < 0 || rowStep < 0 || colStep < 1 || len(dst) < (last+1)*DWLanes || len(src) < DWLanes*h*w {
+		panic(fmt.Sprintf("tensor: DWInterleave %dx%d at %d step %d/%d into %d from %d", h, w, org, rowStep, colStep, len(dst), len(src)))
+	}
+	dwActive.interleave(dst, org, rowStep, colStep, src, h, w)
+}
+
+// DWDeinterleave is the way back for a contiguous result: dst's four
+// consecutive n-element planes receive plane l = src[i*4+l].
+func DWDeinterleave(dst, src []float64, n int) {
+	if n <= 0 {
+		return
+	}
+	if len(dst) < DWLanes*n || len(src) < DWLanes*n {
+		panic(fmt.Sprintf("tensor: DWDeinterleave %d into %d from %d", n, len(dst), len(src)))
+	}
+	dwActive.deinterleave(dst, src, n)
+}
+
+// dwInterleaveCols is DWInterleave for columns [x0, w) of every row.
+func dwInterleaveCols(dst []float64, org, rowStep, colStep int, src []float64, h, w, x0 int) {
+	hw := h * w
+	p0, p1, p2, p3 := src[:hw], src[hw:2*hw], src[2*hw:3*hw], src[3*hw:4*hw]
+	for y := 0; y < h; y++ {
+		at := (org + y*rowStep + x0*colStep) * DWLanes
+		for i := y*w + x0; i < (y+1)*w; i++ {
+			d := dst[at : at+4 : at+4]
+			d[0], d[1], d[2], d[3] = p0[i], p1[i], p2[i], p3[i]
+			at += colStep * DWLanes
+		}
+	}
+}
+
+// dwDeinterleaveFrom is DWDeinterleave for elements [i0, n).
+func dwDeinterleaveFrom(dst, src []float64, n, i0 int) {
+	p0, p1, p2, p3 := dst[:n], dst[n:2*n], dst[2*n:3*n], dst[3*n:4*n]
+	for i := i0; i < n; i++ {
+		r := src[i*4 : i*4+4 : i*4+4]
+		p0[i], p1[i], p2[i], p3[i] = r[0], r[1], r[2], r[3]
+	}
+}

@@ -22,10 +22,20 @@
 // variant produces bit-identical output. The pure-Go kernel remains the
 // always-compiled reference (`-tags noasm` or any non-amd64 GOARCH).
 //
-// Not splitting k costs workspace proportional to (m+n)·k floats instead of
-// a fixed cache block. At this repository's scale (im2col matrices of a few
-// thousand columns) the packed panels are a few MB at most, pooled and
-// reused across calls, so steady-state GEMM performs zero heap allocations.
+// Operands are read in place wherever a tile's loads are already what the
+// micro-kernel wants: an A strip of mr whole rows is broadcast one scalar per
+// row per step whatever its strides, and a B strip of nr whole columns of an
+// untransposed B is one contiguous vector per step. Only the ragged last
+// strip of either operand and every strip of a transposed B (whose columns
+// are strided in memory) are packed. At this repository's shapes — a handful
+// of output rows, k of 4 to 32 or a reduction over the whole batch — packing
+// cost as much as the arithmetic it fed.
+//
+// Not splitting k costs workspace proportional to k per packed strip
+// instead of a fixed cache block. At this repository's scale (im2col
+// matrices of a few thousand columns) the packed panels are a few MB at
+// most, pooled and reused across calls, so steady-state GEMM performs zero
+// heap allocations.
 package tensor
 
 import (
@@ -50,13 +60,14 @@ const (
 )
 
 // gemmKernelF64 is one register-blocked micro-kernel variant: mr×nr
-// accumulators held across the whole (unsplit) k loop. micro reads mr·k
-// packed A values and nr·k packed B values and writes the tile into
-// acc[r*nr+c].
+// accumulators held across the whole (unsplit) k loop. At step p micro reads
+// row r's A value at a[r*aRow+p*aStep] and the nr B values at b[p*bStep:],
+// and writes the tile into acc[r*nr+c]. The strides let one kernel walk a
+// packed panel (aRow 1, aStep mr; bStep nr) or the caller's matrix in place.
 type gemmKernelF64 struct {
 	name   string
 	mr, nr int
-	micro  func(k int, pa, pb []float64, acc *[gemmMaxMR * gemmMaxNR]float64)
+	micro  func(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64)
 }
 
 // gemmGo4x4 is the portable reference kernel — always compiled, on every
@@ -87,6 +98,56 @@ func gemmKernelFor(m int) *gemmKernelF64 {
 type gemmScratch struct {
 	packA []float64
 	packB []float64
+}
+
+// gemmOperands is what the macro-kernel needs to find a tile's operands:
+// strips [0,aDirect) of A and [0,bDirect) of B are read from the caller's
+// matrices, the rest from the packed panels (which hold only those strips).
+type gemmOperands struct {
+	a, b             []float64
+	lda, ldb         int
+	transA           bool
+	packA, packB     []float64
+	aDirect, bDirect int
+
+	// Batched form (GemmRawBatched): the columns of B and C come in blocks
+	// of colBlk, one block per image, bBlkStride / cBlkStride elements
+	// apart. Zero colBlk means plain matrices.
+	colBlk, bBlkStride, cBlkStride int
+}
+
+// aTile returns strip s of A as the micro-kernel's (slice, row stride, step
+// stride).
+func (o *gemmOperands) aTile(s, mr, k int) ([]float64, int, int) {
+	switch {
+	case s >= o.aDirect:
+		return o.packA[(s-o.aDirect)*mr*k:], 1, mr
+	case o.transA:
+		return o.a[s*mr:], 1, o.lda
+	default:
+		return o.a[s*mr*o.lda:], o.lda, 1
+	}
+}
+
+// bTile is aTile for strip t of B.
+func (o *gemmOperands) bTile(t, nr, k int) ([]float64, int) {
+	if t >= o.bDirect {
+		return o.packB[(t-o.bDirect)*nr*k:], nr
+	}
+	if o.colBlk > 0 {
+		col := t * nr
+		return o.b[col/o.colBlk*o.bBlkStride+col%o.colBlk:], o.ldb
+	}
+	return o.b[t*nr:], o.ldb
+}
+
+// cBase returns the offset in C of row 0 of the tile whose first column is
+// col.
+func (o *gemmOperands) cBase(col int) int {
+	if o.colBlk > 0 {
+		return col/o.colBlk*o.cBlkStride + col%o.colBlk
+	}
+	return col
 }
 
 var gemmPool = sync.Pool{New: func() any { return new(gemmScratch) }}
@@ -163,13 +224,44 @@ func gemmRawWith(kv *gemmKernelF64, transA, transB bool, m, n, k int, alpha floa
 	if gemmTrivial(m, n, k, beta, c, ldc) {
 		return
 	}
+	gemmRun(kv, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, 0, 0)
+}
+
+// gemmRun is the serial kernel driver for a non-empty problem: pack what
+// must be packed, run the macro-kernel, account the time. A non-zero colBlk
+// gives B and C the batched column layout described on gemmOperands.
+func gemmRun(kv *gemmKernelF64, transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, colBlk, bBlkStride, cBlkStride int) {
 	start := time.Now()
 	ws := gemmPool.Get().(*gemmScratch)
-	ms, ns := ws.pack(kv.mr, kv.nr, transA, transB, m, n, k, a, lda, b, ldb)
-	gemmMacro(kv, ws.packA, ws.packB, 0, ms, ns, m, n, k, alpha, beta, c, ldc)
+	ops, ms, ns := ws.pack(kv.mr, kv.nr, transA, transB, m, n, k, a, lda, b, ldb)
+	ops.colBlk, ops.bBlkStride, ops.cBlkStride = colBlk, bBlkStride, cBlkStride
+	gemmMacro(kv, &ops, 0, ms, ns, m, n, k, alpha, beta, c, ldc)
 	hint := uintptr(unsafe.Pointer(ws))
 	gemmPool.Put(ws)
 	gemmAddStats(2*int64(m)*int64(n)*int64(k), time.Since(start).Nanoseconds(), hint)
+}
+
+// GemmRawBatched computes C_i = alpha·op(A)·B_i + beta·C_i for count
+// problems that share A: B_i is the [k,n] matrix at b[i*bStride:] with row
+// stride ldb, C_i the [m,n] matrix at c[i*cStride:] with row stride ldc.
+// That is an [N,C,H·W] activation tensor multiplied image by image without
+// first being copied into one [C, N·H·W] matrix. Every element is the same
+// single ascending-k accumulator GemmRaw would give it.
+//
+// The batch runs as one wide product whose B and C tiles are addressed in
+// place, which needs every column tile to lie inside one image. When n is
+// not a multiple of the selected kernel's tile width (or the problem is
+// empty) it reports false and touches nothing: the caller should gather the
+// batch into one matrix, whose tiles then span images, and call GemmRaw.
+// (One GemmRaw per image is not a substitute — on 2×2 planes it measured 30%
+// slower than gathering.)
+func GemmRawBatched(transA bool, count, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb, bStride int, beta float64, c []float64, ldc, cStride int) bool {
+	kv := gemmKernelFor(m)
+	if count <= 0 || m <= 0 || n <= 0 || k <= 0 || n%kv.nr != 0 {
+		return false
+	}
+	gemmRun(kv, transA, false, m, count*n, k, alpha, a, lda, b, ldb, beta, c, ldc, n, bStride, cStride)
+	return true
 }
 
 // GemmRawParallel is GemmRaw with contiguous row-strip blocks fanned out
@@ -191,7 +283,7 @@ func GemmRawParallel(r Runner, transA, transB bool, m, n, k int, alpha float64, 
 	kv := gemmKernelFor(m)
 	start := time.Now()
 	ws := gemmPool.Get().(*gemmScratch)
-	ms, ns := ws.pack(kv.mr, kv.nr, transA, transB, m, n, k, a, lda, b, ldb)
+	ops, ms, ns := ws.pack(kv.mr, kv.nr, transA, transB, m, n, k, a, lda, b, ldb)
 	// One block of strips per task; a few tasks per worker so a straggling
 	// block cannot serialize the tail.
 	tasks := workers * 4
@@ -206,7 +298,7 @@ func GemmRawParallel(r Runner, transA, transB bool, m, n, k int, alpha float64, 
 			hi = ms
 		}
 		if lo < hi {
-			gemmMacro(kv, ws.packA, ws.packB, lo, hi, ns, m, n, k, alpha, beta, c, ldc)
+			gemmMacro(kv, &ops, lo, hi, ns, m, n, k, alpha, beta, c, ldc)
 		}
 		return nil
 	})
@@ -238,72 +330,45 @@ func gemmTrivial(m, n, k int, beta float64, c []float64, ldc int) bool {
 	return true
 }
 
-// pack fills the scratch panels and returns the strip counts (ms strips of
-// mr rows, ns strips of nr columns). Rows and columns beyond m and n are
-// zero-padded so the micro-kernel never branches on the edge; padding never
-// touches the k axis, keeping every real accumulator's operation sequence
-// identical to the naive loop at any mr/nr.
-func (ws *gemmScratch) pack(mr, nr int, transA, transB bool, m, n, k int, a []float64, lda int, b []float64, ldb int) (ms, ns int) {
+// pack decides which strips are read in place and fills the scratch panels
+// with the rest; it returns the operand description and the strip counts (ms
+// strips of mr rows, ns strips of nr columns). Packed rows and columns beyond
+// m and n are zero so the micro-kernel never branches on the edge; padding
+// never touches the k axis, keeping every real accumulator's operation
+// sequence identical to the naive loop at any mr/nr.
+func (ws *gemmScratch) pack(mr, nr int, transA, transB bool, m, n, k int, a []float64, lda int, b []float64, ldb int) (ops gemmOperands, ms, ns int) {
 	ms = (m + mr - 1) / mr
 	ns = (n + nr - 1) / nr
-	ws.packA = growFloats(ws.packA, ms*mr*k)
-	ws.packB = growFloats(ws.packB, ns*nr*k)
+	ops = gemmOperands{a: a, b: b, lda: lda, ldb: ldb, transA: transA, aDirect: m / mr}
+	if !transB {
+		ops.bDirect = n / nr
+	}
+	ws.packA = growFloats(ws.packA, (ms-ops.aDirect)*mr*k)
+	ws.packB = growFloats(ws.packB, (ns-ops.bDirect)*nr*k)
+	ops.packA, ops.packB = ws.packA, ws.packB
 
-	// Loop order per case is chosen so the strided direction walks the
-	// source contiguously: transposed A and plain B are gathered row-by-row
-	// (contiguous reads, contiguous mr/nr-element writes) instead of
-	// column-by-column (one cacheline touch per element).
-	pa := ws.packA
-	for s := 0; s < ms; s++ {
-		base := s * mr * k
+	// The ragged last strip of A, if any.
+	if ops.aDirect < ms {
+		pa := ws.packA
+		s := ops.aDirect
 		rlim := m - s*mr
-		if rlim > mr {
-			rlim = mr
-		}
-		if transA && rlim == 8 && mr == 8 {
-			// Unrolled 8-element moves: a variable-length copy() of 64
-			// bytes is mostly memmove call overhead at this size.
+		if transA {
 			for p := 0; p < k; p++ {
-				src := a[p*lda+s*mr : p*lda+s*mr+8]
-				dst := pa[base+p*8 : base+p*8+8]
-				dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
-				dst[4], dst[5], dst[6], dst[7] = src[4], src[5], src[6], src[7]
-			}
-		} else if transA {
-			for p := 0; p < k; p++ {
-				src := a[p*lda+s*mr : p*lda+s*mr+rlim]
-				dst := pa[base+p*mr : base+p*mr+mr]
-				copy(dst, src)
+				dst := pa[p*mr : p*mr+mr]
+				copy(dst, a[p*lda+s*mr:p*lda+s*mr+rlim])
 				for r := rlim; r < mr; r++ {
 					dst[r] = 0
 				}
 			}
-		} else if rlim == 8 && mr == 8 {
-			// Full 8-row strip: walk all rows in one pass so every packed
-			// write fills a contiguous 8-element (one cacheline) block,
-			// instead of revisiting each destination cacheline per row.
-			r0 := a[(s*mr+0)*lda:]
-			r1 := a[(s*mr+1)*lda:]
-			r2 := a[(s*mr+2)*lda:]
-			r3 := a[(s*mr+3)*lda:]
-			r4 := a[(s*mr+4)*lda:]
-			r5 := a[(s*mr+5)*lda:]
-			r6 := a[(s*mr+6)*lda:]
-			r7 := a[(s*mr+7)*lda:]
-			for p := 0; p < k; p++ {
-				d := pa[base+p*8 : base+p*8+8]
-				d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
-				d[4], d[5], d[6], d[7] = r4[p], r5[p], r6[p], r7[p]
-			}
 		} else {
-			// Partial (or 4-wide) strip: same single-pass layout, with the
-			// zero-padding folded into the contiguous write.
+			// Walk the rows in one pass so every packed write fills a
+			// contiguous block, with the zero-padding folded in.
 			var rows [gemmMaxMR][]float64
 			for r := 0; r < rlim; r++ {
 				rows[r] = a[(s*mr+r)*lda:]
 			}
 			for p := 0; p < k; p++ {
-				d := pa[base+p*mr : base+p*mr+mr]
+				d := pa[p*mr : p*mr+mr]
 				for r := 0; r < rlim; r++ {
 					d[r] = rows[r][p]
 				}
@@ -315,14 +380,15 @@ func (ws *gemmScratch) pack(mr, nr int, transA, transB bool, m, n, k int, a []fl
 	}
 
 	pb := ws.packB
-	for t := 0; t < ns; t++ {
-		base := t * nr * k
+	for t := ops.bDirect; t < ns; t++ {
+		base := (t - ops.bDirect) * nr * k
 		clim := n - t*nr
 		if clim > nr {
 			clim = nr
 		}
 		if transB && clim == 8 && nr == 8 {
-			// Same single-pass transpose as the full A strip above.
+			// Single-pass 8-stream transpose: every packed write fills one
+			// contiguous cacheline instead of revisiting it per source row.
 			r0 := b[(t*nr+0)*ldb:]
 			r1 := b[(t*nr+1)*ldb:]
 			r2 := b[(t*nr+2)*ldb:]
@@ -350,32 +416,24 @@ func (ws *gemmScratch) pack(mr, nr int, transA, transB bool, m, n, k int, a []fl
 					d[col] = 0
 				}
 			}
-		} else if clim == 8 && nr == 8 {
-			// Unrolled like the full transA strip above.
-			for p := 0; p < k; p++ {
-				src := b[p*ldb+t*8 : p*ldb+t*8+8]
-				dst := pb[base+p*8 : base+p*8+8]
-				dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
-				dst[4], dst[5], dst[6], dst[7] = src[4], src[5], src[6], src[7]
-			}
 		} else {
+			// The ragged last strip of an untransposed B.
 			for p := 0; p < k; p++ {
-				src := b[p*ldb+t*nr : p*ldb+t*nr+clim]
 				dst := pb[base+p*nr : base+p*nr+nr]
-				copy(dst, src)
+				copy(dst, b[p*ldb+t*nr:p*ldb+t*nr+clim])
 				for col := clim; col < nr; col++ {
 					dst[col] = 0
 				}
 			}
 		}
 	}
-	return ms, ns
+	return ops, ms, ns
 }
 
 // gemmMacro runs the macro-kernel over A strips [s0,s1) against every B
 // strip: cache-tiled over gemmMC strips of rows so a B strip stays hot
 // while the A strips of one tile stream past it.
-func gemmMacro(kv *gemmKernelF64, packA, packB []float64, s0, s1, ns, m, n, k int, alpha, beta float64, c []float64, ldc int) {
+func gemmMacro(kv *gemmKernelF64, ops *gemmOperands, s0, s1, ns, m, n, k int, alpha, beta float64, c []float64, ldc int) {
 	mr, nr := kv.mr, kv.nr
 	acc := gemmAccPool.Get().(*[gemmMaxMR * gemmMaxNR]float64)
 	for sb := s0; sb < s1; sb += gemmMC {
@@ -384,11 +442,12 @@ func gemmMacro(kv *gemmKernelF64, packA, packB []float64, s0, s1, ns, m, n, k in
 			sEnd = s1
 		}
 		for t := 0; t < ns; t++ {
-			pb := packB[t*nr*k : (t+1)*nr*k]
+			b, bStep := ops.bTile(t, nr, k)
+			cTile := c[ops.cBase(t*nr):]
 			for s := sb; s < sEnd; s++ {
-				pa := packA[s*mr*k : (s+1)*mr*k]
-				kv.micro(k, pa, pb, acc)
-				gemmStore(acc, nr, s*mr, t*nr, mr, m, n, alpha, beta, c, ldc)
+				a, aRow, aStep := ops.aTile(s, mr, k)
+				kv.micro(k, a, aRow, aStep, b, bStep, acc)
+				gemmStore(acc, nr, s*mr, t*nr, mr, m, n, alpha, beta, cTile, ldc)
 			}
 		}
 	}
@@ -396,19 +455,20 @@ func gemmMacro(kv *gemmKernelF64, packA, packB []float64, s0, s1, ns, m, n, k in
 }
 
 // gemmMicro4x4 is the portable register-blocked 4×4 micro-kernel: 16
-// accumulators held across the whole (unsplit) k loop, reading one packed
-// column of A and one packed row of B per step. Each step is a separate
+// accumulators held across the whole (unsplit) k loop, reading one column
+// of the A strip and one row of the B strip per step. Each step is a separate
 // multiply then add (two roundings), the exact sequence the naive reference
 // and the SIMD variants reproduce.
-func gemmMicro4x4(k int, pa, pb []float64, acc *[gemmMaxMR * gemmMaxNR]float64) {
+func gemmMicro4x4(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
 	var c30, c31, c32, c33 float64
-	idx := 0
+	ia, ib := 0, 0
 	for p := 0; p < k; p++ {
-		a0, a1, a2, a3 := pa[idx], pa[idx+1], pa[idx+2], pa[idx+3]
-		b0, b1, b2, b3 := pb[idx], pb[idx+1], pb[idx+2], pb[idx+3]
+		a0, a1, a2, a3 := a[ia], a[ia+aRow], a[ia+2*aRow], a[ia+3*aRow]
+		bp := b[ib : ib+4 : ib+4]
+		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2
@@ -425,7 +485,8 @@ func gemmMicro4x4(k int, pa, pb []float64, acc *[gemmMaxMR * gemmMaxNR]float64) 
 		c31 += a3 * b1
 		c32 += a3 * b2
 		c33 += a3 * b3
-		idx += 4
+		ia += aStep
+		ib += bStep
 	}
 	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
 	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
@@ -435,7 +496,7 @@ func gemmMicro4x4(k int, pa, pb []float64, acc *[gemmMaxMR * gemmMaxNR]float64) 
 
 // gemmStore writes one micro-tile back with the alpha/beta combination,
 // masking the zero-padded edge rows/columns. nr is the tile's row stride in
-// acc; mr bounds the row count.
+// acc; mr bounds the row count; c starts at the tile's first column (row 0).
 func gemmStore(acc *[gemmMaxMR * gemmMaxNR]float64, nr, i0, j0, mr, m, n int, alpha, beta float64, c []float64, ldc int) {
 	rows := m - i0
 	if rows > mr {
@@ -451,7 +512,7 @@ func gemmStore(acc *[gemmMaxMR * gemmMaxNR]float64, nr, i0, j0, mr, m, n int, al
 	// into a plain add. The generic path below computes the same values.
 	if alpha == 1 {
 		for r := 0; r < rows; r++ {
-			crow := c[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+cols]
+			crow := c[(i0+r)*ldc : (i0+r)*ldc+cols]
 			arow := acc[r*nr : r*nr+cols]
 			switch {
 			case beta == 0 && cols == 8:
@@ -481,7 +542,7 @@ func gemmStore(acc *[gemmMaxMR * gemmMaxNR]float64, nr, i0, j0, mr, m, n int, al
 		return
 	}
 	for r := 0; r < rows; r++ {
-		crow := c[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+cols]
+		crow := c[(i0+r)*ldc : (i0+r)*ldc+cols]
 		arow := acc[r*nr : r*nr+cols]
 		if beta == 0 {
 			for j, v := range arow {

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels. Both keep the package's determinism contract: every
+// AVX2 micro-kernels. All keep the package's determinism contract: every
 // output element is one accumulator walking k in ascending order, and every
 // step is a separate multiply then add (VMULP*/VADDP*, never VFMADD — a
 // fused multiply-add rounds once where the pure-Go reference rounds twice).
@@ -10,17 +10,23 @@
 // reorder any element's operation sequence, so the results are bit-identical
 // to the go-4x4 fallback kernel at every shape.
 
-// func gemmMicroAVX2F64(k int, pa, pb *float64, acc *[64]float64)
+// func gemmMicroAVX2F64(k int, a *float64, aRow, aStep int, b *float64, bStep int, acc *[64]float64)
 //
-// 8×8 float64 register tile computed as two 4×8 halves. Packed layout:
-// pa[p*8+r] (column of A per k step), pb[p*8+c] (row of B per k step).
-// Each half holds 8 ymm accumulators: rows r=0..3 (or 4..7), with
+// 8×8 float64 register tile computed as two 4×8 halves. Step p reads row r's
+// A value at a + r*aRow + p*aStep and the eight B values at b + p*bStep
+// (strides in bytes), so the same code walks a packed panel or the caller's
+// matrix. Each half holds 8 ymm accumulators: rows r=0..3 (or 4..7), with
 // Y(2r) = cols 0..3 and Y(2r+1) = cols 4..7.
-TEXT ·gemmMicroAVX2F64(SB), NOSPLIT, $0-32
+TEXT ·gemmMicroAVX2F64(SB), NOSPLIT, $0-56
 	MOVQ k+0(FP), CX
-	MOVQ pa+8(FP), AX
-	MOVQ pb+16(FP), BX
-	MOVQ acc+24(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ aRow+16(FP), R10
+	MOVQ aStep+24(FP), SI
+	MOVQ b+32(FP), BX
+	MOVQ bStep+40(FP), R13
+	MOVQ acc+48(FP), DI
+	LEAQ (R10)(R10*1), R11  // 2*aRow
+	LEAQ (R11)(R10*1), R12  // 3*aRow
 
 	// ---- rows 0..3 ----
 	VXORPD Y0, Y0, Y0
@@ -46,26 +52,26 @@ f64lo:
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y1, Y1
 
-	VBROADCASTSD 8(R8), Y10 // a[row1]
+	VBROADCASTSD (R8)(R10*1), Y10 // a[row1]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y2, Y2
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y3, Y3
 
-	VBROADCASTSD 16(R8), Y10 // a[row2]
+	VBROADCASTSD (R8)(R11*1), Y10 // a[row2]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y4, Y4
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y5, Y5
 
-	VBROADCASTSD 24(R8), Y10 // a[row3]
+	VBROADCASTSD (R8)(R12*1), Y10 // a[row3]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y6, Y6
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y7, Y7
 
-	ADDQ $64, R8
-	ADDQ $64, R9
+	ADDQ SI, R8
+	ADDQ R13, R9
 	DECQ DX
 	JNZ  f64lo
 
@@ -78,7 +84,7 @@ f64lo:
 	VMOVUPD Y6, 192(DI)
 	VMOVUPD Y7, 224(DI)
 
-	// ---- rows 4..7 (pa offset +32 bytes within each packed column) ----
+	// ---- rows 4..7 ----
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -88,7 +94,7 @@ f64lo:
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
 
-	LEAQ 32(AX), R8
+	LEAQ (AX)(R10*4), R8
 	MOVQ BX, R9
 	MOVQ CX, DX
 
@@ -102,26 +108,26 @@ f64hi:
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y1, Y1
 
-	VBROADCASTSD 8(R8), Y10 // a[row5]
+	VBROADCASTSD (R8)(R10*1), Y10 // a[row5]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y2, Y2
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y3, Y3
 
-	VBROADCASTSD 16(R8), Y10 // a[row6]
+	VBROADCASTSD (R8)(R11*1), Y10 // a[row6]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y4, Y4
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y5, Y5
 
-	VBROADCASTSD 24(R8), Y10 // a[row7]
+	VBROADCASTSD (R8)(R12*1), Y10 // a[row7]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y6, Y6
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y7, Y7
 
-	ADDQ $64, R8
-	ADDQ $64, R9
+	ADDQ SI, R8
+	ADDQ R13, R9
 	DECQ DX
 	JNZ  f64hi
 
@@ -137,17 +143,22 @@ f64hi:
 	VZEROUPPER
 	RET
 
-// func gemmMicroAVX2F64x4(k int, pa, pb *float64, acc *[64]float64)
+// func gemmMicroAVX2F64x4(k int, a *float64, aRow, aStep int, b *float64, bStep int, acc *[64]float64)
 //
 // 4×8 float64 register tile — the short-m variant (one strip of a stem or
 // linear layer is often 4 rows or fewer, where an 8-row tile would waste
-// half its work on padding). Packed layout: pa[p*4+r], pb[p*8+c]; the same
-// acc layout as the 8×8 kernel's first half.
-TEXT ·gemmMicroAVX2F64x4(SB), NOSPLIT, $0-32
+// half its work on padding). Same operand addressing and the same acc layout
+// as the 8×8 kernel's first half.
+TEXT ·gemmMicroAVX2F64x4(SB), NOSPLIT, $0-56
 	MOVQ k+0(FP), CX
-	MOVQ pa+8(FP), AX
-	MOVQ pb+16(FP), BX
-	MOVQ acc+24(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ aRow+16(FP), R10
+	MOVQ aStep+24(FP), SI
+	MOVQ b+32(FP), BX
+	MOVQ bStep+40(FP), R13
+	MOVQ acc+48(FP), DI
+	LEAQ (R10)(R10*1), R11  // 2*aRow
+	LEAQ (R11)(R10*1), R12  // 3*aRow
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -168,26 +179,26 @@ f64x4:
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y1, Y1
 
-	VBROADCASTSD 8(AX), Y10 // a[row1]
+	VBROADCASTSD (AX)(R10*1), Y10 // a[row1]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y2, Y2
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y3, Y3
 
-	VBROADCASTSD 16(AX), Y10 // a[row2]
+	VBROADCASTSD (AX)(R11*1), Y10 // a[row2]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y4, Y4
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y5, Y5
 
-	VBROADCASTSD 24(AX), Y10 // a[row3]
+	VBROADCASTSD (AX)(R12*1), Y10 // a[row3]
 	VMULPD       Y8, Y10, Y11
 	VADDPD       Y11, Y6, Y6
 	VMULPD       Y9, Y10, Y11
 	VADDPD       Y11, Y7, Y7
 
-	ADDQ $32, AX
-	ADDQ $64, BX
+	ADDQ SI, AX
+	ADDQ R13, BX
 	DECQ CX
 	JNZ  f64x4
 

@@ -66,6 +66,46 @@ func TestKernelVariantsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGemmBatchedMatchesPerImage pins GemmRawBatched to the bits of one
+// reference-kernel GEMM per image on widths that are whole column tiles, with
+// operands embedded in larger strides the way activation tensors are, and
+// pins that it declines every other width (and an empty batch) untouched.
+func TestGemmBatchedMatchesPerImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, s := range []struct{ count, m, n, k int }{
+		{16, 4, 64, 4}, {16, 8, 16, 8}, {16, 16, 4, 16}, {3, 5, 24, 7}, {2, 9, 10, 3}, {1, 4, 8, 1}, {0, 4, 8, 4},
+	} {
+		for _, tA := range []bool{false, true} {
+			for _, beta := range []float64{0, 1} {
+				lda := s.k
+				if tA {
+					lda = s.m
+				}
+				a := randSlice(rng, s.m*s.k)
+				bStride, cStride := s.k*s.n+5, s.m*s.n+3
+				b := randSlice(rng, s.count*bStride+1)
+				cInit := randSlice(rng, s.count*cStride+1)
+				want := append([]float64(nil), cInit...)
+				wantRan := s.count > 0 && s.n%gemmKernelFor(s.m).nr == 0
+				if wantRan {
+					for i := 0; i < s.count; i++ {
+						gemmRawWith(&gemmGo4x4, tA, false, s.m, s.n, s.k, 1, a, lda, b[i*bStride:], s.n, beta, want[i*cStride:], s.n)
+					}
+				}
+				got := append([]float64(nil), cInit...)
+				if ran := GemmRawBatched(tA, s.count, s.m, s.n, s.k, 1, a, lda, b, s.n, bStride, beta, got, s.n, cStride); ran != wantRan {
+					t.Fatalf("batched %+v: ran = %v, want %v", s, ran, wantRan)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("batched %+v tA=%v beta=%v: c[%d]=%g, want %g", s, tA, beta, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // naiveGemmF32 mirrors naiveGemm in float32: one ascending-k accumulator,
 // separate multiply and add per step.
 func naiveGemmF32(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
@@ -234,6 +274,13 @@ func TestKernelInfo(t *testing.T) {
 	}
 	if asmKernels && info.AVX2 && info.KernelF64 != "avx2-8x8" {
 		t.Fatalf("AVX2 host should select avx2-8x8, got %+v", info)
+	}
+	wantDW := "direct"
+	if asmKernels && info.AVX2 {
+		wantDW = "avx2-lanes4"
+	}
+	if info.KernelDepthwise != wantDW || DepthwiseSIMD() != (wantDW != "direct") {
+		t.Fatalf("depthwise kernel %q (SIMD %v), want %q", info.KernelDepthwise, DepthwiseSIMD(), wantDW)
 	}
 }
 

@@ -78,6 +78,10 @@ type KernelFeatures struct {
 	// (e.g. "avx2-8x8", "go-4x4").
 	KernelF64 string `json:"kernel_f64"`
 	KernelF32 string `json:"kernel_f32"`
+	// KernelDepthwise names the depthwise-convolution code that runs:
+	// "avx2-lanes4", or "direct" when no vector kernel was selected and
+	// nn.Conv2D keeps its valid-range loops (see DepthwiseSIMD).
+	KernelDepthwise string `json:"kernel_depthwise"`
 }
 
 // KernelInfo returns the kernel selection made at package init.
@@ -88,6 +92,8 @@ func KernelInfo() KernelFeatures {
 		FMA:       cpuHasFMA,
 		KernelF64: gemmActiveF64.name,
 		KernelF32: gemmActiveF32.name,
+
+		KernelDepthwise: depthwiseKernelName(),
 	}
 }
 

@@ -39,6 +39,32 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return t
 }
 
+// Reuse returns a tensor of the given shape for a caller that will write all
+// of it: buf itself when its shape already matches, a new tensor over buf's
+// storage when that is large enough, a fresh zeroed tensor otherwise (buf may
+// be nil). Reused storage is NOT cleared: a caller that accumulates into the
+// result must Zero it first. buf is never resized in place — it keeps its
+// shape and length but shares the memory, so the caller must be done with
+// what it held. Growing only when the storage is too small is what keeps a
+// layer fed batches of varying size (a cohort of unequal shards, a serving
+// queue) from allocating and clearing every activation on every call.
+func Reuse(buf *Tensor, shape ...int) *Tensor {
+	if buf != nil && buf.ShapeIs(shape...) {
+		return buf
+	}
+	// Keep a copy, so the variadic slice does not escape and a caller whose
+	// shape repeats allocates nothing.
+	own := cloneInts(shape)
+	n := checkShape(own)
+	if buf != nil && cap(buf.data) >= n {
+		return &Tensor{shape: own, data: buf.data[:n]}
+	}
+	return &Tensor{shape: own, data: make([]float64, n)}
+}
+
+// ReuseLike is Reuse with src's shape.
+func ReuseLike(buf, src *Tensor) *Tensor { return Reuse(buf, src.shape...) }
+
 // Full returns a tensor filled with v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
