@@ -1,9 +1,10 @@
 # Tier-1 targets. `make check` is the PR gate: vet + gofmt + build + tests
 # + race detector over the concurrent paths (GEMM kernel, parallel engine,
 # trainers, telemetry, RPC) + a 1-iteration bench smoke over the tensor/nn
-# kernels + a smoke of the repo benchmark's pipeline workload (its output
-# checks must pass) + a 1-round wire-protocol smoke + a chaos smoke (one
-# participant killed and resurrected mid-run, fixed seed). `make bench`
+# kernels + a smoke of the repo benchmark's pipeline, softsync and rpc
+# workloads (their output checks must pass) + a 1-round wire-protocol
+# smoke + a chaos smoke (one participant killed and resurrected mid-run,
+# fixed seed). `make bench`
 # measures round throughput across worker counts and writes
 # BENCH_rounds.json; `make benchrpc` measures the RPC wire protocol
 # across payload encodings and writes BENCH_rpc.json; `make benchchaos`
@@ -33,7 +34,7 @@ test:
 
 race:
 	go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... \
-		./internal/fed/... ./internal/search/... ./internal/baselines/... \
+		./internal/fed/... ./internal/round/... ./internal/search/... ./internal/baselines/... \
 		./internal/rpcfed/... ./internal/telemetry/... ./internal/cohort/... \
 		./internal/serve/... ./internal/scenario/...
 

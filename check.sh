@@ -29,25 +29,27 @@ go test -tags noasm ./internal/tensor/... ./internal/nn/...
 echo "== cross-compile arm64 (no amd64 assembly may leak outside its build tags)"
 GOARCH=arm64 go build ./...
 
-echo "== go test -race (tensor, parallel, nn, fed, search, baselines, rpcfed, telemetry, cohort, serve, scenario)"
+echo "== go test -race (tensor, parallel, nn, fed, round, search, baselines, rpcfed, telemetry, cohort, serve, scenario)"
 go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... \
-	./internal/fed/... ./internal/search/... ./internal/baselines/... \
+	./internal/fed/... ./internal/round/... ./internal/search/... ./internal/baselines/... \
 	./internal/rpcfed/... ./internal/telemetry/... ./internal/cohort/... \
 	./internal/serve/... ./internal/scenario/...
 
 echo "== bench smoke (tensor, nn kernels; 1 iteration, catches crashes/regressed shapes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/...
 
-echo "== repo benchmark smoke (pipeline workload at 1/50 size; its double-run theta-hash and accuracy checks must hold)"
-bench_last=$(bash bench/run.sh --workload pipeline --smoke | tail -n 1)
-case "$bench_last" in
-*'"correct":true'*) ;;
-*)
-	echo "bench/run.sh --workload pipeline --smoke did not end with \"correct\":true:" >&2
-	echo "$bench_last" >&2
-	exit 1
-	;;
-esac
+echo "== repo benchmark smoke (the three workloads the round core serves, at 1/50 size; each one's repeatability and accuracy checks must hold)"
+for w in pipeline softsync rpc; do
+	bench_last=$(bash bench/run.sh --workload "$w" --smoke | tail -n 1)
+	case "$bench_last" in
+	*'"correct":true'*) ;;
+	*)
+		echo "bench/run.sh --workload $w --smoke did not end with \"correct\":true:" >&2
+		echo "$bench_last" >&2
+		exit 1
+		;;
+	esac
+done
 
 echo "== benchrpc smoke (1 round over loopback per encoding; fails on theta-hash mismatch)"
 go run ./cmd/benchrpc -k 2 -rounds 1 -out ""

@@ -159,7 +159,7 @@ func TestParticipantHelloAndTrain(t *testing.T) {
 		t.Error("participant reports empty shard")
 	}
 
-	g := s.ctrl.SampleGates(s.rng)
+	g := s.ctrl.SampleGates(rand.New(rand.NewSource(1)))
 	sub := s.net.SampledParams(g)
 	req := &TrainRequest{
 		Round: 0, Normal: g.Normal, Reduce: g.Reduce,
@@ -191,7 +191,7 @@ func TestTrainRejectsBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	g := s.ctrl.SampleGates(s.rng)
+	g := s.ctrl.SampleGates(rand.New(rand.NewSource(1)))
 	var reply TrainReply
 	// zero batch
 	err = clientOf(s, 0).Call("Participant.Train", &TrainRequest{

@@ -16,6 +16,7 @@ import (
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
 	"fedrlnas/internal/parallel"
+	"fedrlnas/internal/round"
 	"fedrlnas/internal/staleness"
 	"fedrlnas/internal/telemetry"
 	"fedrlnas/internal/tensor"
@@ -177,34 +178,30 @@ type ServerResult struct {
 	RoundSeconds []float64
 }
 
-// Server drives Alg. 1 over RPC participants.
+// Server drives Alg. 1 over RPC participants: the round core
+// (internal/round) owns the algorithm, and this type is its RPC transport —
+// dispatch, in-flight tracking, quorum collection, peer lifecycle, top-k
+// mirrors and payload decoding.
 type Server struct {
 	cfg  ServerConfig
 	net  *nas.Supernet
 	ctrl *controller.Controller
-	opt  *nn.SGD
-	rng  *rand.Rand
+	core *round.Core
 
 	// reg owns the participant roster; peers aliases its slice so the
 	// lifecycle machinery keeps indexing by participant id directly.
 	reg   *Registry
 	peers []*peer
 
-	// sampler draws the per-round cohort (everyone when CohortSize is 0);
-	// allIDs caches the identity cohort in that full mode. cohortPool
-	// retains recent cohorts alongside the gates so a late reply's gates
-	// can be recovered by the straggler's position in its dispatch round.
-	sampler    *cohort.Sampler
-	allIDs     []int
-	cohortPool *staleness.Pool[[]int]
+	// sampler draws the per-round cohort (everyone when CohortSize is 0).
+	sampler *cohort.Sampler
 
 	paramIndex map[*nn.Param]int
-	thetaPool  *staleness.Pool[[]*tensor.Tensor]
-	alphaPool  *staleness.Pool[controller.AlphaSnapshot]
-	gatesPool  *staleness.Pool[[]nas.Gates]
 
-	replies  chan *TrainReply
-	inFlight map[int]bool // participants with an outstanding call
+	// arrivals carries every finished call to the collecting round;
+	// inFlight marks participants with an outstanding call.
+	arrivals chan arrival
+	inFlight map[int]bool
 
 	// downlink holds per-participant top-k weight mirrors (wire.TopK only;
 	// nil otherwise), indexed by participant id. topkRatio is the effective
@@ -214,7 +211,8 @@ type Server struct {
 	topkRatio     float64
 	topkGradRatio float64
 
-	// pool parallelizes per-participant payload serialization at dispatch.
+	// pool parallelizes per-participant payload serialization at dispatch
+	// and, inside the core, delay compensation and the sharded merge.
 	pool *parallel.Pool
 
 	// done closes on the first Close and stops the redial loops.
@@ -234,6 +232,14 @@ type Server struct {
 	met     telemetry.RoundMetrics
 	lcMet   telemetry.LifecycleMetrics
 	wireMet *telemetry.WireMetrics
+}
+
+// arrival is the outcome of one dispatched call, stamped with the round and
+// participant of the request that produced it — never with what the peer
+// echoed. reply is nil when the call failed or the echo did not match.
+type arrival struct {
+	round, pid int
+	reply      *TrainReply
 }
 
 // NewServer dials the participant addresses and prepares the search state.
@@ -261,30 +267,31 @@ func NewServer(cfg ServerConfig, addrs []string) (*Server, error) {
 		cfg:  cfg,
 		net:  net,
 		ctrl: ctrl,
-		opt:  nn.NewSGD(cfg.ThetaLR, cfg.ThetaMomentum, cfg.ThetaWD, cfg.ThetaClip),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
 
 		reg:     newRegistry(addrs),
 		sampler: sampler,
 
-		cohortPool: staleness.NewPool[[]int](cfg.StalenessThreshold),
-		thetaPool:  staleness.NewPool[[]*tensor.Tensor](cfg.StalenessThreshold),
-		alphaPool:  staleness.NewPool[controller.AlphaSnapshot](cfg.StalenessThreshold),
-		gatesPool:  staleness.NewPool[[]nas.Gates](cfg.StalenessThreshold),
-
-		replies:  make(chan *TrainReply, 4*len(addrs)),
+		// One slot per participant, so no call goroutine ever blocks on its
+		// send: a participant is only dispatched again once its previous
+		// arrival has been received.
+		arrivals: make(chan arrival, len(addrs)),
 		inFlight: make(map[int]bool, len(addrs)),
 		pool:     parallel.New(cfg.Transport.Workers),
 		done:     make(chan struct{}),
 	}
 	s.peers = s.reg.peers
-	if sampler.Full() {
-		s.allIDs = sampler.Cohort(0)
-	}
 	s.paramIndex = make(map[*nn.Param]int)
 	for i, p := range net.Params() {
 		s.paramIndex[p] = i
 	}
+	s.core = round.New(round.Config{
+		Net: net, Ctrl: ctrl, Sampler: sampler, Pool: s.pool,
+		Opt:        nn.NewSGD(cfg.ThetaLR, cfg.ThetaMomentum, cfg.ThetaWD, cfg.ThetaClip),
+		RNG:        rand.New(rand.NewSource(cfg.Seed)),
+		StepParams: net.Params(),
+		Sync:       cfg.SyncConfig,
+		WallClock:  true,
+	}, rpcTransport{s})
 	if cfg.Transport.Wire == wire.TopK {
 		s.topkRatio = cfg.Transport.TopKRatio
 		if s.topkRatio == 0 {
@@ -300,6 +307,7 @@ func NewServer(cfg ServerConfig, addrs []string) (*Server, error) {
 		}
 	}
 	s.met = telemetry.NewDisabledRoundMetrics()
+	s.core.SetTelemetry(nil, s.met)
 	s.lcMet = telemetry.NewDisabledLifecycleMetrics(len(addrs))
 	wm := telemetry.NewDisabledWireMetrics()
 	s.wireMet = &wm
@@ -369,6 +377,7 @@ func (s *Server) SetTelemetry(tracer *telemetry.Tracer, reg *telemetry.Registry)
 		*s.wireMet = telemetry.NewWireMetrics(reg)
 		s.pool.Observe(reg)
 	}
+	s.core.SetTelemetry(s.tracer, s.met)
 }
 
 // Run executes cfg.Rounds rounds of Alg. 1 over the RPC participants and
@@ -384,323 +393,238 @@ func (s *Server) Run() (ServerResult, error) {
 // behave exactly like Run.
 func (s *Server) RunContext(ctx context.Context) (ServerResult, error) {
 	res := ServerResult{}
-	params := s.net.Params()
-
 	for t := 0; t < s.cfg.Rounds; t++ {
 		if err := ctx.Err(); err != nil {
-			return s.finishPartial(res), err
+			return s.withGenotype(res), err
 		}
 		s.curRound.Store(int64(t))
-		roundStart := time.Now()
-		s.tracer.RoundStart(t)
-		spanCtx := s.tracer.RoundContext(t)
-		thetaNow := nn.CloneParamValues(params)
-		s.thetaPool.Put(t, thetaNow)
-		alphaNow := s.ctrl.Snapshot()
-		s.alphaPool.Put(t, alphaNow)
-
-		// The round's cohort is a pure function of (seed, round) —
-		// independent of liveness, reply timing, and every other fault — so
-		// the sampling schedule replays bit-identically under chaos. The
-		// pool retains recent cohorts so a straggler's gates can be looked
-		// up by its position in the round it was dispatched.
-		members := s.allIDs
-		if !s.sampler.Full() {
-			members = s.sampler.Cohort(t)
+		rep, err := s.core.Step(ctx, t, true, true)
+		if err != nil {
+			return s.withGenotype(res), err
 		}
-		s.cohortPool.Put(t, members)
-
-		// Gates are sampled per cohort position in ascending participant
-		// order — dead members included — so the controller RNG stream
-		// never depends on liveness and a no-fault run replays
-		// bit-identically. With sampling off the cohort is the identity,
-		// reproducing the legacy all-participants stream.
-		gates := make([]nas.Gates, len(members))
-		for j := range members {
-			gates[j] = s.ctrl.SampleGates(s.rng)
-		}
-		s.gatesPool.Put(t, gates)
-
-		// The quorum is dynamic: the configured fraction applies to the
-		// cohort members currently believed live, so the round loop keeps
-		// making progress as peers die (and tightens again as redials bring
-		// them back). With every peer alive this reduces to the static
-		// ceil-ish quorum the engine always used.
-		live := s.liveCountIn(members)
-		quorum := int(float64(live)*s.cfg.Quorum + 0.5)
-		if quorum < 1 {
-			quorum = 1
-		}
-
-		// Dispatch to every live cohort member that is not still busy with
-		// an earlier round (genuine soft sync: stragglers skip rounds; dead
-		// peers are skipped until their redial loop revives them).
-		// Payload serialization — sampling and flattening each
-		// participant's sub-model weights, the server-side hot path — fans
-		// out across the worker pool; the supernet is read-only here (late
-		// replies are only absorbed in the collect phase below), so tasks
-		// share it safely. Dispatch itself stays in participant order.
-		var todo []int // cohort positions
-		for j, pid := range members {
-			if s.inFlight[pid] {
-				continue
-			}
-			if s.peers[pid].State() == StateDead {
-				s.tracer.ReplyOffline(t, pid)
-				continue
-			}
-			todo = append(todo, j)
-		}
-		reqs := make([]*TrainRequest, len(todo))
-		reqBytes := make([]int64, len(todo))
-		dispatchStart := time.Now()
-		if err := s.pool.Run(len(todo), func(_, i int) error {
-			j := todo[i]
-			pid := members[j]
-			sub := s.net.SampledParams(gates[j])
-			span := spanCtx
-			span.Participant = int32(pid)
-			reqs[i] = &TrainRequest{
-				Round:     t,
-				Normal:    append([]int(nil), gates[j].Normal...),
-				Reduce:    append([]int(nil), gates[j].Reduce...),
-				BatchSize: s.cfg.BatchSize,
-				Span:      span,
-			}
-			if s.cfg.Transport.Wire == wire.TopK {
-				// Top-k transport: ship mirror deltas instead of dense
-				// weights. Each worker touches only its own participant's
-				// mirror, so the fan-out stays race-free.
-				subIdx := make([]int, len(sub))
-				for si, p := range sub {
-					subIdx[si] = s.paramIndex[p]
-				}
-				reqs[i].ParamIDs = subIdx
-				reqs[i].TopKRatio = s.topkGradRatio
-				reqs[i].Packed = s.downlink[pid].encodeDownlink(sub, subIdx, s.topkRatio)
-				reqBytes[i] = int64(len(reqs[i].Packed))
-				return nil
-			}
-			reqs[i].Weights = flattenValues(sub)
-			// Measured encoded payload size under the active wire mode
-			// (for Gob, the FP64-equivalent analytic size), not the 4 B/
-			// param fiction — this is what transmission ranking and the
-			// submodel_bytes telemetry now report.
-			reqBytes[i] = wire.GroupBytes(s.cfg.Transport.Wire, reqs[i].Weights)
-			return nil
-		}); err != nil {
-			return res, err
-		}
-		dispatched := 0
-		var dispatchBytes int64
-		for i, j := range todo {
-			pid := members[j]
-			s.met.SubModelBytes.Observe(float64(reqBytes[i]))
-			s.tracer.SubModelSample(t, pid, reqBytes[i])
-			dispatchBytes += reqBytes[i]
-			s.inFlight[pid] = true
-			go s.call(s.peers[pid], reqs[i])
-			dispatched++
-		}
-		s.tracer.RoundDispatch(t, dispatchBytes, time.Since(dispatchStart).Seconds())
-
-		// Collect until quorum of THIS round's replies (late replies from
-		// earlier rounds count toward the aggregate but not the quorum).
-		aggTheta := make([]*tensor.Tensor, len(params))
-		nE, rE := s.net.ArchSpace()
-		aggAlpha := controller.NewAlphaGrad(nE, rE, s.net.NumCandidates())
-		contributors, freshCount := 0, 0
-		sumAcc, sumFreshAcc := 0.0, 0.0
-		deadline := time.After(s.cfg.RoundTimeout)
-		target := quorum
-		if dispatched < target {
-			target = dispatched
-		}
-
-		// Replies are only classified and buffered on arrival; the FP
-		// accumulation happens after the round closes, sorted by (Round,
-		// ParticipantID). Floating-point addition is not associative, so
-		// merging in nondeterministic arrival order would make results
-		// depend on network timing — sorted merging keeps a -wire fp64 run
-		// bit-identical to the gob baseline (and to itself).
-		var accepted []*TrainReply
-		handle := func(reply *TrainReply) error {
-			s.inFlight[reply.ParticipantID] = false
-			delay := 0
-			if reply.Round >= 0 && t > reply.Round {
-				delay = t - reply.Round
-			}
-			fresh, ok, err := s.classify(reply, t)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				res.DroppedReplies++
-				s.met.RepliesDropped.Inc()
-				s.tracer.ReplyDropped(t, reply.ParticipantID, delay)
-				return nil
-			}
-			accepted = append(accepted, reply)
-			contributors++
-			sumAcc += reply.Reward
-			if fresh {
-				freshCount++
-				sumFreshAcc += reply.Reward
-				res.FreshReplies++
-				s.met.RepliesFresh.Inc()
-				s.tracer.ReplyFresh(t, reply.ParticipantID)
-			} else {
-				res.LateReplies++
-				s.met.RepliesLate.Inc()
-				s.tracer.ReplyLate(t, reply.ParticipantID, delay)
-			}
-			return nil
-		}
-
-		// If every participant is still busy with earlier rounds (or dead),
-		// block for one reply (or the timeout) so the server does not spin.
-		if dispatched == 0 {
-			select {
-			case reply := <-s.replies:
-				if err := handle(reply); err != nil {
-					return res, err
-				}
-			case <-deadline:
-			case <-ctx.Done():
-				return s.finishPartial(res), ctx.Err()
-			}
-		}
-
-	collect:
-		for freshCount < target {
-			select {
-			case reply := <-s.replies:
-				if err := handle(reply); err != nil {
-					return res, err
-				}
-			case <-deadline:
-				// Round closes below quorum: dead or straggling
-				// participants kept it from filling up.
-				s.met.Timeouts.Inc()
-				s.tracer.RoundTimeout(t, time.Since(roundStart).Seconds())
-				break collect
-			case <-ctx.Done():
-				return s.finishPartial(res), ctx.Err()
-			}
-		}
-		// Drain any further replies already queued (late arrivals from
-		// earlier rounds) without blocking the round.
-	drain:
-		for {
-			select {
-			case reply := <-s.replies:
-				if err := handle(reply); err != nil {
-					return res, err
-				}
-			default:
-				break drain
-			}
-		}
-
-		// Deterministic merge of this round's accepted replies: decode and
-		// delay-compensate each in canonical (Round, ParticipantID) order,
-		// then fold θ through the sharded tree and α sequentially.
-		mergeStart := time.Now()
-		sort.Slice(accepted, func(i, j int) bool {
-			if accepted[i].Round != accepted[j].Round {
-				return accepted[i].Round < accepted[j].Round
-			}
-			return accepted[i].ParticipantID < accepted[j].ParticipantID
-		})
-		preps := make([]replyPrep, 0, len(accepted))
-		for _, reply := range accepted {
-			pr, err := s.prepareReply(reply, t, thetaNow)
-			if err != nil {
-				return res, err
-			}
-			if pr.ok {
-				preps = append(preps, pr)
-			}
-		}
-		// The tree shards by destination parameter index, never by reply:
-		// each aggTheta[idx] receives its additions in the same sorted-reply
-		// order at every shard and worker count, so the merged θ is
-		// bit-identical to the single-shard (and pre-sharding) sum.
-		shards := s.cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		if err := s.pool.RunShards(len(params), shards, func(_ int, r parallel.Range) error {
-			for _, pr := range preps {
-				for i, idx := range pr.subIdx {
-					if idx < r.Lo || idx >= r.Hi {
-						continue
-					}
-					if aggTheta[idx] == nil {
-						aggTheta[idx] = pr.grads[i]
-					} else {
-						aggTheta[idx].AddInPlace(pr.grads[i])
-					}
-				}
-			}
-			return nil
-		}); err != nil {
-			return res, err
-		}
-		for _, pr := range preps {
-			s.absorbAlpha(pr, aggAlpha)
-		}
-		s.tracer.RoundMerge(t, contributors, time.Since(mergeStart).Seconds())
-
-		updateStart := time.Now()
-		if contributors > 0 {
-			inv := 1.0 / float64(contributors)
-			for i, p := range params {
-				p.Grad.Zero()
-				if aggTheta[i] != nil {
-					p.Grad.AXPY(inv, aggTheta[i])
-				}
-			}
-			s.opt.Step(params)
-			aggAlpha.Scale(inv)
-			s.ctrl.Apply(aggAlpha)
-			s.ctrl.UpdateBaseline(sumAcc * inv)
-			s.tracer.AlphaUpdate(t, s.ctrl.Entropy())
-		}
-		s.tracer.ControllerUpdate(t, time.Since(updateStart).Seconds())
-		meanFreshAcc := 0.0
-		if freshCount > 0 {
-			meanFreshAcc = sumFreshAcc / float64(freshCount)
-		}
-		res.Curve.Add(t, meanFreshAcc)
-		elapsed := time.Since(roundStart).Seconds()
-		res.RoundSeconds = append(res.RoundSeconds, elapsed)
+		res.Curve.Add(t, rep.FreshAccuracy)
+		res.RoundSeconds = append(res.RoundSeconds, rep.Seconds)
 		res.RoundsCompleted++
-		s.met.Rounds.Inc()
-		s.met.RoundSeconds.Observe(elapsed)
-		s.met.Accuracy.Set(meanFreshAcc)
-		s.met.Entropy.Set(s.ctrl.Entropy())
-		s.met.Baseline.Set(s.ctrl.Baseline())
-		s.tracer.RoundEnd(t, elapsed, meanFreshAcc)
-		s.thetaPool.Evict(t + 1)
-		s.alphaPool.Evict(t + 1)
-		s.gatesPool.Evict(t + 1)
-		s.cohortPool.Evict(t + 1)
+		res.FreshReplies += rep.Fresh
+		res.LateReplies += rep.Late
+		res.DroppedReplies += rep.Dropped
 	}
-	res.Genotype = s.ctrl.Derive(s.cfg.Net.Candidates, s.cfg.Net.Nodes)
-	return res, nil
+	return s.withGenotype(res), nil
 }
 
-// finishPartial derives a genotype from the current policy so a cancelled
-// run still yields a usable (if early) architecture.
-func (s *Server) finishPartial(res ServerResult) ServerResult {
+// withGenotype derives the genotype from the current policy, so a cancelled
+// or failed run still yields a usable (if early) architecture.
+func (s *Server) withGenotype(res ServerResult) ServerResult {
 	res.Genotype = s.ctrl.Derive(s.cfg.Net.Candidates, s.cfg.Net.Nodes)
 	return res
 }
 
+// rpcTransport is the round core's RPC transport.
+type rpcTransport struct{ s *Server }
+
+// Exchange dispatches round t to the cohort over RPC and collects replies
+// until a quorum of this round's have arrived or RoundTimeout expires.
+// Replies are only judged cheaply and buffered on arrival; they are returned
+// sorted by (Round, ParticipantID), because floating-point addition is not
+// associative and merging in arrival order would make results depend on
+// network timing — sorted merging keeps a -wire fp64 run bit-identical to the
+// gob baseline (and to itself).
+func (x rpcTransport) Exchange(ctx context.Context, t int, snap *round.Snapshot) ([]round.Reply, error) {
+	s := x.s
+	roundStart := time.Now()
+	spanCtx := s.tracer.RoundContext(t)
+	members, gates := snap.Cohort, snap.Gates
+
+	// The quorum is dynamic: the configured fraction applies to the
+	// cohort members currently believed live, so the round loop keeps
+	// making progress as peers die (and tightens again as redials bring
+	// them back). With every peer alive this reduces to the static
+	// ceil-ish quorum the engine always used.
+	live := s.liveCountIn(members)
+	quorum := int(float64(live)*s.cfg.Quorum + 0.5)
+	if quorum < 1 {
+		quorum = 1
+	}
+
+	// Dispatch to every live cohort member that is not still busy with
+	// an earlier round (genuine soft sync: stragglers skip rounds; dead
+	// peers are reported offline until their redial loop revives them).
+	// Payload serialization — sampling and flattening each participant's
+	// sub-model weights, the server-side hot path — fans out across the
+	// worker pool; the supernet is read-only for the whole exchange, so
+	// tasks share it safely. Dispatch itself stays in participant order.
+	var replies []round.Reply
+	var todo []int // cohort positions
+	for j, pid := range members {
+		if s.inFlight[pid] {
+			continue
+		}
+		if s.peers[pid].State() == StateDead {
+			replies = append(replies, round.Reply{Round: t, PID: pid, Status: round.Offline})
+			continue
+		}
+		todo = append(todo, j)
+	}
+	reqs := make([]*TrainRequest, len(todo))
+	reqBytes := make([]int64, len(todo))
+	dispatchStart := time.Now()
+	if err := s.pool.Run(len(todo), func(_, i int) error {
+		j := todo[i]
+		pid := members[j]
+		sub := s.net.SampledParams(gates[j])
+		span := spanCtx
+		span.Participant = int32(pid)
+		reqs[i] = &TrainRequest{
+			Round:     t,
+			Normal:    append([]int(nil), gates[j].Normal...),
+			Reduce:    append([]int(nil), gates[j].Reduce...),
+			BatchSize: s.cfg.BatchSize,
+			Span:      span,
+		}
+		if s.cfg.Transport.Wire == wire.TopK {
+			// Top-k transport: ship mirror deltas instead of dense
+			// weights. Each worker touches only its own participant's
+			// mirror, so the fan-out stays race-free.
+			subIdx := make([]int, len(sub))
+			for si, p := range sub {
+				subIdx[si] = s.paramIndex[p]
+			}
+			reqs[i].ParamIDs = subIdx
+			reqs[i].TopKRatio = s.topkGradRatio
+			reqs[i].Packed = s.downlink[pid].encodeDownlink(sub, subIdx, s.topkRatio)
+			reqBytes[i] = int64(len(reqs[i].Packed))
+			return nil
+		}
+		reqs[i].Weights = flattenValues(sub)
+		// Measured encoded payload size under the active wire mode
+		// (for Gob, the FP64-equivalent analytic size), not the 4 B/
+		// param fiction — this is what transmission ranking and the
+		// submodel_bytes telemetry now report.
+		reqBytes[i] = wire.GroupBytes(s.cfg.Transport.Wire, reqs[i].Weights)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	var dispatchBytes int64
+	for i, j := range todo {
+		pid := members[j]
+		s.met.SubModelBytes.Observe(float64(reqBytes[i]))
+		s.tracer.SubModelSample(t, pid, reqBytes[i])
+		dispatchBytes += reqBytes[i]
+		s.inFlight[pid] = true
+		go s.call(s.peers[pid], reqs[i])
+	}
+	s.tracer.RoundDispatch(t, dispatchBytes, time.Since(dispatchStart).Seconds())
+
+	// Collect until quorum of THIS round's replies (late replies from
+	// earlier rounds join the merge but not the quorum).
+	freshCount := 0
+	target := min(quorum, len(todo))
+	handle := func(a arrival) {
+		s.inFlight[a.pid] = false
+		r := round.Reply{Round: a.round, PID: a.pid, Status: round.Lost}
+		if a.reply != nil {
+			// Ask the core what this reply answers before decoding: one it
+			// will refuse goes back as a bare stamp for it to count.
+			r.Status = round.Returned
+			at, pos, verdict := s.core.Admit(t, a.round, a.pid)
+			if verdict == round.Fresh || verdict == round.Late {
+				if err := s.decodeReply(&r, a.reply, at.Gates[pos]); err != nil {
+					r.Status = round.Lost // undecodable or wrong-shape payload
+				} else if verdict == round.Fresh {
+					freshCount++
+				}
+			}
+		}
+		replies = append(replies, r)
+	}
+	deadline := time.After(s.cfg.RoundTimeout)
+
+	// If every participant is still busy with earlier rounds (or dead),
+	// block for one reply (or the timeout) so the server does not spin.
+	if len(todo) == 0 {
+		select {
+		case a := <-s.arrivals:
+			handle(a)
+		case <-deadline:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+
+collect:
+	for freshCount < target {
+		select {
+		case a := <-s.arrivals:
+			handle(a)
+		case <-deadline:
+			// Round closes below quorum: dead or straggling
+			// participants kept it from filling up.
+			s.met.Timeouts.Inc()
+			s.tracer.RoundTimeout(t, time.Since(roundStart).Seconds())
+			break collect
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	// Drain any further replies already queued (late arrivals from
+	// earlier rounds) without blocking the round.
+drain:
+	for {
+		select {
+		case a := <-s.arrivals:
+			handle(a)
+		default:
+			break drain
+		}
+	}
+
+	sort.Slice(replies, func(i, j int) bool {
+		if replies[i].Round != replies[j].Round {
+			return replies[i].Round < replies[j].Round
+		}
+		return replies[i].PID < replies[j].PID
+	})
+	return replies, nil
+}
+
+// decodeReply turns a wire reply into the core's form: gradients shaped like
+// the sub-model gk selects, each tagged with its canonical parameter index.
+func (s *Server) decodeReply(r *round.Reply, reply *TrainReply, gk nas.Gates) error {
+	sub := s.net.SampledParams(gk)
+	if len(reply.Packed) > 0 {
+		// Top-k transport: the payload carries tag-4 deltas of the k
+		// largest gradient+residual coordinates per tensor; decoding against
+		// zeros recovers them as a dense (mostly zero) gradient.
+		var err error
+		if r.Grads, err = decodePackedGrads(reply.Packed, sub); err != nil {
+			return err
+		}
+	} else {
+		if len(reply.Grads) != len(sub) {
+			return fmt.Errorf("rpcfed: %d gradient tensors, want %d", len(reply.Grads), len(sub))
+		}
+		r.Grads = make([]*tensor.Tensor, len(sub))
+		for i, p := range sub {
+			if len(reply.Grads[i]) != p.Value.Size() {
+				return fmt.Errorf("rpcfed: gradient %d has %d values, want %d", i, len(reply.Grads[i]), p.Value.Size())
+			}
+			r.Grads[i] = tensor.FromSlice(reply.Grads[i], p.Value.Shape()...)
+		}
+	}
+	r.SubIdx = make([]int, len(sub))
+	for i, p := range sub {
+		r.SubIdx[i] = s.paramIndex[p]
+	}
+	r.Acc = reply.Reward
+	return nil
+}
+
 // call issues the RPC under the per-call deadline, feeds the lifecycle
-// state machine, and forwards the reply (or a drop marker on error) to the
-// collection channel.
+// state machine, and forwards the outcome to the collecting round, stamped
+// with the (round, participant) of the request. What the peer echoes is only
+// checked against that stamp: an answer claiming another round or id is a
+// misbehaving peer, and is lost like a failed call.
 func (s *Server) call(p *peer, req *TrainRequest) {
 	t0 := time.Now()
 	reply := &TrainReply{}
@@ -718,14 +642,13 @@ func (s *Server) call(p *peer, req *TrainRequest) {
 			// The participant may or may not have applied the delta we sent
 			// (a timeout can fire after delivery), so its mirror state is
 			// unknown: mark it for a dense resync. The dispatcher only reads
-			// the flag after this goroutine's drop marker clears the
-			// in-flight bit, so the write is ordered by the replies channel.
+			// the flag after this goroutine's arrival clears the in-flight
+			// bit, so the write is ordered by the arrivals channel.
 			s.downlink[p.id].valid = false
 		}
-		// Feed a drop marker so the dispatcher can clear the in-flight bit.
-		// It must be a FRESH reply object: after a deadline expiry net/rpc
-		// may still write into the abandoned one.
-		reply = &TrainReply{Round: -1, ParticipantID: p.id}
+		// After a deadline expiry net/rpc may still write into the abandoned
+		// reply object, so it must not travel any further.
+		reply = nil
 	} else {
 		s.noteCallSuccess(p)
 		if len(reply.Packed) > 0 {
@@ -733,11 +656,14 @@ func (s *Server) call(p *peer, req *TrainRequest) {
 		} else {
 			replyBytes = wire.GroupBytes(s.cfg.Transport.Wire, reply.Grads)
 		}
+		if reply.Round != req.Round || reply.ParticipantID != p.id {
+			reply = nil
+		}
 	}
 	s.lcMet.CallSeconds.Observe(elapsed)
 	s.lcMet.ObserveRoundSeconds(p.id, elapsed)
 	s.tracer.RPCCall(req.Span, req.Round, p.id, replyBytes, elapsed, err == nil)
-	s.replies <- reply
+	s.arrivals <- arrival{round: req.Round, pid: p.id, reply: reply}
 }
 
 // ensureClient dials the peer's connection on first use — the lazy-dial
@@ -772,134 +698,6 @@ func (s *Server) ensureClient(p *peer) error {
 		_ = client.Close() // lost a race with a redial; keep the winner
 	}
 	return nil
-}
-
-// classify applies Alg. 1's acceptance tests — transport failure,
-// staleness threshold, Throw strategy, retention-pool coverage — without
-// touching aggregation state, so replies can be counted on arrival yet
-// merged later in deterministic order. It reports (fresh, accepted, err).
-func (s *Server) classify(reply *TrainReply, t int) (bool, bool, error) {
-	if reply.Round < 0 {
-		return false, false, nil // transport failure: treat as dropped
-	}
-	delay := t - reply.Round
-	if delay < 0 {
-		return false, false, fmt.Errorf("rpcfed: reply from future round %d at %d", reply.Round, t)
-	}
-	if delay > s.cfg.StalenessThreshold {
-		return false, false, nil
-	}
-	if delay > 0 && s.cfg.Strategy == staleness.Throw {
-		return false, false, nil
-	}
-	if _, ok := s.gatesPool.Get(reply.Round); !ok {
-		return false, false, nil
-	}
-	return delay == 0, true, nil
-}
-
-// replyPrep is one accepted reply decoded, located in its dispatch-round
-// cohort, and delay-compensated: ready for the sharded θ pass and the α
-// pass. ok=false marks a reply whose retained context (gates, cohort,
-// stale θ) was already evicted — it contributes nothing.
-type replyPrep struct {
-	ok     bool
-	round  int
-	delay  int
-	reward float64
-	gk     nas.Gates
-	subIdx []int
-	grads  []*tensor.Tensor
-}
-
-// prepareReply recovers the reply's gates by the participant's position in
-// its dispatch round's cohort, decodes the gradients, and applies θ delay
-// compensation for late replies. Retention-pool misses skip the reply
-// without error, matching the acceptance tests in classify.
-func (s *Server) prepareReply(reply *TrainReply, t int, thetaNow []*tensor.Tensor) (replyPrep, error) {
-	pr := replyPrep{round: reply.Round, delay: t - reply.Round, reward: reply.Reward}
-	gatesAt, ok := s.gatesPool.Get(reply.Round)
-	if !ok {
-		return pr, nil
-	}
-	membersAt, ok := s.cohortPool.Get(reply.Round)
-	if !ok {
-		return pr, nil
-	}
-	// Only cohort members were dispatched at reply.Round, so a miss here
-	// is a protocol violation by the participant; drop it.
-	pos, ok := cohort.Position(membersAt, reply.ParticipantID)
-	if !ok {
-		return pr, nil
-	}
-	gk := gatesAt[pos]
-	sub := s.net.SampledParams(gk)
-	var grads []*tensor.Tensor
-	if len(reply.Packed) > 0 {
-		// Top-k transport: the payload carries tag-4 deltas of the k
-		// largest gradient+residual coordinates per tensor; decoding against
-		// zeros recovers them as a dense (mostly zero) gradient.
-		var err error
-		grads, err = decodePackedGrads(reply.Packed, sub)
-		if err != nil {
-			return pr, err
-		}
-	} else {
-		sizes := make([]int, len(sub))
-		for i, p := range sub {
-			sizes[i] = p.Value.Size()
-		}
-		if err := checkWeightShapes(reply.Grads, sizes); err != nil {
-			return pr, err
-		}
-		grads = make([]*tensor.Tensor, len(sub))
-		for i, p := range sub {
-			grads[i] = tensor.FromSlice(reply.Grads[i], p.Value.Shape()...)
-		}
-	}
-	subIdx := make([]int, len(sub))
-	for i, p := range sub {
-		subIdx[i] = s.paramIndex[p]
-	}
-
-	if pr.delay > 0 && s.cfg.Strategy == staleness.DC {
-		thetaAt, ok := s.thetaPool.Get(reply.Round)
-		if !ok {
-			return pr, nil
-		}
-		freshVals := make([]*tensor.Tensor, len(sub))
-		staleVals := make([]*tensor.Tensor, len(sub))
-		for i, idx := range subIdx {
-			freshVals[i] = thetaNow[idx]
-			staleVals[i] = thetaAt[idx]
-		}
-		var err error
-		grads, err = staleness.CompensateTheta(grads, freshVals, staleVals, s.cfg.Lambda)
-		if err != nil {
-			return pr, err
-		}
-	}
-	pr.ok, pr.gk, pr.subIdx, pr.grads = true, gk, subIdx, grads
-	return pr, nil
-}
-
-// absorbAlpha folds one prepared reply's policy-gradient contribution into
-// the α aggregate, with drift correction for late replies. An alpha-pool
-// miss skips α while keeping the reply's already-merged θ contribution —
-// the same asymmetry the pre-sharding absorb path had.
-func (s *Server) absorbAlpha(pr replyPrep, aggAlpha controller.AlphaGrad) {
-	alphaAt, ok := s.alphaPool.Get(pr.round)
-	if !ok {
-		return
-	}
-	logGrad := controller.LogProbGradAt(alphaAt, pr.gk)
-	if pr.delay > 0 && s.cfg.Strategy == staleness.DC {
-		drift := alphaAt.Diff(s.ctrl.Snapshot())
-		corrected := logGrad.Clone()
-		corrected.MulAdd3(s.cfg.Lambda, logGrad, drift)
-		logGrad = corrected
-	}
-	aggAlpha.AXPY(s.ctrl.Reward(pr.reward), logGrad)
 }
 
 func flattenValues(params []*nn.Param) [][]float64 {

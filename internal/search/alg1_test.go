@@ -20,22 +20,18 @@ func TestMemoryPoolsBoundedByThreshold(t *testing.T) {
 	}
 	maxLen := 0
 	s.Observer = func(RoundReport) {
-		if n := s.thetaPool.Len(); n > maxLen {
+		if n := s.core.Retained(); n > maxLen {
 			maxLen = n
-		}
-		if s.alphaPool.Len() != s.thetaPool.Len() || s.gatesPool.Len() != s.thetaPool.Len() {
-			t.Errorf("pool sizes diverge: θ=%d α=%d g=%d",
-				s.thetaPool.Len(), s.alphaPool.Len(), s.gatesPool.Len())
 		}
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Observer fires before eviction of the just-finished round, so the
-	// pool may momentarily hold Δ+1 entries plus the current one.
+	// One snapshot holds a round's θ, α, gates and cohort together, so the
+	// memories cannot diverge; after a round's eviction at most Δ remain.
 	delta := cfg.Staleness.MaxDelay()
-	if maxLen > delta+2 {
-		t.Errorf("pool grew to %d entries, want <= %d (Δ=%d)", maxLen, delta+2, delta)
+	if maxLen > delta {
+		t.Errorf("pool grew to %d entries, want <= %d (Δ=%d)", maxLen, delta, delta)
 	}
 }
 
@@ -52,7 +48,7 @@ func TestHardSyncKeepsSingleSnapshot(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.thetaPool.Len(); n > 1 {
+	if n := s.core.Retained(); n > 1 {
 		t.Errorf("hard-sync pool retains %d snapshots, want <= 1", n)
 	}
 }

@@ -445,22 +445,37 @@ func (s *Search) StepRound() (StepInfo, error) {
 	if s.round >= total {
 		return StepInfo{Round: s.round, Done: true}, nil
 	}
+	phase := PhaseSearch
 	if s.round < s.cfg.WarmupSteps {
+		phase = PhaseWarmup
+	}
+	acc, err := s.stepPhase(phase)
+	if err != nil {
+		return StepInfo{}, err
+	}
+	return StepInfo{Round: s.round - 1, Phase: phase, Accuracy: acc, Done: s.round >= total}, nil
+}
+
+// stepPhase runs one round of the named phase — warm-up trains θ only with α
+// frozen, search runs Alg. 1 — and records it on the phase's curves.
+func (s *Search) stepPhase(phase string) (float64, error) {
+	t := s.round
+	if phase == PhaseWarmup {
 		acc, err := s.runRound(false, true)
 		if err != nil {
-			return StepInfo{}, fmt.Errorf("warmup round %d: %w", s.round, err)
+			return 0, fmt.Errorf("warmup round %d: %w", t, err)
 		}
-		s.WarmupCurve.Add(s.round-1, acc)
-		return StepInfo{Round: s.round - 1, Phase: PhaseWarmup, Accuracy: acc, Done: s.round >= total}, nil
+		s.WarmupCurve.Add(t, acc)
+		return acc, nil
 	}
 	acc, err := s.runRound(true, !s.cfg.AlphaOnly)
 	if err != nil {
-		return StepInfo{}, fmt.Errorf("search round %d: %w", s.round, err)
+		return 0, fmt.Errorf("search round %d: %w", t, err)
 	}
-	s.SearchCurve.Add(s.round-1, acc)
-	s.EntropyCurve.Add(s.round-1, s.ctrl.Entropy())
-	s.BaselineCurve.Add(s.round-1, s.ctrl.Baseline())
-	return StepInfo{Round: s.round - 1, Phase: PhaseSearch, Accuracy: acc, Done: s.round >= total}, nil
+	s.SearchCurve.Add(t, acc)
+	s.EntropyCurve.Add(t, s.ctrl.Entropy())
+	s.BaselineCurve.Add(t, s.ctrl.Baseline())
+	return acc, nil
 }
 
 // RunContext steps the remaining schedule to completion, checkpointing to
@@ -494,25 +509,4 @@ func (s *Search) RunContext(ctx context.Context, path string, every int) error {
 			}
 		}
 	}
-}
-
-// RunWithCheckpoints executes the search phase like Run, writing a
-// checkpoint to path every `every` rounds (and once at the end) so long
-// searches survive process restarts. every <= 0 checkpoints only at the end.
-func (s *Search) RunWithCheckpoints(path string, every int) error {
-	for i := 0; i < s.cfg.SearchSteps; i++ {
-		acc, err := s.runRound(true, !s.cfg.AlphaOnly)
-		if err != nil {
-			return fmt.Errorf("search round %d: %w", i, err)
-		}
-		s.SearchCurve.Add(s.round-1, acc)
-		s.EntropyCurve.Add(s.round-1, s.ctrl.Entropy())
-		s.BaselineCurve.Add(s.round-1, s.ctrl.Baseline())
-		if every > 0 && (i+1)%every == 0 {
-			if err := s.SaveCheckpoint(path); err != nil {
-				return err
-			}
-		}
-	}
-	return s.SaveCheckpoint(path)
 }

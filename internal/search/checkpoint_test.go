@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,26 +129,44 @@ func TestLoadCheckpointRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// Warmup then RunContext is the checkpointing driver: a checkpoint every
+// `every` completed rounds, and one at the end.
 func TestRunWithCheckpoints(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.WarmupSteps = 0
-	cfg.SearchSteps = 6
+	cfg.WarmupSteps = 1
+	cfg.SearchSteps = 5
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "periodic.ckpt")
-	if err := s.RunWithCheckpoints(path, 2); err != nil {
+	savedRound := func() int {
+		t.Helper()
+		s2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		return s2.Round()
+	}
+	if err := s.Warmup(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(cfg)
-	if err != nil {
+	// The observer fires inside round r, before any checkpoint for it: the
+	// file must then hold the last multiple of `every` completed so far.
+	s.Observer = func(r RoundReport) {
+		if want := r.Round / 2 * 2; want > 0 {
+			if got := savedRound(); got != want {
+				t.Errorf("during round %d the checkpoint is at round %d, want %d", r.Round, got, want)
+			}
+		}
+	}
+	if err := s.RunContext(context.Background(), path, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.LoadCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Round() != 6 {
-		t.Errorf("checkpoint at round %d, want 6", s2.Round())
+	if got := savedRound(); got != 6 {
+		t.Errorf("final checkpoint at round %d, want 6", got)
 	}
 }

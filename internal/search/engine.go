@@ -1,21 +1,22 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
-	"fedrlnas/internal/cohort"
-	"fedrlnas/internal/controller"
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
+	"fedrlnas/internal/round"
 	"fedrlnas/internal/staleness"
 	"fedrlnas/internal/tensor"
 	"fedrlnas/internal/transmission"
 )
 
-// The parallel round engine. One communication round of Alg. 1 fans the K
-// participants' local steps out across the worker pool; every worker owns a
-// private supernet replica, so no mutable tensor is ever shared between
+// The in-process transport of the round core (internal/round). An exchange
+// fans the cohort's local steps out across the worker pool; every worker owns
+// a private supernet replica, so no mutable tensor is ever shared between
 // in-flight participants. Determinism holds because
 //
 //   - every stochastic draw a participant makes (churn, staleness, batch
@@ -24,11 +25,11 @@ import (
 //   - the local step itself is pure floating-point arithmetic on a restored
 //     θ snapshot, identical on any replica;
 //   - all order-sensitive mutation — gradient aggregation, α accumulation,
-//     batch-norm running-stat updates — is deferred to a sequential merge
-//     over results in fixed participant-index order.
+//     batch-norm running-stat updates — happens in the core's merge, over
+//     replies returned in fixed cohort-position order.
 //
-// The merged state is therefore bit-identical at every worker count, and to
-// the fully sequential engine this replaced. See DESIGN.md §Concurrency.
+// The merged state is therefore bit-identical at every worker count. See
+// DESIGN.md §12.
 
 // workerReplica is the per-worker-slot mutable state: a structurally
 // identical copy of the supernet whose parameters are restored from the
@@ -107,32 +108,17 @@ func (rep *workerReplica) prewarm(cfg Config) error {
 	return nil
 }
 
-// partStatus records how a participant's round attempt ended.
-type partStatus int
-
-const (
-	// partSkipped: required snapshot already evicted; silently skipped
-	// (matches the sequential engine's bare continue).
-	partSkipped partStatus = iota
-	partOffline
-	partDropped
-	partContributed
-)
-
-// partScratch is participant-scoped storage that survives across rounds so
-// a steady-state round's merge payload needs no fresh allocations.
-// gradBufs is indexed by canonical parameter position; a buffer is allocated
-// the first time its parameter appears in the participant's sampled
-// sub-model and reused for every later round (the shape at a canonical index
-// never changes). The buffers stay valid through the ordered merge because
-// participant k only overwrites them during its own next local step, which
-// cannot begin before this round's merge has completed.
+// partScratch is cohort-position-scoped storage that survives across rounds
+// so a steady-state local step needs no fresh allocations (the position's
+// reply in Search.results keeps its own slices the same way). gradBufs is
+// indexed by canonical parameter position; a buffer is allocated the first
+// time its parameter appears in a sampled sub-model at this position and
+// reused for every later round (the shape at a canonical index never
+// changes). The buffers belong to the core from the end of Exchange until
+// the next one begins, which is exactly when the next local step may
+// overwrite them.
 type partScratch struct {
 	gradBufs []*tensor.Tensor
-	subIdx   []int
-	grads    []*tensor.Tensor
-	bnStats  [][]nn.BNStats
-	logGrad  controller.AlphaGrad
 	// Local-step buffers: the gathered batch, its labels, the augmented
 	// batch, and the loss gradient.
 	xBuf      *tensor.Tensor
@@ -141,48 +127,81 @@ type partScratch struct {
 	gradLogit *tensor.Tensor
 }
 
-// partResult carries everything a participant's local step produced, for
-// the ordered merge. Tensors are task-private; nothing aliases the primary
-// network or the snapshots.
-type partResult struct {
-	status partStatus
-	delay  int
-	acc    float64
-	// grads[i] is the θ gradient for canonical parameter subIdx[i].
-	subIdx []int
-	grads  []*tensor.Tensor
-	// reward-weighted REINFORCE direction for the α merge.
-	reward  float64
-	logGrad controller.AlphaGrad
-	// bnStats[layer] holds the batch statistics the replica's layer
-	// captured during the local forward, for replay onto the primary.
-	bnStats [][]nn.BNStats
-	// rt is the fresh participant's wall-clock contribution (download,
-	// compute, upload) to the round's soft-synchronization clock.
-	rt float64
+// inProcess is the round core's in-process transport: participants are
+// structs in this process, their local steps run on worker replicas, and
+// reply delays are drawn from the configured staleness schedule instead of
+// arriving late for real.
+type inProcess struct{ s *Search }
+
+// Exchange runs round t's participant side: adaptive sub-model assignment
+// (Alg. 1 lines 10–11), then every cohort member's local step fanned out
+// across the worker pool. Replies come back in cohort-position (ascending
+// participant id) order, one per member, which is the merge order.
+func (e inProcess) Exchange(_ context.Context, t int, snap *round.Snapshot) ([]round.Reply, error) {
+	s := e.s
+	members := snap.Cohort
+	// Sizes are the measured wire-frame bytes each sampled sub-model would
+	// occupy on the RPC transport under cfg.Wire — the quantity adaptive
+	// transmission actually saves. The same loop materializes any member not
+	// yet built (and its personal head) before the parallel phase, so lazy
+	// construction stays single-threaded.
+	sampled, sizes, bw := s.sampled, s.sizes, s.bw
+	copy(sampled, snap.Gates)
+	for j, pid := range members {
+		sizes[j] = s.net.SubModelWireBytes(sampled[j], s.cfg.Wire)
+		s.tracer.SubModelSample(t, pid, sizes[j])
+		p, err := s.pop.Get(pid)
+		if err != nil {
+			return nil, err
+		}
+		if s.personalize {
+			s.ensureHead(pid)
+		}
+		bw[j] = bandwidthAt(p, t)
+	}
+	assign, err := transmission.Assign(s.cfg.Transmission, sizes, bw, s.rng)
+	if err != nil {
+		return nil, err
+	}
+	// snap.Gates[j] becomes the sub-model cohort position j actually trains;
+	// that is what the core remembers for this round's stragglers.
+	var dispatchBytes int64
+	for j, pid := range members {
+		snap.Gates[j] = sampled[assign.ModelFor[j]]
+		sz := sizes[assign.ModelFor[j]]
+		dispatchBytes += sz
+		s.SubModelBytes = append(s.SubModelBytes, sz)
+		s.met.SubModelBytes.Observe(float64(sz))
+		s.tracer.TxAssign(t, pid, sz, assign.LatencySeconds[j])
+	}
+
+	// Each task runs on a private supernet replica; the primary network's
+	// weights are never touched during the parallel phase.
+	replies := s.results[:len(members)]
+	dispatchStart := time.Now()
+	if err := s.pool.Run(len(members), func(worker, j int) error {
+		return s.runParticipant(s.replicas[worker], t, j, snap, assign.LatencySeconds[j], &replies[j])
+	}); err != nil {
+		return nil, err
+	}
+	s.tracer.RoundDispatch(t, dispatchBytes, time.Since(dispatchStart).Seconds())
+	return replies, nil
 }
 
-// roundCtx is the read-only round state shared by all in-flight tasks.
-type roundCtx struct {
-	t        int
-	thetaNow []*tensor.Tensor
-	alphaNow controller.AlphaSnapshot
-	assigned []nas.Gates
-	assign   transmission.Assignment
-}
-
-// runParticipant executes one cohort member's side of the round (Alg. 1
-// lines 37–42 plus the server-side staleness bookkeeping for its reply) on
-// the given worker replica, writing the outcome into res. pos is the
-// member's cohort position (which keys all round-scoped buffers) and pid
-// its stable participant id (which keys its data shard and RNG; pos == pid
-// when cohort sampling is off). It only reads shared state that is
-// immutable for the duration of the round: the snapshots, the staleness
-// pools (Put/Evict happen outside the parallel phase), the controller
-// baseline, and the participant's private RNG/batcher — the participant
-// itself was materialized before the parallel phase began.
-func (s *Search) runParticipant(rep *workerReplica, pos, pid int, in *roundCtx, res *partResult) error {
-	res.status = partSkipped // res is reused across rounds; clear last round's outcome
+// runParticipant executes one cohort member's side of round t (Alg. 1 lines
+// 37–42) on the given worker replica, writing its reply into res. pos is the
+// member's cohort position (which keys all round-scoped buffers) and
+// now.Cohort[pos] its stable participant id (which keys its data shard and
+// RNG). A delay drawn from the staleness schedule makes it a straggler: it
+// trains the sub-model it was sent delay rounds ago against that round's θ,
+// as the core's acceptance rule recovers them. It only reads shared state
+// that is immutable for the duration of the exchange — the snapshots, and
+// the participant's private RNG/batcher, materialized before the parallel
+// phase began.
+func (s *Search) runParticipant(rep *workerReplica, t, pos int, now *round.Snapshot, latency float64, res *round.Reply) error {
+	pid := now.Cohort[pos]
+	// res is reused across rounds: only the payload slices' storage survives.
+	*res = round.Reply{Round: t, PID: pid, SubIdx: res.SubIdx[:0], Grads: res.Grads[:0], BNStats: res.BNStats}
 	part, err := s.pop.Get(pid)
 	if err != nil {
 		return err
@@ -195,9 +214,7 @@ func (s *Search) runParticipant(rep *workerReplica, pos, pid int, in *roundCtx, 
 		churn = part.ChurnProb
 	}
 	if churn > 0 && part.RNG.Float64() < churn {
-		res.status = partOffline
-		s.met.Offline.Inc()
-		s.tracer.ReplyOffline(in.t, pid)
+		res.Status = round.Offline
 		return nil
 	}
 	delay, dropped := 0, false
@@ -205,64 +222,33 @@ func (s *Search) runParticipant(rep *workerReplica, pos, pid int, in *roundCtx, 
 		delay, dropped = s.cfg.Staleness.Sample(part.RNG)
 	}
 	if dropped {
-		res.status = partDropped
-		s.met.RepliesDropped.Inc()
-		s.tracer.ReplyDropped(in.t, pid, delay)
+		res.Status = round.Lost
 		return nil
 	}
-	tPrime := in.t - delay
-	if tPrime < 0 {
-		tPrime, delay = in.t, 0 // nothing older exists in the first rounds
-	}
-	if delay > 0 && s.cfg.Strategy == staleness.Throw {
-		res.status = partDropped
-		s.met.RepliesDropped.Inc()
-		s.tracer.ReplyDropped(in.t, pid, delay)
-		return nil
-	}
-
-	gk := in.assigned[pos]
-	thetaAt := in.thetaNow
-	alphaAt := in.alphaNow
-	if delay > 0 {
-		var ok bool
-		if thetaAt, ok = s.thetaPool.Get(tPrime); !ok {
+	at, gk := now, now.Gates[pos]
+	if delay > 0 && delay <= t { // nothing older exists in the first rounds
+		old, oldPos, verdict := s.core.Admit(t, t-delay, pid)
+		switch verdict {
+		case round.Late:
+			at, gk, res.Round = old, old.Gates[oldPos], t-delay
+		case round.Dropped:
+			// No point training a reply the core will refuse: hand back the
+			// bare stamp and let it do the counting.
+			res.Round = t - delay
 			return nil
 		}
-		if alphaAt, ok = s.alphaPool.Get(tPrime); !ok {
-			return nil
-		}
-		oldGates, ok := s.gatesPool.Get(tPrime)
-		if !ok {
-			return nil
-		}
-		if s.sampler.Full() {
-			gk = oldGates[pid]
-		} else {
-			// A straggler's delayed reply only exists if it was sampled at
-			// t′; a participant outside that round's cohort has no stale
-			// sub-model to have trained, so it trains fresh instead (the
-			// staleness draw above still consumed the same RNG values, so
-			// the schedule stays fault- and cohort-independent).
-			oldCohort, ok := s.cohortPool.Get(tPrime)
-			if !ok {
-				return nil
-			}
-			if oldPos, member := cohort.Position(oldCohort, pid); member {
-				gk = oldGates[oldPos]
-			} else {
-				delay = 0
-				thetaAt, alphaAt = in.thetaNow, in.alphaNow
-				gk = in.assigned[pos]
-			}
-		}
+		// NotDispatched: a straggler's delayed reply only exists if it was
+		// sampled at t′; outside that cohort there is no stale sub-model to
+		// have trained, so it trains fresh (the staleness draw above still
+		// consumed the same RNG values, so the schedule stays fault- and
+		// cohort-independent).
 	}
 
-	// Local step against θ at round t', on this worker's replica. All
-	// round-to-round buffers come from this cohort position's scratch, so
-	// a steady-state local step allocates nothing.
+	// Local step against θ at the dispatch round, on this worker's replica.
+	// All round-to-round buffers come from this cohort position's scratch,
+	// so a steady-state local step allocates nothing.
 	sc := &s.scratch[pos]
-	if err := nn.RestoreParamValues(rep.params, thetaAt); err != nil {
+	if err := nn.RestoreParamValues(rep.params, at.Theta); err != nil {
 		return err
 	}
 	if s.personalize {
@@ -271,8 +257,8 @@ func (s *Search) runParticipant(rep *workerReplica, pos, pid int, in *roundCtx, 
 		// materialized before the parallel phase — and is only ever touched
 		// by pid's own task, so the read and the write-back below are
 		// race-free.
-		for i, t := range s.heads[pid] {
-			rep.params[s.headStart+i].Value.CopyFrom(t)
+		for i, h := range s.heads[pid] {
+			rep.params[s.headStart+i].Value.CopyFrom(h)
 		}
 	}
 	batch := part.Batcher.Next(s.cfg.BatchSize)
@@ -287,14 +273,12 @@ func (s *Search) runParticipant(rep *workerReplica, pos, pid int, in *roundCtx, 
 	}
 	sc.gradLogit = lossRes.GradLogits
 	rep.net.BackwardSampled(lossRes.GradLogits)
-	res.acc = lossRes.Accuracy
+	res.Acc = lossRes.Accuracy
 
 	// Copy the sub-model's gradients out of the (shared) replica into this
-	// participant's persistent merge buffers.
+	// position's persistent reply buffers.
 	subParams := rep.net.AppendSampledParams(rep.subScratch[:0], gk)
 	rep.subScratch = subParams
-	res.subIdx = sc.subIdx[:0]
-	res.grads = sc.grads[:0]
 	for _, p := range subParams {
 		idx := rep.index[p]
 		if s.personalize && idx >= s.headStart {
@@ -308,75 +292,35 @@ func (s *Search) runParticipant(rep *workerReplica, pos, pid int, in *roundCtx, 
 			sc.gradBufs[idx] = buf
 		}
 		buf.CopyFrom(p.Grad)
-		res.subIdx = append(res.subIdx, idx)
-		res.grads = append(res.grads, buf)
+		res.SubIdx = append(res.SubIdx, idx)
+		res.Grads = append(res.Grads, buf)
 	}
-	sc.subIdx, sc.grads = res.subIdx, res.grads
-	grads := res.grads
 
 	// Local personalization step: plain SGD on the private head (no
 	// momentum or weight decay — the head is a small linear probe and its
 	// state must stay exactly "values", keeping checkpoints simple).
 	if s.personalize {
-		for i, t := range s.heads[pid] {
-			t.AXPY(-s.headLR, rep.params[s.headStart+i].Grad)
+		for i, h := range s.heads[pid] {
+			h.AXPY(-s.headLR, rep.params[s.headStart+i].Grad)
 		}
 	}
 
-	// θ-gradient delay compensation (lines 18–27).
-	if delay > 0 && s.cfg.Strategy == staleness.DC {
-		freshVals := make([]*tensor.Tensor, len(res.subIdx))
-		staleVals := make([]*tensor.Tensor, len(res.subIdx))
-		for i, idx := range res.subIdx {
-			freshVals[i] = in.thetaNow[idx]
-			staleVals[i] = thetaAt[idx]
-		}
-		grads, err = staleness.CompensateTheta(grads, freshVals, staleVals, s.cfg.Lambda)
-		if err != nil {
-			return err
-		}
+	// Hand the captured batch-norm statistics to the merge. The records the
+	// reply still holds were replayed by an earlier round's merge, so their
+	// storage is recycled into the replica layer's freelist (layer index i
+	// has the same channel count on every replica).
+	if len(res.BNStats) != len(rep.bns) {
+		res.BNStats = make([][]nn.BNStats, len(rep.bns))
 	}
-	res.grads = grads
-
-	// α-gradient handling (lines 20, 28). Reward reads the controller
-	// baseline, which is only updated after the merge, so it is stable for
-	// the whole parallel phase.
-	res.reward = s.ctrl.Reward(res.acc)
-	controller.LogProbGradAtInto(&sc.logGrad, alphaAt, gk)
-	res.logGrad = sc.logGrad
-	if delay > 0 && s.cfg.Strategy == staleness.DC {
-		drift := alphaAt.Diff(in.alphaNow) // α_t − α_{t'}
-		corrected := res.logGrad.Clone()
-		corrected.MulAdd3(s.cfg.Lambda, res.logGrad, drift)
-		res.logGrad = corrected
-	}
-
-	// Hand the captured batch-norm statistics to the merge phase. The
-	// records this scratch still holds were replayed by an earlier round's
-	// merge, so their storage is recycled into the replica layer's freelist
-	// (layer index i has the same channel count on every replica).
-	if cap(sc.bnStats) < len(rep.bns) {
-		sc.bnStats = make([][]nn.BNStats, len(rep.bns))
-	}
-	res.bnStats = sc.bnStats[:len(rep.bns)]
 	for i, bn := range rep.bns {
-		bn.RecycleStats(res.bnStats[i])
-		res.bnStats[i] = bn.DrainCapturedStatsInto(res.bnStats[i][:0])
+		bn.RecycleStats(res.BNStats[i])
+		res.BNStats[i] = bn.DrainCapturedStatsInto(res.BNStats[i][:0])
 	}
-	sc.bnStats = res.bnStats
 
-	res.delay = delay
-	res.status = partContributed
-	if delay == 0 {
-		s.met.RepliesFresh.Inc()
-		s.tracer.ReplyFresh(in.t, pid)
+	if res.Round == t {
 		// Soft synchronization: only fresh participants gate the round's
-		// wall clock; stragglers' time was paid in earlier rounds.
-		res.rt = 2*in.assign.LatencySeconds[pos] +
-			part.ComputeSeconds(nn.ParamCount(subParams), s.cfg.BatchSize)
-	} else {
-		s.met.RepliesLate.Inc()
-		s.tracer.ReplyLate(in.t, pid, delay)
+		// clock; stragglers' time was paid in earlier rounds.
+		res.Seconds = 2*latency + part.ComputeSeconds(nn.ParamCount(subParams), s.cfg.BatchSize)
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"fedrlnas/internal/cohort"
 	"fedrlnas/internal/controller"
@@ -15,11 +15,10 @@ import (
 	"fedrlnas/internal/nettrace"
 	"fedrlnas/internal/nn"
 	"fedrlnas/internal/parallel"
+	"fedrlnas/internal/round"
 	"fedrlnas/internal/scenario"
-	"fedrlnas/internal/staleness"
 	"fedrlnas/internal/telemetry"
 	"fedrlnas/internal/tensor"
-	"fedrlnas/internal/transmission"
 )
 
 // Search holds the live state of one federated model search.
@@ -46,8 +45,8 @@ type Search struct {
 
 	// Personalization (federated body / local head): headStart is the
 	// canonical index of the first classifier-head parameter (head params
-	// are the tail of Params()'s canonical order), bodyParams the shared
-	// prefix the federated optimizer steps, headInit the supernet's initial
+	// are the tail of Params()'s canonical order; the shared prefix before it
+	// is what the federated optimizer steps), headInit the supernet's initial
 	// head values every client starts from, and heads each sampled client's
 	// private head. heads is only written single-threaded — materialization
 	// before the parallel phase, per-client tensor updates inside it touch
@@ -55,7 +54,6 @@ type Search struct {
 	personalize bool
 	headLR      float64
 	headStart   int
-	bodyParams  []*nn.Param
 	headInit    []*tensor.Tensor
 	heads       map[int][]*tensor.Tensor
 
@@ -66,36 +64,24 @@ type Search struct {
 	// exactly where the saved run stopped.
 	rngSrc *detrand.Source
 
-	paramIndex map[*nn.Param]int
+	// pool fans participant local steps out across worker slots and replicas
+	// holds one private supernet copy per slot (see engine.go).
+	pool     *parallel.Pool
+	replicas []*workerReplica
 
-	// pool fans participant local steps out across worker slots; replicas
-	// holds one private supernet copy per slot and primaryBNs the primary
-	// network's batch-norm layers, index-aligned with every replica's (see
-	// engine.go).
-	pool       *parallel.Pool
-	replicas   []*workerReplica
-	primaryBNs []*nn.BatchNorm2D
+	// core is the Alg. 1 server step (internal/round); this package is its
+	// in-process transport. It owns the θ/α/gates/cohort memories, the merge
+	// and both optimizer steps.
+	core *round.Core
 
-	thetaPool  *staleness.Pool[[]*tensor.Tensor]
-	alphaPool  *staleness.Pool[controller.AlphaSnapshot]
-	gatesPool  *staleness.Pool[[]nas.Gates]
-	cohortPool *staleness.Pool[[]int]
-
-	// scratch holds per-participant persistent merge buffers (engine.go);
-	// the remaining fields are round-scoped slices reused across rounds so a
-	// steady-state round allocates no bookkeeping storage. thetaView is the
-	// zero-copy θ "snapshot" used when no stale read can ever occur (see
-	// canAliasTheta).
-	scratch     []partScratch
-	thetaView   []*tensor.Tensor
-	cohortIDs   []int
-	sampled     []nas.Gates
-	sizes       []int64
-	bw          []float64
-	assigned    []nas.Gates
-	results     []partResult
-	aggTheta    []*tensor.Tensor
-	aggAlphaBuf controller.AlphaGrad
+	// scratch holds per-cohort-position persistent local-step buffers
+	// (engine.go); the remaining fields are round-scoped slices reused across
+	// rounds so a steady-state round allocates no bookkeeping storage.
+	scratch []partScratch
+	sampled []nas.Gates
+	sizes   []int64
+	bw      []float64
+	results []round.Reply
 
 	round int
 
@@ -218,29 +204,12 @@ func New(cfg Config) (*Search, error) {
 	}
 	if sampler.Full() {
 		// Full-population mode materializes everyone up front (the legacy
-		// behavior) and uses a fixed identity cohort.
+		// behavior).
 		if _, err := pop.All(); err != nil {
 			return nil, fmt.Errorf("search: %w", err)
 		}
-		s.cohortIDs = sampler.Cohort(0)
 	}
-	// Retention covers whichever is larger: the configured threshold Δ or
-	// the worst delay the schedule can actually produce (the default
-	// StalenessThreshold of 0 leaves sizing entirely to the schedule,
-	// preserving pre-SyncConfig behavior bit for bit).
-	delta := cfg.StalenessThreshold
-	if d := cfg.Staleness.MaxDelay(); d > delta {
-		delta = d
-	}
-	s.thetaPool = staleness.NewPool[[]*tensor.Tensor](delta)
-	s.alphaPool = staleness.NewPool[controller.AlphaSnapshot](delta)
-	s.gatesPool = staleness.NewPool[[]nas.Gates](delta)
-	s.cohortPool = staleness.NewPool[[]int](delta)
-	s.paramIndex = make(map[*nn.Param]int)
 	netParams := net.Params()
-	for i, p := range netParams {
-		s.paramIndex[p] = i
-	}
 	// Personalization mode: the classifier head's parameters (the tail of
 	// the canonical order) leave the federated update entirely — each
 	// client trains a private copy seeded from the supernet's initial head.
@@ -251,7 +220,6 @@ func New(cfg Config) (*Search, error) {
 			s.headLR = cfg.ThetaLR
 		}
 		s.headStart = len(netParams) - len(net.HeadParams())
-		s.bodyParams = netParams[:s.headStart]
 		s.headInit = nn.CloneParamValues(netParams[s.headStart:])
 		s.heads = make(map[int][]*tensor.Tensor)
 	}
@@ -267,8 +235,7 @@ func New(cfg Config) (*Search, error) {
 	s.sampled = make([]nas.Gates, cohortLen)
 	s.sizes = make([]int64, cohortLen)
 	s.bw = make([]float64, cohortLen)
-	s.results = make([]partResult, cohortLen)
-	s.aggTheta = make([]*tensor.Tensor, len(netParams))
+	s.results = make([]round.Reply, cohortLen)
 	s.met = telemetry.NewDisabledRoundMetrics()
 	net.SetTraining(true)
 
@@ -281,7 +248,27 @@ func New(cfg Config) (*Search, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.primaryBNs = net.BatchNorms()
+
+	// Δ covers whichever is larger: the configured threshold or the worst
+	// delay the schedule can actually produce (the default
+	// StalenessThreshold of 0 leaves it entirely to the schedule). In
+	// personalized mode only the shared body steps: head gradients never
+	// enter the merge, and stepping the full list would still weight-decay
+	// the global head toward zero.
+	sync := cfg.SyncConfig
+	if d := cfg.Staleness.MaxDelay(); d > sync.StalenessThreshold {
+		sync.StalenessThreshold = d
+	}
+	stepParams := netParams
+	if s.personalize {
+		stepParams = netParams[:s.headStart]
+	}
+	s.core = round.New(round.Config{
+		Net: net, Ctrl: ctrl, Opt: s.thetaOpt, Sampler: sampler, RNG: rng, Pool: s.pool,
+		StepParams: stepParams,
+		Sync:       sync,
+	}, inProcess{s})
+	s.core.SetTelemetry(nil, s.met)
 	return s, nil
 }
 
@@ -300,6 +287,7 @@ func (s *Search) SetTelemetry(tracer *telemetry.Tracer, reg *telemetry.Registry)
 		s.Stats = s.statsFromCounters()
 		s.pool.Observe(reg)
 	}
+	s.core.SetTelemetry(s.tracer, s.met)
 }
 
 // statsFromCounters materializes the RoundStats façade from the registry.
@@ -383,11 +371,9 @@ func (s *Search) RestoreTheta(snap []*tensor.Tensor) error {
 // architectures uniformly (α frozen at its uniform initialization).
 func (s *Search) Warmup() error {
 	for i := 0; i < s.cfg.WarmupSteps; i++ {
-		acc, err := s.runRound(false, true)
-		if err != nil {
-			return fmt.Errorf("warmup round %d: %w", i, err)
+		if _, err := s.stepPhase(PhaseWarmup); err != nil {
+			return err
 		}
-		s.WarmupCurve.Add(s.round-1, acc)
 	}
 	return nil
 }
@@ -395,13 +381,9 @@ func (s *Search) Warmup() error {
 // Run executes P2: cfg.SearchSteps rounds of Alg. 1.
 func (s *Search) Run() error {
 	for i := 0; i < s.cfg.SearchSteps; i++ {
-		acc, err := s.runRound(true, !s.cfg.AlphaOnly)
-		if err != nil {
-			return fmt.Errorf("search round %d: %w", i, err)
+		if _, err := s.stepPhase(PhaseSearch); err != nil {
+			return err
 		}
-		s.SearchCurve.Add(s.round-1, acc)
-		s.EntropyCurve.Add(s.round-1, s.ctrl.Entropy())
-		s.BaselineCurve.Add(s.round-1, s.ctrl.Baseline())
 	}
 	return nil
 }
@@ -456,261 +438,28 @@ type RoundReport struct {
 	Stats        RoundStats // this round only
 }
 
-// noStaleReads reports whether a stale snapshot read can ever occur. Under
-// hard synchronization, or a schedule whose staleness threshold is zero,
-// every update is fresh or dropped, so the θ/α/gates memories are write-only
-// and their entries may alias live, round-scoped storage instead of deep
-// copies.
-func (s *Search) noStaleReads() bool {
-	return s.cfg.Strategy == staleness.Hard || s.cfg.Staleness.MaxDelay() == 0
-}
-
-// runRound executes one communication round of Alg. 1 and returns the mean
-// training accuracy of the participants' sub-models.
+// runRound executes one communication round of Alg. 1 — the core's Step over
+// the in-process transport — and returns the mean training accuracy of the
+// participants' sub-models.
 func (s *Search) runRound(updateAlpha, updateTheta bool) (float64, error) {
-	t := s.round
-	params := s.net.Params()
-	s.tracer.RoundStart(t)
-	// Snapshot the cumulative counters so this round's deltas can be
-	// reported to the Observer without a second tally.
-	fresh0 := s.met.RepliesFresh.Value()
-	late0 := s.met.RepliesLate.Value()
-	dropped0 := s.met.RepliesDropped.Value()
-	offline0 := s.met.Offline.Value()
-
-	// Alg. 1 lines 4–7: snapshot θ, α and per-participant gates. When no
-	// stale read can ever occur (see noStaleReads) the θ and α "snapshots"
-	// alias the live state instead of deep-copying it: the parallel phase
-	// only reads them, and the optimizer steps only after the merge.
-	var thetaNow []*tensor.Tensor
-	var alphaNow controller.AlphaSnapshot
-	if s.noStaleReads() {
-		if len(s.thetaView) != len(params) {
-			s.thetaView = make([]*tensor.Tensor, len(params))
-			for i, p := range params {
-				s.thetaView[i] = p.Value
-			}
-		}
-		thetaNow = s.thetaView
-		alphaNow = s.ctrl.View()
-	} else {
-		thetaNow = nn.CloneParamValues(params)
-		alphaNow = s.ctrl.Snapshot()
-	}
-	s.thetaPool.Put(t, thetaNow)
-	s.alphaPool.Put(t, alphaNow)
-
-	// Draw the round's cohort (identity when sampling is off). The sorted
-	// id slice is what late rounds consult to locate a straggler's old
-	// cohort position, so like the gates it is only reused as a buffer
-	// when no stale read can ever occur.
-	cohortIDs := s.cohortIDs
-	if !s.sampler.Full() {
-		if s.noStaleReads() {
-			cohortIDs = s.sampler.AppendCohort(s.cohortIDs[:0], t)
-			s.cohortIDs = cohortIDs
-		} else {
-			cohortIDs = s.sampler.Cohort(t)
-		}
-		s.cohortPool.Put(t, cohortIDs)
-	}
-
-	// Lines 5–9: sample a binary mask per cohort member. Sizes are the
-	// measured wire-frame bytes each sub-model would occupy on the RPC
-	// transport under cfg.Wire — the quantity adaptive transmission
-	// actually saves — not the old 4-bytes-per-param estimate.
-	sampled, sizes := s.sampled, s.sizes
-	for j, pid := range cohortIDs {
-		sampled[j] = s.ctrl.SampleGates(s.rng)
-		sizes[j] = s.net.SubModelWireBytes(sampled[j], s.cfg.Wire)
-		s.tracer.SubModelSample(t, pid, sizes[j])
-	}
-
-	// Lines 10–11: adaptive transmission. This loop also materializes any
-	// cohort member not yet built — before the parallel phase, so lazy
-	// construction stays single-threaded.
-	bw := s.bw
-	for j, pid := range cohortIDs {
-		p, err := s.pop.Get(pid)
-		if err != nil {
-			return 0, err
-		}
-		if s.personalize {
-			// Personal heads materialize here, single-threaded, so the
-			// parallel phase only ever touches pre-existing map entries.
-			s.ensureHead(pid)
-		}
-		bw[j] = bandwidthAt(p, t)
-	}
-	assign, err := transmission.Assign(s.cfg.Transmission, sizes, bw, s.rng)
+	rep, err := s.core.Step(context.Background(), s.round, updateTheta, updateAlpha)
 	if err != nil {
 		return 0, err
 	}
-	// assigned[j] is the sub-model cohort position j actually trains. The
-	// gates pool may serve this slice to a stale read in a later round, so
-	// it is only reused when no such read can occur.
-	assigned := s.assigned
-	if assigned == nil || !s.noStaleReads() {
-		assigned = make([]nas.Gates, len(cohortIDs))
-		s.assigned = assigned
-	}
-	for j, pid := range cohortIDs {
-		assigned[j] = sampled[assign.ModelFor[j]]
-		sz := sizes[assign.ModelFor[j]]
-		s.SubModelBytes = append(s.SubModelBytes, sz)
-		s.met.SubModelBytes.Observe(float64(sz))
-		s.tracer.TxAssign(t, pid, sz, assign.LatencySeconds[j])
-	}
-	s.gatesPool.Put(t, assigned)
-
-	// Participant local steps (Alg. 1 lines 37–42), fanned out across the
-	// worker pool. Each task runs on a private supernet replica; the primary
-	// network's weights are never touched during the parallel phase (see
-	// engine.go for the determinism argument).
-	ctx := &roundCtx{t: t, thetaNow: thetaNow, alphaNow: alphaNow, assigned: assigned, assign: assign}
-	results := s.results
-	dispatchStart := time.Now()
-	if err := s.pool.Run(len(cohortIDs), func(worker, j int) error {
-		return s.runParticipant(s.replicas[worker], j, cohortIDs[j], ctx, &results[j])
-	}); err != nil {
-		return 0, err
-	}
-	var dispatchBytes int64
-	for j := range cohortIDs {
-		dispatchBytes += sizes[assign.ModelFor[j]]
-	}
-	s.tracer.RoundDispatch(t, dispatchBytes, time.Since(dispatchStart).Seconds())
-
-	// Ordered merge (Alg. 1 lines 16–31): aggregate in cohort-position
-	// (ascending participant id) order so every sum — and the replayed
-	// batch-norm statistics — is bit-identical regardless of task
-	// scheduling. The scalar/α/batch-norm accumulators merge sequentially
-	// here; θ merges in the sharded pass below.
-	mergeStart := time.Now()
-	aggTheta := s.aggTheta
-	for i := range aggTheta {
-		aggTheta[i] = nil
-	}
-	if s.aggAlphaBuf.Normal == nil {
-		nE, rE := s.net.ArchSpace()
-		s.aggAlphaBuf = controller.NewAlphaGrad(nE, rE, s.net.NumCandidates())
-	} else {
-		s.aggAlphaBuf.Zero()
-	}
-	aggAlpha := s.aggAlphaBuf
-	contributors := 0
-	sumAcc := 0.0
-	roundSeconds := 0.0
-	for j := range cohortIDs {
-		res := &results[j]
-		if res.status != partContributed {
-			continue
-		}
-		aggAlpha.AXPY(res.reward, res.logGrad)
-		for layer, recs := range res.bnStats {
-			for _, rec := range recs {
-				s.primaryBNs[layer].ApplyStats(rec)
-			}
-		}
-		contributors++
-		sumAcc += res.acc
-		if res.delay == 0 && res.rt > roundSeconds {
-			roundSeconds = res.rt
-		}
-	}
-	// Sharded θ aggregation tree: the parameter index space is split into
-	// contiguous ranges and each shard folds every contributing reply —
-	// still in cohort-position order — into its own range. Because
-	// sharding is by destination index, each accumulator receives exactly
-	// the additions, in exactly the order, of the single-shard merge, so
-	// the result is bit-identical at every shard count (shards=1 IS the
-	// legacy sequential merge).
-	shards := s.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if err := s.pool.RunShards(len(params), shards, func(_ int, r parallel.Range) error {
-		for j := range cohortIDs {
-			res := &results[j]
-			if res.status != partContributed {
-				continue
-			}
-			for i, idx := range res.subIdx {
-				if idx < r.Lo || idx >= r.Hi {
-					continue
-				}
-				if aggTheta[idx] == nil {
-					aggTheta[idx] = res.grads[i]
-				} else {
-					aggTheta[idx].AddInPlace(res.grads[i])
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	s.tracer.RoundMerge(t, contributors, time.Since(mergeStart).Seconds())
-
-	updateStart := time.Now()
-	meanAcc := 0.0
-	if contributors > 0 {
-		meanAcc = sumAcc / float64(contributors)
-		inv := 1.0 / float64(contributors)
-		if updateTheta {
-			// In personalized mode only the shared body steps: head
-			// gradients never enter the merge, and stepping the full list
-			// would still weight-decay the global head toward zero.
-			stepParams := params
-			if s.personalize {
-				stepParams = s.bodyParams
-			}
-			for i, p := range stepParams {
-				p.Grad.Zero()
-				if aggTheta[i] != nil {
-					p.Grad.AXPY(inv, aggTheta[i])
-				}
-			}
-			s.thetaOpt.Step(stepParams)
-		}
-		if updateAlpha {
-			aggAlpha.Scale(inv)
-			s.ctrl.Apply(aggAlpha)
-			s.ctrl.UpdateBaseline(meanAcc)
-			s.tracer.AlphaUpdate(t, s.ctrl.Entropy())
-		}
-	}
-	s.tracer.ControllerUpdate(t, time.Since(updateStart).Seconds())
-
-	s.RoundSeconds = append(s.RoundSeconds, roundSeconds)
-	s.met.Rounds.Inc()
-	s.met.RoundSeconds.Observe(roundSeconds)
-	s.met.Accuracy.Set(meanAcc)
-	s.met.Entropy.Set(s.ctrl.Entropy())
-	s.met.Baseline.Set(s.ctrl.Baseline())
+	s.RoundSeconds = append(s.RoundSeconds, rep.Seconds)
 	s.Stats = s.statsFromCounters()
-	s.tracer.RoundEnd(t, roundSeconds, meanAcc)
 	if s.Observer != nil {
 		s.Observer(RoundReport{
-			Round:        t,
-			MeanAccuracy: meanAcc,
+			Round:        rep.Round,
+			MeanAccuracy: rep.Accuracy,
 			Entropy:      s.ctrl.Entropy(),
 			Baseline:     s.ctrl.Baseline(),
-			Seconds:      roundSeconds,
-			Stats: RoundStats{
-				Fresh:   int(s.met.RepliesFresh.Value() - fresh0),
-				Late:    int(s.met.RepliesLate.Value() - late0),
-				Dropped: int(s.met.RepliesDropped.Value() - dropped0),
-				Offline: int(s.met.Offline.Value() - offline0),
-			},
+			Seconds:      rep.Seconds,
+			Stats:        RoundStats{Fresh: rep.Fresh, Late: rep.Late, Dropped: rep.Dropped, Offline: rep.Offline},
 		})
 	}
 	s.round++
-	s.thetaPool.Evict(s.round)
-	s.alphaPool.Evict(s.round)
-	s.gatesPool.Evict(s.round)
-	s.cohortPool.Evict(s.round)
-	return meanAcc, nil
+	return rep.Accuracy, nil
 }
 
 func bandwidthAt(p *fed.Participant, round int) float64 {
