@@ -78,4 +78,35 @@ trap 'rm -rf "$tracedir"' EXIT
 go run ./cmd/benchrpc -k 4 -rounds 2 -modes fp64 -out "" -trace-dir "$tracedir" >/dev/null
 go run ./cmd/fedtrace -min-rounds 1 "$tracedir"/*.jsonl
 
+echo "== fedrpc two-process smoke (2 worker processes on loopback, 2 server rounds against them; must exit 0 with a genotype)"
+rpcdir=$(mktemp -d)
+workers=""
+trap 'kill $workers 2>/dev/null || true; rm -rf "$tracedir" "$rpcdir"' EXIT
+go build -o "$rpcdir/fedrpc" ./cmd/fedrpc
+for i in 0 1; do
+	"$rpcdir/fedrpc" worker -index "$i" -k 2 -listen 127.0.0.1:0 >"$rpcdir/worker$i.log" 2>&1 &
+	workers="$workers $!"
+done
+addrs=""
+for i in 0 1; do
+	tries=0
+	until grep -q ' serving ' "$rpcdir/worker$i.log"; do
+		tries=$((tries + 1))
+		if [ "$tries" -gt 300 ]; then
+			echo "fedrpc worker $i did not start:" >&2
+			cat "$rpcdir/worker$i.log" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+	addr=$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$rpcdir/worker$i.log")
+	addrs="${addrs:+$addrs,}$addr"
+done
+if ! "$rpcdir/fedrpc" server -addrs "$addrs" -rounds 2 -batch 8 >"$rpcdir/server.log" 2>&1 ||
+	! grep -q '^genotype:' "$rpcdir/server.log"; then
+	echo "fedrpc server against two worker processes failed:" >&2
+	cat "$rpcdir/server.log" >&2
+	exit 1
+fi
+
 echo "OK"

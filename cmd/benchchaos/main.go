@@ -31,6 +31,7 @@ import (
 	"fedrlnas/internal/chaos"
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/nas"
+	"fedrlnas/internal/nn"
 	"fedrlnas/internal/rpcfed"
 	"fedrlnas/internal/telemetry"
 )
@@ -393,22 +394,8 @@ func waitRounds(c *telemetry.Counter, want int64) {
 	}
 }
 
-// thetaHash fingerprints the final supernet parameters (FNV-1a over each
-// float64's LE bytes), comparable across runs and builds.
+// thetaHash fingerprints the final supernet parameters, comparable across
+// runs and builds.
 func thetaHash(s *rpcfed.Server) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, p := range s.Supernet().Params() {
-		for _, v := range p.Value.Data() {
-			bits := math.Float64bits(v)
-			for i := 0; i < 64; i += 8 {
-				h ^= uint64(byte(bits >> i))
-				h *= prime64
-			}
-		}
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", nn.ParamHash(s.Supernet().Params()))
 }

@@ -31,15 +31,16 @@ import (
 
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/nas"
+	"fedrlnas/internal/nn"
 	"fedrlnas/internal/rpcfed"
 	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/search"
 )
 
-// pinnedTheta is the fault-free 3-worker loopback hash captured before the
-// lifecycle refactor; rpcfed's TestNoFaultBitIdentityPinned pins the same
-// constant. An empty scenario must reproduce it bit for bit.
-const pinnedTheta = "87728da48c6b8b24"
+// pinnedTheta is the fault-free 3-worker loopback hash rpcfed's
+// TestNoFaultBitIdentityPinned pins. An empty scenario must reproduce it bit
+// for bit.
+const pinnedTheta = "cf850b88167716d8"
 
 type pinReport struct {
 	Scenario string `json:"scenario"`
@@ -389,23 +390,8 @@ func runPersonalizationAB(k, warmup, steps int, seed int64) (abReport, error) {
 	return rep, nil
 }
 
-// thetaHash fingerprints the final supernet parameters (FNV-1a over each
-// float64's LE bytes), the same fingerprint the rpcfed determinism tests
-// use.
+// thetaHash fingerprints the final supernet parameters, the same fingerprint
+// the rpcfed determinism tests use.
 func thetaHash(s *rpcfed.Server) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, p := range s.Supernet().Params() {
-		for _, v := range p.Value.Data() {
-			bits := math.Float64bits(v)
-			for i := 0; i < 64; i += 8 {
-				h ^= uint64(byte(bits >> i))
-				h *= prime64
-			}
-		}
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", nn.ParamHash(s.Supernet().Params()))
 }

@@ -33,6 +33,7 @@ import (
 
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/nas"
+	"fedrlnas/internal/nn"
 	"fedrlnas/internal/rpcfed"
 	"fedrlnas/internal/telemetry"
 	"fedrlnas/internal/wire"
@@ -349,21 +350,7 @@ func benchMode(mode wire.Mode, k, rounds, batch int, seed int64, topkRatio, topk
 }
 
 // thetaHash fingerprints the server's final supernet parameters down to the
-// bit (FNV-1a over each float64's LE bytes).
+// bit.
 func thetaHash(s *rpcfed.Server) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, p := range s.Supernet().Params() {
-		for _, v := range p.Value.Data() {
-			bits := math.Float64bits(v)
-			for i := 0; i < 64; i += 8 {
-				h ^= uint64(byte(bits >> i))
-				h *= prime64
-			}
-		}
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", nn.ParamHash(s.Supernet().Params()))
 }

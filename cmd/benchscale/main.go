@@ -29,8 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -40,6 +38,7 @@ import (
 
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/nas"
+	"fedrlnas/internal/nn"
 	"fedrlnas/internal/search"
 	"fedrlnas/internal/tensor"
 )
@@ -305,8 +304,7 @@ func benchOne(enrolled, cohortSz, warmup, rounds, workers int, seed int64) (runR
 }
 
 // thetaHash runs a short search at the given shard count and fingerprints
-// the final supernet parameters down to the bit (FNV-1a over each
-// float64's LE bytes).
+// the final supernet parameters down to the bit.
 func thetaHash(enrolled, cohortSz, warmup, rounds, workers int, seed int64, shards int) (uint64, error) {
 	cfg := scaleConfig(enrolled, cohortSz, warmup, rounds, workers, seed, shards)
 	s, err := search.New(cfg)
@@ -319,18 +317,7 @@ func thetaHash(enrolled, cohortSz, warmup, rounds, workers int, seed int64, shar
 	if err := s.Run(); err != nil {
 		return 0, err
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, p := range s.Supernet().Params() {
-		for _, v := range p.Value.Data() {
-			bits := math.Float64bits(v)
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(bits >> (8 * i))
-			}
-			_, _ = h.Write(buf[:])
-		}
-	}
-	return h.Sum64(), nil
+	return nn.ParamHash(s.Supernet().Params()), nil
 }
 
 func parseIntList(s string) ([]int, error) {

@@ -76,13 +76,24 @@ type Participant struct {
 	NumSamples int
 }
 
-// newParticipantRNG derives participant k's private deterministic RNG.
-// The derivation depends only on (seed, k), never on materialization
-// order, which is what lets Population build participants lazily without
-// perturbing any stream. The counting source is value-transparent, so the
-// stream is identical to the pre-detrand rand.NewSource derivation.
-func newParticipantRNG(seed int64, k int) (*rand.Rand, *detrand.Source) {
-	return detrand.New(seed + int64(k)*7919)
+// NewParticipant builds participant id over its shard. Every private random
+// choice — batch shuffles, augmentation, churn and delay draws — comes from
+// one stream seeded with seed; the counting source behind it is
+// value-transparent, so the stream is identical to rand.NewSource(seed)'s.
+func NewParticipant(id int, indices []int, seed int64) (*Participant, error) {
+	rng, src := detrand.New(seed)
+	b, err := data.NewBatcher(indices, rng)
+	if err != nil {
+		return nil, fmt.Errorf("participant %d: %w", id, err)
+	}
+	return &Participant{
+		ID:          id,
+		Batcher:     b,
+		RNG:         rng,
+		Src:         src,
+		SpeedFactor: 1,
+		NumSamples:  len(indices),
+	}, nil
 }
 
 // BuildParticipants constructs K participants over a partition of ds. Every
@@ -114,6 +125,16 @@ func AttachTraces(ps []*Participant, traces []nettrace.Trace) error {
 func (p *Participant) ComputeSeconds(paramCount, batchSize int) float64 {
 	const secPerParamSample = 1e-5
 	return p.SpeedFactor * secPerParamSample * float64(paramCount) * float64(batchSize)
+}
+
+// BandwidthAt returns the participant's bandwidth (Mbps) at a round,
+// defaulting to a fast stable link when no trace is attached (latency not
+// under study).
+func (p *Participant) BandwidthAt(round int) float64 {
+	if len(p.Trace.Mbps) == 0 {
+		return 100
+	}
+	return p.Trace.At(round)
 }
 
 // Evaluate measures top-1 accuracy of model on the dataset's test split,

@@ -258,11 +258,11 @@ func TestFedAvgSingleParticipantMatchesCentralized(t *testing.T) {
 
 func TestBwAtDefaults(t *testing.T) {
 	p := &Participant{}
-	if got := bwAt(p, 0); got != 100 {
+	if got := p.BandwidthAt(0); got != 100 {
 		t.Errorf("default bandwidth %v, want 100", got)
 	}
 	p.Trace = nettrace.Trace{Mbps: []float64{5}}
-	if got := bwAt(p, 3); got != 5 {
+	if got := p.BandwidthAt(3); got != 5 {
 		t.Errorf("traced bandwidth %v, want 5", got)
 	}
 }

@@ -158,23 +158,17 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 				opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay, cfg.GradClip)
 				lastAcc := 0.0
 				for step := 0; step < cfg.LocalSteps; step++ {
-					batch := part.Batcher.Next(cfg.BatchSize)
-					x, y := ds.Gather(batch)
-					x = cfg.Augment.Apply(x, part.RNG)
-					nn.ZeroGrads(rparams)
-					lossRes, err := nn.CrossEntropy(rep.Forward(x), y)
-					if err != nil {
+					var err error
+					if lastAcc, err = localGradient(rep, rparams, ds, part, cfg.BatchSize, cfg.Augment); err != nil {
 						return fmt.Errorf("participant %d: %w", part.ID, err)
 					}
-					rep.Backward(lossRes.GradLogits)
 					opt.Step(rparams)
-					lastAcc = lossRes.Accuracy
 				}
 				delta := make([]*tensor.Tensor, len(rparams))
 				for i, p := range rparams {
 					delta[i] = p.Value.Sub(global[i])
 				}
-				comm := 2 * nettrace.TransferSeconds(payloadBytes, bwAt(part, round))
+				comm := 2 * nettrace.TransferSeconds(payloadBytes, part.BandwidthAt(round))
 				comp := float64(cfg.LocalSteps) * part.ComputeSeconds(paramCount, cfg.BatchSize)
 				outs[j] = avgOut{
 					lastAcc: lastAcc, delta: delta,
@@ -208,17 +202,10 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 				opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay, cfg.GradClip)
 				lastAcc := 0.0
 				for step := 0; step < cfg.LocalSteps; step++ {
-					batch := part.Batcher.Next(cfg.BatchSize)
-					x, y := ds.Gather(batch)
-					x = cfg.Augment.Apply(x, part.RNG)
-					nn.ZeroGrads(params)
-					lossRes, err := nn.CrossEntropy(model.Forward(x), y)
-					if err != nil {
+					if lastAcc, err = localGradient(model, params, ds, part, cfg.BatchSize, cfg.Augment); err != nil {
 						return res, fmt.Errorf("round %d participant %d: %w", round, part.ID, err)
 					}
-					model.Backward(lossRes.GradLogits)
 					opt.Step(params)
-					lastAcc = lossRes.Accuracy
 				}
 				roundTrainAcc += lastAcc
 				for i, p := range params {
@@ -226,7 +213,7 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 					weightedDelta[i].AXPY(float64(part.NumSamples)/float64(totalSamples), delta)
 				}
 				// Virtual time: download + local compute + upload.
-				comm := 2 * nettrace.TransferSeconds(payloadBytes, bwAt(part, round))
+				comm := 2 * nettrace.TransferSeconds(payloadBytes, part.BandwidthAt(round))
 				comp := float64(cfg.LocalSteps) * part.ComputeSeconds(paramCount, cfg.BatchSize)
 				if t := comm + comp; t > roundSeconds {
 					roundSeconds = t
@@ -259,13 +246,19 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 	return res, nil
 }
 
-// bwAt returns the participant's bandwidth at a round, defaulting to a fast
-// stable link when no trace is attached (latency not under study).
-func bwAt(p *Participant, round int) float64 {
-	if len(p.Trace.Mbps) == 0 {
-		return 100
+// localGradient is the fixed-model trainers' local step: part's next batch,
+// gathered and augmented from its own stream, forward and backward through
+// model, leaving ∇ in params' gradients. It returns the batch accuracy.
+func localGradient(model Model, params []*nn.Param, ds *data.Dataset, part *Participant, batchSize int, aug data.AugmentConfig) (float64, error) {
+	x, y := ds.Gather(part.Batcher.Next(batchSize))
+	x = aug.Apply(x, part.RNG)
+	nn.ZeroGrads(params)
+	loss, err := nn.CrossEntropy(model.Forward(x), y)
+	if err != nil {
+		return 0, err
 	}
-	return p.Trace.At(round)
+	model.Backward(loss.GradLogits)
+	return loss.Accuracy, nil
 }
 
 // selectCohort returns round's participant subset per the shared sampler:

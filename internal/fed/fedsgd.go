@@ -94,20 +94,11 @@ func FedSGD(model Model, ds *data.Dataset, parts []*Participant, cfg FedSGDConfi
 				if err := nn.RestoreParamValues(rparams, global); err != nil {
 					return fmt.Errorf("participant %d: %w", part.ID, err)
 				}
-				batch := part.Batcher.Next(cfg.BatchSize)
-				x, y := ds.Gather(batch)
-				x = cfg.Augment.Apply(x, part.RNG)
-				nn.ZeroGrads(rparams)
-				lossRes, err := nn.CrossEntropy(rep.Forward(x), y)
+				acc, err := localGradient(rep, rparams, ds, part, cfg.BatchSize, cfg.Augment)
 				if err != nil {
 					return fmt.Errorf("participant %d: %w", part.ID, err)
 				}
-				rep.Backward(lossRes.GradLogits)
-				outs[k] = sgdOut{
-					grads: nn.CloneParamGrads(rparams),
-					acc:   lossRes.Accuracy,
-					bn:    run.drainBN(worker),
-				}
+				outs[k] = sgdOut{grads: nn.CloneParamGrads(rparams), acc: acc, bn: run.drainBN(worker)}
 				return nil
 			})
 			if err != nil {
@@ -122,19 +113,14 @@ func FedSGD(model Model, ds *data.Dataset, parts []*Participant, cfg FedSGDConfi
 			}
 		} else {
 			for _, part := range parts {
-				batch := part.Batcher.Next(cfg.BatchSize)
-				x, y := ds.Gather(batch)
-				x = cfg.Augment.Apply(x, part.RNG)
-				nn.ZeroGrads(params)
-				lossRes, err := nn.CrossEntropy(model.Forward(x), y)
+				a, err := localGradient(model, params, ds, part, cfg.BatchSize, cfg.Augment)
 				if err != nil {
 					return curve, fmt.Errorf("round %d participant %d: %w", round, part.ID, err)
 				}
-				model.Backward(lossRes.GradLogits)
 				for i, p := range params {
 					agg[i].AddInPlace(p.Grad)
 				}
-				acc += lossRes.Accuracy
+				acc += a
 			}
 		}
 		inv := 1.0 / float64(len(parts))

@@ -57,7 +57,7 @@ func (p *Population) Get(k int) (*Participant, error) {
 	if p.parts[k] != nil {
 		return p.parts[k], nil
 	}
-	part, err := buildParticipant(p.partition.Indices[k], k, p.seed)
+	part, err := NewParticipant(k, p.partition.Indices[k], p.seed+int64(k)*7919)
 	if err != nil {
 		return nil, err
 	}
@@ -127,23 +127,6 @@ func (p *Population) SetChurnFn(fn func(k int) float64) {
 			part.ChurnProb = fn(k)
 		}
 	}
-}
-
-// buildParticipant constructs participant k's state from its shard.
-func buildParticipant(indices []int, k int, seed int64) (*Participant, error) {
-	rng, src := newParticipantRNG(seed, k)
-	b, err := data.NewBatcher(indices, rng)
-	if err != nil {
-		return nil, fmt.Errorf("participant %d: %w", k, err)
-	}
-	return &Participant{
-		ID:          k,
-		Batcher:     b,
-		RNG:         rng,
-		Src:         src,
-		SpeedFactor: 1,
-		NumSamples:  len(indices),
-	}, nil
 }
 
 // ParticipantState is the resumable stream state of one materialized

@@ -44,37 +44,37 @@ func TestNewFixedModelRejectsInvalidGenotype(t *testing.T) {
 }
 
 // The FixedModel parameter order must match the supernet's SampledParams
-// order shape-for-shape: the RPC transport ships weights/gradients by
-// position between the two.
+// order name-for-name and shape-for-shape, for any gate vector: FedAvg over
+// RPC trains the sub-model on a participant's supernet replica and ships its
+// weights by position into the server's FixedModel.
 func TestFixedModelParamOrderMatchesSampledParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := testConfig()
-	geno := Genotype{
-		Normal: []OpKind{OpSepConv3, OpDilConv5, OpMaxPool3, OpIdentity, OpSepConv5},
-		Reduce: []OpKind{OpAvgPool3, OpSepConv3, OpZero, OpDilConv3, OpIdentity},
-		Nodes:  2,
-	}
-	m, err := NewFixedModel(rng, cfg, geno)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := NewSupernet(rng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gates, err := geno.GatesFor(cfg.Candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := s.SampledParams(gates)
-	fixed := m.Params()
-	if len(sub) != len(fixed) {
-		t.Fatalf("param counts differ: %d vs %d", len(sub), len(fixed))
-	}
-	for i := range sub {
-		if !sub[i].Value.SameShape(fixed[i].Value) {
-			t.Fatalf("param %d shape mismatch: %v (%s) vs %v (%s)",
-				i, sub[i].Value.Shape(), sub[i].Name, fixed[i].Value.Shape(), fixed[i].Name)
+	for trial := 0; trial < 20; trial++ {
+		nE, rE := s.ArchSpace()
+		gates := Gates{Normal: make([]int, nE), Reduce: make([]int, rE)}
+		for e := range gates.Normal {
+			gates.Normal[e] = rng.Intn(len(cfg.Candidates))
+			gates.Reduce[e] = rng.Intn(len(cfg.Candidates))
+		}
+		m, err := NewFixedModel(rng, cfg, GenotypeFromGates(gates, cfg.Candidates, cfg.Nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := s.SampledParams(gates)
+		fixed := m.Params()
+		if len(sub) != len(fixed) {
+			t.Fatalf("gates %v: param counts differ: %d vs %d", gates, len(sub), len(fixed))
+		}
+		for i := range sub {
+			if sub[i].Name != fixed[i].Name || !sub[i].Value.SameShape(fixed[i].Value) {
+				t.Fatalf("gates %v: param %d is %s %v in the supernet, %s %v in the fixed model",
+					gates, i, sub[i].Name, sub[i].Value.Shape(), fixed[i].Name, fixed[i].Value.Shape())
+			}
 		}
 	}
 }

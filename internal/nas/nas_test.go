@@ -314,6 +314,28 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+func TestConfigCheckGates(t *testing.T) {
+	cfg := testConfig() // 2 nodes: 5 edges per cell, 8 candidates
+	valid := func() Gates { return Gates{Normal: []int{0, 1, 2, 3, 7}, Reduce: []int{7, 6, 5, 4, 0}} }
+	if err := cfg.CheckGates(valid()); err != nil {
+		t.Fatalf("valid gates rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*Gates){
+		"out of range": func(g *Gates) { g.Normal[4] = 99 },
+		"one past end": func(g *Gates) { g.Reduce[0] = len(cfg.Candidates) },
+		"negative":     func(g *Gates) { g.Reduce[2] = -1 },
+		"short":        func(g *Gates) { g.Normal = g.Normal[:4] },
+		"long":         func(g *Gates) { g.Reduce = append(g.Reduce, 0) },
+		"empty":        func(g *Gates) { *g = Gates{} },
+	} {
+		g := valid()
+		mut(&g)
+		if err := cfg.CheckGates(g); err == nil {
+			t.Errorf("%s: gates %v accepted", name, g)
+		}
+	}
+}
+
 func TestReductionLayers(t *testing.T) {
 	cfg := Config{Layers: 9}
 	red := cfg.ReductionLayers()

@@ -60,6 +60,26 @@ type Gates struct {
 	Reduce []int
 }
 
+// CheckGates reports whether g is a complete architecture choice for cfg:
+// one candidate index in [0, len(Candidates)) per edge of each cell. Gates
+// that arrive from outside the process must pass it before they select
+// anything.
+func (c Config) CheckGates(g Gates) error {
+	edges := NumEdges(c.Nodes)
+	if len(g.Normal) != edges || len(g.Reduce) != edges {
+		return fmt.Errorf("nas: gates have %d normal and %d reduce entries, want %d each",
+			len(g.Normal), len(g.Reduce), edges)
+	}
+	for _, gs := range [][]int{g.Normal, g.Reduce} {
+		for e, k := range gs {
+			if k < 0 || k >= len(c.Candidates) {
+				return fmt.Errorf("nas: gate %d of edge %d outside [0, %d)", k, e, len(c.Candidates))
+			}
+		}
+	}
+	return nil
+}
+
 // CloneGates deep-copies g.
 func CloneGates(g Gates) Gates {
 	return Gates{

@@ -24,6 +24,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"fedrlnas/internal/tensor"
 )
@@ -96,6 +97,27 @@ func CloneParamValues(ps []*Param) []*tensor.Tensor {
 		out[i] = p.Value.Clone()
 	}
 	return out
+}
+
+// ParamHash fingerprints parameter values to the bit: 64-bit FNV-1a over the
+// little-endian bytes of every value, in order. It is the θ hash every
+// determinism pin in this repository is stated in.
+func ParamHash(ps []*Param) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, p := range ps {
+		for _, v := range p.Value.Data() {
+			bits := math.Float64bits(v)
+			for i := 0; i < 64; i += 8 {
+				h ^= uint64(byte(bits >> i))
+				h *= prime64
+			}
+		}
+	}
+	return h
 }
 
 // RestoreParamValues copies snapshot values back into ps.

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -482,5 +484,33 @@ func TestCrossEntropyExtremeLogits(t *testing.T) {
 	}
 	if res.GradLogits.HasNaN() {
 		t.Fatal("extreme logits produced NaN gradients")
+	}
+}
+
+// ParamHash is the standard library's FNV-1a over each value's little-endian
+// bytes (the form some callers computed it in before it was shared), and it
+// sees a one-ulp change anywhere.
+func TestParamHashIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ps := []*Param{
+		NewParam("a", tensor.Randn(rng, 1, 3, 4)),
+		NewParam("b", tensor.Randn(rng, 1, 5)),
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, p := range ps {
+		for _, v := range p.Value.Data() {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	want := h.Sum64()
+	if got := ParamHash(ps); got != want {
+		t.Fatalf("ParamHash %#x, FNV-1a %#x", got, want)
+	}
+	d := ps[1].Value.Data()
+	d[4] = math.Nextafter(d[4], math.Inf(1))
+	if ParamHash(ps) == want {
+		t.Error("a one-ulp change left the hash unchanged")
 	}
 }

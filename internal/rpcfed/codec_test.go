@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fedrlnas/internal/nas"
+	"fedrlnas/internal/nn"
 	"fedrlnas/internal/telemetry"
 	"fedrlnas/internal/wire"
 )
@@ -285,24 +286,8 @@ func FuzzParseFrame(f *testing.F) {
 }
 
 // thetaHashOf fingerprints the server's final supernet parameters down to
-// the bit (FNV-1a over each float64's LE bytes).
-func thetaHashOf(s *Server) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, p := range s.net.Params() {
-		for _, v := range p.Value.Data() {
-			bits := math.Float64bits(v)
-			for i := 0; i < 64; i += 8 {
-				h ^= uint64(byte(bits >> i))
-				h *= prime64
-			}
-		}
-	}
-	return h
-}
+// the bit.
+func thetaHashOf(s *Server) uint64 { return nn.ParamHash(s.net.Params()) }
 
 // runSearchWithMode runs a short hard-sync search over a fresh cluster in
 // the given wire mode and returns the bit-exact final θ hash.

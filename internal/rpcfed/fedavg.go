@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"net/rpc"
 	"sync"
-	"time"
 
+	"fedrlnas/internal/data"
 	"fedrlnas/internal/fed"
 	"fedrlnas/internal/metrics"
 	"fedrlnas/internal/nas"
@@ -44,58 +44,38 @@ type FedAvgReply struct {
 	Weights       [][]float64
 }
 
-// TrainAvg implements the FedAvg participant update over RPC.
+// TrainAvg implements the FedAvg participant update over RPC: LocalSteps of
+// the one local step plus an SGD step, on the same replica Train uses (the
+// derived architecture is just one more gate vector).
 func (p *ParticipantService) TrainAvg(req *FedAvgRequest, reply *FedAvgReply) error {
-	p.mu.Lock()
-	delay := p.delay
-	p.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
+	p.straggle(req.Span)
+	if req.LocalSteps <= 0 {
+		return fmt.Errorf("rpcfed: bad FedAvg request: %d local steps", req.LocalSteps)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	if req.BatchSize <= 0 || req.LocalSteps <= 0 {
-		return fmt.Errorf("rpcfed: bad FedAvg request batch=%d steps=%d", req.BatchSize, req.LocalSteps)
-	}
-	geno := nas.GenotypeFromGates(nas.Gates{Normal: req.Normal, Reduce: req.Reduce},
-		p.netCfg.Candidates, p.netCfg.Nodes)
-	model, err := nas.NewFixedModel(p.rng, p.netCfg, geno)
+	g := nas.Gates{Normal: req.Normal, Reduce: req.Reduce}
+	rep, params, err := p.acquireReplica(g, req.BatchSize)
 	if err != nil {
-		return fmt.Errorf("rpcfed: materialize model: %w", err)
-	}
-	params := model.Params()
-	sizes := make([]int, len(params))
-	for i, pr := range params {
-		sizes[i] = pr.Value.Size()
-	}
-	if err := checkWeightShapes(req.Weights, sizes); err != nil {
 		return err
 	}
-	for i, pr := range params {
-		copy(pr.Value.Data(), req.Weights[i])
+	defer p.releaseReplica(rep)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := loadWeights(params, req.Weights); err != nil {
+		return err
 	}
-
 	opt := nn.NewSGD(req.LR, req.Momentum, req.WeightDecay, req.GradClip)
-	lastAcc := 0.0
+	st := fed.Step{Gates: g, BatchSize: req.BatchSize, Augment: data.DefaultAugment()}
 	for step := 0; step < req.LocalSteps; step++ {
-		batch := p.batcher.Next(req.BatchSize)
-		x, y := p.ds.Gather(batch)
-		x = p.augment.Apply(x, p.rng)
-		nn.ZeroGrads(params)
-		lossRes, err := nn.CrossEntropy(model.Forward(x), y)
-		if err != nil {
+		if err := rep.Train(p.ds, p.part, st, &p.slot); err != nil {
 			return err
 		}
-		model.Backward(lossRes.GradLogits)
 		opt.Step(params)
-		lastAcc = lossRes.Accuracy
 	}
 
 	reply.Round = req.Round
 	reply.ParticipantID = p.id
-	reply.NumSamples = p.numSamples
-	reply.TrainAccuracy = lastAcc
+	reply.NumSamples = p.part.NumSamples
+	reply.TrainAccuracy = p.slot.Acc
 	reply.Weights = flattenValues(params)
 	return nil
 }
@@ -112,6 +92,12 @@ func FedAvgOverRPC(clients []*rpc.Client, model *nas.FixedModel, geno nas.Genoty
 	if err := cfg.Validate(); err != nil {
 		return metrics.Curve{}, err
 	}
+	// Participants index the gates into their copy of the network's
+	// candidate list, which the server's model was built with.
+	gates, err := geno.GatesFor(model.Net.Cfg.Candidates)
+	if err != nil {
+		return metrics.Curve{}, fmt.Errorf("rpcfed: %w", err)
+	}
 	params := model.Params()
 	var curve metrics.Curve
 
@@ -119,8 +105,8 @@ func FedAvgOverRPC(clients []*rpc.Client, model *nas.FixedModel, geno nas.Genoty
 		weights := flattenValues(params)
 		req := &FedAvgRequest{
 			Round:      round,
-			Normal:     genotypeGateInts(geno.Normal),
-			Reduce:     genotypeGateInts(geno.Reduce),
+			Normal:     gates.Normal,
+			Reduce:     gates.Reduce,
 			Weights:    weights,
 			BatchSize:  cfg.BatchSize,
 			LocalSteps: cfg.LocalSteps,
@@ -168,19 +154,4 @@ func FedAvgOverRPC(clients []*rpc.Client, model *nas.FixedModel, geno nas.Genoty
 		curve.Add(round, meanAcc/float64(len(replies)))
 	}
 	return curve, nil
-}
-
-// genotypeGateInts converts op kinds to candidate indices over nas.AllOps
-// (the participant reconstructs the genotype from its full candidate list).
-func genotypeGateInts(ops []nas.OpKind) []int {
-	out := make([]int, len(ops))
-	for i, op := range ops {
-		for j, k := range nas.AllOps {
-			if k == op {
-				out[i] = j
-				break
-			}
-		}
-	}
-	return out
 }

@@ -12,14 +12,14 @@ import (
 	"fedrlnas/internal/telemetry"
 )
 
-// TestNoFaultBitIdentityPinned is the fault-tolerance layer's determinism
-// pin: a fault-free run must land on the exact final θ the pre-lifecycle
-// server produced. The constant below was captured on main immediately
-// before the lifecycle/dynamic-quorum refactor with this precise
-// configuration; if this test fails, the refactor changed the numerics of
-// healthy runs, which it must never do.
+// TestNoFaultBitIdentityPinned is the RPC path's determinism pin: a
+// fault-free run with this precise configuration must land on the exact
+// final θ below. It was first captured before the lifecycle/dynamic-quorum
+// refactor (0x87728da48c6b8b24) and moved once, when participants stopped
+// drawing a throwaway model initialization from their private stream; if
+// this test fails, a change moved the numerics of healthy runs.
 func TestNoFaultBitIdentityPinned(t *testing.T) {
-	const pinned = uint64(0x87728da48c6b8b24)
+	const pinned = uint64(0xcf850b88167716d8)
 	addrs, _, stop := startCluster(t, 3, nil)
 	defer stop()
 	cfg := DefaultServerConfig(testNet())
@@ -37,7 +37,7 @@ func TestNoFaultBitIdentityPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := thetaHashOf(s); got != pinned {
-		t.Errorf("no-fault θ hash %#x != pinned pre-lifecycle hash %#x", got, pinned)
+		t.Errorf("no-fault θ hash %#x != pinned hash %#x", got, pinned)
 	}
 }
 

@@ -3,33 +3,38 @@ package rpcfed
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/rpc"
 	"sync"
 	"time"
 
 	"fedrlnas/internal/data"
+	"fedrlnas/internal/fed"
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
 	"fedrlnas/internal/telemetry"
 	"fedrlnas/internal/wire"
 )
 
-// ParticipantService is the RPC service a federated client exposes. It
-// owns a local data shard and, per request, materializes the sub-model the
-// server selected (only the gated candidate per edge — never the whole
-// supernet), loads the shipped weights, runs one batch-gradient step's
-// backward pass, and returns reward plus gradients.
+// ParticipantService is the RPC service a federated client exposes. It owns
+// a local data shard and runs Alg. 1's participant update through the one
+// local step (fed.Replica.Train) on a supernet replica: per request it loads
+// the shipped sub-model weights into the replica, trains, and returns reward
+// plus gradients. Only the sub-model the server selected crosses the wire;
+// the replica is supernet-shaped, so no call ever builds a model.
 type ParticipantService struct {
 	id     int
 	netCfg nas.Config
 
-	mu      sync.Mutex
-	ds      *data.Dataset
-	batcher *data.Batcher
-	rng     *rand.Rand
-	augment data.AugmentConfig
+	mu   sync.Mutex
+	ds   *data.Dataset
+	part *fed.Participant
+
+	// replica is this process's replica slot for netCfg (see replicaSlot);
+	// slot holds the step's reusable buffers, which replies copy out of and
+	// never alias.
+	replica chan *fed.Replica
+	slot    fed.Slot
 
 	// Delay artificially slows every call (straggler injection for soft
 	// synchronization tests and demos).
@@ -54,25 +59,21 @@ type ParticipantService struct {
 	residual map[int][]float64
 	idx      []int
 	scratch  []float64
-
-	numSamples int
 }
 
-// NewParticipantService constructs a participant over a shard of ds.
+// NewParticipantService constructs a participant over a shard of ds whose
+// private stream (batch shuffles, augmentation) is seeded with seed.
 func NewParticipantService(id int, ds *data.Dataset, indices []int, netCfg nas.Config, seed int64) (*ParticipantService, error) {
-	rng := rand.New(rand.NewSource(seed))
-	b, err := data.NewBatcher(indices, rng)
+	part, err := fed.NewParticipant(id, indices, seed)
 	if err != nil {
-		return nil, fmt.Errorf("rpcfed: participant %d: %w", id, err)
+		return nil, fmt.Errorf("rpcfed: %w", err)
 	}
 	return &ParticipantService{
-		id:         id,
-		netCfg:     netCfg,
-		ds:         ds,
-		batcher:    b,
-		rng:        rng,
-		augment:    data.DefaultAugment(),
-		numSamples: len(indices),
+		id:      id,
+		netCfg:  netCfg,
+		ds:      ds,
+		part:    part,
+		replica: replicaSlot(netCfg),
 	}, nil
 }
 
@@ -86,43 +87,87 @@ func (p *ParticipantService) SetDelay(d time.Duration) {
 // Hello implements the registration handshake.
 func (p *ParticipantService) Hello(_ *HelloRequest, reply *HelloReply) error {
 	reply.ParticipantID = p.id
-	reply.NumSamples = p.numSamples
+	reply.NumSamples = p.part.NumSamples
 	return nil
 }
 
-// Train implements Alg. 1's participant update (lines 37–42) over RPC.
-func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
-	t0 := time.Now()
+// replicas holds one slot per network structure for every participant this
+// process hosts. A replica is needed only while a step runs, and it keeps
+// activation buffers for every candidate op on every edge — about 16 MB for
+// the rpc benchmark network at batch 8, against a few hundred KB of
+// sub-model — so co-located participants take turns on one rather than
+// holding one each. A deployment runs one participant per process, where
+// the slot is simply that participant's replica.
+var replicas sync.Map // fmt "%+v" of the nas.Config → chan *fed.Replica
+
+// replicaSlot returns the process's replica slot for networks shaped like
+// cfg: a one-element channel that holds the replica while it is free (nil
+// until the first step builds it).
+func replicaSlot(cfg nas.Config) chan *fed.Replica {
+	slot := make(chan *fed.Replica, 1)
+	slot <- nil
+	v, _ := replicas.LoadOrStore(fmt.Sprintf("%+v", cfg), slot)
+	return v.(chan *fed.Replica)
+}
+
+// straggle is a call's prologue: it records the request's trace context and
+// sleeps out any injected straggler delay.
+func (p *ParticipantService) straggle(span wire.SpanContext) *telemetry.Tracer {
 	p.mu.Lock()
-	delay := p.delay
-	p.curSpan = req.Span
-	tracer := p.tracer
+	delay, tracer := p.delay, p.tracer
+	p.curSpan = span
 	p.mu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	return tracer
+}
+
+// acquireReplica checks a request's gates and batch size, then waits for the
+// process's replica — building it on first use, so enrolling a participant
+// costs no model — and returns it with the sub-model's parameters. Its
+// weights are overwritten before every step, so it is seeded from its own
+// constant source and never draws from a participant's stream. Hand it back
+// with releaseReplica. Callers take p.mu only after it returns, so no call
+// waits for the replica while holding a participant's lock.
+func (p *ParticipantService) acquireReplica(g nas.Gates, batchSize int) (*fed.Replica, []*nn.Param, error) {
+	if batchSize <= 0 {
+		return nil, nil, fmt.Errorf("rpcfed: batch size %d", batchSize)
+	}
+	if err := p.netCfg.CheckGates(g); err != nil {
+		return nil, nil, fmt.Errorf("rpcfed: %w", err)
+	}
+	rep := <-p.replica
+	if rep == nil {
+		var err error
+		if rep, err = fed.NewReplica(0, p.netCfg, p.ds, batchSize); err != nil {
+			p.replica <- nil
+			return nil, nil, fmt.Errorf("rpcfed: participant %d: %w", p.id, err)
+		}
+	}
+	return rep, rep.Sampled(g), nil
+}
+
+func (p *ParticipantService) releaseReplica(rep *fed.Replica) { p.replica <- rep }
+
+// Train implements Alg. 1's participant update (lines 37–42) over RPC.
+func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
+	t0 := time.Now()
+	tracer := p.straggle(req.Span)
 	// The span covers the whole call including any injected straggler
 	// delay — that is exactly the latency the server's critical path sees.
 	defer func() {
 		tracer.WorkerSpan(telemetry.EventWorkerTrain, req.Span, 0, time.Since(t0).Seconds())
 	}()
 
-	if req.BatchSize <= 0 {
-		return fmt.Errorf("rpcfed: batch size %d", req.BatchSize)
-	}
-	gates := gatesOf(req)
-	geno := nas.GenotypeFromGates(gates, p.netCfg.Candidates, p.netCfg.Nodes)
-	model, err := nas.NewFixedModel(p.rng, p.netCfg, geno)
+	g := nas.Gates{Normal: req.Normal, Reduce: req.Reduce}
+	rep, params, err := p.acquireReplica(g, req.BatchSize)
 	if err != nil {
-		return fmt.Errorf("rpcfed: materialize sub-model: %w", err)
+		return err
 	}
-	params := model.Params()
-	sizes := make([]int, len(params))
-	for i, pr := range params {
-		sizes[i] = pr.Value.Size()
-	}
+	defer p.releaseReplica(rep)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	topk := len(req.Packed) > 0
 	if topk {
 		if len(req.ParamIDs) != len(params) {
@@ -137,7 +182,7 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 		// and the next round resyncs dense.
 		base := make([][]float64, len(params))
 		for i, id := range req.ParamIDs {
-			if m := p.mirror[id]; len(m) == sizes[i] {
+			if m := p.mirror[id]; len(m) == params[i].Value.Size() {
 				base[i] = m
 			}
 		}
@@ -148,36 +193,24 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 			p.mirror = make(map[int][]float64)
 			p.residual = make(map[int][]float64)
 		}
-		for i, id := range req.ParamIDs {
-			if len(base[i]) != sizes[i] {
-				return fmt.Errorf("rpcfed: weight %d has %d values, want %d", i, len(base[i]), sizes[i])
-			}
-			p.mirror[id] = base[i]
-			copy(params[i].Value.Data(), base[i])
-		}
-	} else {
-		if err := checkWeightShapes(req.Weights, sizes); err != nil {
+		if err := loadWeights(params, base); err != nil {
 			return err
 		}
-		for i, pr := range params {
-			copy(pr.Value.Data(), req.Weights[i])
+		for i, id := range req.ParamIDs {
+			p.mirror[id] = base[i]
 		}
-	}
-
-	batch := p.batcher.Next(req.BatchSize)
-	x, y := p.ds.Gather(batch)
-	x = p.augment.Apply(x, p.rng)
-	nn.ZeroGrads(params)
-	lossRes, err := nn.CrossEntropy(model.Forward(x), y)
-	if err != nil {
+	} else if err := loadWeights(params, req.Weights); err != nil {
 		return err
 	}
-	model.Backward(lossRes.GradLogits)
 
+	if err := rep.Train(p.ds, p.part, fed.Step{Gates: g, BatchSize: req.BatchSize, Augment: data.DefaultAugment()}, &p.slot); err != nil {
+		return err
+	}
+	grads := p.slot.Grads
 	reply.Round = req.Round
 	reply.ParticipantID = p.id
-	reply.Reward = lossRes.Accuracy
-	reply.Loss = lossRes.Loss
+	reply.Reward = p.slot.Acc
+	reply.Loss = p.slot.Loss
 	if topk {
 		// Error-feedback sparsification: ship the top-k coordinates of
 		// gradient + residual, carry everything dropped into the next
@@ -186,9 +219,9 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 		if ratio <= 0 || ratio > 1 {
 			ratio = defaultTopKGradRatio
 		}
-		packed := wire.AppendGroupHeader(nil, len(params))
-		for i, pr := range params {
-			g := pr.Grad.Data()
+		packed := wire.AppendGroupHeader(nil, len(grads))
+		for i, gr := range grads {
+			g := gr.Data()
 			id := req.ParamIDs[i]
 			res := p.residual[id]
 			if len(res) != len(g) {
@@ -213,9 +246,11 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 		reply.Packed = packed
 		return nil
 	}
-	reply.Grads = make([][]float64, len(params))
-	for i, pr := range params {
-		reply.Grads[i] = append([]float64(nil), pr.Grad.Data()...)
+	// net/rpc encodes the reply after Train returns, possibly while the next
+	// call already trains into the slot: the reply gets its own copy.
+	reply.Grads = make([][]float64, len(grads))
+	for i, gr := range grads {
+		reply.Grads[i] = append([]float64(nil), gr.Data()...)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
 	"fedrlnas/internal/staleness"
+	"fedrlnas/internal/tensor"
 )
 
 func testNet() nas.Config {
@@ -83,20 +84,22 @@ func clientOf(s *Server, i int) *rpc.Client {
 }
 
 func TestWireHelpers(t *testing.T) {
-	req := &TrainRequest{Normal: []int{1, 2}, Reduce: []int{3, 4}}
-	g := gatesOf(req)
-	req.Normal[0] = 9
-	if g.Normal[0] != 1 {
-		t.Error("gatesOf must copy")
-	}
-	if err := checkWeightShapes([][]float64{{1, 2}}, []int{2}); err != nil {
+	param := func(n int) *nn.Param { return &nn.Param{Value: tensor.New(n)} }
+	two := []*nn.Param{param(2)}
+	if err := loadWeights(two, [][]float64{{1, 2}}); err != nil {
 		t.Errorf("valid shapes rejected: %v", err)
 	}
-	if err := checkWeightShapes([][]float64{{1}}, []int{2}); err == nil {
+	if got := two[0].Value.Data(); got[0] != 1 || got[1] != 2 {
+		t.Errorf("loaded %v, want [1 2]", got)
+	}
+	if err := loadWeights(two, [][]float64{{1}}); err == nil {
 		t.Error("wrong length accepted")
 	}
-	if err := checkWeightShapes([][]float64{{1}}, []int{1, 1}); err == nil {
+	if err := loadWeights([]*nn.Param{param(1), param(1)}, [][]float64{{1}}); err == nil {
 		t.Error("wrong count accepted")
+	}
+	if err := loadWeights([]*nn.Param{param(1), param(2)}, [][]float64{{7}, {1}}); err == nil {
+		t.Error("wrong length in a later tensor accepted")
 	}
 }
 

@@ -13,7 +13,7 @@ package rpcfed
 import (
 	"fmt"
 
-	"fedrlnas/internal/nas"
+	"fedrlnas/internal/nn"
 	"fedrlnas/internal/wire"
 )
 
@@ -75,23 +75,18 @@ type HelloReply struct {
 	NumSamples    int
 }
 
-// gatesOf converts the wire representation back to nas.Gates.
-func gatesOf(req *TrainRequest) nas.Gates {
-	return nas.Gates{
-		Normal: append([]int(nil), req.Normal...),
-		Reduce: append([]int(nil), req.Reduce...),
-	}
-}
-
-// checkWeightShapes verifies a wire payload against expected tensor sizes.
-func checkWeightShapes(weights [][]float64, sizes []int) error {
-	if len(weights) != len(sizes) {
-		return fmt.Errorf("rpcfed: %d weight tensors, want %d", len(weights), len(sizes))
+// loadWeights copies a wire payload into the sub-model parameters it was
+// flattened from, checking every tensor's size. A failed load may leave a
+// prefix loaded; the next step overwrites it either way.
+func loadWeights(params []*nn.Param, weights [][]float64) error {
+	if len(weights) != len(params) {
+		return fmt.Errorf("rpcfed: %d weight tensors, want %d", len(weights), len(params))
 	}
 	for i, w := range weights {
-		if len(w) != sizes[i] {
-			return fmt.Errorf("rpcfed: weight %d has %d values, want %d", i, len(w), sizes[i])
+		if len(w) != params[i].Value.Size() {
+			return fmt.Errorf("rpcfed: weight %d has %d values, want %d", i, len(w), params[i].Value.Size())
 		}
+		copy(params[i].Value.Data(), w)
 	}
 	return nil
 }

@@ -67,17 +67,17 @@ type Search struct {
 	// pool fans participant local steps out across worker slots and replicas
 	// holds one private supernet copy per slot (see engine.go).
 	pool     *parallel.Pool
-	replicas []*workerReplica
+	replicas []*fed.Replica
 
 	// core is the Alg. 1 server step (internal/round); this package is its
 	// in-process transport. It owns the θ/α/gates/cohort memories, the merge
 	// and both optimizer steps.
 	core *round.Core
 
-	// scratch holds per-cohort-position persistent local-step buffers
-	// (engine.go); the remaining fields are round-scoped slices reused across
-	// rounds so a steady-state round allocates no bookkeeping storage.
-	scratch []partScratch
+	// slots holds per-cohort-position persistent local-step buffers, which
+	// the replies alias; the remaining fields are round-scoped slices reused
+	// across rounds so a steady-state round allocates no bookkeeping storage.
+	slots   []fed.Slot
 	sampled []nas.Gates
 	sizes   []int64
 	bw      []float64
@@ -228,10 +228,7 @@ func New(cfg Config) (*Search, error) {
 	// whichever participant occupies that position each round, so enrolled
 	// K can grow 1000× without growing resident memory.
 	cohortLen := sampler.Size()
-	s.scratch = make([]partScratch, cohortLen)
-	for j := range s.scratch {
-		s.scratch[j].gradBufs = make([]*tensor.Tensor, len(netParams))
-	}
+	s.slots = make([]fed.Slot, cohortLen)
 	s.sampled = make([]nas.Gates, cohortLen)
 	s.sizes = make([]int64, cohortLen)
 	s.bw = make([]float64, cohortLen)
@@ -244,9 +241,13 @@ func New(cfg Config) (*Search, error) {
 	if nrep > cohortLen {
 		nrep = cohortLen
 	}
-	s.replicas, err = newWorkerReplicas(nrep, cfg.Seed+202, cfg)
-	if err != nil {
-		return nil, err
+	s.replicas = make([]*fed.Replica, nrep)
+	for i := range s.replicas {
+		// Structure is all that matters (weights are restored every step),
+		// so reuse the primary network's init seed.
+		if s.replicas[i], err = fed.NewReplica(cfg.Seed+202, cfg.Net, ds, cfg.BatchSize); err != nil {
+			return nil, fmt.Errorf("search: worker replica %d: %w", i, err)
+		}
 	}
 
 	// Δ covers whichever is larger: the configured threshold or the worst
@@ -462,13 +463,6 @@ func (s *Search) runRound(updateAlpha, updateTheta bool) (float64, error) {
 	return rep.Accuracy, nil
 }
 
-func bandwidthAt(p *fed.Participant, round int) float64 {
-	if len(p.Trace.Mbps) == 0 {
-		return 100
-	}
-	return p.Trace.At(round)
-}
-
 // DeriveExcludingZero returns the argmax genotype with the "none" op
 // excluded, the DARTS convention for final architectures (a zero edge would
 // contribute nothing to the retrained model).
@@ -499,9 +493,7 @@ func (s *Search) ensureHead(pid int) {
 	}
 	head := make([]*tensor.Tensor, len(s.headInit))
 	for i, t := range s.headInit {
-		c := tensor.New(t.Shape()...)
-		c.CopyFrom(t)
-		head[i] = c
+		head[i] = t.Clone()
 	}
 	s.heads[pid] = head
 }
@@ -541,19 +533,13 @@ func (s *Search) EvalGates(g nas.Gates, testIdx []int, batchSize int, pid int) f
 	}
 	s.net.SetTraining(false)
 	defer s.net.SetTraining(true)
-	params := s.net.Params()
-	if pid >= 0 && s.personalize {
-		if head := s.heads[pid]; head != nil {
-			saved := nn.CloneParamValues(params[s.headStart:])
-			for i, t := range head {
-				params[s.headStart+i].Value.CopyFrom(t)
-			}
-			defer func() {
-				for i, t := range saved {
-					params[s.headStart+i].Value.CopyFrom(t)
-				}
-			}()
+	if head := s.heads[pid]; head != nil { // never for pid < 0 or without heads
+		tail := s.net.Params()[s.headStart:]
+		saved := nn.CloneParamValues(tail)
+		for i, t := range head {
+			tail[i].Value.CopyFrom(t)
 		}
+		defer nn.RestoreParamValues(tail, saved)
 	}
 	correct := 0.0
 	for start := 0; start < len(testIdx); start += batchSize {
