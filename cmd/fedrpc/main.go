@@ -253,7 +253,7 @@ func runServer(args []string) error {
 		shards    = fs.Int("shards", 0, "aggregation-tree shards for the θ merge (0/1 = single root; any count is bit-identical)")
 		lazyDial  = fs.Bool("lazy-dial", false, "defer participant connections to first dispatch (only sampled participants ever connect)")
 		workers   = fs.Int("workers", 0, "concurrent payload serializations at dispatch (0 = NumCPU)")
-		wireMode  = fs.String("wire", "fp64", "payload encoding: gob|fp64|fp32|sparse|topk (fp64/sparse = bit-identical to gob; topk = error-feedback sparsification, convergence parity)")
+		wireMode  = fs.String("wire", "fp64", "payload encoding: gob|fp64|fp32|topk (fp64 = bit-identical to gob; topk = lossy error-feedback sparsification)")
 		topkRatio = fs.Float64("topk-ratio", 0, "topk wire mode: fraction of weight-delta coordinates shipped downlink (0 = default 0.1)")
 		topkGrad  = fs.Float64("topk-grad-ratio", 0, "topk wire mode: fraction of gradient coordinates shipped uplink (0 = default 0.025)")
 		callTO    = fs.Duration("call-timeout", 10*time.Second, "per-RPC deadline, distinct from the round timeout (0 disables)")

@@ -230,9 +230,8 @@ func (s *Supernet) SupernetBytes() int64 {
 
 // SubModelWireBytes returns the measured encoded size of the sub-model
 // selected by g under the given wire mode — the dense frame size the
-// rpcfed codec would put on a TCP connection (Sparse is value-dependent,
-// so it is sized at its lossless dense-f64 upper bound). This is the
-// quantity transmission policies rank by.
+// rpcfed codec would put on a TCP connection. This is the quantity
+// transmission policies rank by.
 func (s *Supernet) SubModelWireBytes(g Gates, m wire.Mode) int64 {
 	s.sizeScratch = s.AppendSampledParams(s.sizeScratch[:0], g)
 	s.elemScratch = s.elemScratch[:0]

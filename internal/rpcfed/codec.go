@@ -785,7 +785,7 @@ func (c *binaryServerCodec) Close() error { return c.conn.Close() }
 
 // gobClientCodec mirrors net/rpc's stock gob codec byte-for-byte on the
 // wire but routes through the wire metrics, so the gob baseline reports
-// comparable byte counts and serialization time in cmd/benchrpc. Decode
+// comparable byte counts and serialization time to the binary codec. Decode
 // time approximates: gob streams straight off the buffered connection, so
 // the timer includes buffered reads (unlike the binary codec, which fully
 // separates I/O from parsing).

@@ -29,7 +29,8 @@ import (
 type TransportConfig struct {
 	// Wire selects the tensor payload encoding (wire.FP64 default:
 	// binary framing, bit-identical results; wire.Gob is the reflection
-	// baseline; FP32/Sparse trade bytes for precision/scan time).
+	// baseline; FP32 trades precision for half the bytes; TopK ships
+	// error-feedback deltas).
 	Wire wire.Mode
 
 	// Workers caps how many participants' sub-model payloads are

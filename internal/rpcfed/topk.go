@@ -31,9 +31,10 @@ import (
 // coordinates — and aggregates them exactly like a dense (mostly zero)
 // gradient.
 //
-// The transport is lossy by construction, so it is gated on convergence
-// parity with the gob baseline (cmd/benchrpc), not bit-identity; fp64 and
-// sparse modes keep their bit-identity gates untouched.
+// The transport is lossy by construction, so its tests check that it keeps
+// decoding and making progress every round (TestTopKSearchEndToEnd,
+// TestTopKSearchProgress), not bit-identity; the fp64 mode keeps its
+// bit-identity gate untouched.
 
 // defaultTopKRatio is the downlink (weight-delta) fraction of coordinates
 // shipped per tensor when the config leaves TopKRatio zero; the

@@ -69,8 +69,8 @@ func CatalogNames() string {
 	return strings.Join(names, ", ")
 }
 
-// Catalog returns the built-in profiles in name order (for docs and the
-// benchprofiles matrix).
+// Catalog returns the built-in profiles in name order (for docs and
+// per-profile sweeps).
 func Catalog() []Profile {
 	names := make([]string, 0, len(catalog))
 	for n := range catalog {

@@ -146,7 +146,7 @@ type Share struct {
 }
 
 // Spec is the unified scenario description — the one typed object every
-// entry point (fedsearch, fedrpc, fedserve jobs, benchprofiles) consumes.
+// entry point (fedsearch, fedrpc, fedserve jobs) consumes.
 type Spec struct {
 	// Name labels the scenario in reports; optional.
 	Name string `json:"name,omitempty"`

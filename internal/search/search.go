@@ -38,7 +38,8 @@ type Search struct {
 	// Scenario lowering: profiles are the population's resolved device
 	// profiles and profileOf[k] is participant k's profile index (both nil
 	// without a scenario population). partition is retained so scenario
-	// consumers (benchprofiles' per-client evaluation) can inspect shards.
+	// consumers (per-client evaluation on matched test slices) can inspect
+	// shards.
 	profiles  []scenario.Profile
 	profileOf []int
 	partition data.Partition
@@ -471,8 +472,8 @@ func (s *Search) DeriveExcludingZero() nas.Genotype {
 	return nas.DeriveGenotypeExcluding(pn, pr, s.cfg.Net.Candidates, s.cfg.Net.Nodes, nas.OpZero)
 }
 
-// Partition exposes the training-data partition (benchprofiles derives
-// per-client test distributions from it).
+// Partition exposes the training-data partition (per-client evaluation
+// derives each client's test distribution from it).
 func (s *Search) Partition() data.Partition { return s.partition }
 
 // Profiles returns the scenario's resolved device profiles and the

@@ -35,7 +35,7 @@ type Options struct {
 
 // Server hosts concurrent search jobs and served models. It is the
 // process-resident core of cmd/fedserve, but embeds cleanly in tests and
-// benchmarks (cmd/benchserve) without any networking.
+// the repo benchmark's serve workload without any networking.
 type Server struct {
 	opts Options
 	reg  *telemetry.Registry

@@ -190,13 +190,23 @@ func TestConcurrentInferenceWhileJobSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRound(t, j, 1)
+	// Serving must not starve training: every client keeps issuing
+	// requests until the job has stepped at least two rounds past where it
+	// stood when the client started, and fails if that takes too long.
+	deadline := time.Now().Add(30 * time.Second)
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + c)))
-			for i := 0; i < 25; i++ {
+			target := j.round.Load() + 2
+			for i := 0; i < 25 || j.round.Load() < target; i++ {
+				if time.Now().After(deadline) {
+					t.Errorf("client %d: job stuck at round %d under inference load, want %d",
+						c, j.round.Load(), target)
+					return
+				}
 				if _, err := inf.Infer(tensor.Randn(rng, 1, 1, 2, 8, 8)); err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return

@@ -64,7 +64,7 @@ func GemmKernelNanos() int64 {
 }
 
 // KernelFeatures reports the CPU capabilities detected at init and the GEMM
-// kernel variants selected for this process, so BENCH_*.json artifacts are
+// kernel variants selected for this process, so benchmark reports are
 // comparable across hosts.
 type KernelFeatures struct {
 	Arch string `json:"arch"`

@@ -18,7 +18,7 @@ func FuzzDecodeGroup(f *testing.F) {
 		{{math.NaN(), math.Inf(1), 5e-324, math.Copysign(0, -1)}},
 	}
 	for _, g := range seedGroups {
-		for _, m := range []Mode{FP64, FP32, Sparse} {
+		for _, m := range []Mode{FP64, FP32, TopK} {
 			f.Add(AppendGroup(nil, m, g))
 		}
 		// Top-k frames (tag 4), one tensor per frame with a ~25% selection.
@@ -28,7 +28,7 @@ func FuzzDecodeGroup(f *testing.F) {
 		}
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{1, 0, 0, 0, tagSparseF64, 8, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 0, 3, 8, 0, 0, 0, 2, 0, 0, 0}) // retired tag 3
 	f.Add([]byte{1, 0, 0, 0, tagTopK, 8, 0, 0, 0, 2, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -45,7 +45,7 @@ func FuzzDecodeGroup(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(frame))
 		}
 		// A frame the decoder accepts must survive a lossless re-encode /
-		// re-decode cycle (fp32/sparse tags decode to float64, so re-encode
+		// re-decode cycle (fp32/top-k tags decode to float64, so re-encode
 		// under FP64 which represents anything).
 		re := AppendGroup(nil, FP64, g)
 		g2, _, err := DecodeGroup(re)

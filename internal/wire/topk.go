@@ -97,7 +97,7 @@ func TopKIndices(t []float64, k int, idx []int) []int {
 // k entries (n only sets the header's element count).
 func TopKTensorBytes(n, k int) int64 {
 	_ = n
-	return tensorHeaderBytes + 4 + sparseEntryBytes*int64(k)
+	return tensorHeaderBytes + 4 + topKEntryBytes*int64(k)
 }
 
 // AppendGroupHeader starts a tensor-group frame assembled tensor by tensor
@@ -165,7 +165,7 @@ func DecodeGroupDelta(buf []byte, base [][]float64) (int, error) {
 			return 0, fmt.Errorf("wire: tensor %d: delta element count %d != base %d", i, n32, len(dst))
 		}
 		if tag == tagTopK {
-			if err := decodeTopKAdd(r, dst); err != nil {
+			if err := decodeTopK(r, dst, true); err != nil {
 				return 0, fmt.Errorf("wire: tensor %d: %w", i, err)
 			}
 			continue
@@ -180,9 +180,10 @@ func DecodeGroupDelta(buf []byte, base [][]float64) (int, error) {
 	return r.off, nil
 }
 
-// decodeTopKAdd reads a tag-4 body (the tag and element count are already
-// consumed and validated against dst) and accumulates entries into dst.
-func decodeTopKAdd(r *Reader, dst []float64) error {
+// decodeTopK reads a tag-4 body (the tag and element count are already
+// consumed and validated against dst) and either accumulates its entries
+// into dst (add) or stores them bit-exactly.
+func decodeTopK(r *Reader, dst []float64, add bool) error {
 	k32, err := r.U32()
 	if err != nil {
 		return err
@@ -191,18 +192,23 @@ func decodeTopKAdd(r *Reader, dst []float64) error {
 	if k > len(dst) {
 		return fmt.Errorf("top-k count %d exceeds element count %d", k, len(dst))
 	}
-	if r.Len() < sparseEntryBytes*k {
-		return fmt.Errorf("truncated top-k body: need %d bytes, have %d", sparseEntryBytes*k, r.Len())
+	if r.Len() < topKEntryBytes*k {
+		return fmt.Errorf("truncated top-k body: need %d bytes, have %d", topKEntryBytes*k, r.Len())
 	}
 	prev := -1
 	for e := 0; e < k; e++ {
-		b, _ := r.take(sparseEntryBytes)
+		b, _ := r.take(topKEntryBytes)
 		idx := int(binary.LittleEndian.Uint32(b))
 		if idx <= prev || idx >= len(dst) {
 			return fmt.Errorf("top-k index %d out of order or out of range [0,%d)", idx, len(dst))
 		}
 		prev = idx
-		dst[idx] += math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+		if add {
+			dst[idx] += v
+		} else {
+			dst[idx] = v
+		}
 	}
 	return nil
 }

@@ -131,7 +131,7 @@ func TestTopKGoldenFrame(t *testing.T) {
 }
 
 // TestDecodeGroupDelta: top-k tensors accumulate into the base, dense and
-// sparse tensors replace it, and shape mismatches are errors.
+// fp32 tensors replace it, and shape mismatches are errors.
 func TestDecodeGroupDelta(t *testing.T) {
 	base := [][]float64{
 		{1, 2, 3, 4},
@@ -144,7 +144,7 @@ func TestDecodeGroupDelta(t *testing.T) {
 	delta := AppendGroupHeader(nil, 3)
 	delta = AppendTensorTopK(delta, []float64{0.5, 0, 0, -1}, []int{0, 3})
 	delta = append(delta, one(FP64, []float64{7, 8})...)
-	delta = append(delta, one(Sparse, []float64{0, 0, 0})...)
+	delta = append(delta, one(FP32, []float64{0, 0.5, 0})...)
 
 	consumed, err := DecodeGroupDelta(delta, base)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestDecodeGroupDelta(t *testing.T) {
 	if consumed != len(delta) {
 		t.Fatalf("consumed %d of %d bytes", consumed, len(delta))
 	}
-	wants := [][]float64{{1.5, 2, 3, 3}, {7, 8}, {0, 0, 0}}
+	wants := [][]float64{{1.5, 2, 3, 3}, {7, 8}, {0, 0.5, 0}}
 	for i, want := range wants {
 		for j := range want {
 			if base[i][j] != want[j] {
@@ -193,16 +193,16 @@ func TestDecodeGroupDelta(t *testing.T) {
 }
 
 // TestTopKModeGroupEncodingLossless: AppendGroup under TopK must stay
-// lossless (it is the FedAvg-control-body path), matching Sparse byte for
+// lossless (it is the FedAvg-control-body path), matching FP64 byte for
 // byte.
 func TestTopKModeGroupEncodingLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 50; trial++ {
 		g := randGroup(rng)
-		sp := AppendGroup(nil, Sparse, g)
+		fp := AppendGroup(nil, FP64, g)
 		tk := AppendGroup(nil, TopK, g)
-		if !bytes.Equal(sp, tk) {
-			t.Fatalf("trial %d: TopK group encoding differs from Sparse", trial)
+		if !bytes.Equal(fp, tk) {
+			t.Fatalf("trial %d: TopK group encoding differs from FP64", trial)
 		}
 		if GroupBytes(TopK, g) != int64(len(tk)) {
 			t.Fatalf("trial %d: GroupBytes(TopK) = %d, frame is %d", trial, GroupBytes(TopK, g), len(tk))

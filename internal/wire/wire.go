@@ -3,24 +3,18 @@
 // transmission"). It replaces per-element gob reflection with hand-rolled
 // little-endian frames and gives the transport three payload modes:
 //
-//	FP64   — dense float64, bit-exact (the default; results are identical
-//	         to the gob baseline down to the last bit)
-//	FP32   — dense float32, half the bytes, lossy (documented drift)
-//	Sparse — per-tensor best-of {all-zero, index/value pairs, dense f64};
-//	         lossless (one caveat: negative zero decodes as +0, since zero
-//	         skipping tests `v != 0`), and never larger than FP64. Sampled
-//	         sub-model gradients compress well here: unsampled ops
-//	         contribute all-zero tensors and ReLU gating zeroes long runs.
-//	TopK   — top-k magnitude gradient sparsification with error feedback
-//	         (lossy by design; the residual rides accumulators on both ends
-//	         of the RPC transport, see internal/rpcfed). Only the explicit
-//	         AppendTensorTopK/DecodeGroupDelta APIs produce and consume the
-//	         lossy frames; AppendGroup under TopK stays lossless.
+//	FP64 — dense float64, bit-exact (the default; results are identical
+//	       to the gob baseline down to the last bit)
+//	FP32 — dense float32, half the bytes, lossy (documented drift)
+//	TopK — top-k magnitude gradient sparsification with error feedback
+//	       (lossy by design; the residual rides accumulators on both ends
+//	       of the RPC transport, see internal/rpcfed). Only the explicit
+//	       AppendTensorTopK/DecodeGroupDelta APIs produce and consume the
+//	       lossy frames; AppendGroup under TopK stays lossless (dense f64).
 //
 // The package is a leaf (stdlib only): internal/rpcfed builds its net/rpc
-// codecs on top of it, internal/transmission call sites use its sizing
-// helpers to rank sub-models by measured encoded bytes, and cmd/benchrpc
-// measures it against the gob baseline.
+// codecs on top of it, and internal/transmission call sites use its sizing
+// helpers to rank sub-models by measured encoded bytes.
 //
 // # Tensor group frame
 //
@@ -32,16 +26,16 @@
 //
 //	u32 tensorCount
 //	per tensor:
-//	  u8  tag         (0 dense f64 | 1 dense f32 | 2 all-zero | 3 sparse f64
-//	                   | 4 top-k delta)
+//	  u8  tag         (0 dense f64 | 1 dense f32 | 4 top-k delta; tags 2
+//	                   and 3 belonged to a removed sparse mode and decode
+//	                   as unknown tags)
 //	  u32 elemCount
 //	  tag 0: elemCount × u64   (math.Float64bits)
 //	  tag 1: elemCount × u32   (math.Float32bits)
-//	  tag 2: nothing
-//	  tag 3: u32 nnz, then nnz × (u32 index, u64 bits); indices strictly
-//	         ascending and < elemCount
-//	  tag 4: same body as tag 3; DecodeGroupDelta adds the entries into a
-//	         base tensor (error-feedback gradient deltas, see topk.go)
+//	  tag 4: u32 k, then k × (u32 index, u64 bits); indices strictly
+//	         ascending and < elemCount. DecodeGroupDelta adds the entries
+//	         into a base tensor (error-feedback gradient deltas, see
+//	         topk.go); the plain decoders read zeros elsewhere.
 //
 // Tags are per tensor, so a decoder never needs to know the sender's mode;
 // the mode only chooses which tags the encoder emits.
@@ -63,13 +57,15 @@ const (
 	Gob Mode = iota
 	FP64
 	FP32
-	Sparse
+	// retiredSparse is the value of a removed lossless sparse mode. It
+	// stays reserved so TopK keeps its number on the wire and in configs.
+	retiredSparse
 	// TopK is the gradient-sparsification transport mode (top-k magnitude
 	// selection with server/participant error feedback, see
 	// internal/rpcfed). The lossy encoding is only produced by the explicit
-	// AppendTensorTopK API; AppendGroup under TopK falls back to the
-	// lossless Sparse tag selection, so paths that must stay exact (FedAvg
-	// control bodies) stay exact even when the transport mode is TopK.
+	// AppendTensorTopK API; AppendGroup under TopK emits dense f64, so paths
+	// that must stay exact (FedAvg control bodies) stay exact even when the
+	// transport mode is TopK.
 	TopK
 )
 
@@ -82,8 +78,6 @@ func (m Mode) String() string {
 		return "fp64"
 	case FP32:
 		return "fp32"
-	case Sparse:
-		return "sparse"
 	case TopK:
 		return "topk"
 	default:
@@ -100,16 +94,14 @@ func ParseMode(s string) (Mode, error) {
 		return FP64, nil
 	case "fp32":
 		return FP32, nil
-	case "sparse":
-		return Sparse, nil
 	case "topk":
 		return TopK, nil
 	}
-	return 0, fmt.Errorf("wire: unknown mode %q (gob|fp64|fp32|sparse|topk)", s)
+	return 0, fmt.Errorf("wire: unknown mode %q (gob|fp64|fp32|topk)", s)
 }
 
 // Valid reports whether m is one of the defined modes.
-func (m Mode) Valid() bool { return m <= TopK }
+func (m Mode) Valid() bool { return m <= TopK && m != retiredSparse }
 
 // Lossless reports whether a round trip through m reproduces every float64
 // bit-exactly. TopK is lossy at the transport level (dropped coordinates
@@ -119,22 +111,16 @@ func (m Mode) Lossless() bool { return m != FP32 && m != TopK }
 
 // Per-tensor encoding tags.
 const (
-	tagDenseF64  = 0
-	tagDenseF32  = 1
-	tagAllZero   = 2
-	tagSparseF64 = 3
-	// tagTopK shares tagSparseF64's body layout (u32 k, then k ×
-	// (u32 index, u64 bits), indices strictly ascending and < elemCount)
-	// but carries delta semantics: DecodeGroupDelta adds its entries into
-	// the base tensor where a sparse tag would replace. The plain decoders
-	// treat it exactly like sparse (zeros elsewhere).
+	tagDenseF64 = 0
+	tagDenseF32 = 1
+	// Tags 2 and 3 are reserved: decoders reject them as unknown.
 	tagTopK = 4
 )
 
 const (
-	groupHeaderBytes  = 4 // u32 tensorCount
-	tensorHeaderBytes = 5 // u8 tag + u32 elemCount
-	sparseEntryBytes  = 12
+	groupHeaderBytes  = 4  // u32 tensorCount
+	tensorHeaderBytes = 5  // u8 tag + u32 elemCount
+	topKEntryBytes    = 12 // u32 index + u64 bits
 )
 
 // MaxElems caps the element count a decoder will allocate for a single
@@ -146,8 +132,8 @@ func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendU
 func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
 // DenseTensorBytes returns the encoded size of one dense tensor of n
-// elements under m (Sparse sizes as FP64, its lossless upper bound; Gob
-// sizes as FP64, the closest analytic estimate of gob's ~9 B/element).
+// elements under m (Gob sizes as FP64, the closest analytic estimate of
+// gob's ~9 B/element).
 func DenseTensorBytes(m Mode, n int) int64 {
 	if m == FP32 {
 		return tensorHeaderBytes + 4*int64(n)
@@ -166,52 +152,13 @@ func DenseGroupBytes(m Mode, elemCounts []int) int64 {
 	return total
 }
 
-// GroupBytes returns the exact encoded size of group under m, scanning
-// values when the mode is data-dependent (Sparse).
+// GroupBytes returns the exact size AppendGroup produces for group under m.
 func GroupBytes(m Mode, group [][]float64) int64 {
-	if m != Sparse && m != TopK {
-		total := int64(groupHeaderBytes)
-		for _, t := range group {
-			total += DenseTensorBytes(m, len(t))
-		}
-		return total
-	}
 	total := int64(groupHeaderBytes)
 	for _, t := range group {
-		total += int64(tensorHeaderBytes) + sparseBodyBytes(t)
+		total += DenseTensorBytes(m, len(t))
 	}
 	return total
-}
-
-// sparseBodyBytes returns the post-header size tag selection would produce
-// for t under Sparse mode.
-func sparseBodyBytes(t []float64) int64 {
-	nnz := countNonzero(t)
-	switch {
-	case nnz == 0:
-		return 0
-	case sparseSmaller(nnz, len(t)):
-		return 4 + sparseEntryBytes*int64(nnz)
-	default:
-		return 8 * int64(len(t))
-	}
-}
-
-func countNonzero(t []float64) int {
-	nnz := 0
-	for _, v := range t {
-		if v != 0 {
-			nnz++
-		}
-	}
-	return nnz
-}
-
-// sparseSmaller reports whether index/value encoding beats dense f64 for
-// nnz nonzeros out of n elements (ties go dense: same bytes, cheaper
-// decode).
-func sparseSmaller(nnz, n int) bool {
-	return 4+sparseEntryBytes*int64(nnz) < 8*int64(n)
 }
 
 // AppendGroup appends the encoding of group under m to dst and returns the
@@ -237,12 +184,8 @@ func AppendTensor(dst []byte, m Mode, t []float64) []byte {
 		for _, v := range t {
 			dst = appendU32(dst, math.Float32bits(float32(v)))
 		}
-	case Sparse, TopK:
-		// TopK's lossy encoding only exists behind AppendTensorTopK
-		// (callers own the error-feedback state); this encoder stays
-		// lossless.
-		dst = appendSparse(dst, t)
-	default: // FP64 (and Gob callers that reach here by mistake stay lossless)
+	default: // FP64 and TopK (whose lossy encoding only exists behind
+		// AppendTensorTopK); Gob callers that reach here stay lossless too
 		dst = append(dst, tagDenseF64)
 		dst = appendU32(dst, uint32(len(t)))
 		for _, v := range t {
@@ -250,35 +193,6 @@ func AppendTensor(dst []byte, m Mode, t []float64) []byte {
 		}
 	}
 	return dst
-}
-
-// appendSparse emits one tensor under Sparse mode: all-zero, index/value,
-// or dense f64, whichever is smallest.
-func appendSparse(dst []byte, t []float64) []byte {
-	nnz := countNonzero(t)
-	switch {
-	case nnz == 0:
-		dst = append(dst, tagAllZero)
-		return appendU32(dst, uint32(len(t)))
-	case sparseSmaller(nnz, len(t)):
-		dst = append(dst, tagSparseF64)
-		dst = appendU32(dst, uint32(len(t)))
-		dst = appendU32(dst, uint32(nnz))
-		for i, v := range t {
-			if v != 0 {
-				dst = appendU32(dst, uint32(i))
-				dst = appendU64(dst, math.Float64bits(v))
-			}
-		}
-		return dst
-	default:
-		dst = append(dst, tagDenseF64)
-		dst = appendU32(dst, uint32(len(t)))
-		for _, v := range t {
-			dst = appendU64(dst, math.Float64bits(v))
-		}
-		return dst
-	}
 }
 
 // Reader is a bounds-checked cursor over an encoded frame. Every method
@@ -424,34 +338,12 @@ func decodeTensorInto(r *Reader, buf []float64) ([]float64, error) {
 		for i := range buf {
 			buf[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 		}
-	case tagAllZero:
+	case tagTopK:
 		for i := range buf {
 			buf[i] = 0
 		}
-	case tagSparseF64, tagTopK:
-		nnz32, err := r.U32()
-		if err != nil {
+		if err := decodeTopK(r, buf, false); err != nil {
 			return nil, err
-		}
-		nnz := int(nnz32)
-		if nnz > n {
-			return nil, fmt.Errorf("sparse nnz %d exceeds element count %d", nnz, n)
-		}
-		if r.Len() < sparseEntryBytes*nnz {
-			return nil, fmt.Errorf("truncated sparse body: need %d bytes, have %d", sparseEntryBytes*nnz, r.Len())
-		}
-		for i := range buf {
-			buf[i] = 0
-		}
-		prev := -1
-		for e := 0; e < nnz; e++ {
-			b, _ := r.take(sparseEntryBytes)
-			idx := int(binary.LittleEndian.Uint32(b))
-			if idx <= prev || idx >= n {
-				return nil, fmt.Errorf("sparse index %d out of order or out of range [0,%d)", idx, n)
-			}
-			prev = idx
-			buf[idx] = math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
 		}
 	default:
 		return nil, fmt.Errorf("unknown tensor tag %d", tag)

@@ -3,13 +3,15 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 func TestModeStringParseRoundTrip(t *testing.T) {
-	for _, m := range []Mode{Gob, FP64, FP32, Sparse} {
+	for _, m := range []Mode{Gob, FP64, FP32, TopK} {
 		got, err := ParseMode(m.String())
 		if err != nil {
 			t.Fatalf("ParseMode(%q): %v", m.String(), err)
@@ -30,7 +32,13 @@ func TestModeStringParseRoundTrip(t *testing.T) {
 	if Mode(9).Valid() {
 		t.Fatal("Mode(9).Valid() = true")
 	}
-	if FP32.Lossless() || !FP64.Lossless() || !Sparse.Lossless() || !Gob.Lossless() {
+	if retiredSparse.Valid() {
+		t.Fatal("the retired sparse mode value still reports valid")
+	}
+	if _, err := ParseMode("sparse"); err == nil {
+		t.Fatal("ParseMode accepted the retired sparse mode")
+	}
+	if FP32.Lossless() || !FP64.Lossless() || !Gob.Lossless() {
 		t.Fatal("Lossless flags wrong")
 	}
 }
@@ -87,7 +95,7 @@ func equalBits(a, b [][]float64) bool {
 
 func TestGroupRoundTripLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, m := range []Mode{FP64, Sparse} {
+	for _, m := range []Mode{FP64, TopK} {
 		for trial := 0; trial < 200; trial++ {
 			g := randGroup(rng)
 			buf := AppendGroup(nil, m, g)
@@ -101,36 +109,11 @@ func TestGroupRoundTripLossless(t *testing.T) {
 			if n != len(buf) {
 				t.Fatalf("%v: consumed %d of %d bytes", m, n, len(buf))
 			}
-			want := g
-			if m == Sparse {
-				want = dropNegZero(g)
-			}
-			if !equalBits(want, dec) {
+			if !equalBits(g, dec) {
 				t.Fatalf("%v: round trip altered bits", m)
 			}
 		}
 	}
-}
-
-// dropNegZero maps -0 to +0 in exactly the tensors Sparse mode encodes
-// via zero skipping (all-zero or index/value tags), mirroring the
-// documented caveat; tensors that fall back to dense f64 keep their bits.
-func dropNegZero(g [][]float64) [][]float64 {
-	out := make([][]float64, len(g))
-	for i, tv := range g {
-		o := make([]float64, len(tv))
-		copy(o, tv)
-		nnz := countNonzero(tv)
-		if nnz == 0 || sparseSmaller(nnz, len(tv)) {
-			for j, v := range o {
-				if v == 0 {
-					o[j] = 0
-				}
-			}
-		}
-		out[i] = o
-	}
-	return out
 }
 
 func TestGroupRoundTripFP32(t *testing.T) {
@@ -198,9 +181,9 @@ func TestDecodeGroupIntoReusesBuffers(t *testing.T) {
 // widths, or endianness must show up here as a deliberate golden update.
 func TestGoldenFrame(t *testing.T) {
 	group := [][]float64{
-		{1.5, -2.0},  // dense under all modes
-		{0, 0, 0, 0}, // all-zero: tag 2 under Sparse
-		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3.25}, // sparse wins: 1 nnz of 13
+		{1.5, -2.0},
+		{0, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3.25},
 	}
 	le := binary.LittleEndian
 	u32 := func(v uint32) []byte { b := make([]byte, 4); le.PutUint32(b, v); return b }
@@ -223,13 +206,8 @@ func TestGoldenFrame(t *testing.T) {
 			[]byte{tagDenseF32}, u32(13), f32(0), f32(0), f32(0), f32(0), f32(0), f32(0),
 			f32(0), f32(0), f32(0), f32(0), f32(0), f32(0), f32(3.25),
 		),
-		Sparse: cat(
-			u32(3),
-			[]byte{tagDenseF64}, u32(2), f64(1.5), f64(-2.0),
-			[]byte{tagAllZero}, u32(4),
-			[]byte{tagSparseF64}, u32(13), u32(1), u32(12), f64(3.25),
-		),
 	}
+	golden[TopK] = golden[FP64] // AppendGroup under TopK stays dense f64
 	for m, want := range golden {
 		got := AppendGroup(nil, m, group)
 		if !bytes.Equal(got, want) {
@@ -238,46 +216,35 @@ func TestGoldenFrame(t *testing.T) {
 	}
 }
 
-func TestSparsePicksSmallestEncoding(t *testing.T) {
-	dense := make([]float64, 10)
-	for i := range dense {
-		dense[i] = 1
-	}
-	mostlyZero := make([]float64, 100)
-	mostlyZero[3] = 1
-	mostlyZero[97] = 2
-	group := [][]float64{dense, mostlyZero, make([]float64, 50)}
-
-	buf := AppendGroup(nil, Sparse, group)
-	if buf[4] != tagDenseF64 {
-		t.Fatalf("fully dense tensor got tag %d, want dense f64", buf[4])
-	}
-	if int64(len(buf)) != GroupBytes(Sparse, group) {
-		t.Fatalf("GroupBytes(Sparse) = %d, encoded %d", GroupBytes(Sparse, group), len(buf))
-	}
-	fp64Len := GroupBytes(FP64, group)
-	if int64(len(buf)) >= fp64Len {
-		t.Fatalf("sparse encoding (%d B) not smaller than fp64 (%d B)", len(buf), fp64Len)
+// TestRetiredSparseTagRejected: tags 2 (all-zero) and 3 (index/value
+// pairs) belonged to the removed lossless sparse mode. Nothing produces them
+// any more, and a decoder must reject one as an unknown tag rather than
+// guess at its body.
+func TestRetiredSparseTagRejected(t *testing.T) {
+	for tag, frame := range map[byte][]byte{
+		2: {1, 0, 0, 0, 2, 2, 0, 0, 0},
+		3: {1, 0, 0, 0, 3, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+	} {
+		want := fmt.Sprintf("unknown tensor tag %d", tag)
+		if _, _, err := DecodeGroup(frame); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("tag-%d frame decoded with err = %v, want %q", tag, err, want)
+		}
+		if _, err := DecodeGroupDelta(frame, [][]float64{{0, 0}}); err == nil {
+			t.Fatalf("DecodeGroupDelta accepted a tag-%d tensor", tag)
+		}
 	}
 }
 
 func TestDenseGroupBytes(t *testing.T) {
 	counts := []int{2, 0, 13}
 	group := [][]float64{{1, 2}, {}, make([]float64, 13)}
-	for _, m := range []Mode{Gob, FP64, FP32, Sparse} {
+	for _, m := range []Mode{Gob, FP64, FP32, TopK} {
 		want := DenseGroupBytes(m, counts)
 		enc := m
 		if enc == Gob {
 			enc = FP64 // Gob sizes as FP64; encoder never emits gob frames
 		}
 		got := int64(len(AppendGroup(nil, enc, group)))
-		// Sparse on this group is smaller than the dense upper bound.
-		if m == Sparse {
-			if got > want {
-				t.Fatalf("%v: encoded %d exceeds DenseGroupBytes bound %d", m, got, want)
-			}
-			continue
-		}
 		if got != want {
 			t.Fatalf("%v: DenseGroupBytes = %d, encoded %d", m, want, got)
 		}
@@ -285,18 +252,19 @@ func TestDenseGroupBytes(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
-	good := AppendGroup(nil, Sparse, [][]float64{{0, 0, 7, 0, 0, 0, 0, 0, 0, 0}, {1, 2}})
+	good := AppendTensorTopK(AppendGroupHeader(nil, 2), []float64{0, 0, 7, 0, 0, 0, 0, 0, 0, 0}, []int{2})
+	good = AppendTensor(good, FP64, []float64{1, 2})
 	cases := map[string][]byte{
-		"empty":            {},
-		"short header":     good[:2],
-		"truncated body":   good[:len(good)-3],
-		"bad tag":          append(append([]byte{}, good[:4]...), 99, 1, 0, 0, 0),
-		"huge count":       {0xff, 0xff, 0xff, 0xff},
-		"huge elems":       {1, 0, 0, 0, tagDenseF64, 0xff, 0xff, 0xff, 0x7f},
-		"nnz > n":          {1, 0, 0, 0, tagSparseF64, 2, 0, 0, 0, 3, 0, 0, 0},
-		"sparse idx range": {1, 0, 0, 0, tagSparseF64, 2, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"sparse idx order": cat2(
-			[]byte{1, 0, 0, 0, tagSparseF64, 4, 0, 0, 0, 2, 0, 0, 0},
+		"empty":           {},
+		"short header":    good[:2],
+		"truncated body":  good[:len(good)-3],
+		"bad tag":         append(append([]byte{}, good[:4]...), 99, 1, 0, 0, 0),
+		"huge count":      {0xff, 0xff, 0xff, 0xff},
+		"huge elems":      {1, 0, 0, 0, tagDenseF64, 0xff, 0xff, 0xff, 0x7f},
+		"k > n":           {1, 0, 0, 0, tagTopK, 2, 0, 0, 0, 3, 0, 0, 0},
+		"top-k idx range": {1, 0, 0, 0, tagTopK, 2, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"top-k idx order": cat2(
+			[]byte{1, 0, 0, 0, tagTopK, 4, 0, 0, 0, 2, 0, 0, 0},
 			[]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 			[]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		),
