@@ -2,8 +2,9 @@
 # + race detector over the concurrent paths (GEMM kernel, parallel engine,
 # trainers, telemetry, RPC) + a 1-iteration bench smoke over the tensor/nn
 # kernels + a smoke of the repo benchmark's pipeline, softsync and rpc
-# workloads (their output checks must pass) + a 2-round, two-process
-# wire-protocol smoke whose three span traces must stitch under fedtrace.
+# workloads (their output checks must pass) + vet and tests of the separate
+# bench/ module + a 2-round, two-process wire-protocol smoke whose three
+# span traces must stitch under fedtrace.
 # Performance is measured by the repo benchmark alone: `bash bench/run.sh`
 # (see bench/README.md). `make fedtrace` reruns the traced two-process smoke
 # into ./traces/ and prints its critical-path profile.

@@ -137,7 +137,6 @@ func runWorker(args []string) error {
 		dataset   = fs.String("dataset", "cifar10s", "dataset name")
 		seed      = fs.Int64("seed", 1, "shared deployment seed")
 		scenArg   = fs.String("scenario", "", "device-population scenario ("+scenario.Grammar+"); set the same value on every process")
-		chaosSpec = fs.String("chaos", "", "deprecated (use -scenario): fault-injection spec, e.g. latency=5ms,jitter=2ms,bw=20,kill=0.001,seed=7 (empty = faults off)")
 		traceOut  = fs.String("trace", "", "write a JSONL span trace of handled calls to this file (spans parent under the server's rounds)")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address")
 		precArg   = fs.String("precision", "fp64", "compute precision: fp64 (bit-identical) or fp32 (faster SIMD path); set the same value on every process")
@@ -159,18 +158,6 @@ func runWorker(args []string) error {
 	scen, err := scenario.Parse(*scenArg)
 	if err != nil {
 		return err
-	}
-	// The deprecated -chaos flag lowers into a single-profile scenario that
-	// drives the transport only — the flag never influenced the data
-	// partition, and the alias must not either.
-	transport := scen
-	if *chaosSpec != "" {
-		transport = &scenario.Spec{Population: []scenario.Share{
-			{Custom: &scenario.Profile{Name: "chaos-flag", Chaos: *chaosSpec}},
-		}}
-		if err := transport.Validate(); err != nil {
-			return err
-		}
 	}
 	ds, shard, err := shardFor(*dataset, *k, *index, *seed, scen)
 	if err != nil {
@@ -199,20 +186,11 @@ func runWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	if profiles, fracs, rerr := transport.Resolve(); rerr != nil {
+	if profiles, fracs, rerr := scen.Resolve(); rerr != nil {
 		return rerr
 	} else if len(profiles) > 0 {
 		prof := profiles[scenario.Assign(fracs, *k, *seed)[*index]]
-		var ccfg chaos.Config
-		if *chaosSpec != "" {
-			// The deprecated flag keeps its historical seeding: the spec's
-			// own seed (0 when unset, identical on every worker), never the
-			// per-worker derivation profiles use — existing -chaos runs keep
-			// their fault schedules bit-for-bit.
-			ccfg, err = chaos.ParseSpec(*chaosSpec)
-		} else {
-			ccfg, err = prof.ChaosConfig(*seed + int64(*index)*13)
-		}
+		ccfg, err := prof.ChaosConfig(*seed + int64(*index)*13)
 		if err != nil {
 			return err
 		}

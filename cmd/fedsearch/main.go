@@ -4,7 +4,7 @@
 //
 // Example:
 //
-//	fedsearch -dataset cifar10s -k 10 -partition dirichlet -warmup 60 -search 200
+//	fedsearch -dataset cifar10s -k 10 -scenario '{"skew":{"kind":"dirichlet","alpha":0.5}}' -warmup 60 -search 200
 //	fedsearch -staleness severe -strategy dc -lambda 1.0
 package main
 
@@ -42,8 +42,6 @@ func run(args []string) error {
 		scenArg   = fs.String("scenario", "", "device-population scenario: "+scenario.Grammar+" (profiles: "+scenario.CatalogNames()+")")
 		personal  = fs.Bool("personalize", false, "personalized search: shared supernet body, per-client classifier heads")
 		headLR    = fs.Float64("head-lr", 0, "personal head SGD learning rate (0 = theta lr)")
-		partition = fs.String("partition", "iid", "deprecated (use -scenario): data split, iid or dirichlet")
-		dirAlpha  = fs.Float64("dirichlet-alpha", 0.5, "deprecated (use -scenario): Dirichlet concentration for non-iid splits")
 		warmup    = fs.Int("warmup", 30, "warm-up rounds (P1)")
 		searchN   = fs.Int("search", 60, "search rounds (P2)")
 		retrain   = fs.Int("retrain", 120, "centralized retrain steps (P3)")
@@ -98,20 +96,6 @@ func run(args []string) error {
 	if need := (cfg.K + cfg.Dataset.NumClasses - 1) / cfg.Dataset.NumClasses; need > cfg.Dataset.TrainPerClass {
 		cfg.Dataset.TrainPerClass = need
 	}
-	// The deprecated -partition/-dirichlet-alpha flags lower into a
-	// scenario Skew; a population-less Skew routes through the exact same
-	// partitioner calls, so the alias is bit-identical to the old path.
-	switch *partition {
-	case "iid":
-		cfg.Partition = search.IID
-		cfg.Scenario = &scenario.Spec{Skew: &scenario.Skew{Kind: scenario.SkewIID}}
-	case "dirichlet":
-		cfg.Partition = search.Dirichlet
-		cfg.Scenario = &scenario.Spec{Skew: &scenario.Skew{Kind: scenario.SkewDirichlet, Alpha: *dirAlpha}}
-	default:
-		return fmt.Errorf("unknown partition %q", *partition)
-	}
-	cfg.DirichletAlpha = *dirAlpha
 	if *scenArg != "" {
 		spec, err := scenario.Parse(*scenArg)
 		if err != nil {
@@ -217,8 +201,8 @@ func run(args []string) error {
 	if *cohortSz > 0 && *cohortSz < cfg.K {
 		cohortNote = fmt.Sprintf(" (cohort %d/round)", *cohortSz)
 	}
-	fmt.Printf("P1 warm-up (%d rounds) + P2 search (%d rounds), K=%d%s, %s/%s…\n",
-		cfg.WarmupSteps, cfg.SearchSteps, cfg.K, cohortNote, cfg.Dataset.Name, *partition)
+	fmt.Printf("P1 warm-up (%d rounds) + P2 search (%d rounds), K=%d%s, %s…\n",
+		cfg.WarmupSteps, cfg.SearchSteps, cfg.K, cohortNote, cfg.Dataset.Name)
 	opts.Resume = *resume
 	opts.CheckpointPath = *ckptOut
 	opts.CheckpointEvery = *ckptEvery

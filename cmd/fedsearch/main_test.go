@@ -15,7 +15,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		want string
 	}{
 		{"bad dataset", []string{"-dataset", "mnist"}, "unknown dataset"},
-		{"bad partition", []string{"-partition", "zipf"}, "unknown partition"},
 		{"bad staleness", []string{"-staleness", "extreme"}, "unknown staleness"},
 		{"bad strategy", []string{"-strategy", "vote"}, "unknown strategy"},
 		{"bad transmission", []string{"-transmission", "greedy"}, "unknown transmission"},

@@ -10,8 +10,8 @@
 // Example:
 //
 //	fedserve -addr 127.0.0.1:7070 -checkpoint-dir ./ckpt -max-batch 32
-//	curl -X POST localhost:7070/jobs -d '{"config":{"K":8,"SearchSteps":200}}'
-//	curl localhost:7070/jobs/j1
+//	curl -X POST localhost:7070/v1/jobs -d '{"config":{"K":8,"SearchSteps":200}}'
+//	curl localhost:7070/v1/jobs/j1
 package main
 
 import (
@@ -79,7 +79,7 @@ func run(args []string, stop <-chan struct{}, ready func(addr string)) error {
 		return err
 	}
 	defer dbg.Close()
-	fmt.Printf("fedserve on http://%s (/jobs, /models, /metrics, /healthz, /debug/pprof/)\n", dbg.Addr())
+	fmt.Printf("fedserve on http://%s (/v1/jobs, /v1/models, /metrics, /healthz, /debug/pprof/)\n", dbg.Addr())
 	if ready != nil {
 		ready(dbg.Addr())
 	}

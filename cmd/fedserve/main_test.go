@@ -60,7 +60,7 @@ func TestServeJobAndDrain(t *testing.T) {
 		`"TrainPerClass":40,"TestPerClass":10,"Noise":1.0,"Confusion":0.3,"Seed":91},` +
 		`"Net":{"InChannels":2,"NumClasses":5,"C":4,"Layers":2,"Nodes":1,"Candidates":[5,2,3,4]},` +
 		`"K":4,"BatchSize":8,"WarmupSteps":1,"SearchSteps":100000}}`
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader([]byte(cfgJSON)))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader([]byte(cfgJSON)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,20 @@ func TestServeJobAndDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated || job.ID == "" {
 		t.Fatalf("create job: %d %+v", resp.StatusCode, job)
 	}
+	// Only the /v1 surface is mounted on the debug listener.
+	resp, err = http.Get(base + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /jobs -> %d, want 404", resp.StatusCode)
+	}
 
 	// Wait for the job to step at least one round.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(base + "/jobs/" + job.ID)
+		resp, err := http.Get(base + "/v1/jobs/" + job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +111,7 @@ func TestServeJobAndDrain(t *testing.T) {
 	}
 
 	// Serve the job's current genotype and infer against it.
-	resp, err = http.Post(base+"/jobs/"+job.ID+"/serve", "application/json",
+	resp, err = http.Post(base+"/v1/jobs/"+job.ID+"/serve", "application/json",
 		bytes.NewReader([]byte(`{"seed":7,"max_batch":4,"max_wait_ms":1}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +132,7 @@ func TestServeJobAndDrain(t *testing.T) {
 		in[i] = float64(i%7) * 0.1
 	}
 	inferBody, _ := json.Marshal(map[string]any{"shape": []int{2, 8, 8}, "input": in})
-	resp, err = http.Post(base+"/models/"+model.ID+"/infer", "application/json", bytes.NewReader(inferBody))
+	resp, err = http.Post(base+"/v1/models/"+model.ID+"/infer", "application/json", bytes.NewReader(inferBody))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ const specKeys = "latency, jitter, bw, chunk, kill, seed, regime"
 // (probability), seed (int), regime (nettrace regime name; samples a
 // 1h bandwidth trace at 1s steps from the spec's seed). An empty spec
 // yields the zero Config. Parse errors quote the offending token and list
-// the valid keys, so a typo'd -chaos flag is diagnosable from the message
+// the valid keys, so a typo'd chaos spec is diagnosable from the message
 // alone.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config

@@ -163,15 +163,3 @@ func Evaluate(model Model, ds *data.Dataset, batchSize int) float64 {
 	}
 	return correct / float64(n)
 }
-
-// EvaluateTrain measures accuracy on a sample of the training split (for
-// train-vs-validation overfitting comparisons, Fig. 11).
-func EvaluateTrain(model Model, ds *data.Dataset, indices []int) float64 {
-	model.SetTraining(false)
-	defer model.SetTraining(true)
-	if len(indices) == 0 {
-		return 0
-	}
-	x, y := ds.Gather(indices)
-	return nn.Accuracy(model.Forward(x), y)
-}

@@ -501,19 +501,6 @@ func TestFedSGDValidation(t *testing.T) {
 	}
 }
 
-func TestEvaluateTrain(t *testing.T) {
-	ds := testDataset(t)
-	rng := rand.New(rand.NewSource(51))
-	m := tinyModel(rng, 3)
-	acc := EvaluateTrain(m, ds, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if acc < 0 || acc > 1 {
-		t.Fatalf("train accuracy %v out of range", acc)
-	}
-	if got := EvaluateTrain(m, ds, nil); got != 0 {
-		t.Errorf("empty index set accuracy %v, want 0", got)
-	}
-}
-
 // Evaluate must restore training mode afterwards (batch norm statistics
 // must keep updating in subsequent training steps).
 func TestEvaluateRestoresTrainingMode(t *testing.T) {

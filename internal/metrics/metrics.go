@@ -1,11 +1,10 @@
-// Package metrics provides curve recording, moving averages, summary
-// statistics, and text/CSV table rendering for the experiment harness.
+// Package metrics provides curve recording, moving averages, and text/CSV
+// table rendering for the experiment harness.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -93,58 +92,6 @@ func (c *Curve) TailMean(n int) float64 {
 		sum += p.Value
 	}
 	return sum / float64(n)
-}
-
-// StepsToReach returns the first step at which the moving value reaches the
-// threshold, or -1 if it never does. Used for convergence-speed comparisons
-// (Figs. 9–11).
-func (c *Curve) StepsToReach(threshold float64) int {
-	for _, p := range c.Points {
-		if p.Value >= threshold {
-			return p.Step
-		}
-	}
-	return -1
-}
-
-// Summary holds basic distribution statistics.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	P50       float64
-}
-
-// Summarize computes summary statistics for vals. P50 is the true median:
-// for even N it averages the two middle order statistics.
-func Summarize(vals []float64) Summary {
-	if len(vals) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(vals), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, v := range vals {
-		s.Mean += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean /= float64(len(vals))
-	for _, v := range vals {
-		d := v - s.Mean
-		s.Std += d * d
-	}
-	s.Std = math.Sqrt(s.Std / float64(len(vals)))
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	if n := len(sorted); n%2 == 1 {
-		s.P50 = sorted[n/2]
-	} else {
-		s.P50 = (sorted[n/2-1] + sorted[n/2]) / 2
-	}
-	return s
 }
 
 // Table is a simple aligned text table with optional CSV export.

@@ -140,33 +140,3 @@ func DerivedParamCount(cfg Config, g Genotype) (int, error) {
 func ParamMB(paramCount int) float64 {
 	return float64(paramCount) * 4 / (1024 * 1024)
 }
-
-// DeriveGenotypeExcluding picks the argmax candidate per edge while skipping
-// the excluded op kinds (DARTS derives final architectures without the
-// "none" op, which would otherwise leave dead edges).
-func DeriveGenotypeExcluding(probsNormal, probsReduce [][]float64, candidates []OpKind, nodes int, excluded ...OpKind) Genotype {
-	skip := make(map[OpKind]bool, len(excluded))
-	for _, k := range excluded {
-		skip[k] = true
-	}
-	arg := func(rows [][]float64) []OpKind {
-		out := make([]OpKind, len(rows))
-		for i, row := range rows {
-			best, bi := -1.0, -1
-			for j, v := range row {
-				if skip[candidates[j]] {
-					continue
-				}
-				if bi < 0 || v > best {
-					best, bi = v, j
-				}
-			}
-			if bi < 0 {
-				bi = 0 // everything excluded: fall back to the first candidate
-			}
-			out[i] = candidates[bi]
-		}
-		return out
-	}
-	return Genotype{Normal: arg(probsNormal), Reduce: arg(probsReduce), Nodes: nodes}
-}

@@ -467,23 +467,3 @@ func TestLoadGenotypeErrors(t *testing.T) {
 func osWriteFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
-
-func TestDeriveGenotypeExcluding(t *testing.T) {
-	probs := [][]float64{
-		{0.9, 0.05, 0.05}, // zero wins raw argmax
-		{0.1, 0.6, 0.3},
-	}
-	cands := []OpKind{OpZero, OpIdentity, OpSepConv3}
-	g := DeriveGenotypeExcluding(probs, probs, cands, 1, OpZero)
-	if g.Normal[0] != OpIdentity {
-		t.Errorf("edge 0 = %v, want skip_connect (zero excluded)", g.Normal[0])
-	}
-	if g.Normal[1] != OpIdentity {
-		t.Errorf("edge 1 = %v, want skip_connect", g.Normal[1])
-	}
-	// Excluding everything falls back to the first candidate.
-	g2 := DeriveGenotypeExcluding(probs, probs, cands, 1, OpZero, OpIdentity, OpSepConv3)
-	if g2.Normal[0] != OpZero {
-		t.Errorf("all-excluded fallback = %v", g2.Normal[0])
-	}
-}

@@ -53,23 +53,6 @@ func (c CosineLR) LR(step int) float64 {
 	return c.Min + 0.5*(c.Max-c.Min)*(1+math.Cos(math.Pi*frac))
 }
 
-// WarmupCosineLR ramps linearly from 0 to Max over WarmupSteps, then
-// cosine-anneals to Min — a common large-batch stabilizer.
-type WarmupCosineLR struct {
-	Cosine      CosineLR
-	WarmupSteps int
-}
-
-var _ LRSchedule = WarmupCosineLR{}
-
-// LR implements LRSchedule.
-func (w WarmupCosineLR) LR(step int) float64 {
-	if step < w.WarmupSteps && w.WarmupSteps > 0 {
-		return w.Cosine.Max * float64(step+1) / float64(w.WarmupSteps)
-	}
-	return w.Cosine.LR(step - w.WarmupSteps)
-}
-
 // StepWith applies sched's rate for the given step and performs the update
 // (convenience for optimizer + schedule pairing).
 func (s *SGD) StepWith(sched LRSchedule, step int, ps []*Param) {

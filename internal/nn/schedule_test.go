@@ -54,26 +54,6 @@ func TestNewCosineLRValidation(t *testing.T) {
 	}
 }
 
-func TestWarmupCosineLR(t *testing.T) {
-	cos, err := NewCosineLR(1.0, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := WarmupCosineLR{Cosine: cos, WarmupSteps: 5}
-	if got := s.LR(0); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("warmup LR(0) = %v, want 0.2", got)
-	}
-	if got := s.LR(4); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("warmup LR(4) = %v, want 1.0", got)
-	}
-	if got := s.LR(5); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("post-warmup LR(5) = %v, want cosine start 1.0", got)
-	}
-	if got := s.LR(15); got != 0 {
-		t.Errorf("post-anneal LR = %v, want 0", got)
-	}
-}
-
 func TestStepWithUpdatesRate(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice([]float64{1}, 1))
 	p.Grad.Fill(1)

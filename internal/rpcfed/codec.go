@@ -52,8 +52,8 @@ const (
 	bodyGob          = 1 // gob blob fallback (Hello handshake)
 	bodyTrainRequest = 2
 	bodyTrainReply   = 3
-	bodyFedAvgReq    = 4
-	bodyFedAvgReply  = 5
+	// 4 and 5 carried the retired FedAvg request/reply; they stay reserved
+	// and decode as unknown kinds.
 )
 
 // headerTagSpan is the optional header-extension tag carrying a 24-byte
@@ -408,83 +408,6 @@ func decodeTrainReply(r *wire.Reader, m wire.Mode, rep *TrainReply) error {
 	return err
 }
 
-func appendFedAvgRequest(dst []byte, m wire.Mode, req *FedAvgRequest) ([]byte, error) {
-	dst = appendI32(dst, req.Round)
-	dst = appendI32(dst, req.BatchSize)
-	dst = appendI32(dst, req.LocalSteps)
-	dst = appendF64(dst, req.LR)
-	dst = appendF64(dst, req.Momentum)
-	dst = appendF64(dst, req.WeightDecay)
-	dst = appendF64(dst, req.GradClip)
-	var err error
-	if dst, err = appendGateInts(dst, req.Normal); err != nil {
-		return nil, err
-	}
-	if dst, err = appendGateInts(dst, req.Reduce); err != nil {
-		return nil, err
-	}
-	return wire.AppendGroup(dst, m, req.Weights), nil
-}
-
-func decodeFedAvgRequest(r *wire.Reader, req *FedAvgRequest) error {
-	var err error
-	if req.Round, err = r.I32(); err != nil {
-		return err
-	}
-	if req.BatchSize, err = r.I32(); err != nil {
-		return err
-	}
-	if req.LocalSteps, err = r.I32(); err != nil {
-		return err
-	}
-	if req.LR, err = r.F64(); err != nil {
-		return err
-	}
-	if req.Momentum, err = r.F64(); err != nil {
-		return err
-	}
-	if req.WeightDecay, err = r.F64(); err != nil {
-		return err
-	}
-	if req.GradClip, err = r.F64(); err != nil {
-		return err
-	}
-	if req.Normal, err = decodeGateInts(r, req.Normal); err != nil {
-		return err
-	}
-	if req.Reduce, err = decodeGateInts(r, req.Reduce); err != nil {
-		return err
-	}
-	req.Weights, err = wire.DecodeGroupInto(r, req.Weights)
-	return err
-}
-
-func appendFedAvgReply(dst []byte, m wire.Mode, rep *FedAvgReply) ([]byte, error) {
-	dst = appendI32(dst, rep.Round)
-	dst = appendI32(dst, rep.ParticipantID)
-	dst = appendI32(dst, rep.NumSamples)
-	dst = appendF64(dst, rep.TrainAccuracy)
-	return wire.AppendGroup(dst, m, rep.Weights), nil
-}
-
-func decodeFedAvgReply(r *wire.Reader, rep *FedAvgReply) error {
-	var err error
-	if rep.Round, err = r.I32(); err != nil {
-		return err
-	}
-	if rep.ParticipantID, err = r.I32(); err != nil {
-		return err
-	}
-	if rep.NumSamples, err = r.I32(); err != nil {
-		return err
-	}
-	if rep.TrainAccuracy, err = r.F64(); err != nil {
-		return err
-	}
-	rep.Weights, err = wire.DecodeGroupInto(r, rep.Weights)
-	return err
-}
-
 // appendBody dispatches on the concrete message type; unknown types fall
 // back to a gob blob so auxiliary messages (the Hello handshake) need no
 // bespoke layout. Weight-bearing messages always get the binary path.
@@ -498,12 +421,6 @@ func appendBody(dst []byte, m wire.Mode, body any) ([]byte, byte, error) {
 	case *TrainReply:
 		out, err := appendTrainReply(dst, m, b)
 		return out, bodyTrainReply, err
-	case *FedAvgRequest:
-		out, err := appendFedAvgRequest(dst, m, b)
-		return out, bodyFedAvgReq, err
-	case *FedAvgReply:
-		out, err := appendFedAvgReply(dst, m, b)
-		return out, bodyFedAvgReply, err
 	default:
 		var blob bytes.Buffer
 		if err := gob.NewEncoder(&blob).Encode(body); err != nil {
@@ -542,18 +459,6 @@ func decodeBody(r *wire.Reader, kind byte, m wire.Mode, dst any) error {
 			return fmt.Errorf("rpcfed: TrainReply frame decoded into %T", dst)
 		}
 		return decodeTrainReply(r, m, b)
-	case bodyFedAvgReq:
-		b, ok := dst.(*FedAvgRequest)
-		if !ok {
-			return fmt.Errorf("rpcfed: FedAvgRequest frame decoded into %T", dst)
-		}
-		return decodeFedAvgRequest(r, b)
-	case bodyFedAvgReply:
-		b, ok := dst.(*FedAvgReply)
-		if !ok {
-			return fmt.Errorf("rpcfed: FedAvgReply frame decoded into %T", dst)
-		}
-		return decodeFedAvgReply(r, b)
 	default:
 		return fmt.Errorf("rpcfed: unknown body kind %d", kind)
 	}
@@ -590,10 +495,7 @@ func newBinaryClientCodec(conn io.ReadWriteCloser, mode wire.Mode, met *telemetr
 // server dispatches, so the binary framing can carry it in the header
 // (the typed body encoders deliberately skip it).
 func requestSpan(body any) wire.SpanContext {
-	switch b := body.(type) {
-	case *TrainRequest:
-		return b.Span
-	case *FedAvgRequest:
+	if b, ok := body.(*TrainRequest); ok {
 		return b.Span
 	}
 	return wire.SpanContext{}
@@ -727,10 +629,7 @@ func (c *binaryServerCodec) ReadRequestBody(body any) error {
 	// header so the service sees the same request a gob client would send,
 	// and record the decode as a worker-side span under the round.
 	if c.pending.span.Valid() {
-		switch b := body.(type) {
-		case *TrainRequest:
-			b.Span = c.pending.span
-		case *FedAvgRequest:
+		if b, ok := body.(*TrainRequest); ok {
 			b.Span = c.pending.span
 		}
 		c.tracer.WorkerSpan(telemetry.EventWorkerDecode, c.pending.span,

@@ -3,7 +3,7 @@ package rpcfed
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/rpc"
@@ -199,49 +199,27 @@ func TestEnvelopeGoldenBytes(t *testing.T) {
 	}
 }
 
-func TestTypedBodyRoundTrip(t *testing.T) {
-	req := &FedAvgRequest{
-		Round: 3, Normal: []int{0, 2}, Reduce: []int{1, 1},
-		Weights:   [][]float64{{1, 0, -2.5}, {}},
-		BatchSize: 8, LocalSteps: 4,
-		LR: 0.1, Momentum: 0.9, WeightDecay: 3e-4, GradClip: 5,
-	}
-	for _, mode := range []wire.Mode{wire.FP64, wire.TopK} {
-		buf, err := appendFedAvgRequest(nil, mode, req)
+// TestRetiredFedAvgBodyKindsRejected: body kinds 4 and 5 carried the
+// removed FedAvg request and reply. They stay reserved, and a frame carrying
+// either must fail as an unknown kind rather than decode into anything.
+func TestRetiredFedAvgBodyKindsRejected(t *testing.T) {
+	for _, kind := range []byte{4, 5} {
+		frame, err := appendFrameHeader(nil, wire.FP64, "Participant.Train", 1, "", wire.SpanContext{}, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got FedAvgRequest
-		if err := decodeFedAvgRequest(wire.NewReader(buf), &got); err != nil {
-			t.Fatalf("%v: %v", mode, err)
+		frame = finishFrame(frame, 0)
+		r := wire.NewReader(frame[4:])
+		h, err := parseFrameHeader(r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Round != req.Round || got.BatchSize != req.BatchSize ||
-			got.LocalSteps != req.LocalSteps || got.LR != req.LR ||
-			got.Momentum != req.Momentum || got.WeightDecay != req.WeightDecay ||
-			got.GradClip != req.GradClip {
-			t.Fatalf("%v: scalars mangled: %+v", mode, got)
-		}
-		for i := range req.Weights {
-			for j := range req.Weights[i] {
-				if math.Float64bits(got.Weights[i][j]) != math.Float64bits(req.Weights[i][j]) {
-					t.Fatalf("%v: weights mangled", mode)
-				}
+		want := fmt.Sprintf("unknown body kind %d", kind)
+		for _, dst := range []any{&TrainRequest{}, &TrainReply{}} {
+			if err := decodeBody(r, h.kind, h.mode, dst); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("kind-%d frame into %T: err = %v, want %q", kind, dst, err, want)
 			}
 		}
-	}
-	rep := &FedAvgReply{Round: 3, ParticipantID: 2, NumSamples: 40,
-		TrainAccuracy: 0.75, Weights: [][]float64{{4, 5}}}
-	buf, err := appendFedAvgReply(nil, wire.FP64, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got FedAvgReply
-	if err := decodeFedAvgReply(wire.NewReader(buf), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Round != 3 || got.ParticipantID != 2 || got.NumSamples != 40 ||
-		got.TrainAccuracy != 0.75 || got.Weights[0][1] != 5 {
-		t.Fatalf("FedAvgReply mangled: %+v", got)
 	}
 }
 
@@ -276,10 +254,6 @@ func FuzzParseFrame(f *testing.F) {
 			_ = decodeBody(r, h.kind, h.mode, &TrainRequest{})
 		case bodyTrainReply:
 			_ = decodeBody(r, h.kind, h.mode, &TrainReply{})
-		case bodyFedAvgReq:
-			_ = decodeBody(r, h.kind, h.mode, &FedAvgRequest{})
-		case bodyFedAvgReply:
-			_ = decodeBody(r, h.kind, h.mode, &FedAvgReply{})
 		}
 	})
 }

@@ -258,8 +258,8 @@ func TestParticipantTrainSteadyStateAllocs(t *testing.T) {
 
 // A gate vector from the wire selects candidates by index: an out-of-range,
 // negative or wrongly sized one must come back as an error — which the
-// server counts as a lost reply — and never reach an index expression. Both
-// entry points, over both codecs; the connection survives every rejection.
+// server counts as a lost reply — and never reach an index expression. Over
+// both codecs; the connection survives every rejection.
 func TestTrainRejectsMalformedGates(t *testing.T) {
 	ds := testDataset(t)
 	cfg := testNet()
@@ -290,18 +290,12 @@ func TestTrainRejectsMalformedGates(t *testing.T) {
 			g := nas.CloneGates(valid)
 			tc.mut(&g)
 			train := &TrainRequest{Normal: g.Normal, Reduce: g.Reduce, Weights: weights, BatchSize: 8}
-			avg := &FedAvgRequest{Normal: g.Normal, Reduce: g.Reduce, Weights: weights, BatchSize: 8, LocalSteps: 1, LR: 0.1}
-			for method, pair := range map[string][2]any{
-				"Participant.Train":    {train, &TrainReply{}},
-				"Participant.TrainAvg": {avg, &FedAvgReply{}},
-			} {
-				err := client.Call(method, pair[0], pair[1])
-				switch {
-				case tc.name == "valid" && err != nil:
-					t.Errorf("%v %s: valid gates rejected: %v", mode, method, err)
-				case tc.name != "valid" && (err == nil || !strings.Contains(err.Error(), "gate")):
-					t.Errorf("%v %s %s: want a gate error, got %v", mode, method, tc.name, err)
-				}
+			err := client.Call("Participant.Train", train, &TrainReply{})
+			switch {
+			case tc.name == "valid" && err != nil:
+				t.Errorf("%v: valid gates rejected: %v", mode, err)
+			case tc.name != "valid" && (err == nil || !strings.Contains(err.Error(), "gate")):
+				t.Errorf("%v %s: want a gate error, got %v", mode, tc.name, err)
 			}
 			var hello HelloReply
 			if err := client.Call("Participant.Hello", &HelloRequest{}, &hello); err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fedrlnas/internal/data"
-	"fedrlnas/internal/fed"
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
 	"fedrlnas/internal/staleness"
@@ -76,7 +75,10 @@ func startCluster(t *testing.T, k int, slow map[int]time.Duration) ([]string, []
 // clientOf grabs one participant's live rpc client (helper for tests that
 // speak to participants directly through the server's connections).
 func clientOf(s *Server, i int) *rpc.Client {
-	c := s.Clients()[i]
+	p := s.peers[i]
+	p.mu.Lock()
+	c := p.client
+	p.mu.Unlock()
 	if c == nil {
 		panic("clientOf: participant is dead")
 	}
@@ -406,56 +408,6 @@ func TestRoundTimeoutClosesRoundWithDeadParticipant(t *testing.T) {
 	}
 	if got := s.met.Rounds.Value(); got != int64(cfg.Rounds) {
 		t.Errorf("rounds_total = %d, want %d", got, cfg.Rounds)
-	}
-}
-
-func TestFedAvgOverRPC(t *testing.T) {
-	addrs, _, stop := startCluster(t, 3, nil)
-	defer stop()
-	cfg := DefaultServerConfig(testNet())
-	s, err := NewServer(cfg, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	geno := nas.Genotype{
-		Normal: []nas.OpKind{nas.OpSepConv3, nas.OpMaxPool3},
-		Reduce: []nas.OpKind{nas.OpAvgPool3, nas.OpSepConv3},
-		Nodes:  1,
-	}
-	model, err := nas.NewFixedModel(rand.New(rand.NewSource(9)), testNet(), geno)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := nn.CloneParamValues(model.Params())
-	fcfg := fed.DefaultFedAvgConfig()
-	fcfg.Rounds = 1 // rounds arg governs the loop below
-	fcfg.BatchSize = 8
-	curve, err := FedAvgOverRPC(s.Clients(), model, geno, fcfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve.Len() != 6 {
-		t.Fatalf("curve has %d points", curve.Len())
-	}
-	moved := false
-	for i, p := range model.Params() {
-		if !p.Value.AllClose(before[i], 1e-12) {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Error("FedAvg over RPC never moved the weights")
-	}
-	if _, err := FedAvgOverRPC(nil, model, geno, fcfg, 2); err == nil {
-		t.Error("expected error for no clients")
-	}
-	bad := fcfg
-	bad.BatchSize = 0
-	if _, err := FedAvgOverRPC(s.Clients(), model, geno, bad, 2); err == nil {
-		t.Error("expected error for invalid config")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/rpc"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -350,19 +349,6 @@ func (s *Server) Supernet() *nas.Supernet { return s.net }
 // CohortFor reports the cohort the sampler draws for a round — a pure
 // function of the configured seed, usable before, during, or after a run.
 func (s *Server) CohortFor(round int) []int { return s.sampler.Cohort(round) }
-
-// Clients snapshots the live RPC client handles in participant order (nil
-// entries for dead peers). FedAvgOverRPC consumes it for the post-search
-// FL phase.
-func (s *Server) Clients() []*rpc.Client {
-	out := make([]*rpc.Client, len(s.peers))
-	for i, p := range s.peers {
-		p.mu.Lock()
-		out[i] = p.client
-		p.mu.Unlock()
-	}
-	return out
-}
 
 // SetTelemetry attaches a span tracer and a metric registry to the server.
 // Both may be nil: a nil tracer disables tracing, a nil registry keeps the

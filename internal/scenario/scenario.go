@@ -6,14 +6,14 @@
 // definition), an optional population-wide skew override, and the
 // personalization mode (shared supernet body, per-client classifier head).
 //
-// Specs replace the scattered -chaos/-nettrace/-partition flag strings:
-// they parse from a compact grammar or JSON (see Parse), marshal back to
-// JSON losslessly, validate with every problem reported at once, and lower
-// deterministically onto the existing substrate — profile assignment is a
-// pure function of (spec, K, seed), so a population is carved up
-// identically on every process, at every worker count, on both sides of an
-// RPC deployment. An empty Spec lowers to nothing at all: runs stay
-// bit-identical to builds without the scenario layer.
+// Specs are the one description of a device population: they parse from a
+// compact grammar or JSON (see Parse), marshal back to JSON losslessly,
+// validate with every problem reported at once, and lower deterministically
+// onto the existing substrate — profile assignment is a pure function of
+// (spec, K, seed), so a population is carved up identically on every
+// process, at every worker count, on both sides of an RPC deployment. An
+// empty Spec lowers to nothing at all: runs stay bit-identical to builds
+// without the scenario layer.
 package scenario
 
 import (

@@ -17,10 +17,11 @@ import (
 )
 
 // Checkpoint format: a small binary header, the α matrices, every supernet
-// parameter tensor in canonical order (tensor wire format), and — since
-// version 2 — the optimizer and stream state a bit-exact resume needs: the
-// θ momentum buffers, the search RNG position, and each materialized
-// participant's RNG position and batcher order. Checkpoints let long
+// parameter tensor in canonical order (tensor wire format), the optimizer
+// and stream state a bit-exact resume needs (the θ momentum buffers, the
+// search RNG position, and each materialized participant's RNG position
+// and batcher order), and the personalized per-client heads (a count of 0
+// when the run is not personalized). Checkpoints let long
 // search phases resume across process restarts — the paper's search runs
 // for hours even on GPUs — and back the resident server's job lifecycle
 // (pause/resume/drain in internal/serve).
@@ -33,15 +34,10 @@ import (
 // skipped rather than applied; the run re-converges but is not bit-exact
 // for the first StalenessThreshold rounds.
 const (
-	checkpointMagic   = uint32(0xfed51a5e)
-	checkpointVersion = uint32(2)
-	// checkpointVersionV1 files (θ+α only) are still readable; they
-	// restore state but not streams, matching the old behavior.
-	checkpointVersionV1 = uint32(1)
-	// checkpointVersionV3 appends the personalized per-client heads after
-	// the v2 sections. Only personalized runs write it, so every
-	// non-personalized checkpoint stays byte-identical to v2 readers.
-	checkpointVersionV3 = uint32(3)
+	checkpointMagic = uint32(0xfed51a5e)
+	// checkpointVersion is the one layout written and read; any other
+	// version is refused.
+	checkpointVersion = uint32(4)
 )
 
 // SaveCheckpoint writes the current search state to path crash-safely: the
@@ -101,11 +97,7 @@ func (s *Search) LoadCheckpoint(path string) error {
 }
 
 func (s *Search) writeCheckpoint(w io.Writer) error {
-	version := checkpointVersion
-	if s.personalize {
-		version = checkpointVersionV3
-	}
-	for _, v := range []uint32{checkpointMagic, version, uint32(s.round)} {
+	for _, v := range []uint32{checkpointMagic, checkpointVersion, uint32(s.round)} {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 			return err
 		}
@@ -129,7 +121,7 @@ func (s *Search) writeCheckpoint(w io.Writer) error {
 			return err
 		}
 	}
-	// v2: θ momentum, one presence-tagged tensor per canonical parameter.
+	// θ momentum, one presence-tagged tensor per canonical parameter.
 	for _, p := range params {
 		v := s.thetaOpt.Velocity(p)
 		if v == nil {
@@ -145,7 +137,7 @@ func (s *Search) writeCheckpoint(w io.Writer) error {
 			return err
 		}
 	}
-	// v2: stream positions — the search RNG, then every materialized
+	// Stream positions — the search RNG, then every materialized
 	// participant's RNG and batcher order.
 	if err := binary.Write(w, binary.LittleEndian, s.rngSrc.Pos()); err != nil {
 		return err
@@ -170,26 +162,24 @@ func (s *Search) writeCheckpoint(w io.Writer) error {
 			}
 		}
 	}
-	// v3: personalized heads, in ascending participant-id order so the
-	// bytes are independent of map iteration (and of sampling history
-	// beyond which clients were ever drawn).
-	if s.personalize {
-		ids := make([]int, 0, len(s.heads))
-		for id := range s.heads {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(ids))); err != nil {
+	// Personalized heads, in ascending participant-id order so the bytes
+	// are independent of map iteration (and of sampling history beyond
+	// which clients were ever drawn). A non-personalized run has none.
+	ids := make([]int, 0, len(s.heads))
+	for id := range s.heads {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(ids))); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if err := binary.Write(w, binary.LittleEndian, uint32(id)); err != nil {
 			return err
 		}
-		for _, id := range ids {
-			if err := binary.Write(w, binary.LittleEndian, uint32(id)); err != nil {
+		for _, t := range s.heads[id] {
+			if _, err := t.WriteTo(w); err != nil {
 				return err
-			}
-			for _, t := range s.heads[id] {
-				if _, err := t.WriteTo(w); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -206,8 +196,8 @@ func (s *Search) readCheckpoint(r io.Reader) error {
 	if magic != checkpointMagic {
 		return fmt.Errorf("bad magic %#x", magic)
 	}
-	if version != checkpointVersion && version != checkpointVersionV1 && version != checkpointVersionV3 {
-		return fmt.Errorf("unsupported version %d", version)
+	if version != checkpointVersion {
+		return fmt.Errorf("unsupported version %d (this build reads version %d only)", version, checkpointVersion)
 	}
 	var baseline float64
 	if err := binary.Read(r, binary.LittleEndian, &baseline); err != nil {
@@ -251,21 +241,17 @@ func (s *Search) readCheckpoint(r io.Reader) error {
 		}
 		p.Value.CopyFrom(t)
 	}
-	if version >= checkpointVersion {
-		if err := s.readResumeState(r, params); err != nil {
-			return err
-		}
+	if err := s.readResumeState(r, params); err != nil {
+		return err
 	}
-	if version >= checkpointVersionV3 {
-		if err := s.readHeads(r); err != nil {
-			return err
-		}
+	if err := s.readHeads(r); err != nil {
+		return err
 	}
 	s.round = int(round)
 	return nil
 }
 
-// readHeads restores the v3 personalized-head section, materializing each
+// readHeads restores the personalized-head section, materializing each
 // listed client's head and overwriting it with the saved values.
 func (s *Search) readHeads(r io.Reader) error {
 	var nHeads uint32
@@ -304,7 +290,7 @@ func (s *Search) readHeads(r io.Reader) error {
 	return nil
 }
 
-// readResumeState restores the v2 sections: momentum, search RNG position,
+// readResumeState restores the θ momentum, the search RNG position and the
 // participant streams.
 func (s *Search) readResumeState(r io.Reader, params []*nn.Param) error {
 	var tag [1]byte

@@ -2,8 +2,11 @@ package search
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -100,6 +103,68 @@ func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 	}
 	if err := s.LoadCheckpoint(filepath.Join(dir, "missing.ckpt")); err == nil {
 		t.Error("expected error for missing file")
+	}
+}
+
+// TestCheckpointVersionTable: one checkpoint version is read. A file whose
+// header names any other version is refused with both versions in the
+// error, before any state is touched.
+func TestCheckpointVersionTable(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.WarmupSteps = 1
+	cfg.SearchSteps = 0
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "v.ckpt")
+	if err := s.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(saved[4:8]); got != checkpointVersion {
+		t.Fatalf("header version %d, want %d", got, checkpointVersion)
+	}
+	for _, tc := range []struct {
+		version uint32
+		ok      bool
+	}{{1, false}, {2, false}, {3, false}, {4, true}, {5, false}} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			b := append([]byte(nil), saved...)
+			binary.LittleEndian.PutUint32(b[4:8], tc.version)
+			p := filepath.Join(dir, fmt.Sprintf("v%d.ckpt", tc.version))
+			if err := os.WriteFile(p, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s2.LoadCheckpoint(p)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("current version refused: %v", err)
+				}
+				if s2.Round() != s.Round() {
+					t.Fatalf("round %d, want %d", s2.Round(), s.Round())
+				}
+				return
+			}
+			want := fmt.Sprintf("unsupported version %d (this build reads version %d only)", tc.version, checkpointVersion)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if s2.Round() != 0 {
+				t.Fatalf("refused checkpoint moved the round to %d", s2.Round())
+			}
+		})
 	}
 }
 

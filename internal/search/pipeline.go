@@ -7,6 +7,7 @@ import (
 	"fedrlnas/internal/fed"
 	"fedrlnas/internal/metrics"
 	"fedrlnas/internal/nas"
+	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/telemetry"
 )
 
@@ -89,14 +90,28 @@ func RunPipeline(cfg Config, opts PipelineOptions) (PipelineResult, error) {
 		}
 	}
 	if opts.Federated != nil {
+		kind, alpha := retrainSplit(cfg)
 		var fedRes fed.FedAvgResult
 		res.Federated, fedRes, err = RetrainFederated(
 			s.Dataset(), cfg.Net, res.Genotype,
-			cfg.Partition, cfg.DirichletAlpha, cfg.K, *opts.Federated, cfg.Seed+44)
+			kind, alpha, cfg.K, *opts.Federated, cfg.Seed+44)
 		if err != nil {
 			return res, fmt.Errorf("pipeline federated retrain: %w", err)
 		}
 		res.FedCurves = fedRes
 	}
 	return res, nil
+}
+
+// retrainSplit picks the federated P3 split: the scenario's population-wide
+// skew when one is set (the split P1/P2 searched on), else the
+// Partition/DirichletAlpha pair.
+func retrainSplit(cfg Config) (PartitionKind, float64) {
+	if cfg.Scenario == nil || cfg.Scenario.Skew == nil {
+		return cfg.Partition, cfg.DirichletAlpha
+	}
+	if cfg.Scenario.Skew.Kind == scenario.SkewDirichlet {
+		return Dirichlet, cfg.Scenario.Skew.Alpha
+	}
+	return IID, cfg.DirichletAlpha
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"fedrlnas/internal/fed"
 	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/staleness"
 )
@@ -82,9 +83,9 @@ func TestEmptyScenarioIsNoOp(t *testing.T) {
 	}
 }
 
-// TestLegacyPartitionFlagsLowerBitIdentically: the deprecated
-// -partition/-dirichlet-alpha path and its scenario-Skew lowering must
-// produce the same run, so flag aliasing cannot silently change results.
+// TestLegacyPartitionFlagsLowerBitIdentically: Config.Partition/
+// DirichletAlpha and the equivalent population-less scenario Skew must
+// produce the same search, so either spelling gives the same results.
 func TestLegacyPartitionFlagsLowerBitIdentically(t *testing.T) {
 	base := tinyConfig()
 	base.WarmupSteps = 4
@@ -113,9 +114,42 @@ func TestLegacyPartitionFlagsLowerBitIdentically(t *testing.T) {
 	}
 }
 
+// TestPipelineRetrainsOnScenarioSkew: a scenario's Dirichlet skew must
+// reach the federated P3 split, not only the search's. Partition=Dirichlet
+// without a scenario and Partition=IID under a Dirichlet scenario skew are
+// the same run end to end.
+func TestPipelineRetrainsOnScenarioSkew(t *testing.T) {
+	base := tinyConfig()
+	base.WarmupSteps = 2
+	base.SearchSteps = 2
+	base.Seed = 23
+	fcfg := fed.DefaultFedAvgConfig()
+	fcfg.Rounds = 4
+	fcfg.BatchSize = 8
+
+	flag := base
+	flag.Partition = Dirichlet
+	flag.DirichletAlpha = 0.1
+	flag.Scenario = nil
+
+	skewed := base
+	skewed.Partition = IID
+	skewed.Scenario = &scenario.Spec{Skew: &scenario.Skew{Kind: scenario.SkewDirichlet, Alpha: 0.1}}
+
+	var curves [2][]float64
+	for i, cfg := range []Config{flag, skewed} {
+		res, err := RunPipeline(cfg, PipelineOptions{Federated: &fcfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		curves[i] = append(res.Federated.TrainCurve.Values(), res.Federated.TestAcc)
+	}
+	assertIdentical(t, "federated P3 curve and P4 accuracy", curves[0], curves[1])
+}
+
 // TestPersonalizedCheckpointResume: pausing a personalized run and resuming
 // from the checkpoint must land on the exact bits of the uninterrupted run —
-// the v3 checkpoint section carries every client head.
+// the checkpoint's head section carries every client head.
 func TestPersonalizedCheckpointResume(t *testing.T) {
 	cfg := scenarioTinyConfig()
 	cfg.Workers = 2

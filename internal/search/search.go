@@ -464,14 +464,6 @@ func (s *Search) runRound(updateAlpha, updateTheta bool) (float64, error) {
 	return rep.Accuracy, nil
 }
 
-// DeriveExcludingZero returns the argmax genotype with the "none" op
-// excluded, the DARTS convention for final architectures (a zero edge would
-// contribute nothing to the retrained model).
-func (s *Search) DeriveExcludingZero() nas.Genotype {
-	pn, pr := s.ctrl.Probs()
-	return nas.DeriveGenotypeExcluding(pn, pr, s.cfg.Net.Candidates, s.cfg.Net.Nodes, nas.OpZero)
-}
-
 // Partition exposes the training-data partition (per-client evaluation
 // derives each client's test distribution from it).
 func (s *Search) Partition() data.Partition { return s.partition }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"fedrlnas/internal/nas"
 	"fedrlnas/internal/staleness"
 )
 
@@ -124,63 +123,5 @@ func TestObserverReceivesEveryRound(t *testing.T) {
 	}
 	if s.Stats.Offline == 0 {
 		t.Error("churn 0.3 over 7 rounds never took anyone offline")
-	}
-}
-
-func TestOpPreferencesSumToOne(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.WarmupSteps = 0
-	cfg.SearchSteps = 5
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	prefs := s.OpPreferences()
-	if len(prefs) != len(cfg.Net.Candidates) {
-		t.Fatalf("%d preferences for %d candidates", len(prefs), len(cfg.Net.Candidates))
-	}
-	var sumN, sumR float64
-	for _, p := range prefs {
-		sumN += p.NormalMass
-		sumR += p.ReduceMass
-	}
-	if math.Abs(sumN-1) > 1e-9 || math.Abs(sumR-1) > 1e-9 {
-		t.Errorf("masses sum to %.6f / %.6f, want 1", sumN, sumR)
-	}
-	// Sorted descending by combined mass.
-	for i := 1; i < len(prefs); i++ {
-		a := prefs[i-1].NormalMass + prefs[i-1].ReduceMass
-		b := prefs[i].NormalMass + prefs[i].ReduceMass
-		if b > a+1e-12 {
-			t.Fatal("preferences not sorted")
-		}
-	}
-	if out := FormatOpPreferences(prefs); len(out) == 0 {
-		t.Error("empty preference rendering")
-	}
-}
-
-func TestDeriveExcludingZeroHasNoZeroOps(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.WarmupSteps = 0
-	cfg.SearchSteps = 3
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	g := s.DeriveExcludingZero()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range append(g.Normal, g.Reduce...) {
-		if op == nas.OpZero {
-			t.Fatal("zero op survived exclusion")
-		}
 	}
 }

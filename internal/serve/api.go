@@ -24,7 +24,7 @@ type JobSpec struct {
 	Scenario *scenario.Spec  `json:"scenario,omitempty"`
 }
 
-// ModelSpec is the POST /jobs/{id}/serve and POST /models request body.
+// ModelSpec is the POST /v1/jobs/{id}/serve and POST /v1/models request body.
 // The jobs variant derives the genotype from the live job and takes Net
 // from the job config; the models variant states both explicitly.
 type ModelSpec struct {
@@ -47,7 +47,7 @@ func (m *ModelSpec) batchConfig() BatchConfig {
 	}
 }
 
-// InferRequest is the POST /models/{id}/infer request body: one example in
+// InferRequest is the POST /v1/models/{id}/infer request body: one example in
 // row-major [C,H,W] order.
 type InferRequest struct {
 	Shape []int     `json:"shape"`
@@ -59,16 +59,15 @@ type InferResponse struct {
 	Logits []float64 `json:"logits"`
 }
 
-// ModelInfo is the POST /models response.
+// ModelInfo is the POST /v1/models response.
 type ModelInfo struct {
 	ID       string `json:"id"`
 	Classes  int    `json:"classes"`
 	MaxBatch int    `json:"max_batch"`
 }
 
-// APIHandler returns the job/model HTTP API, versioned under /v1 (every
-// route below is also served at its unversioned path as a deprecated
-// alias, so existing clients keep working):
+// APIHandler returns the job/model HTTP API, versioned under /v1 (an
+// unversioned path is a 404):
 //
 //	GET  /v1/jobs                  all job statuses
 //	POST /v1/jobs                  create a job (JobSpec, incl. scenario)
@@ -85,29 +84,19 @@ type ModelInfo struct {
 // Mounted on the telemetry debug mux via Endpoints, so one listener carries
 // /metrics, pprof and the serving API.
 func (s *Server) APIHandler() http.Handler {
-	api := s.apiRoutes()
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", http.StripPrefix("/v1", api))
-	mux.Handle("/", api)
-	return mux
-}
-
-// apiRoutes builds the unprefixed route table shared by /v1 and the
-// deprecated unversioned aliases.
-func (s *Server) apiRoutes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Jobs())
 	})
-	mux.HandleFunc("POST /jobs", s.handleCreateJob)
-	mux.HandleFunc("GET /jobs/{id}", s.withJob(func(w http.ResponseWriter, r *http.Request, j *Job) {
+	mux.HandleFunc("POST /v1/jobs", s.handleCreateJob)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.withJob(func(w http.ResponseWriter, r *http.Request, j *Job) {
 		writeJSON(w, http.StatusOK, j.Status())
 	}))
-	mux.HandleFunc("POST /jobs/{id}/pause", s.withJob(jobAction((*Job).Pause)))
-	mux.HandleFunc("POST /jobs/{id}/resume", s.withJob(jobAction((*Job).Resume)))
-	mux.HandleFunc("POST /jobs/{id}/cancel", s.withJob(jobAction((*Job).Cancel)))
-	mux.HandleFunc("POST /jobs/{id}/checkpoint", s.withJob(jobAction((*Job).Checkpoint)))
-	mux.HandleFunc("GET /jobs/{id}/genotype", s.withJob(func(w http.ResponseWriter, r *http.Request, j *Job) {
+	mux.HandleFunc("POST /v1/jobs/{id}/pause", s.withJob(jobAction((*Job).Pause)))
+	mux.HandleFunc("POST /v1/jobs/{id}/resume", s.withJob(jobAction((*Job).Resume)))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.withJob(jobAction((*Job).Cancel)))
+	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", s.withJob(jobAction((*Job).Checkpoint)))
+	mux.HandleFunc("GET /v1/jobs/{id}/genotype", s.withJob(func(w http.ResponseWriter, r *http.Request, j *Job) {
 		g, err := j.Derive()
 		if err != nil {
 			writeError(w, http.StatusConflict, err)
@@ -115,23 +104,15 @@ func (s *Server) apiRoutes() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, g)
 	}))
-	mux.HandleFunc("POST /jobs/{id}/serve", s.withJob(s.handleServeDerived))
-	mux.HandleFunc("POST /models", s.handleServeModel)
-	mux.HandleFunc("POST /models/{id}/infer", s.handleInfer)
+	mux.HandleFunc("POST /v1/jobs/{id}/serve", s.withJob(s.handleServeDerived))
+	mux.HandleFunc("POST /v1/models", s.handleServeModel)
+	mux.HandleFunc("POST /v1/models/{id}/infer", s.handleInfer)
 	return mux
 }
 
-// Endpoints mounts the API on a telemetry debug mux: the versioned /v1/
-// surface plus the unversioned aliases.
+// Endpoints mounts the API's /v1/ surface on a telemetry debug mux.
 func (s *Server) Endpoints() []telemetry.Endpoint {
-	api := s.APIHandler()
-	return []telemetry.Endpoint{
-		{Path: "/v1/", Handler: api},
-		{Path: "/jobs", Handler: api},
-		{Path: "/jobs/", Handler: api},
-		{Path: "/models", Handler: api},
-		{Path: "/models/", Handler: api},
-	}
+	return []telemetry.Endpoint{{Path: "/v1/", Handler: s.APIHandler()}}
 }
 
 func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {

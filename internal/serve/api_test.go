@@ -22,8 +22,8 @@ func jsonBody(t *testing.T, v any) io.Reader {
 }
 
 // TestV1APIAndScenarioJob pins the versioned surface: every route lives
-// under /v1/, the unversioned paths stay as deprecated aliases serving the
-// same state, and POST /v1/jobs accepts a full scenario.Spec.
+// under /v1/, an unversioned path is a 404, and POST /v1/jobs accepts a
+// full scenario.Spec.
 func TestV1APIAndScenarioJob(t *testing.T) {
 	dir := t.TempDir()
 	s := NewServer(Options{CheckpointDir: dir, DefaultBatch: BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond}})
@@ -46,17 +46,25 @@ func TestV1APIAndScenarioJob(t *testing.T) {
 		t.Fatal("no job id from /v1/jobs")
 	}
 
-	// The same job is visible from both surfaces.
-	for _, base := range []string{ts.URL + "/v1", ts.URL} {
-		var listed []JobStatus
-		getJSON(t, base+"/jobs", &listed)
-		if len(listed) != 1 || listed[0].ID != created.ID {
-			t.Fatalf("%s/jobs listed %+v", base, listed)
+	var listed []JobStatus
+	getJSON(t, ts.URL+"/v1/jobs", &listed)
+	if len(listed) != 1 || listed[0].ID != created.ID {
+		t.Fatalf("/v1/jobs listed %+v", listed)
+	}
+	var status JobStatus
+	getJSON(t, ts.URL+"/v1/jobs/"+created.ID, &status)
+	if status.ID != created.ID {
+		t.Fatalf("/v1 status %+v", status)
+	}
+	// The unversioned aliases are gone.
+	for _, path := range []string{"/jobs", "/jobs/" + created.ID} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var st JobStatus
-		getJSON(t, base+"/jobs/"+created.ID, &st)
-		if st.ID != created.ID {
-			t.Fatalf("%s status %+v", base, st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s -> %d, want 404", path, resp.StatusCode)
 		}
 	}
 

@@ -251,11 +251,11 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var created JobStatus
-	postJSON(t, ts.URL+"/jobs", JobSpec{Config: cfgJSON}, http.StatusCreated, &created)
+	postJSON(t, ts.URL+"/v1/jobs", JobSpec{Config: cfgJSON}, http.StatusCreated, &created)
 	if created.ID == "" {
 		t.Fatal("no job id")
 	}
-	jobURL := ts.URL + "/jobs/" + created.ID
+	jobURL := ts.URL + "/v1/jobs/" + created.ID
 
 	// Wait for rounds via the status endpoint.
 	deadline := time.Now().Add(30 * time.Second)
@@ -276,7 +276,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("state %s after pause", st.State)
 	}
 	var listed []JobStatus
-	getJSON(t, ts.URL+"/jobs", &listed)
+	getJSON(t, ts.URL+"/v1/jobs", &listed)
 	if len(listed) != 1 || listed[0].ID != created.ID {
 		t.Fatalf("job list %+v", listed)
 	}
@@ -297,14 +297,14 @@ func TestHTTPAPI(t *testing.T) {
 		in[i] = rng.NormFloat64()
 	}
 	var out InferResponse
-	postJSON(t, ts.URL+"/models/"+model.ID+"/infer",
+	postJSON(t, ts.URL+"/v1/models/"+model.ID+"/infer",
 		InferRequest{Shape: []int{2, 8, 8}, Input: in}, http.StatusOK, &out)
 	if len(out.Logits) != 5 {
 		t.Fatalf("%d logits, want 5", len(out.Logits))
 	}
 
 	// Bad requests are rejected with 4xx, not 500s or hangs.
-	resp, err := http.Post(ts.URL+"/models/"+model.ID+"/infer", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/models/"+model.ID+"/infer", "application/json",
 		bytes.NewReader([]byte(`{"shape":[2,8,8],"input":[1,2,3]}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestHTTPAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short input -> %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/jobs/nope")
+	resp, err = http.Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,6 @@ func Example() {
 func ExampleSchedule() {
 	s := staleness.Severe()
 	fmt.Printf("stale fraction: %.0f%%, threshold: %d rounds\n",
-		s.StaleFraction()*100, s.MaxDelay())
+		(1-s.Probs[0])*100, s.MaxDelay())
 	// Output: stale fraction: 70%, threshold: 2 rounds
 }

@@ -85,15 +85,6 @@ func (s Schedule) Validate() error {
 // Δ implied by the schedule).
 func (s Schedule) MaxDelay() int { return len(s.Probs) - 1 }
 
-// StaleFraction returns the probability an update is not fresh (delayed or
-// dropped).
-func (s Schedule) StaleFraction() float64 {
-	if len(s.Probs) == 0 {
-		return 0
-	}
-	return 1 - s.Probs[0]
-}
-
 // Sample draws a delay; dropped reports the update exceeded the threshold.
 func (s Schedule) Sample(rng *rand.Rand) (delay int, dropped bool) {
 	r := rng.Float64()

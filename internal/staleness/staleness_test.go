@@ -14,13 +14,13 @@ func TestStandardSchedulesValid(t *testing.T) {
 			t.Errorf("%v: %v", s.Probs, err)
 		}
 	}
-	if got := Severe().StaleFraction(); math.Abs(got-0.7) > 1e-9 {
+	if got := 1 - Severe().Probs[0]; math.Abs(got-0.7) > 1e-9 {
 		t.Errorf("severe stale fraction %v, want 0.7", got)
 	}
-	if got := Slight().StaleFraction(); math.Abs(got-0.1) > 1e-9 {
+	if got := 1 - Slight().Probs[0]; math.Abs(got-0.1) > 1e-9 {
 		t.Errorf("slight stale fraction %v, want 0.1", got)
 	}
-	if NoStaleness().StaleFraction() != 0 {
+	if NoStaleness().Probs[0] != 1 {
 		t.Error("no-staleness must be 0% stale")
 	}
 }

@@ -19,17 +19,6 @@ type Endpoint struct {
 	Handler http.Handler
 }
 
-// JSONEndpoint mounts fn's return value as a JSON document at path. fn is
-// invoked per request, so it should snapshot live state cheaply.
-func JSONEndpoint(path string, fn func() any) Endpoint {
-	return Endpoint{Path: path, Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(fn())
-	})}
-}
-
 // NewDebugMux builds the debug HTTP handler tree:
 //
 //	/metrics       Prometheus text exposition of reg (empty body if nil)
@@ -39,7 +28,7 @@ func JSONEndpoint(path string, fn func() any) Endpoint {
 //	/debug/vars    expvar (memstats, cmdline, …)
 //	/debug/pprof/  net/http/pprof profiles
 //
-// plus any extra endpoints (e.g. JSONEndpoint views of live state).
+// plus any extra endpoints (e.g. the RPC server's participant view).
 func NewDebugMux(reg *Registry, extras ...Endpoint) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -10,9 +10,9 @@
 //
 // with exactly one rounding for the alpha/beta combination at the end. That
 // fixed "canonical summation order" makes the blocked kernel bit-identical
-// to the naive three-loop reference, to itself at every block size, and to
-// the row-sharded parallel path at every worker count — the repo-wide
-// determinism invariant (DESIGN.md §Kernels) falls out for free.
+// to the naive three-loop reference and to itself at every block size —
+// the repo-wide determinism invariant (DESIGN.md §Kernels) falls out for
+// free.
 //
 // The micro-kernel itself is pluggable: gemmActiveF64 names the variant the
 // package dispatches to, selected once at init. On amd64 with AVX2 an
@@ -54,9 +54,6 @@ const (
 	// gemmMC caps how many A strips (mr rows each) are walked per B strip
 	// before moving on — the cache tile over output rows.
 	gemmMC = 32
-	// gemmParMinWork is the m·n·k below which the parallel path runs inline:
-	// smaller products finish faster than a pool dispatch.
-	gemmParMinWork = 64 * 1024
 )
 
 // gemmKernelF64 is one register-blocked micro-kernel variant: mr×nr
@@ -158,14 +155,6 @@ var gemmPool = sync.Pool{New: func() any { return new(gemmScratch) }}
 // allocation-free.
 var gemmAccPool = sync.Pool{New: func() any { return new([gemmMaxMR * gemmMaxNR]float64) }}
 
-// Runner abstracts the worker pool the parallel path shards over. It is
-// satisfied by *parallel.Pool (and by a nil-free serial stub in tests); the
-// tensor package stays dependency-free by naming only the shape.
-type Runner interface {
-	Workers() int
-	Run(n int, fn func(worker, task int) error) error
-}
-
 // Gemm computes dst = alpha·op(a)·op(b) + beta·dst for 2-D tensors, where
 // op(x) is x or its transpose. The transposed operand is read in place —
 // backward passes never materialize a transposed copy. dst must not alias a
@@ -177,15 +166,6 @@ func Gemm(dst *Tensor, alpha float64, a *Tensor, transA bool, b *Tensor, transB 
 
 // GemmInto computes dst = a·b (the plain matmul special case).
 func GemmInto(dst, a, b *Tensor) { Gemm(dst, 1, a, false, b, false, 0) }
-
-// GemmParallel is Gemm with output rows sharded over r. Results are
-// bit-identical to Gemm at every worker count (each output element is still
-// one ascending-k accumulator, owned by exactly one task). A nil Runner or
-// a single-worker pool runs inline.
-func GemmParallel(r Runner, dst *Tensor, alpha float64, a *Tensor, transA bool, b *Tensor, transB bool, beta float64) {
-	m, n, k := gemmDims(dst, a, transA, b, transB)
-	GemmRawParallel(r, transA, transB, m, n, k, alpha, a.data, a.shape[1], b.data, b.shape[1], beta, dst.data, n)
-}
 
 // gemmDims validates the tensor-level operand shapes and returns (m, n, k).
 func gemmDims(dst, a *Tensor, transA bool, b *Tensor, transB bool) (m, n, k int) {
@@ -262,49 +242,6 @@ func GemmRawBatched(transA bool, count, m, n, k int, alpha float64, a []float64,
 	}
 	gemmRun(kv, transA, false, m, count*n, k, alpha, a, lda, b, ldb, beta, c, ldc, n, bStride, cStride)
 	return true
-}
-
-// GemmRawParallel is GemmRaw with contiguous row-strip blocks fanned out
-// over r. Packing happens once on the calling goroutine; tasks write
-// disjoint row ranges of C, so no synchronization is needed and the result
-// is bit-identical to the serial kernel.
-func GemmRawParallel(r Runner, transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	workers := 1
-	if r != nil {
-		workers = r.Workers()
-	}
-	if workers <= 1 || m*n*k < gemmParMinWork {
-		GemmRaw(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-		return
-	}
-	if gemmTrivial(m, n, k, beta, c, ldc) {
-		return
-	}
-	kv := gemmKernelFor(m)
-	start := time.Now()
-	ws := gemmPool.Get().(*gemmScratch)
-	ops, ms, ns := ws.pack(kv.mr, kv.nr, transA, transB, m, n, k, a, lda, b, ldb)
-	// One block of strips per task; a few tasks per worker so a straggling
-	// block cannot serialize the tail.
-	tasks := workers * 4
-	if tasks > ms {
-		tasks = ms
-	}
-	per := (ms + tasks - 1) / tasks
-	_ = r.Run(tasks, func(_, task int) error {
-		lo := task * per
-		hi := lo + per
-		if hi > ms {
-			hi = ms
-		}
-		if lo < hi {
-			gemmMacro(kv, &ops, lo, hi, ns, m, n, k, alpha, beta, c, ldc)
-		}
-		return nil
-	})
-	hint := uintptr(unsafe.Pointer(ws))
-	gemmPool.Put(ws)
-	gemmAddStats(2*int64(m)*int64(n)*int64(k), time.Since(start).Nanoseconds(), hint)
 }
 
 // gemmTrivial handles empty problems; it reports whether the call is done.

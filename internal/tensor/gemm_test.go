@@ -178,61 +178,6 @@ func TestGemmShapePanics(t *testing.T) {
 	expectPanic("non-2D", func() { GemmInto(New(2, 4), New(2, 3, 1), b) })
 }
 
-// stubRunner is an in-package Runner that actually runs tasks on goroutines,
-// mimicking the parallel.Pool contract without importing it.
-type stubRunner struct{ workers int }
-
-func (s stubRunner) Workers() int { return s.workers }
-
-func (s stubRunner) Run(n int, fn func(worker, task int) error) error {
-	done := make(chan struct{})
-	next := make(chan int)
-	for w := 0; w < s.workers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for task := range next {
-				_ = fn(w, task)
-			}
-		}(w)
-	}
-	for task := 0; task < n; task++ {
-		next <- task
-	}
-	close(next)
-	for w := 0; w < s.workers; w++ {
-		<-done
-	}
-	return nil
-}
-
-func TestGemmParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Big enough to clear gemmParMinWork and to give every worker several
-	// row blocks.
-	m, n, k := 96, 80, 64
-	a := Randn(rng, 1, m, k)
-	b := Randn(rng, 1, k, n)
-	serial := New(m, n)
-	Gemm(serial, 1, a, false, b, false, 0)
-	for _, workers := range []int{1, 2, 3, 5, 8} {
-		got := New(m, n)
-		GemmParallel(stubRunner{workers: workers}, got, 1, a, false, b, false, 0)
-		for i, v := range got.Data() {
-			if v != serial.Data()[i] {
-				t.Fatalf("workers=%d: c[%d]=%g differs from serial %g", workers, i, v, serial.Data()[i])
-			}
-		}
-	}
-	// Nil runner degrades to serial.
-	got := New(m, n)
-	GemmParallel(nil, got, 1, a, false, b, false, 0)
-	for i, v := range got.Data() {
-		if v != serial.Data()[i] {
-			t.Fatalf("nil runner: c[%d] differs", i)
-		}
-	}
-}
-
 func TestGemmSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random, defeating scratch reuse")

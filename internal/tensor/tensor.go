@@ -83,15 +83,6 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform returns a tensor with entries drawn uniformly from [lo, hi).
-func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // KaimingConv initializes a conv weight tensor of shape
 // [outC, inC, kH, kW] with Kaiming-style fan-in scaling.
 func KaimingConv(rng *rand.Rand, outC, inC, kH, kW int) *Tensor {
