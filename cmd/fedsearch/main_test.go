@@ -15,6 +15,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		want string
 	}{
 		{"bad dataset", []string{"-dataset", "mnist"}, "unknown dataset"},
+		// -partition was removed in favour of -scenario; it must be
+		// rejected rather than silently ignored.
+		{"bad partition", []string{"-partition", "dirichlet"}, "flag provided but not defined: -partition"},
 		{"bad staleness", []string{"-staleness", "extreme"}, "unknown staleness"},
 		{"bad strategy", []string{"-strategy", "vote"}, "unknown strategy"},
 		{"bad transmission", []string{"-transmission", "greedy"}, "unknown transmission"},
