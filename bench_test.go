@@ -144,8 +144,9 @@ func BenchmarkAblationAlphaGradAnalytic(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGradAveraging compares gradient-averaging (our search's
-// update) with model-averaging FedAvg on the same fixed model.
+// BenchmarkAblationGradAveraging compares one local step per round (the
+// closest FedAvg comes to the search's gradient averaging) with several
+// local steps of model-averaging FedAvg on the same fixed model.
 func BenchmarkAblationGradAveraging(b *testing.B) {
 	spec := data.CIFAR10S()
 	ds, err := data.Generate(spec)
@@ -172,20 +173,6 @@ func BenchmarkAblationGradAveraging(b *testing.B) {
 			model, err := nas.NewFixedModel(rng, net, geno)
 			if err != nil {
 				b.Fatal(err)
-			}
-			if localSteps == 1 {
-				// Pure gradient averaging (the paper's second FedAvg
-				// variant, used by the search phase).
-				cfg := fed.DefaultFedSGDConfig()
-				cfg.Rounds = 8
-				cfg.BatchSize = 16
-				if _, err := fed.FedSGD(model, ds, parts, cfg); err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("gradient-averaging (FedSGD): final acc %.3f", fed.Evaluate(model, ds, 32))
-				}
-				continue
 			}
 			cfg := fed.DefaultFedAvgConfig()
 			cfg.Rounds, cfg.LocalSteps = 8, localSteps

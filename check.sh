@@ -54,6 +54,10 @@ done
 echo "== bench module (vet + tests of the separate bench/ module, which compiles against this repo's API)"
 (cd bench && go vet ./... && go test ./...)
 
+echo "== examples (the two that build search.DefaultConfig and rpcfed.DefaultServerConfig must run to a zero exit)"
+go run ./examples/quickstart
+go run ./examples/distributed
+
 echo "== fedrpc two-process smoke + fedtrace (2 traced worker processes on loopback, 2 server rounds against them; must exit 0 with a genotype, and every span must stitch across the three trace files)"
 rpcdir=$(mktemp -d)
 trap 'rm -rf "$rpcdir"' EXIT

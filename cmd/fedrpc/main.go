@@ -31,10 +31,11 @@ import (
 
 	"fedrlnas/internal/chaos"
 	"fedrlnas/internal/data"
+	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
+	"fedrlnas/internal/round"
 	"fedrlnas/internal/rpcfed"
 	"fedrlnas/internal/scenario"
-	"fedrlnas/internal/search"
 	"fedrlnas/internal/telemetry"
 	"fedrlnas/internal/wire"
 )
@@ -80,16 +81,9 @@ func run(args []string) error {
 // the legacy Dirichlet(0.5); both stay pure functions of (dataset, k,
 // seed, scenario), so no data ever crosses the wire.
 func shardFor(datasetName string, k, index int, seed int64, scen *scenario.Spec) (*data.Dataset, []int, error) {
-	var spec data.Spec
-	switch datasetName {
-	case "cifar10s":
-		spec = data.CIFAR10S()
-	case "svhns":
-		spec = data.SVHNS()
-	case "cifar100s":
-		spec = data.CIFAR100S()
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q", datasetName)
+	spec, err := data.SpecByName(datasetName)
+	if err != nil {
+		return nil, nil, err
 	}
 	ds, err := data.Generate(spec)
 	if err != nil {
@@ -121,11 +115,12 @@ func shardFor(datasetName string, k, index int, seed int64, scen *scenario.Spec)
 	return ds, part.Indices[index], nil
 }
 
-func netConfig(classes, channels int) search.Config {
-	cfg := search.DefaultConfig()
-	cfg.Net.NumClasses = classes
-	cfg.Net.InChannels = channels
-	return cfg
+// netFor is the default supernet shaped to the dataset's images and classes.
+func netFor(ds *data.Dataset) nas.Config {
+	net := round.DefaultSpec().Net
+	net.NumClasses = ds.Spec.NumClasses
+	net.InChannels = ds.Spec.Channels
+	return net
 }
 
 func runWorker(args []string) error {
@@ -163,8 +158,7 @@ func runWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := netConfig(ds.Spec.NumClasses, ds.Spec.Channels)
-	svc, err := rpcfed.NewParticipantService(*index, ds, shard, cfg.Net, *seed+int64(*index)*31)
+	svc, err := rpcfed.NewParticipantService(*index, ds, shard, netFor(ds), *seed+int64(*index)*31)
 	if err != nil {
 		return err
 	}
@@ -260,8 +254,7 @@ func runServer(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := netConfig(ds.Spec.NumClasses, ds.Spec.Channels)
-	scfg := rpcfed.DefaultServerConfig(cfg.Net)
+	scfg := rpcfed.DefaultServerConfig(netFor(ds))
 	scfg.Rounds = *rounds
 	scfg.BatchSize = *batch
 	scfg.Quorum = *quorum

@@ -73,15 +73,8 @@ func run(args []string) error {
 
 	cfg := search.DefaultConfig()
 	cfg.Precision = prec
-	switch *dataset {
-	case "cifar10s":
-		cfg.Dataset = data.CIFAR10S()
-	case "svhns":
-		cfg.Dataset = data.SVHNS()
-	case "cifar100s":
-		cfg.Dataset = data.CIFAR100S()
-	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
+	if cfg.Dataset, err = data.SpecByName(*dataset); err != nil {
+		return err
 	}
 	cfg.Net.NumClasses = cfg.Dataset.NumClasses
 	cfg.Net.InChannels = cfg.Dataset.Channels

@@ -58,6 +58,20 @@ func CIFAR100S() Spec {
 	}
 }
 
+// SpecByName returns the named stand-in dataset: cifar10s, svhns or
+// cifar100s.
+func SpecByName(name string) (Spec, error) {
+	switch name {
+	case "cifar10s":
+		return CIFAR10S(), nil
+	case "svhns":
+		return SVHNS(), nil
+	case "cifar100s":
+		return CIFAR100S(), nil
+	}
+	return Spec{}, fmt.Errorf("unknown dataset %q", name)
+}
+
 // Validate checks the spec.
 func (s Spec) Validate() error {
 	switch {

@@ -451,56 +451,6 @@ func TestFedAvgWithClientFraction(t *testing.T) {
 	}
 }
 
-func TestFedSGDTrains(t *testing.T) {
-	ds := testDataset(t)
-	rng := rand.New(rand.NewSource(41))
-	part, err := data.IIDPartition(ds.NumTrain(), 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := BuildParticipants(ds, part, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := tinyModel(rng, 3)
-	before := Evaluate(m, ds, 16)
-	cfg := DefaultFedSGDConfig()
-	cfg.Rounds = 40
-	cfg.BatchSize = 8
-	curve, err := FedSGD(m, ds, ps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve.Len() != 40 {
-		t.Fatalf("curve %d points", curve.Len())
-	}
-	after := Evaluate(m, ds, 16)
-	if after <= before {
-		t.Errorf("FedSGD did not improve: %.3f -> %.3f", before, after)
-	}
-}
-
-func TestFedSGDValidation(t *testing.T) {
-	ds := testDataset(t)
-	m := tinyModel(rand.New(rand.NewSource(43)), 3)
-	if _, err := FedSGD(m, ds, nil, DefaultFedSGDConfig()); err == nil {
-		t.Error("expected error for no participants")
-	}
-	bad := DefaultFedSGDConfig()
-	bad.Rounds = 0
-	part, err := data.IIDPartition(ds.NumTrain(), 2, rand.New(rand.NewSource(44)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := BuildParticipants(ds, part, 45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FedSGD(m, ds, ps, bad); err == nil {
-		t.Error("expected error for invalid config")
-	}
-}
-
 // Evaluate must restore training mode afterwards (batch norm statistics
 // must keep updating in subsequent training steps).
 func TestEvaluateRestoresTrainingMode(t *testing.T) {

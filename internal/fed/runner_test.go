@@ -84,34 +84,6 @@ func TestFedAvgParallelMatchesSequential(t *testing.T) {
 	assertSameParams(t, seqModel, parModel)
 }
 
-// TestFedSGDParallelMatchesSequential mirrors the FedAvg check for the
-// gradient-averaging trainer.
-func TestFedSGDParallelMatchesSequential(t *testing.T) {
-	ds := testDataset(t)
-	cfg := FedSGDConfig{
-		Rounds: 6, BatchSize: 8,
-		LR: 0.1, Momentum: 0.9, WeightDecay: 1e-4, GradClip: 5,
-	}
-
-	seqModel := tinyModel(rand.New(rand.NewSource(5)), 3)
-	seqCurve, err := FedSGD(seqModel, ds, buildTestParts(t, ds, 4, 31), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parCfg := cfg
-	parCfg.Workers = 4
-	parCfg.NewReplica = func() Model { return tinyModel(rand.New(rand.NewSource(99)), 3) }
-	parModel := tinyModel(rand.New(rand.NewSource(5)), 3)
-	parCurve, err := FedSGD(parModel, ds, buildTestParts(t, ds, 4, 31), parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	assertSameCurve(t, "train accuracy", seqCurve.Values(), parCurve.Values())
-	assertSameParams(t, seqModel, parModel)
-}
-
 // TestRunnerEvaluateMatchesSequential checks the pool-driven test-set
 // evaluation against the plain sequential Evaluate.
 func TestRunnerEvaluateMatchesSequential(t *testing.T) {

@@ -7,7 +7,9 @@
 // dispatch round (Eq. 13–15), merge in the order the transport fixed, and
 // step θ and α. The in-process engine (internal/search) and the RPC server
 // (internal/rpcfed) are the two transports; everything order- or
-// staleness-sensitive lives here and has one call site.
+// staleness-sensitive lives here and has one call site. So does the run's
+// shared configuration: Spec is declared, defaulted and validated here, and
+// New builds the controller, the θ optimizer and the cohort sampler from it.
 //
 // The seam's contract:
 //
@@ -117,25 +119,28 @@ const (
 	Late
 )
 
-// Config wires the core to the state it steps. All pointers are shared with
-// the façade that built them; the core is their only writer during Step.
+// Config wires the core to the run it steps. The core builds the
+// controller, the θ optimizer and the cohort sampler from Spec; the façade
+// supplies what differs between transports. The core is the only writer of
+// Supernet's parameters during Step.
 type Config struct {
-	Net     *nas.Supernet
-	Ctrl    *controller.Controller
-	Opt     *nn.SGD
-	Sampler *cohort.Sampler
+	// Spec is the run's shared configuration. Spec.StalenessThreshold is
+	// both the acceptance bound Δ and the snapshot retention, so a façade
+	// with a delay schedule passes a copy widened to max(Δ,
+	// schedule.MaxDelay()).
+	Spec Spec
+	// Enrolled is the population the cohort sampler draws from.
+	Enrolled int
+	// Supernet is the network θ lives in; its init seed is the façade's.
+	Supernet *nas.Supernet
 	// RNG is the gate-sampling stream. The core draws exactly one gate
 	// vector per cohort member per round from it, before Exchange.
 	RNG *rand.Rand
 	// Pool runs delay compensation and the sharded θ merge.
 	Pool *parallel.Pool
-	// StepParams is the prefix of Net.Params() the optimizer steps and
+	// StepParams is the prefix of Supernet.Params() the optimizer steps and
 	// replies may carry gradients for (all of it unless heads are personal).
 	StepParams []*nn.Param
-	// Sync supplies Strategy, Lambda, Shards and Δ. StalenessThreshold is
-	// both the acceptance bound and the snapshot retention, so a façade with
-	// a delay schedule passes max(Δ, schedule.MaxDelay()).
-	Sync staleness.SyncConfig
 	// WallClock reports a round's duration as the wall time of Step (a real
 	// network) instead of the slowest fresh reply's Seconds (a simulated one).
 	WallClock bool
@@ -154,11 +159,14 @@ type Report struct {
 
 // Core is the Alg. 1 server step.
 type Core struct {
-	cfg    Config
-	tr     Transport
-	params []*nn.Param
-	bns    []*nn.BatchNorm2D
-	delta  int
+	cfg     Config
+	tr      Transport
+	ctrl    *controller.Controller
+	opt     *nn.SGD
+	sampler *cohort.Sampler
+	params  []*nn.Param
+	bns     []*nn.BatchNorm2D
+	delta   int
 
 	// pool retains the last Δ rounds' snapshots. When no stale read can
 	// occur (hard sync, or Δ = 0) every entry is the one reusable live
@@ -196,34 +204,62 @@ type slot struct {
 	fresh, stale []*tensor.Tensor
 }
 
-// New builds the core over tr. Telemetry starts disabled.
-func New(cfg Config, tr Transport) *Core {
-	delta := cfg.Sync.StalenessThreshold
+// New builds the core over tr, together with the controller, the θ
+// optimizer and the cohort sampler cfg.Spec describes. Telemetry starts
+// disabled.
+func New(cfg Config, tr Transport) (*Core, error) {
+	spec := cfg.Spec
+	sampler, err := cohort.New(spec.Seed+303, cfg.Enrolled, spec.CohortSize)
+	if err != nil {
+		return nil, err
+	}
+	nE, rE := cfg.Supernet.ArchSpace()
+	ctrl, err := controller.New(nE, rE, cfg.Supernet.NumCandidates(), spec.Alpha)
+	if err != nil {
+		return nil, err
+	}
+	delta := spec.StalenessThreshold
 	c := &Core{
-		cfg:    cfg,
-		tr:     tr,
-		params: cfg.Net.Params(),
-		bns:    cfg.Net.BatchNorms(),
-		delta:  delta,
-		pool:   staleness.NewPool[*Snapshot](delta),
-		alias:  cfg.Sync.Strategy == staleness.Hard || delta == 0,
-		seen:   make([][]int, delta+1),
-		met:    telemetry.NewDisabledRoundMetrics(),
+		cfg:     cfg,
+		tr:      tr,
+		ctrl:    ctrl,
+		opt:     nn.NewSGD(spec.ThetaLR, spec.ThetaMomentum, spec.ThetaWD, spec.ThetaClip),
+		sampler: sampler,
+		params:  cfg.Supernet.Params(),
+		bns:     cfg.Supernet.BatchNorms(),
+		delta:   delta,
+		pool:    staleness.NewPool[*Snapshot](delta),
+		alias:   spec.Strategy == staleness.Hard || delta == 0,
+		seen:    make([][]int, delta+1),
+		met:     telemetry.NewDisabledRoundMetrics(),
 	}
 	for i := range c.seen {
-		c.seen[i] = make([]int, cfg.Sampler.Size())
+		c.seen[i] = make([]int, sampler.Size())
 	}
 	if c.alias {
-		c.live.Gates = make([]nas.Gates, cfg.Sampler.Size())
+		c.live.Gates = make([]nas.Gates, sampler.Size())
 		c.live.Theta = make([]*tensor.Tensor, len(c.params))
 		for i, p := range c.params {
 			c.live.Theta[i] = p.Value
 		}
 	}
 	c.aggTheta = make([]*tensor.Tensor, len(c.params))
-	nE, rE := cfg.Net.ArchSpace()
-	c.aggAlpha = controller.NewAlphaGrad(nE, rE, cfg.Net.NumCandidates())
-	return c
+	c.aggAlpha = controller.NewAlphaGrad(nE, rE, cfg.Supernet.NumCandidates())
+	return c, nil
+}
+
+// Controller returns the RL controller the core steps.
+func (c *Core) Controller() *controller.Controller { return c.ctrl }
+
+// Optimizer returns the θ optimizer; its momentum is checkpoint state.
+func (c *Core) Optimizer() *nn.SGD { return c.opt }
+
+// Sampler returns the cohort sampler.
+func (c *Core) Sampler() *cohort.Sampler { return c.sampler }
+
+// Derive returns the argmax genotype under the current policy.
+func (c *Core) Derive() nas.Genotype {
+	return c.ctrl.Derive(c.cfg.Spec.Net.Candidates, c.cfg.Spec.Net.Nodes)
 }
 
 // SetTelemetry points the core's spans and counters at the façade's.
@@ -244,7 +280,7 @@ func (c *Core) Admit(now, from, pid int) (*Snapshot, int, Verdict) {
 	switch {
 	case from < 0 || delay < 0 || delay > c.delta:
 		return nil, 0, Dropped
-	case delay > 0 && (c.cfg.Sync.Strategy == staleness.Hard || c.cfg.Sync.Strategy == staleness.Throw):
+	case delay > 0 && (c.cfg.Spec.Strategy == staleness.Hard || c.cfg.Spec.Strategy == staleness.Throw):
 		return nil, 0, Dropped
 	}
 	at, ok := c.pool.Get(from)
@@ -283,7 +319,7 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 	}
 	// Eq. 13–15 for the late replies, in the worker pool: each task writes
 	// only its own slot.
-	if rep.Late > 0 && c.cfg.Sync.Strategy == staleness.DC {
+	if rep.Late > 0 && c.cfg.Spec.Strategy == staleness.DC {
 		if err := c.cfg.Pool.Run(len(c.merged), func(_, k int) error {
 			i := c.merged[k]
 			if replies[i].Round == t {
@@ -302,7 +338,7 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 	sumAcc, sumFreshAcc, seconds := 0.0, 0.0, 0.0
 	for _, i := range c.merged {
 		r := &replies[i]
-		c.aggAlpha.AXPY(c.cfg.Ctrl.Reward(r.Acc), c.slots[i].logGrad)
+		c.aggAlpha.AXPY(c.ctrl.Reward(r.Acc), c.slots[i].logGrad)
 		for layer, recs := range r.BNStats {
 			for _, rec := range recs {
 				c.bns[layer].ApplyStats(rec)
@@ -321,7 +357,7 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 	// of the single-shard merge: bit-identical at every shard and worker
 	// count.
 	clear(c.aggTheta)
-	if err := c.cfg.Pool.RunShards(len(c.params), c.cfg.Sync.Shards, func(_ int, rg parallel.Range) error {
+	if err := c.cfg.Pool.RunShards(len(c.params), c.cfg.Spec.Shards, func(_ int, rg parallel.Range) error {
 		for _, i := range c.merged {
 			grads := c.slots[i].grads
 			for k, idx := range replies[i].SubIdx {
@@ -353,13 +389,13 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 					p.Grad.AXPY(inv, c.aggTheta[i])
 				}
 			}
-			c.cfg.Opt.Step(c.cfg.StepParams)
+			c.opt.Step(c.cfg.StepParams)
 		}
 		if updateAlpha {
 			c.aggAlpha.Scale(inv)
-			c.cfg.Ctrl.Apply(c.aggAlpha)
-			c.cfg.Ctrl.UpdateBaseline(rep.Accuracy)
-			c.tracer.AlphaUpdate(t, c.cfg.Ctrl.Entropy())
+			c.ctrl.Apply(c.aggAlpha)
+			c.ctrl.UpdateBaseline(rep.Accuracy)
+			c.tracer.AlphaUpdate(t, c.ctrl.Entropy())
 		}
 	}
 	if rep.Fresh > 0 {
@@ -374,8 +410,8 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 	c.met.Rounds.Inc()
 	c.met.RoundSeconds.Observe(rep.Seconds)
 	c.met.Accuracy.Set(rep.Accuracy)
-	c.met.Entropy.Set(c.cfg.Ctrl.Entropy())
-	c.met.Baseline.Set(c.cfg.Ctrl.Baseline())
+	c.met.Entropy.Set(c.ctrl.Entropy())
+	c.met.Baseline.Set(c.ctrl.Baseline())
 	c.tracer.RoundEnd(t, rep.Seconds, rep.Accuracy)
 	c.pool.Evict(t + 1)
 	return rep, nil
@@ -387,18 +423,18 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 func (c *Core) snapshot(t int) *Snapshot {
 	s := &c.live
 	if c.alias {
-		s.Alpha = c.cfg.Ctrl.View()
-		s.Cohort = c.cfg.Sampler.AppendCohort(s.Cohort[:0], t)
+		s.Alpha = c.ctrl.View()
+		s.Cohort = c.sampler.AppendCohort(s.Cohort[:0], t)
 	} else {
 		s = &Snapshot{
 			Theta:  nn.CloneParamValues(c.params),
-			Alpha:  c.cfg.Ctrl.Snapshot(),
-			Cohort: c.cfg.Sampler.Cohort(t),
-			Gates:  make([]nas.Gates, c.cfg.Sampler.Size()),
+			Alpha:  c.ctrl.Snapshot(),
+			Cohort: c.sampler.Cohort(t),
+			Gates:  make([]nas.Gates, c.sampler.Size()),
 		}
 	}
 	for j := range s.Gates {
-		s.Gates[j] = c.cfg.Ctrl.SampleGates(c.cfg.RNG)
+		s.Gates[j] = c.ctrl.SampleGates(c.cfg.RNG)
 	}
 	c.pool.Put(t, s)
 	return s
@@ -478,13 +514,13 @@ func (c *Core) compensate(now *Snapshot, r *Reply, sl *slot) error {
 		sl.stale = append(sl.stale, sl.at.Theta[idx])
 	}
 	var err error
-	sl.grads, err = staleness.CompensateTheta(r.Grads, sl.fresh, sl.stale, c.cfg.Sync.Lambda)
+	sl.grads, err = staleness.CompensateTheta(r.Grads, sl.fresh, sl.stale, c.cfg.Spec.Lambda)
 	clear(sl.fresh) // keep the storage, not the snapshots' tensors
 	clear(sl.stale)
 	if err != nil {
 		return err
 	}
 	drift := sl.at.Alpha.Diff(now.Alpha)
-	sl.logGrad.MulAdd3(c.cfg.Sync.Lambda, sl.logGrad, drift)
+	sl.logGrad.MulAdd3(c.cfg.Spec.Lambda, sl.logGrad, drift)
 	return nil
 }

@@ -124,29 +124,30 @@ func newHarness(t *testing.T, strategy staleness.Strategy, script map[int][]scri
 	if err != nil {
 		t.Fatal(err)
 	}
-	nE, rE := net.ArchSpace()
-	// No decay or baseline and a clip no gradient reaches: the steps are
-	// then plain enough to recompute by hand.
-	ctrl, err := controller.New(nE, rE, net.NumCandidates(), controller.Config{LR: alphaLR, GradClip: 1e9, DisableBaseline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := cohort.New(11, enrolled, cohortSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &harness{net: net, ctrl: ctrl, rng: rand.New(rand.NewSource(3)), params: net.Params(),
+	h := &harness{net: net, rng: rand.New(rand.NewSource(3)), params: net.Params(),
 		reg: telemetry.NewRegistry(), trace: new(bytes.Buffer)}
 	h.fake = &fake{net: net, index: make(map[*nn.Param]int), script: script, seen: make(map[int]*Snapshot)}
 	for i, p := range h.params {
 		h.fake.index[p] = i
 	}
-	h.core = New(Config{
-		Net: net, Ctrl: ctrl, Sampler: sampler, RNG: h.rng, Pool: parallel.New(2),
-		Opt:        nn.NewSGD(thetaLR, 0, 0, 0),
+	// No momentum, decay, clip or baseline (a clip no gradient reaches): the
+	// steps are then plain enough to recompute by hand.
+	spec := Spec{
+		Net:        netCfg,
+		Alpha:      controller.Config{LR: alphaLR, GradClip: 1e9, DisableBaseline: true},
+		BatchSize:  1,
+		ThetaLR:    thetaLR,
+		SyncConfig: staleness.SyncConfig{Quorum: 1, StalenessThreshold: delta, Lambda: lambda, Strategy: strategy, CohortSize: cohortSize},
+		Seed:       11,
+	}
+	core, err := New(Config{
+		Spec: spec, Enrolled: enrolled, Supernet: net, RNG: h.rng, Pool: parallel.New(2),
 		StepParams: h.params,
-		Sync:       staleness.SyncConfig{Quorum: 1, StalenessThreshold: delta, Lambda: lambda, Strategy: strategy},
 	}, h.fake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.core, h.ctrl = core, core.Controller()
 	h.core.SetTelemetry(telemetry.NewJSONLTracer(h.trace), telemetry.NewRoundMetrics(h.reg))
 	return h
 }

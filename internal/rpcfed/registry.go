@@ -122,9 +122,9 @@ func (s *Server) ParticipantsSummary() ParticipantsSummary {
 	alive, suspect, dead := s.reg.StateCounts()
 	sum := ParticipantsSummary{
 		Enrolled:   s.reg.Len(),
-		CohortSize: s.sampler.Size(),
+		CohortSize: s.core.Sampler().Size(),
 		Round:      round,
-		Cohort:     s.sampler.Cohort(round),
+		Cohort:     s.core.Sampler().Cohort(round),
 		Alive:      alive,
 		Suspect:    suspect,
 		Dead:       dead,

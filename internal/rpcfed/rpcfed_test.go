@@ -113,6 +113,9 @@ func TestServerConfigValidation(t *testing.T) {
 	for _, mut := range []func(*ServerConfig){
 		func(c *ServerConfig) { c.Rounds = 0 },
 		func(c *ServerConfig) { c.BatchSize = 0 },
+		func(c *ServerConfig) { c.ThetaLR = 0 },
+		func(c *ServerConfig) { c.ThetaLR = -0.1 }, // gradient ascent
+		func(c *ServerConfig) { c.Net.C = 0 },
 		func(c *ServerConfig) { c.Quorum = 0 },
 		func(c *ServerConfig) { c.Quorum = 1.5 },
 		func(c *ServerConfig) { c.StalenessThreshold = -1 },
@@ -164,7 +167,7 @@ func TestParticipantHelloAndTrain(t *testing.T) {
 		t.Error("participant reports empty shard")
 	}
 
-	g := s.ctrl.SampleGates(rand.New(rand.NewSource(1)))
+	g := s.core.Controller().SampleGates(rand.New(rand.NewSource(1)))
 	sub := s.net.SampledParams(g)
 	req := &TrainRequest{
 		Round: 0, Normal: g.Normal, Reduce: g.Reduce,
@@ -196,7 +199,7 @@ func TestTrainRejectsBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	g := s.ctrl.SampleGates(rand.New(rand.NewSource(1)))
+	g := s.core.Controller().SampleGates(rand.New(rand.NewSource(1)))
 	var reply TrainReply
 	// zero batch
 	err = clientOf(s, 0).Call("Participant.Train", &TrainRequest{

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fedrlnas/internal/cohort"
-	"fedrlnas/internal/controller"
 	"fedrlnas/internal/metrics"
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
@@ -104,21 +102,13 @@ func (c TransportConfig) Validate() error {
 
 // ServerConfig configures the RPC search server.
 type ServerConfig struct {
-	Net   nas.Config
-	Alpha controller.Config
+	// Spec is Alg. 1's configuration shared with the in-process engine:
+	// Net, Alpha, BatchSize, the θ optimizer, the soft-sync knobs and Seed.
+	// Its fields are promoted, so cfg.BatchSize, cfg.Quorum etc. read
+	// directly.
+	round.Spec
 
-	Rounds    int
-	BatchSize int
-
-	ThetaLR       float64
-	ThetaMomentum float64
-	ThetaWD       float64
-	ThetaClip     float64
-
-	// SyncConfig carries the soft-synchronization knobs (Quorum,
-	// StalenessThreshold, Lambda, Strategy) shared with the in-process
-	// engine; the fields are promoted, so cfg.Quorum etc. read as before.
-	staleness.SyncConfig
+	Rounds int
 
 	// RoundTimeout bounds the wall-clock wait per round even below
 	// quorum (protection against dead participants).
@@ -127,39 +117,34 @@ type ServerConfig struct {
 	// Transport holds the RPC plumbing knobs (wire mode, dispatch workers,
 	// dial/redial policy, per-call deadline).
 	Transport TransportConfig
-
-	Seed int64
 }
 
-// DefaultServerConfig returns sensible RPC-deployment defaults.
+// DefaultServerConfig returns sensible RPC-deployment defaults: the shared
+// defaults over net, under soft sync with delay compensation.
 func DefaultServerConfig(net nas.Config) ServerConfig {
-	alpha := controller.DefaultConfig()
-	alpha.LR = 0.3
+	spec := round.DefaultSpec()
+	spec.Net = net
+	spec.SyncConfig = staleness.SyncConfig{
+		Quorum: 0.8, StalenessThreshold: 2, Lambda: 1, Strategy: staleness.DC,
+	}
 	return ServerConfig{
-		Net: net, Alpha: alpha,
-		Rounds: 30, BatchSize: 16,
-		ThetaLR: 0.2, ThetaMomentum: 0.9, ThetaWD: 3e-4, ThetaClip: 5,
-		SyncConfig: staleness.SyncConfig{
-			Quorum: 0.8, StalenessThreshold: 2, Lambda: 1, Strategy: staleness.DC,
-		},
+		Spec:         spec,
+		Rounds:       30,
 		RoundTimeout: 30 * time.Second,
 		Transport:    DefaultTransportConfig(),
-		Seed:         1,
 	}
 }
 
 // Validate checks the configuration.
 func (c ServerConfig) Validate() error {
+	if err := c.Spec.Validate(); err != nil {
+		return fmt.Errorf("rpcfed: %w", err)
+	}
 	switch {
 	case c.Rounds <= 0:
 		return fmt.Errorf("rpcfed: Rounds %d must be positive", c.Rounds)
-	case c.BatchSize <= 0:
-		return fmt.Errorf("rpcfed: BatchSize %d must be positive", c.BatchSize)
 	case c.RoundTimeout <= 0:
 		return fmt.Errorf("rpcfed: RoundTimeout must be positive")
-	}
-	if err := c.SyncConfig.Validate(); err != nil {
-		return fmt.Errorf("rpcfed: %w", err)
 	}
 	return c.Transport.Validate()
 }
@@ -185,16 +170,12 @@ type ServerResult struct {
 type Server struct {
 	cfg  ServerConfig
 	net  *nas.Supernet
-	ctrl *controller.Controller
 	core *round.Core
 
 	// reg owns the participant roster; peers aliases its slice so the
 	// lifecycle machinery keeps indexing by participant id directly.
 	reg   *Registry
 	peers []*peer
-
-	// sampler draws the per-round cohort (everyone when CohortSize is 0).
-	sampler *cohort.Sampler
 
 	paramIndex map[*nn.Param]int
 
@@ -254,22 +235,10 @@ func NewServer(cfg ServerConfig, addrs []string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	nE, rE := net.ArchSpace()
-	ctrl, err := controller.New(nE, rE, net.NumCandidates(), cfg.Alpha)
-	if err != nil {
-		return nil, err
-	}
-	sampler, err := cohort.New(cfg.Seed+303, len(addrs), cfg.CohortSize)
-	if err != nil {
-		return nil, fmt.Errorf("rpcfed: %w", err)
-	}
 	s := &Server{
-		cfg:  cfg,
-		net:  net,
-		ctrl: ctrl,
-
-		reg:     newRegistry(addrs),
-		sampler: sampler,
+		cfg: cfg,
+		net: net,
+		reg: newRegistry(addrs),
 
 		// One slot per participant, so no call goroutine ever blocks on its
 		// send: a participant is only dispatched again once its previous
@@ -284,14 +253,15 @@ func NewServer(cfg ServerConfig, addrs []string) (*Server, error) {
 	for i, p := range net.Params() {
 		s.paramIndex[p] = i
 	}
-	s.core = round.New(round.Config{
-		Net: net, Ctrl: ctrl, Sampler: sampler, Pool: s.pool,
-		Opt:        nn.NewSGD(cfg.ThetaLR, cfg.ThetaMomentum, cfg.ThetaWD, cfg.ThetaClip),
+	s.core, err = round.New(round.Config{
+		Spec: cfg.Spec, Enrolled: len(addrs), Supernet: net, Pool: s.pool,
 		RNG:        rand.New(rand.NewSource(cfg.Seed)),
 		StepParams: net.Params(),
-		Sync:       cfg.SyncConfig,
 		WallClock:  true,
 	}, rpcTransport{s})
+	if err != nil {
+		return nil, fmt.Errorf("rpcfed: %w", err)
+	}
 	if cfg.Transport.Wire == wire.TopK {
 		s.topkRatio = cfg.Transport.TopKRatio
 		if s.topkRatio == 0 {
@@ -348,7 +318,7 @@ func (s *Server) Supernet() *nas.Supernet { return s.net }
 
 // CohortFor reports the cohort the sampler draws for a round — a pure
 // function of the configured seed, usable before, during, or after a run.
-func (s *Server) CohortFor(round int) []int { return s.sampler.Cohort(round) }
+func (s *Server) CohortFor(round int) []int { return s.core.Sampler().Cohort(round) }
 
 // SetTelemetry attaches a span tracer and a metric registry to the server.
 // Both may be nil: a nil tracer disables tracing, a nil registry keeps the
@@ -402,7 +372,7 @@ func (s *Server) RunContext(ctx context.Context) (ServerResult, error) {
 // withGenotype derives the genotype from the current policy, so a cancelled
 // or failed run still yields a usable (if early) architecture.
 func (s *Server) withGenotype(res ServerResult) ServerResult {
-	res.Genotype = s.ctrl.Derive(s.cfg.Net.Candidates, s.cfg.Net.Nodes)
+	res.Genotype = s.core.Derive()
 	return res
 }
 

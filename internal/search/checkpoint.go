@@ -102,10 +102,10 @@ func (s *Search) writeCheckpoint(w io.Writer) error {
 			return err
 		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, s.ctrl.Baseline()); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, s.Controller().Baseline()); err != nil {
 		return err
 	}
-	snap := s.ctrl.Snapshot()
+	snap := s.Controller().Snapshot()
 	if err := writeRows(w, snap.Normal); err != nil {
 		return err
 	}
@@ -123,7 +123,7 @@ func (s *Search) writeCheckpoint(w io.Writer) error {
 	}
 	// θ momentum, one presence-tagged tensor per canonical parameter.
 	for _, p := range params {
-		v := s.thetaOpt.Velocity(p)
+		v := s.core.Optimizer().Velocity(p)
 		if v == nil {
 			if _, err := w.Write([]byte{0}); err != nil {
 				return err
@@ -211,7 +211,7 @@ func (s *Search) readCheckpoint(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := s.ctrl.Restore(controller.AlphaSnapshot{Normal: normal, Reduce: reduce}); err != nil {
+	if err := s.Controller().Restore(controller.AlphaSnapshot{Normal: normal, Reduce: reduce}); err != nil {
 		return err
 	}
 	// Re-seed the moving average — but only when the saved run had set it
@@ -220,7 +220,7 @@ func (s *Search) readCheckpoint(r io.Reader) error {
 	// the first resumed search round subtract a baseline the uninterrupted
 	// run never had.
 	if int(round) > s.cfg.WarmupSteps {
-		s.ctrl.UpdateBaseline(baseline)
+		s.Controller().UpdateBaseline(baseline)
 	}
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -305,7 +305,7 @@ func (s *Search) readResumeState(r io.Reader, params []*nn.Param) error {
 		if err != nil {
 			return err
 		}
-		if err := s.thetaOpt.SetVelocity(p, v); err != nil {
+		if err := s.core.Optimizer().SetVelocity(p, v); err != nil {
 			return fmt.Errorf("param %q: %w", p.Name, err)
 		}
 	}
@@ -459,8 +459,8 @@ func (s *Search) stepPhase(phase string) (float64, error) {
 		return 0, fmt.Errorf("search round %d: %w", t, err)
 	}
 	s.SearchCurve.Add(t, acc)
-	s.EntropyCurve.Add(t, s.ctrl.Entropy())
-	s.BaselineCurve.Add(t, s.ctrl.Baseline())
+	s.EntropyCurve.Add(t, s.Controller().Entropy())
+	s.BaselineCurve.Add(t, s.Controller().Baseline())
 	return acc, nil
 }
 

@@ -15,10 +15,9 @@ package search
 import (
 	"fmt"
 
-	"fedrlnas/internal/controller"
 	"fedrlnas/internal/data"
-	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nn"
+	"fedrlnas/internal/round"
 	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/staleness"
 	"fedrlnas/internal/transmission"
@@ -51,6 +50,15 @@ func (p PartitionKind) String() string {
 // Config assembles every knob of the search pipeline. Defaults mirror the
 // paper's Table I, rescaled to this substrate (see DESIGN.md §2).
 type Config struct {
+	// Spec is Alg. 1's configuration shared with the RPC server: Net, Alpha,
+	// BatchSize, the θ optimizer, the soft-sync knobs and Seed. Its fields
+	// are promoted, so cfg.BatchSize, cfg.Strategy etc. read directly. The
+	// in-process engine derives delays from Staleness rather than real
+	// arrival times, so Quorum only participates in validation here, and
+	// the retention pools are sized by the larger of StalenessThreshold and
+	// the schedule's maximum delay.
+	round.Spec
+
 	// Dataset is the synthetic dataset specification.
 	Dataset data.Spec
 	// Partition selects IID or Dirichlet; DirichletAlpha is the paper's 0.5.
@@ -59,37 +67,12 @@ type Config struct {
 	// K is the number of participants (paper default 10).
 	K int
 
-	// Net sizes the supernet.
-	Net nas.Config
-
 	// WarmupSteps and SearchSteps are communication-round counts for P1/P2.
 	WarmupSteps int
 	SearchSteps int
-	// BatchSize is the participant batch size per round.
-	BatchSize int
-
-	// θ optimizer (Table I: lr 0.025, momentum 0.9, wd 3e-4, clip 5; the
-	// default LR is rescaled upward for this substrate's far shorter runs,
-	// like the α LR — see defaultAlpha).
-	ThetaLR       float64
-	ThetaMomentum float64
-	ThetaWD       float64
-	ThetaClip     float64
-
-	// Alpha configures the RL controller (Table I α block).
-	Alpha controller.Config
 
 	// Staleness is the delay distribution driving simulated reply delays.
 	Staleness staleness.Schedule
-
-	// SyncConfig carries the soft-synchronization knobs shared with the
-	// RPC server (Quorum, StalenessThreshold, Lambda, Strategy); the
-	// fields are promoted, so cfg.Strategy etc. read as before. The
-	// in-process engine derives delays from Staleness rather than real
-	// arrival times, so Quorum only participates in validation here, and
-	// the retention pools are sized by the larger of StalenessThreshold
-	// and the schedule's maximum delay.
-	staleness.SyncConfig
 
 	// Transmission selects the sub-model assignment policy.
 	Transmission transmission.Policy
@@ -134,48 +117,22 @@ type Config struct {
 	// concurrently within a round; 0 selects runtime.NumCPU(). Results are
 	// bit-identical at every worker count (see DESIGN.md §Concurrency).
 	Workers int
-
-	// Seed drives every stochastic component.
-	Seed int64
-}
-
-// defaultAlpha rescales the controller's Table I learning rate to this
-// substrate: the paper searches for 6000–10000 steps at lr 0.003, while our
-// laptop-scale runs take a few hundred rounds, so the per-round step is
-// proportionally larger to cover the same policy distance.
-func defaultAlpha() controller.Config {
-	cfg := controller.DefaultConfig()
-	cfg.LR = 0.3
-	return cfg
 }
 
 // DefaultConfig returns a laptop-scale configuration faithful to Table I.
 func DefaultConfig() Config {
 	return Config{
+		Spec:           round.DefaultSpec(),
 		Dataset:        data.CIFAR10S(),
 		Partition:      IID,
 		DirichletAlpha: 0.5,
 		K:              10,
-		Net: nas.Config{
-			InChannels: 3, NumClasses: 10, C: 4, Layers: 3, Nodes: 2,
-			Candidates: nas.AllOps,
-		},
-		WarmupSteps:   30,
-		SearchSteps:   60,
-		BatchSize:     16,
-		ThetaLR:       0.2,
-		ThetaMomentum: 0.9,
-		ThetaWD:       3e-4,
-		ThetaClip:     5,
-		Alpha:         defaultAlpha(),
-		Staleness:     staleness.NoStaleness(),
-		SyncConfig: staleness.SyncConfig{
-			Quorum: 1, StalenessThreshold: 0, Lambda: 1, Strategy: staleness.Hard,
-		},
-		Transmission: transmission.Adaptive,
-		Wire:         wire.FP64,
-		Augment:      data.DefaultAugment(),
-		Seed:         1,
+		WarmupSteps:    30,
+		SearchSteps:    60,
+		Staleness:      staleness.NoStaleness(),
+		Transmission:   transmission.Adaptive,
+		Wire:           wire.FP64,
+		Augment:        data.DefaultAugment(),
 	}
 }
 
@@ -184,14 +141,11 @@ func (c Config) Validate() error {
 	if err := c.Dataset.Validate(); err != nil {
 		return fmt.Errorf("search: dataset: %w", err)
 	}
-	if err := c.Net.Validate(); err != nil {
-		return fmt.Errorf("search: net: %w", err)
+	if err := c.Spec.Validate(); err != nil {
+		return fmt.Errorf("search: %w", err)
 	}
 	if err := c.Staleness.Validate(); err != nil {
 		return fmt.Errorf("search: staleness: %w", err)
-	}
-	if err := c.SyncConfig.Validate(); err != nil {
-		return fmt.Errorf("search: %w", err)
 	}
 	if err := c.Scenario.Validate(); err != nil {
 		return fmt.Errorf("search: scenario: %w", err)
@@ -201,10 +155,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("search: K %d must be positive", c.K)
 	case c.WarmupSteps < 0 || c.SearchSteps < 0:
 		return fmt.Errorf("search: negative phase length")
-	case c.BatchSize <= 0:
-		return fmt.Errorf("search: BatchSize %d must be positive", c.BatchSize)
-	case c.ThetaLR <= 0:
-		return fmt.Errorf("search: ThetaLR %v must be positive", c.ThetaLR)
 	case c.Partition != IID && c.Partition != Dirichlet:
 		return fmt.Errorf("search: unknown partition %d", int(c.Partition))
 	case c.Partition == Dirichlet && c.DirichletAlpha <= 0:

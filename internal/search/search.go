@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"fedrlnas/internal/cohort"
 	"fedrlnas/internal/controller"
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/detrand"
@@ -26,14 +25,12 @@ type Search struct {
 	cfg Config
 	ds  *data.Dataset
 	// pop is the lazy participant registry: enrolled clients cost nothing
-	// until first sampled into a cohort. sampler draws each round's cohort
-	// deterministically from the run seed; when it is full (CohortSize 0)
-	// every round runs the whole population and the engine behaves — bit
-	// for bit — like the pre-population code.
-	pop     *fed.Population
-	sampler *cohort.Sampler
-	net     *nas.Supernet
-	ctrl    *controller.Controller
+	// until first sampled into a cohort. The core's sampler draws each
+	// round's cohort deterministically from the run seed; when it is full
+	// (CohortSize 0) every round runs the whole population and the engine
+	// behaves — bit for bit — like the pre-population code.
+	pop *fed.Population
+	net *nas.Supernet
 
 	// Scenario lowering: profiles are the population's resolved device
 	// profiles and profileOf[k] is participant k's profile index (both nil
@@ -58,8 +55,7 @@ type Search struct {
 	headInit    []*tensor.Tensor
 	heads       map[int][]*tensor.Tensor
 
-	thetaOpt *nn.SGD
-	rng      *rand.Rand
+	rng *rand.Rand
 	// rngSrc is the counting source behind rng; checkpoints persist its
 	// position so a resumed run continues the gate/transmission stream
 	// exactly where the saved run stopped.
@@ -71,8 +67,9 @@ type Search struct {
 	replicas []*fed.Replica
 
 	// core is the Alg. 1 server step (internal/round); this package is its
-	// in-process transport. It owns the θ/α/gates/cohort memories, the merge
-	// and both optimizer steps.
+	// in-process transport. It owns the controller, the θ optimizer, the
+	// cohort sampler, the θ/α/gates/cohort memories, the merge and both
+	// optimizer steps.
 	core *round.Core
 
 	// slots holds per-cohort-position persistent local-step buffers, which
@@ -176,16 +173,7 @@ func New(cfg Config) (*Search, error) {
 			return tr
 		})
 	}
-	sampler, err := cohort.New(cfg.Seed+303, cfg.K, cfg.CohortSize)
-	if err != nil {
-		return nil, fmt.Errorf("search: %w", err)
-	}
 	net, err := nas.NewSupernet(rand.New(rand.NewSource(cfg.Seed+202)), cfg.Net)
-	if err != nil {
-		return nil, fmt.Errorf("search: %w", err)
-	}
-	nE, rE := net.ArchSpace()
-	ctrl, err := controller.New(nE, rE, net.NumCandidates(), cfg.Alpha)
 	if err != nil {
 		return nil, fmt.Errorf("search: %w", err)
 	}
@@ -193,27 +181,23 @@ func New(cfg Config) (*Search, error) {
 		cfg:       cfg,
 		ds:        ds,
 		pop:       pop,
-		sampler:   sampler,
 		net:       net,
-		ctrl:      ctrl,
 		profiles:  profiles,
 		profileOf: profileOf,
 		partition: part,
-		thetaOpt:  nn.NewSGD(cfg.ThetaLR, cfg.ThetaMomentum, cfg.ThetaWD, cfg.ThetaClip),
 		rng:       rng,
 		rngSrc:    rngSrc,
-	}
-	if sampler.Full() {
-		// Full-population mode materializes everyone up front (the legacy
-		// behavior).
-		if _, err := pop.All(); err != nil {
-			return nil, fmt.Errorf("search: %w", err)
-		}
+		pool:      parallel.New(cfg.Workers),
+		met:       telemetry.NewDisabledRoundMetrics(),
 	}
 	netParams := net.Params()
+	stepParams := netParams
 	// Personalization mode: the classifier head's parameters (the tail of
 	// the canonical order) leave the federated update entirely — each
 	// client trains a private copy seeded from the supernet's initial head.
+	// Only the shared body steps: head gradients never enter the merge, and
+	// stepping the full list would still weight-decay the global head
+	// toward zero.
 	if spec != nil && spec.Personalize {
 		s.personalize = true
 		s.headLR = spec.HeadLR
@@ -223,21 +207,42 @@ func New(cfg Config) (*Search, error) {
 		s.headStart = len(netParams) - len(net.HeadParams())
 		s.headInit = nn.CloneParamValues(netParams[s.headStart:])
 		s.heads = make(map[int][]*tensor.Tensor)
+		stepParams = netParams[:s.headStart]
+	}
+	// Δ covers whichever is larger: the configured threshold or the worst
+	// delay the schedule can actually produce (the default
+	// StalenessThreshold of 0 leaves it entirely to the schedule).
+	runSpec := cfg.Spec
+	if d := cfg.Staleness.MaxDelay(); d > runSpec.StalenessThreshold {
+		runSpec.StalenessThreshold = d
+	}
+	s.core, err = round.New(round.Config{
+		Spec: runSpec, Enrolled: cfg.K, Supernet: net, RNG: rng, Pool: s.pool,
+		StepParams: stepParams,
+	}, inProcess{s})
+	if err != nil {
+		return nil, fmt.Errorf("search: %w", err)
+	}
+	s.core.SetTelemetry(nil, s.met)
+	if s.core.Sampler().Full() {
+		// Full-population mode materializes everyone up front (the legacy
+		// behavior).
+		if _, err := pop.All(); err != nil {
+			return nil, fmt.Errorf("search: %w", err)
+		}
 	}
 	// All round-scoped state is sized by the cohort, not the population:
 	// scratch/merge buffers are keyed by cohort position and handed to
 	// whichever participant occupies that position each round, so enrolled
 	// K can grow 1000× without growing resident memory.
-	cohortLen := sampler.Size()
+	cohortLen := s.core.Sampler().Size()
 	s.slots = make([]fed.Slot, cohortLen)
 	s.sampled = make([]nas.Gates, cohortLen)
 	s.sizes = make([]int64, cohortLen)
 	s.bw = make([]float64, cohortLen)
 	s.results = make([]round.Reply, cohortLen)
-	s.met = telemetry.NewDisabledRoundMetrics()
 	net.SetTraining(true)
 
-	s.pool = parallel.New(cfg.Workers)
 	nrep := s.pool.Workers()
 	if nrep > cohortLen {
 		nrep = cohortLen
@@ -250,27 +255,6 @@ func New(cfg Config) (*Search, error) {
 			return nil, fmt.Errorf("search: worker replica %d: %w", i, err)
 		}
 	}
-
-	// Δ covers whichever is larger: the configured threshold or the worst
-	// delay the schedule can actually produce (the default
-	// StalenessThreshold of 0 leaves it entirely to the schedule). In
-	// personalized mode only the shared body steps: head gradients never
-	// enter the merge, and stepping the full list would still weight-decay
-	// the global head toward zero.
-	sync := cfg.SyncConfig
-	if d := cfg.Staleness.MaxDelay(); d > sync.StalenessThreshold {
-		sync.StalenessThreshold = d
-	}
-	stepParams := netParams
-	if s.personalize {
-		stepParams = netParams[:s.headStart]
-	}
-	s.core = round.New(round.Config{
-		Net: net, Ctrl: ctrl, Opt: s.thetaOpt, Sampler: sampler, RNG: rng, Pool: s.pool,
-		StepParams: stepParams,
-		Sync:       sync,
-	}, inProcess{s})
-	s.core.SetTelemetry(nil, s.met)
 	return s, nil
 }
 
@@ -319,20 +303,20 @@ func (s *Search) Population() *fed.Population { return s.pop }
 
 // CohortSize returns the number of participants sampled each round (K
 // when cohort sampling is off).
-func (s *Search) CohortSize() int { return s.sampler.Size() }
+func (s *Search) CohortSize() int { return s.core.Sampler().Size() }
 
 // CohortFor returns the cohort the sampler assigns to a round, sorted
 // ascending. The schedule is a pure function of the run seed, so the
 // result is the same whether the round has run, will run, or never runs —
 // and in particular is independent of churn, staleness, and every other
 // consumer of randomness.
-func (s *Search) CohortFor(round int) []int { return s.sampler.Cohort(round) }
+func (s *Search) CohortFor(round int) []int { return s.core.Sampler().Cohort(round) }
 
 // Supernet exposes the supernet under search.
 func (s *Search) Supernet() *nas.Supernet { return s.net }
 
 // Controller exposes the RL controller.
-func (s *Search) Controller() *controller.Controller { return s.ctrl }
+func (s *Search) Controller() *controller.Controller { return s.core.Controller() }
 
 // AttachTraces assigns bandwidth traces to the participant population
 // (positionally, applied lazily as participants materialize).
@@ -391,9 +375,7 @@ func (s *Search) Run() error {
 }
 
 // Derive returns the argmax genotype under the current policy.
-func (s *Search) Derive() nas.Genotype {
-	return s.ctrl.Derive(s.cfg.Net.Candidates, s.cfg.Net.Nodes)
-}
+func (s *Search) Derive() nas.Genotype { return s.core.Derive() }
 
 // TotalSeconds returns the virtual time consumed by all rounds so far.
 func (s *Search) TotalSeconds() float64 {
@@ -454,8 +436,8 @@ func (s *Search) runRound(updateAlpha, updateTheta bool) (float64, error) {
 		s.Observer(RoundReport{
 			Round:        rep.Round,
 			MeanAccuracy: rep.Accuracy,
-			Entropy:      s.ctrl.Entropy(),
-			Baseline:     s.ctrl.Baseline(),
+			Entropy:      s.Controller().Entropy(),
+			Baseline:     s.Controller().Baseline(),
 			Seconds:      rep.Seconds,
 			Stats:        RoundStats{Fresh: rep.Fresh, Late: rep.Late, Dropped: rep.Dropped, Offline: rep.Offline},
 		})
@@ -495,7 +477,7 @@ func (s *Search) ensureHead(pid int) {
 // policy — the deterministic derived sub-model as a gate vector, suitable
 // for ForwardSampled evaluation.
 func (s *Search) ArgmaxGates() nas.Gates {
-	pn, pr := s.ctrl.Probs()
+	pn, pr := s.Controller().Probs()
 	g := nas.Gates{Normal: make([]int, len(pn)), Reduce: make([]int, len(pr))}
 	for e, row := range pn {
 		g.Normal[e] = argmaxOf(row)

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -15,7 +17,9 @@ import (
 
 // JobSpec is the POST /v1/jobs request body. Config fields overlay
 // search.DefaultConfig, so a spec only states what differs from the paper
-// defaults; Resume points at a checkpoint to continue from; Scenario runs
+// defaults; an unknown key, here or in Config, is refused so that a
+// misspelled knob never silently runs on its default. Resume points at a
+// checkpoint to continue from; Scenario runs
 // the job under a full device-population scenario (profile mix, skew,
 // personalization) and takes precedence over a Scenario inside Config.
 type JobSpec struct {
@@ -117,14 +121,14 @@ func (s *Server) Endpoints() []telemetry.Endpoint {
 
 func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	cfg := search.DefaultConfig()
 	if len(spec.Config) > 0 {
-		if err := json.Unmarshal(spec.Config, &cfg); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if err := decodeStrict(bytes.NewReader(spec.Config), &cfg); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("config: %w", err))
 			return
 		}
 	}
@@ -239,6 +243,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, InferResponse{Logits: logits})
+}
+
+// decodeStrict decodes one JSON value into v, rejecting keys v does not
+// declare.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,5 +88,33 @@ func TestV1APIAndScenarioJob(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid scenario -> %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestCreateJobRejectsUnknownKeys: a misspelled knob, in the job spec or in
+// its config overlay, is a 400 naming the key, not a job run on defaults.
+func TestCreateJobRejectsUnknownKeys(t *testing.T) {
+	s := NewServer(Options{CheckpointDir: t.TempDir()})
+	ts := httptest.NewServer(s.APIHandler())
+	defer ts.Close()
+	for body, key := range map[string]string{
+		`{"config":{"SearchStep":10}}`: "SearchStep",
+		`{"confg":{"SearchSteps":10}}`: "confg",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), key) {
+			t.Errorf("POST %s -> %d %s, want 400 naming %q", body, resp.StatusCode, msg, key)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected specs created %d jobs", len(jobs))
 	}
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // SyncConfig is the soft-synchronization knob set shared by every Alg. 1
-// round loop — the in-process engine (search.Config) and the RPC server
-// (rpcfed.ServerConfig) embed it, so the quorum/staleness/compensation
-// semantics are declared and validated exactly once.
+// round loop. round.Spec embeds it, and the in-process engine
+// (search.Config) and the RPC server (rpcfed.ServerConfig) embed round.Spec,
+// so the quorum/staleness/compensation semantics are declared and validated
+// exactly once.
 type SyncConfig struct {
 	// Quorum is the fraction of participants whose replies close a round
 	// (the paper's "wait for most participants"); 1.0 is hard sync. The
