@@ -22,12 +22,14 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== noasm fallback (pure-Go kernels must build and pass the same suite)"
+echo "== noasm fallback (pure-Go kernels must build, pass the same suite and vet clean)"
 go build -tags noasm ./...
 go test -tags noasm ./internal/tensor/... ./internal/nn/...
+go vet -tags noasm ./internal/tensor/... ./internal/nn/...
 
-echo "== cross-compile arm64 (no amd64 assembly may leak outside its build tags)"
+echo "== cross-compile arm64 (no amd64 assembly may leak outside its build tags; the kernel packages are vetted under it too)"
 GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor/... ./internal/nn/...
 
 echo "== go test -race (tensor, parallel, nn, fed, round, search, baselines, rpcfed, telemetry, cohort, serve, scenario)"
 go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... \

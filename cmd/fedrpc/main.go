@@ -32,7 +32,6 @@ import (
 	"fedrlnas/internal/chaos"
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/nas"
-	"fedrlnas/internal/nn"
 	"fedrlnas/internal/round"
 	"fedrlnas/internal/rpcfed"
 	"fedrlnas/internal/scenario"
@@ -134,16 +133,10 @@ func runWorker(args []string) error {
 		scenArg   = fs.String("scenario", "", "device-population scenario ("+scenario.Grammar+"); set the same value on every process")
 		traceOut  = fs.String("trace", "", "write a JSONL span trace of handled calls to this file (spans parent under the server's rounds)")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address")
-		precArg   = fs.String("precision", "fp64", "compute precision: fp64 (bit-identical) or fp32 (faster SIMD path); set the same value on every process")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	prec, err := nn.ParsePrecision(*precArg)
-	if err != nil {
-		return err
-	}
-	nn.SetPrecision(prec)
 	registry := telemetry.NewRegistry()
 	dbg, err := startDebug(*debugAddr, registry)
 	if err != nil {
@@ -232,20 +225,14 @@ func runServer(args []string) error {
 		seed      = fs.Int64("seed", 1, "shared deployment seed")
 		traceOut  = fs.String("trace", "", "write a JSONL span trace of every round to this file")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address")
-		precArg   = fs.String("precision", "fp64", "compute precision: fp64 (bit-identical) or fp32 (faster SIMD path); set the same value on every process")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	prec, err := nn.ParsePrecision(*precArg)
-	if err != nil {
-		return err
-	}
-	nn.SetPrecision(prec)
-	addrs := strings.Split(*addrList, ",")
-	if *addrList == "" || len(addrs) == 0 {
+	if *addrList == "" {
 		return fmt.Errorf("need -addrs")
 	}
+	addrs := strings.Split(*addrList, ",")
 	scen, err := scenario.Parse(*scenArg)
 	if err != nil {
 		return err

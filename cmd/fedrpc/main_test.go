@@ -96,4 +96,24 @@ func TestServerModeNeedsAddrs(t *testing.T) {
 	if err := runServer([]string{}); err == nil || !strings.Contains(err.Error(), "need -addrs") {
 		t.Errorf("missing addrs not rejected: %v", err)
 	}
+	// A trailing comma names no participant: refused before any dial.
+	if err := runServer([]string{"-addrs", "127.0.0.1:1,"}); err == nil ||
+		!strings.Contains(err.Error(), "address 1 is empty") {
+		t.Errorf("empty address not rejected: %v", err)
+	}
+}
+
+// TestPrecisionFlagRemoved: both subcommands refuse the removed -precision
+// flag instead of ignoring it. The worker row also passes an out-of-range
+// -index, so a build that still parsed -precision fails fast.
+func TestPrecisionFlagRemoved(t *testing.T) {
+	for _, args := range [][]string{
+		{"worker", "-precision", "fp32", "-index", "9"},
+		{"server", "-precision", "fp32"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -precision") {
+			t.Errorf("run(%q) = %v, want an undefined-flag error", args, err)
+		}
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/fed"
 	"fedrlnas/internal/nas"
-	"fedrlnas/internal/nn"
 	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/search"
 	"fedrlnas/internal/staleness"
@@ -60,19 +59,13 @@ func run(args []string) error {
 		resume    = fs.String("resume", "", "resume P1/P2 from this checkpoint (config must match the saved run)")
 		traceOut  = fs.String("trace", "", "write a JSONL span trace of every search round to this file")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (e.g. 127.0.0.1:6060)")
-		precArg   = fs.String("precision", "fp64", "compute precision: fp64 (bit-identical runs) or fp32 (faster SIMD path, convergence parity only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	prec, err := nn.ParsePrecision(*precArg)
-	if err != nil {
-		return err
-	}
-
 	cfg := search.DefaultConfig()
-	cfg.Precision = prec
+	var err error
 	if cfg.Dataset, err = data.SpecByName(*dataset); err != nil {
 		return err
 	}

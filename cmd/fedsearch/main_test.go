@@ -18,6 +18,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// -partition was removed in favour of -scenario; it must be
 		// rejected rather than silently ignored.
 		{"bad partition", []string{"-partition", "dirichlet"}, "flag provided but not defined: -partition"},
+		// -precision went with the fp32 compute mode.
+		{"bad precision", []string{"-precision", "fp32"}, "flag provided but not defined: -precision"},
 		{"bad staleness", []string{"-staleness", "extreme"}, "unknown staleness"},
 		{"bad strategy", []string{"-strategy", "vote"}, "unknown strategy"},
 		{"bad transmission", []string{"-transmission", "greedy"}, "unknown transmission"},

@@ -27,23 +27,12 @@ type Conv2D struct {
 	// Safe because a layer belongs to exactly one model replica and each
 	// replica is driven by at most one worker at a time (see internal/parallel).
 	colBuf     []float64
-	colValid   bool // colBuf holds the lowering of lastX (set by the fp64 forward)
+	colValid   bool // colBuf holds the lowering of lastX
 	colGradBuf []float64
 	outColBuf  []float64
 	gradColBuf []float64
 	outBuf     *tensor.Tensor
 	gradXBuf   *tensor.Tensor
-
-	// Float32 shadows for the fp32 compute mode (see precision.go). Only the
-	// im2col path uses them; they stay nil under FP64.
-	x32       []float32
-	w32       []float32
-	col32     []float32
-	outCol32  []float32
-	gradCol32 []float32
-	colGrad32 []float32
-	gx32      []float32
-	dw32      []float32
 
 	// Hoisted in-bounds output ranges for the grouped direct path: for each
 	// kernel offset, the inclusive output rows/cols whose sampled input

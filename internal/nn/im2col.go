@@ -20,19 +20,12 @@ import (
 // weight gradient, whose reduction runs across the whole batch in one
 // ascending chain, still gathers its operands into batch-wide matrices.
 
-// floatT constrains the lowering helpers to the two precisions the compute
-// switch supports (see precision.go); the generic bodies compile to exactly
-// the float64 code that was here before.
-type floatT interface {
-	~float32 | ~float64
-}
-
 // growScratch returns a length-n slice backed by buf when it is large
 // enough, allocating only on growth. Contents are unspecified; callers
 // overwrite before reading.
-func growScratch[F floatT](buf []F, n int) []F {
+func growScratch(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]F, n)
+		return make([]float64, n)
 	}
 	return buf[:n]
 }
@@ -41,7 +34,7 @@ func growScratch[F floatT](buf []F, n int) []F {
 // [colOff, colOff+oH*oW) of a column matrix with row stride ld. With
 // ld = oH*oW and colOff = 0 it produces the single-image [C*kH*kW, oH*oW]
 // matrix; the batch path lays images side by side with ld = N*oH*oW.
-func im2colBuffer[F floatT](xd []F, c, h, w, kh, kw, stride, pad, dilation, oh, ow int, out []F, ld, colOff int) {
+func im2colBuffer(xd []float64, c, h, w, kh, kw, stride, pad, dilation, oh, ow int, out []float64, ld, colOff int) {
 	if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
 		// Pointwise fast path: row ch of the column matrix is channel ch's
 		// plane verbatim.
@@ -92,7 +85,7 @@ func im2colBuffer[F floatT](xd []F, c, h, w, kh, kw, stride, pad, dilation, oh, 
 // col2imAdd scatters columns [colOff, colOff+oH*oW) of a column matrix with
 // row stride ld back into an image gradient [C,H,W], accumulating overlaps
 // (the transpose of im2colBuffer).
-func col2imAdd[F floatT](cols []F, c, h, w, kh, kw, stride, pad, dilation, oh, ow int, dst []F, ld, colOff int) {
+func col2imAdd(cols []float64, c, h, w, kh, kw, stride, pad, dilation, oh, ow int, dst []float64, ld, colOff int) {
 	if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
 		for ch := 0; ch < c; ch++ {
 			src := cols[ch*ld+colOff : ch*ld+colOff+oh*ow]
@@ -149,9 +142,6 @@ func (c *Conv2D) lowerBatch(x *tensor.Tensor, n, h, w, oh, ow int) {
 // forwardIm2col computes the convolution via batch im2col + one GEMM for
 // Groups==1. The returned tensor is the layer's persistent output buffer.
 func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
-	if ActivePrecision() == FP32 {
-		return c.forwardIm2colF32(x)
-	}
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
@@ -213,9 +203,6 @@ func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
 // the batch-wide column representation for Groups==1. With needGradX false
 // only the parameter gradients are accumulated and nil is returned.
 func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
-	if ActivePrecision() == FP32 {
-		return c.backwardIm2colF32(grad, needGradX)
-	}
 	x := c.lastX
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := grad.Dim(2), grad.Dim(3)
@@ -276,137 +263,5 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 		col2imAdd(c.colGradBuf, c.InC, h, w, c.KH, c.KW,
 			c.Stride, c.Pad, c.Dilation, oh, ow, gxd[b*imgSize:(b+1)*imgSize], total, b*cols)
 	}
-	return gradX
-}
-
-// lowerBatchF32 is lowerBatch over the narrowed input shadow.
-func (c *Conv2D) lowerBatchF32(n, h, w, oh, ow int) {
-	cols := oh * ow
-	total := n * cols
-	imgSize := c.InC * h * w
-	for b := 0; b < n; b++ {
-		im2colBuffer(c.x32[b*imgSize:(b+1)*imgSize], c.InC, h, w, c.KH, c.KW,
-			c.Stride, c.Pad, c.Dilation, oh, ow, c.col32, total, b*cols)
-	}
-}
-
-// forwardIm2colF32 is the fp32 compute path: the input and weights are
-// narrowed into per-layer float32 shadows, lowered and multiplied in
-// float32, and the product widened back into the float64 output (bias is
-// added in float64). See precision.go for the contract.
-func (c *Conv2D) forwardIm2colF32(x *tensor.Tensor) *tensor.Tensor {
-	c.colValid = false // this forward lowers into col32, not colBuf
-	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
-	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
-	k := c.InC * c.KH * c.KW
-	cols := oh * ow
-	total := n * cols
-
-	c.outBuf = tensor.Reuse(c.outBuf, n, c.OutC, oh, ow)
-	out := c.outBuf
-	c.x32 = tensor.Narrow(c.x32, x.Data())
-	c.col32 = growScratch(c.col32, k*total)
-	c.lowerBatchF32(n, h, w, oh, ow)
-	c.w32 = tensor.Narrow(c.w32, c.weight.Value.Data())
-	c.outCol32 = growScratch(c.outCol32, c.OutC*total)
-
-	// outCol [OutC, total] = W [OutC, k] · colAll [k, total], in float32.
-	tensor.GemmRawF32(false, false, c.OutC, total, k, 1,
-		c.w32, k, c.col32, total, 0, c.outCol32, total)
-
-	od := out.Data()
-	var biasD []float64
-	if c.bias != nil {
-		biasD = c.bias.Value.Data()
-	}
-	for oc := 0; oc < c.OutC; oc++ {
-		src := c.outCol32[oc*total : (oc+1)*total]
-		for b := 0; b < n; b++ {
-			dst := od[(b*c.OutC+oc)*cols : (b*c.OutC+oc+1)*cols]
-			s := src[b*cols : (b+1)*cols]
-			if biasD == nil {
-				for j, v := range s {
-					dst[j] = float64(v)
-				}
-			} else {
-				bv := biasD[oc]
-				for j, v := range s {
-					dst[j] = float64(v) + bv
-				}
-			}
-		}
-	}
-	return out
-}
-
-// backwardIm2colF32 mirrors backwardIm2col in float32. The float64 master
-// gradients still accumulate (+=): the fp32 products are computed with
-// beta=0 into scratch and widen-added, so gradient accumulation across
-// cells keeps float64 carry. Bias gradients sum the narrowed output
-// gradient in float64.
-func (c *Conv2D) backwardIm2colF32(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
-	x := c.lastX
-	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := grad.Dim(2), grad.Dim(3)
-	k := c.InC * c.KH * c.KW
-	cols := oh * ow
-	total := n * cols
-	imgSize := c.InC * h * w
-
-	c.x32 = tensor.Narrow(c.x32, x.Data())
-	c.col32 = growScratch(c.col32, k*total)
-	c.lowerBatchF32(n, h, w, oh, ow)
-
-	// Gather the output gradient image-major into gradCol [OutC, total],
-	// narrowing on the way.
-	c.gradCol32 = growScratch(c.gradCol32, c.OutC*total)
-	gd := grad.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		dst := c.gradCol32[oc*total : (oc+1)*total]
-		for b := 0; b < n; b++ {
-			src := gd[(b*c.OutC+oc)*cols : (b*c.OutC+oc+1)*cols]
-			d := dst[b*cols : (b+1)*cols]
-			for j, v := range src {
-				d[j] = float32(v)
-			}
-		}
-	}
-	if c.bias != nil {
-		gbd := c.bias.Grad.Data()
-		for oc := 0; oc < c.OutC; oc++ {
-			s := 0.0
-			for _, v := range c.gradCol32[oc*total : (oc+1)*total] {
-				s += float64(v)
-			}
-			gbd[oc] += s
-		}
-	}
-
-	// gradW [OutC, k] += widen(gradCol · colAllᵀ)
-	c.dw32 = growScratch(c.dw32, c.OutC*k)
-	tensor.GemmRawF32(false, true, c.OutC, k, total, 1,
-		c.gradCol32, total, c.col32, total, 0, c.dw32, k)
-	tensor.WidenAdd(c.weight.Grad.Data(), c.dw32)
-	if !needGradX {
-		return nil
-	}
-
-	// colGrad [k, total] = Wᵀ [k, OutC] · gradCol [OutC, total]
-	c.colGrad32 = growScratch(c.colGrad32, k*total)
-	tensor.GemmRawF32(true, false, k, total, c.OutC, 1,
-		c.w32, k, c.gradCol32, total, 0, c.colGrad32, total)
-
-	c.gradXBuf = tensor.ReuseLike(c.gradXBuf, x)
-	gradX := c.gradXBuf
-	c.gx32 = growScratch(c.gx32, n*imgSize)
-	for i := range c.gx32 {
-		c.gx32[i] = 0
-	}
-	for b := 0; b < n; b++ {
-		col2imAdd(c.colGrad32, c.InC, h, w, c.KH, c.KW,
-			c.Stride, c.Pad, c.Dilation, oh, ow, c.gx32[b*imgSize:(b+1)*imgSize], total, b*cols)
-	}
-	tensor.Widen(gradX.Data(), c.gx32)
 	return gradX
 }

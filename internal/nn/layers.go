@@ -144,10 +144,6 @@ type Linear struct {
 	lastX *tensor.Tensor
 
 	outBuf, gradXBuf *tensor.Tensor
-
-	// Float32 shadows for the fp32 compute mode (see precision.go).
-	x32, w32, g32     []float32
-	out32, gx32, dw32 []float32
 }
 
 var _ Module = (*Linear)(nil)
@@ -180,17 +176,8 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.outBuf = tensor.Reuse(l.outBuf, n, l.Out)
 	out := l.outBuf
 	// out [N, Out] = x [N, In] · Wᵀ [In, Out], then broadcast the bias.
-	if ActivePrecision() == FP32 {
-		l.x32 = tensor.Narrow(l.x32, x.Data())
-		l.w32 = tensor.Narrow(l.w32, l.weight.Value.Data())
-		l.out32 = growScratch(l.out32, n*l.Out)
-		tensor.GemmRawF32(false, true, n, l.Out, l.In, 1,
-			l.x32, l.In, l.w32, l.In, 0, l.out32, l.Out)
-		tensor.Widen(out.Data(), l.out32)
-	} else {
-		tensor.GemmRaw(false, true, n, l.Out, l.In, 1,
-			x.Data(), l.In, l.weight.Value.Data(), l.In, 0, out.Data(), l.Out)
-	}
+	tensor.GemmRaw(false, true, n, l.Out, l.In, 1,
+		x.Data(), l.In, l.weight.Value.Data(), l.In, 0, out.Data(), l.Out)
 	bd, od := l.bias.Value.Data(), out.Data()
 	for b := 0; b < n; b++ {
 		row := od[b*l.Out : (b+1)*l.Out]
@@ -212,25 +199,6 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		for o, gv := range row {
 			gbd[o] += gv
 		}
-	}
-	if ActivePrecision() == FP32 {
-		// The float64 master gradient still accumulates (+=): the fp32
-		// product goes into scratch with beta=0 and is widen-added so the
-		// accumulation across cells keeps float64 carry.
-		l.x32 = tensor.Narrow(l.x32, l.lastX.Data())
-		l.w32 = tensor.Narrow(l.w32, l.weight.Value.Data())
-		l.g32 = tensor.Narrow(l.g32, gd)
-		// gradW [Out, In] += widen(gradᵀ [Out, N] · x [N, In])
-		l.dw32 = growScratch(l.dw32, l.Out*l.In)
-		tensor.GemmRawF32(true, false, l.Out, l.In, n, 1,
-			l.g32, l.Out, l.x32, l.In, 0, l.dw32, l.In)
-		tensor.WidenAdd(l.weight.Grad.Data(), l.dw32)
-		// gradX [N, In] = grad [N, Out] · W [Out, In]
-		l.gx32 = growScratch(l.gx32, n*l.In)
-		tensor.GemmRawF32(false, false, n, l.In, l.Out, 1,
-			l.g32, l.Out, l.w32, l.In, 0, l.gx32, l.In)
-		tensor.Widen(gradX.Data(), l.gx32)
-		return gradX
 	}
 	// gradW [Out, In] += gradᵀ [Out, N] · x [N, In]
 	tensor.GemmRaw(true, false, l.Out, l.In, n, 1,

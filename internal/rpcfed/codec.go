@@ -680,14 +680,14 @@ func (c *binaryServerCodec) WriteResponse(resp *rpc.Response, body any) error {
 
 func (c *binaryServerCodec) Close() error { return c.conn.Close() }
 
-// --- instrumented gob client codec (baseline) -------------------------
+// --- instrumented gob client codec (test reference) -------------------
 
 // gobClientCodec mirrors net/rpc's stock gob codec byte-for-byte on the
-// wire but routes through the wire metrics, so the gob baseline reports
-// comparable byte counts and serialization time to the binary codec. Decode
-// time approximates: gob streams straight off the buffered connection, so
-// the timer includes buffered reads (unlike the binary codec, which fully
-// separates I/O from parsing).
+// wire and feeds the same wire metrics as the binary codec. Its one use
+// left is as the reference TestWireModeBitIdentity holds the fp64 codec
+// to; ROADMAP item 10(g) retires it. Decode time approximates: gob streams
+// straight off the buffered connection, so the timer includes buffered
+// reads (unlike the binary codec, which fully separates I/O from parsing).
 type gobClientCodec struct {
 	rwc    io.ReadWriteCloser
 	dec    *gob.Decoder

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net"
 	"net/rpc"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +139,29 @@ func TestServerConfigValidation(t *testing.T) {
 func TestNewServerRequiresAddrs(t *testing.T) {
 	if _, err := NewServer(DefaultServerConfig(testNet()), nil); err == nil {
 		t.Error("expected error for empty address list")
+	}
+	// An empty or blank entry (a stray comma in -addrs) is refused up
+	// front by index, with or without lazy dialing: enrolled, it would
+	// burn the dial retries or redial "" for the whole run.
+	for _, lazy := range []bool{false, true} {
+		cfg := DefaultServerConfig(testNet())
+		cfg.Transport.LazyDial = lazy
+		for _, tc := range []struct {
+			addrs []string
+			want  string
+		}{
+			{[]string{"127.0.0.1:1", ""}, "address 1 is empty"},
+			{[]string{"", "127.0.0.1:1"}, "address 0 is empty"},
+			{[]string{"127.0.0.1:1", " ", "127.0.0.1:2"}, "address 1 is empty"},
+		} {
+			s, err := NewServer(cfg, tc.addrs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("NewServer(%q, lazy=%v) = %v, want error containing %q", tc.addrs, lazy, err, tc.want)
+			}
+			if s != nil {
+				s.Close()
+			}
+		}
 	}
 }
 

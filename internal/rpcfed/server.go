@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,9 +26,10 @@ import (
 // redialing, per-call deadlines).
 type TransportConfig struct {
 	// Wire selects the tensor payload encoding (wire.FP64 default:
-	// binary framing, bit-identical results; wire.Gob is the reflection
-	// baseline; FP32 trades precision for half the bytes; TopK ships
-	// error-feedback deltas).
+	// binary framing, bit-identical results; wire.Gob is net/rpc's gob
+	// codec, kept only as TestWireModeBitIdentity's reference until ROADMAP
+	// item 10(g) retires it; FP32 trades precision for half the bytes; TopK
+	// ships error-feedback deltas).
 	Wire wire.Mode
 
 	// Workers caps how many participants' sub-model payloads are
@@ -230,6 +232,11 @@ func NewServer(cfg ServerConfig, addrs []string) (*Server, error) {
 	}
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("rpcfed: no participant addresses")
+	}
+	for i, addr := range addrs {
+		if strings.TrimSpace(addr) == "" {
+			return nil, fmt.Errorf("rpcfed: participant address %d is empty", i)
+		}
 	}
 	net, err := nas.NewSupernet(rand.New(rand.NewSource(cfg.Seed+2)), cfg.Net)
 	if err != nil {

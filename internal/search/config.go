@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"fedrlnas/internal/data"
-	"fedrlnas/internal/nn"
 	"fedrlnas/internal/round"
 	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/staleness"
@@ -83,14 +82,6 @@ type Config struct {
 	// in-process engine never serializes, so Wire changes reported sizes
 	// and ranking, not results of a fixed assignment.
 	Wire wire.Mode
-
-	// Precision selects the arithmetic inside GEMM-backed layers
-	// (nn.FP64, the default, or nn.FP32). The setting is process-wide —
-	// Search applies it via nn.SetPrecision at construction — because every
-	// replica in a process must train with the same arithmetic for merges
-	// to be comparable. FP64 runs are covered by the bit-identity gates;
-	// FP32 runs are gated on convergence parity (DESIGN.md §Kernels).
-	Precision nn.Precision
 
 	// AlphaOnly freezes θ during search (the Fig. 5 ablation).
 	AlphaOnly bool
@@ -165,8 +156,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("search: Workers %d must be >= 0", c.Workers)
 	case !c.Wire.Valid():
 		return fmt.Errorf("search: invalid wire mode %d", c.Wire)
-	case c.Precision != nn.FP64 && c.Precision != nn.FP32:
-		return fmt.Errorf("search: invalid precision %d", int32(c.Precision))
 	case c.Net.NumClasses != c.Dataset.NumClasses:
 		return fmt.Errorf("search: net classes %d != dataset classes %d",
 			c.Net.NumClasses, c.Dataset.NumClasses)

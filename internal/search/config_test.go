@@ -27,7 +27,7 @@ func TestConfigJSONKeys(t *testing.T) {
 	want := []string{
 		"Alpha", "AlphaOnly", "Augment", "BatchSize", "ChurnProb", "CohortSize",
 		"Dataset", "DirichletAlpha", "K", "Lambda", "Net", "Partition",
-		"Precision", "Quorum", "SearchSteps", "Seed", "Shards", "Staleness",
+		"Quorum", "SearchSteps", "Seed", "Shards", "Staleness",
 		"StalenessThreshold", "Strategy", "ThetaClip", "ThetaLR",
 		"ThetaMomentum", "ThetaWD", "Transmission", "WarmupSteps", "Wire",
 		"Workers",

@@ -111,10 +111,6 @@ func New(cfg Config) (*Search, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The compute precision is process-wide (see nn.SetPrecision); applying
-	// it here keeps every replica the run materializes on the same
-	// arithmetic from the first forward pass.
-	nn.SetPrecision(cfg.Precision)
 	ds, err := data.Generate(cfg.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("search: %w", err)

@@ -100,6 +100,7 @@ func TestCreateJobRejectsUnknownKeys(t *testing.T) {
 	for body, key := range map[string]string{
 		`{"config":{"SearchStep":10}}`: "SearchStep",
 		`{"confg":{"SearchSteps":10}}`: "confg",
+		`{"config":{"Precision":1}}`:   "Precision",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

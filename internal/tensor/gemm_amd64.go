@@ -19,7 +19,6 @@ func init() {
 	if cpuHasAVX2 {
 		gemmActiveF64 = &gemmAVX2F64
 		gemmShortF64 = &gemmAVX2F64x4
-		gemmActiveF32 = &gemmAVX2F32
 		dwActive = &dwAVX2
 	}
 }
@@ -32,19 +31,12 @@ var gemmAVX2F64 = gemmKernelF64{name: "avx2-8x8", mr: 8, nr: 8, micro: microAVX2
 // 4-row strip instead of padding half an 8-row tile with zeros.
 var gemmAVX2F64x4 = gemmKernelF64{name: "avx2-4x8", mr: 4, nr: 8, micro: microAVX2F64x4}
 
-// gemmAVX2F32 holds a full 8×8 float32 tile in 8 ymm accumulators.
-var gemmAVX2F32 = gemmKernelF32{name: "avx2-8x8", mr: 8, nr: 8, micro: microAVX2F32}
-
 func microAVX2F64(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
 	gemmMicroAVX2F64(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, acc)
 }
 
 func microAVX2F64x4(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
 	gemmMicroAVX2F64x4(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, acc)
-}
-
-func microAVX2F32(k int, pa, pb []float32, acc *[gemmMaxMR * gemmMaxNR]float32) {
-	gemmMicroAVX2F32(k, &pa[0], &pb[0], acc)
 }
 
 // detectAVX2 reports (avx2, fma) usable in this process.
@@ -82,9 +74,6 @@ func gemmMicroAVX2F64(k int, a *float64, aRow, aStep int, b *float64, bStep int,
 
 //go:noescape
 func gemmMicroAVX2F64x4(k int, a *float64, aRow, aStep int, b *float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64)
-
-//go:noescape
-func gemmMicroAVX2F32(k int, pa, pb *float32, acc *[gemmMaxMR * gemmMaxNR]float32)
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -214,77 +214,6 @@ f64x4:
 	VZEROUPPER
 	RET
 
-// func gemmMicroAVX2F32(k int, pa, pb *float32, acc *[64]float32)
-//
-// 8×8 float32 register tile in one pass: row r is one ymm of 8 floats.
-// Packed layout: pa[p*8+r], pb[p*8+c].
-TEXT ·gemmMicroAVX2F32(SB), NOSPLIT, $0-32
-	MOVQ k+0(FP), CX
-	MOVQ pa+8(FP), AX
-	MOVQ pb+16(FP), BX
-	MOVQ acc+24(FP), DI
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-
-f32loop:
-	VMOVUPS (BX), Y8        // b[0:8]
-
-	VBROADCASTSS (AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y0, Y0
-
-	VBROADCASTSS 4(AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y1, Y1
-
-	VBROADCASTSS 8(AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y2, Y2
-
-	VBROADCASTSS 12(AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y3, Y3
-
-	VBROADCASTSS 16(AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y4, Y4
-
-	VBROADCASTSS 20(AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y5, Y5
-
-	VBROADCASTSS 24(AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y6, Y6
-
-	VBROADCASTSS 28(AX), Y9
-	VMULPS       Y8, Y9, Y10
-	VADDPS       Y10, Y7, Y7
-
-	ADDQ $32, AX
-	ADDQ $32, BX
-	DECQ CX
-	JNZ  f32loop
-
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, 128(DI)
-	VMOVUPS Y5, 160(DI)
-	VMOVUPS Y6, 192(DI)
-	VMOVUPS Y7, 224(DI)
-
-	VZEROUPPER
-	RET
-
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

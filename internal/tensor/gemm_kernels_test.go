@@ -106,94 +106,6 @@ func TestGemmBatchedMatchesPerImage(t *testing.T) {
 	}
 }
 
-// naiveGemmF32 mirrors naiveGemm in float32: one ascending-k accumulator,
-// separate multiply and add per step.
-func naiveGemmF32(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc float32
-			for p := 0; p < k; p++ {
-				var av, bv float32
-				if transA {
-					av = a[p*lda+i]
-				} else {
-					av = a[i*lda+p]
-				}
-				if transB {
-					bv = b[j*ldb+p]
-				} else {
-					bv = b[p*ldb+j]
-				}
-				acc += av * bv
-			}
-			if beta == 0 {
-				c[i*ldc+j] = alpha * acc
-			} else {
-				c[i*ldc+j] = alpha*acc + beta*c[i*ldc+j]
-			}
-		}
-	}
-}
-
-func randSliceF32(rng *rand.Rand, n int) []float32 {
-	s := make([]float32, n)
-	for i := range s {
-		s[i] = float32(rng.NormFloat64())
-	}
-	return s
-}
-
-// TestGemmF32MatchesNaiveExactly: the float32 kernel holds the same
-// canonical-summation invariant within its own precision.
-func TestGemmF32MatchesNaiveExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	shapes := []struct{ m, n, k int }{
-		{1, 1, 1}, {3, 3, 3}, {4, 4, 4}, {5, 6, 7}, {8, 8, 8},
-		{8, 12, 16}, {13, 9, 11}, {2, 130, 9}, {33, 33, 1},
-	}
-	params := []struct{ alpha, beta float32 }{{1, 0}, {1, 1}, {2.5, 0}, {-1, 0.5}}
-	for _, s := range shapes {
-		for _, p := range params {
-			for _, tA := range []bool{false, true} {
-				for _, tB := range []bool{false, true} {
-					lda := s.k
-					if tA {
-						lda = s.m
-					}
-					ldb := s.n
-					if tB {
-						ldb = s.k
-					}
-					a := randSliceF32(rng, s.m*s.k)
-					b := randSliceF32(rng, s.k*s.n)
-					cInit := randSliceF32(rng, s.m*s.n)
-					got := append([]float32(nil), cInit...)
-					want := append([]float32(nil), cInit...)
-					GemmRawF32(tA, tB, s.m, s.n, s.k, p.alpha, a, lda, b, ldb, p.beta, got, s.n)
-					naiveGemmF32(tA, tB, s.m, s.n, s.k, p.alpha, a, lda, b, ldb, p.beta, want, s.n)
-					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("GemmRawF32(tA=%v tB=%v m=%d n=%d k=%d α=%v β=%v): c[%d]=%g, want %g",
-								tA, tB, s.m, s.n, s.k, p.alpha, p.beta, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestGemmF32EmptyProblems(t *testing.T) {
-	c := []float32{1, 2, 3, 4}
-	GemmRawF32(false, false, 2, 2, 0, 1, nil, 0, nil, 0, 0.5, c, 2)
-	for i, want := range []float32{0.5, 1, 1.5, 2} {
-		if c[i] != want {
-			t.Fatalf("k=0 beta-scale: c[%d]=%g, want %g", i, c[i], want)
-		}
-	}
-	GemmRawF32(false, false, 0, 3, 5, 1, nil, 5, make([]float32, 15), 3, 0, nil, 3)
-}
-
 // TestGemmFLOPCounterConcurrentTotal: the sharded counter loses nothing —
 // the summed total equals the exact FLOP count of a known concurrent
 // workload — and the fast path stays allocation-free.
@@ -242,31 +154,13 @@ func TestGemmStatsAllocFree(t *testing.T) {
 	}
 }
 
-// TestGemmF32SteadyStateAllocs mirrors the float64 zero-alloc pin.
-func TestGemmF32SteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts at random, defeating scratch reuse")
-	}
-	rng := rand.New(rand.NewSource(5))
-	a := randSliceF32(rng, 8*27)
-	b := randSliceF32(rng, 27*64)
-	c := make([]float32, 8*64)
-	GemmRawF32(false, false, 8, 64, 27, 1, a, 27, b, 64, 0, c, 64)
-	allocs := testing.AllocsPerRun(50, func() {
-		GemmRawF32(false, false, 8, 64, 27, 1, a, 27, b, 64, 0, c, 64)
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state GemmRawF32 allocated %.1f times per call, want 0", allocs)
-	}
-}
-
 // TestKernelInfo sanity-checks the reported selection against the build.
 func TestKernelInfo(t *testing.T) {
 	info := KernelInfo()
 	if info.Arch != runtime.GOARCH {
 		t.Fatalf("KernelInfo arch %q, want %q", info.Arch, runtime.GOARCH)
 	}
-	if info.KernelF64 == "" || info.KernelF32 == "" {
+	if info.KernelF64 == "" {
 		t.Fatalf("KernelInfo names empty: %+v", info)
 	}
 	if !asmKernels && (info.AVX2 || info.KernelF64 != "go-4x4") {
@@ -281,35 +175,5 @@ func TestKernelInfo(t *testing.T) {
 	}
 	if info.KernelDepthwise != wantDW || DepthwiseSIMD() != (wantDW != "direct") {
 		t.Fatalf("depthwise kernel %q (SIMD %v), want %q", info.KernelDepthwise, DepthwiseSIMD(), wantDW)
-	}
-}
-
-// TestNarrowWiden covers the fp32 bridge helpers.
-func TestNarrowWiden(t *testing.T) {
-	src := []float64{1.5, -2.25, 1e-40, math.Pi}
-	f32 := Narrow(nil, src)
-	for i, v := range src {
-		if f32[i] != float32(v) {
-			t.Fatalf("Narrow[%d] = %v, want %v", i, f32[i], float32(v))
-		}
-	}
-	dst := make([]float64, len(src))
-	Widen(dst, f32)
-	for i := range dst {
-		if dst[i] != float64(f32[i]) {
-			t.Fatalf("Widen[%d] = %v, want %v", i, dst[i], float64(f32[i]))
-		}
-	}
-	WidenAdd(dst, f32)
-	for i := range dst {
-		if dst[i] != 2*float64(f32[i]) {
-			t.Fatalf("WidenAdd[%d] = %v, want %v", i, dst[i], 2*float64(f32[i]))
-		}
-	}
-	// Reuse: a large-enough dst must not reallocate.
-	back := f32[:0]
-	out := Narrow(back, src[:2])
-	if &out[0] != &f32[0] {
-		t.Fatal("Narrow reallocated despite sufficient capacity")
 	}
 }

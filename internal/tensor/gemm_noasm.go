@@ -3,8 +3,8 @@
 package tensor
 
 // Fallback build (non-amd64 architectures, or -tags noasm): the pure-Go
-// 4×4 kernels declared in gemm.go/gemm_f32.go stay selected and no CPU
-// feature detection runs. check.sh builds and tests this path on every run
-// so it cannot rot.
+// 4×4 kernel declared in gemm.go stays selected and no CPU feature
+// detection runs. check.sh builds and tests this path on every run so it
+// cannot rot.
 
 const asmKernels = false

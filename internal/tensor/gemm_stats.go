@@ -40,7 +40,7 @@ func gemmAddStats(flops, nanos int64, hint uintptr) {
 }
 
 // GemmFLOPs returns the cumulative floating-point operation count of every
-// Gemm call in this process (float64 and float32 kernels both count).
+// Gemm call in this process.
 // Benchmarks read it before and after a timed region to report achieved
 // GFLOP/s.
 func GemmFLOPs() int64 {
@@ -74,10 +74,9 @@ type KernelFeatures struct {
 	// bit-identity contract between kernel variants.
 	AVX2 bool `json:"avx2"`
 	FMA  bool `json:"fma"`
-	// KernelF64 and KernelF32 name the selected micro-kernel variants
-	// (e.g. "avx2-8x8", "go-4x4").
+	// KernelF64 names the selected micro-kernel variant (e.g. "avx2-8x8",
+	// "go-4x4").
 	KernelF64 string `json:"kernel_f64"`
-	KernelF32 string `json:"kernel_f32"`
 	// KernelDepthwise names the depthwise-convolution code that runs:
 	// "avx2-lanes4", or "direct" when no vector kernel was selected and
 	// nn.Conv2D keeps its valid-range loops (see DepthwiseSIMD).
@@ -91,7 +90,6 @@ func KernelInfo() KernelFeatures {
 		AVX2:      cpuHasAVX2,
 		FMA:       cpuHasFMA,
 		KernelF64: gemmActiveF64.name,
-		KernelF32: gemmActiveF32.name,
 
 		KernelDepthwise: depthwiseKernelName(),
 	}

@@ -50,9 +50,10 @@ import (
 // Mode selects how the sender encodes tensor payloads.
 type Mode uint8
 
-// Wire modes. Gob is the net/rpc reflection baseline (no binary framing;
-// this package never encodes it) kept for benchmarking; the rest select
-// the tags AppendGroup emits.
+// Wire modes. Gob selects net/rpc's stock gob codec (no binary framing;
+// this package never encodes it), kept only as the reference
+// TestWireModeBitIdentity holds FP64 to until ROADMAP item 10(g) retires
+// it; the rest select the tags AppendGroup emits.
 const (
 	Gob Mode = iota
 	FP64
