@@ -31,11 +31,14 @@ echo "== cross-compile arm64 (no amd64 assembly may leak outside its build tags;
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor/... ./internal/nn/...
 
-echo "== go test -race (tensor, parallel, nn, fed, round, search, baselines, rpcfed, telemetry, cohort, serve, scenario)"
-go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... \
+echo "== go test -race (tensor, parallel, nn, nas, fed, round, search, baselines, rpcfed, telemetry, cohort, serve, scenario)"
+go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... ./internal/nas/... \
 	./internal/fed/... ./internal/round/... ./internal/search/... ./internal/baselines/... \
 	./internal/rpcfed/... ./internal/telemetry/... ./internal/cohort/... \
 	./internal/serve/... ./internal/scenario/...
+
+echo "== fedcheck (arena reset poisons released step storage: a buffer read after its step fails loudly)"
+go test -tags fedcheck ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/search/... ./internal/rpcfed/...
 
 echo "== bench smoke (tensor, nn kernels; 1 iteration, catches crashes/regressed shapes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/...

@@ -29,8 +29,9 @@ type Replica struct {
 }
 
 // NewReplica builds a replica of the supernet cfg describes from its own
-// seeded source, and pre-warms it for batches of batchSize images of ds.
-func NewReplica(seed int64, cfg nas.Config, ds *data.Dataset, batchSize int) (*Replica, error) {
+// seeded source. Its buffers are one step's (nas.Supernet's arena), sized by
+// the largest step it has run.
+func NewReplica(seed int64, cfg nas.Config) (*Replica, error) {
 	net, err := nas.NewSupernet(rand.New(rand.NewSource(seed)), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fed: replica: %w", err)
@@ -45,34 +46,10 @@ func NewReplica(seed int64, cfg nas.Config, ds *data.Dataset, batchSize int) (*R
 	for j, p := range params {
 		index[p] = j
 	}
-	r := &Replica{
+	return &Replica{
 		net: net, params: params, index: index, bns: bns,
 		headStart: len(params) - len(net.HeadParams()),
-	}
-	r.prewarm(tensor.New(batchSize, ds.Spec.Channels, ds.Spec.Height, ds.Spec.Width))
-	return r, nil
-}
-
-// prewarm runs one forward/backward pass per candidate so every lazily sized
-// op buffer exists before the first step; otherwise an (edge, candidate)
-// pair first allocates whenever gates first land on it, a coupon-collector
-// tail of allocations far into a run. The passes leave nothing behind:
-// values are overwritten before every step, captured BN records go to the
-// layers' freelists, and gradients are zeroed.
-func (r *Replica) prewarm(x *tensor.Tensor) {
-	n := nas.NumEdges(r.net.Cfg.Nodes) // per cell, normal and reduction alike
-	g := nas.Gates{Normal: make([]int, n), Reduce: make([]int, n)}
-	for c := 0; c < r.net.NumCandidates(); c++ {
-		for e := 0; e < n; e++ {
-			g.Normal[e], g.Reduce[e] = c, c
-		}
-		logits := r.net.ForwardSampled(x, g)
-		r.net.BackwardSampled(tensor.New(logits.Shape()...))
-	}
-	for _, bn := range r.bns {
-		bn.RecycleStats(bn.DrainCapturedStatsInto(nil))
-	}
-	nn.ZeroGrads(r.params)
+	}, nil
 }
 
 // Sampled returns the replica's parameters of the sub-model g selects, in

@@ -44,7 +44,7 @@ func TestReplicaTrainDependsOnlyOnThetaAndStream(t *testing.T) {
 	ds, cfg, theta := localTestSetup(t)
 	shard := []int{0, 3, 5, 8, 13, 21, 34}
 	run := func(seed int64) [][]float64 {
-		rep, err := NewReplica(seed, cfg, ds, 4)
+		rep, err := NewReplica(seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestReplicaTrainDependsOnlyOnThetaAndStream(t *testing.T) {
 // gradients are reported like every other parameter's.
 func TestReplicaTrainPersonalHead(t *testing.T) {
 	ds, cfg, theta := localTestSetup(t)
-	rep, err := NewReplica(1, cfg, ds, 4)
+	rep, err := NewReplica(1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

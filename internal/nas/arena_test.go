@@ -1,0 +1,95 @@
+package nas
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"fedrlnas/internal/tensor"
+)
+
+// rpcNet is the rpc benchmark workload's network; it trains on 3×8×8 images
+// at batch 8.
+func rpcNet() Config {
+	return Config{InChannels: 3, NumClasses: 10, C: 6, Layers: 2, Nodes: 2, Candidates: AllOps}
+}
+
+// stepper runs forward and backward steps of sub-models of s on one batch.
+func stepper(s *Supernet, rng *rand.Rand) func(Gates) {
+	x := tensor.Randn(rng, 1, 8, 3, 8, 8)
+	grad := tensor.Randn(rng, 0.1, 8, s.Cfg.NumClasses)
+	return func(g Gates) {
+		s.ForwardSampled(x, g)
+		s.BackwardSampled(grad)
+	}
+}
+
+func randomSubModel(s *Supernet, rng *rand.Rand) Gates {
+	g := uniformGates(s, 0)
+	for e := range g.Normal {
+		g.Normal[e], g.Reduce[e] = rng.Intn(NumOps), rng.Intn(NumOps)
+	}
+	return g
+}
+
+// The largest sub-model, dil_conv_5x5 on every edge, sizes the arena for all
+// others: after one step of it, steps on gates the network has never run
+// allocate nothing. Storage belongs to the step, not to an (edge, op) pair,
+// so no buffer appears the first time the controller samples a pair.
+func TestLargestStepSizesEveryStep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, defeating scratch reuse")
+	}
+	rng := rand.New(rand.NewSource(1))
+	s, err := NewSupernet(rng, rpcNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := stepper(s, rng)
+	step(uniformGates(s, 7))
+	unseen := make([]Gates, 21)
+	for i := range unseen {
+		unseen[i] = randomSubModel(s, rng)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(unseen)-1, func() {
+		step(unseen[i])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a step on new gates allocates %.0f objects after the largest step", allocs)
+	}
+}
+
+// The arena's capacity on the rpc benchmark network at batch 8 is pinned to
+// the word: one step of the largest sub-model plus the eighth the arena
+// keeps spare, and no other step grows it. It is a replica's resident step
+// memory. The probe needs no accessor: a Reset and a take of n words
+// allocate nothing exactly when n fits.
+func TestArenaHighWaterPinned(t *testing.T) {
+	largest := 612830 // words, 4.9 MB
+	if !tensor.DepthwiseSIMD() {
+		largest = 573524 // no lane kernel: no padded planes or offset tables
+	}
+	rng := rand.New(rand.NewSource(2))
+	s, err := NewSupernet(rng, rpcNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := stepper(s, rng)
+	step(uniformGates(s, 7))
+	for range 200 {
+		step(randomSubModel(s, rng))
+	}
+	fits := func(n int) bool {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ar.Reset()
+		s.ar.Floats(n)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs == before.Mallocs
+	}
+	if want := largest + largest/8; !fits(want) || fits(want+1) {
+		t.Errorf("arena capacity moved from %d words", want)
+	}
+}

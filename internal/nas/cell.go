@@ -128,10 +128,11 @@ type Cell struct {
 	lastMixed     bool
 	lastEdgeProbs [][]float64
 
-	// persistent hot-path buffers (nn's buffer-ownership contract): the
-	// concat output, per-node gradient slices, and the backward scratch.
-	concatBuf  *tensor.Tensor
-	splitBufs  []*tensor.Tensor
+	// ar is the owning network's arena, which backs the concat output and
+	// the per-node gradient slices (nn's buffer-ownership contract).
+	ar         *tensor.Arena
+	concatBuf  tensor.Tensor
+	splitBufs  []tensor.Tensor
 	stateGrads []*tensor.Tensor
 }
 
@@ -147,9 +148,11 @@ func NewCell(name string, rng *rand.Rand, spec CellSpec, candidates []OpKind) *C
 		pre0Stride = 2 // s0 comes from two cells back; match s1's resolution
 	}
 	c := &Cell{
-		Spec: spec,
-		pre0: nn.NewReLUConvBN(name+".pre0", rng, spec.CPrevPrev, spec.C, 1, pre0Stride),
-		pre1: nn.NewReLUConvBN(name+".pre1", rng, spec.CPrev, spec.C, 1, 1),
+		Spec:       spec,
+		pre0:       nn.NewReLUConvBN(name+".pre0", rng, spec.CPrevPrev, spec.C, 1, pre0Stride),
+		pre1:       nn.NewReLUConvBN(name+".pre1", rng, spec.CPrev, spec.C, 1, 1),
+		splitBufs:  make([]tensor.Tensor, spec.Nodes),
+		stateGrads: make([]*tensor.Tensor, 2+spec.Nodes),
 	}
 	edge := 0
 	for i := 0; i < spec.Nodes; i++ {
@@ -280,16 +283,10 @@ func (c *Cell) ForwardMixed(s0, s1 *tensor.Tensor, edgeProbs [][]float64) *tenso
 // Backward back-propagates the cell. It returns gradients for (s0, s1) and,
 // after a mixed forward, the per-edge dL/d(probs) rows (nil after sampled).
 func (c *Cell) Backward(grad *tensor.Tensor) (gs0, gs1 *tensor.Tensor, dProbs [][]float64) {
-	nodeGrads := c.splitGrad(grad)
-	// stateGrads[j] accumulates dL/d(states[j]).
-	if cap(c.stateGrads) < 2+c.Spec.Nodes {
-		c.stateGrads = make([]*tensor.Tensor, 2+c.Spec.Nodes)
-	}
-	stateGrads := c.stateGrads[:2+c.Spec.Nodes]
+	// stateGrads[j] accumulates dL/d(states[j]); a node's entry starts as
+	// its slice of grad.
+	stateGrads := c.splitGrad(grad)
 	stateGrads[0], stateGrads[1] = nil, nil
-	for i := 0; i < c.Spec.Nodes; i++ {
-		stateGrads[2+i] = nodeGrads[i]
-	}
 	if c.lastMixed {
 		dProbs = make([][]float64, len(c.Edges))
 	}
@@ -316,56 +313,30 @@ func (c *Cell) Backward(grad *tensor.Tensor) (gs0, gs1 *tensor.Tensor, dProbs []
 		}
 		edgeEnd = edgeStart
 	}
-	if stateGrads[0] == nil {
-		stateGrads[0] = tensor.New(c.lastStates[0].Shape()...)
-	}
-	if stateGrads[1] == nil {
-		stateGrads[1] = tensor.New(c.lastStates[1].Shape()...)
-	}
+	// Node 0 has an edge from each cell input, so both gradients are set.
 	gs0 = c.pre0.Backward(stateGrads[0])
 	gs1 = c.pre1.Backward(stateGrads[1])
 	return gs0, gs1, dProbs
 }
 
-// concatStates concatenates the node outputs into the cell's persistent
-// concat buffer (overwritten by the next forward).
+// concatStates concatenates the node outputs into step storage.
 func (c *Cell) concatStates(ts []*tensor.Tensor) *tensor.Tensor {
 	n, h, w := ts[0].Dim(0), ts[0].Dim(2), ts[0].Dim(3)
-	totalC := 0
-	for _, t := range ts {
-		totalC += t.Dim(1)
-	}
-	c.concatBuf = tensor.Reuse(c.concatBuf, n, totalC, h, w)
-	concatChannelsInto(c.concatBuf, ts)
-	return c.concatBuf
-}
-
-// splitGrad splits the concat gradient into per-node slices held in the
-// cell's persistent split buffers (overwritten by the next backward).
-func (c *Cell) splitGrad(grad *tensor.Tensor) []*tensor.Tensor {
-	if cap(c.splitBufs) < c.Spec.Nodes {
-		c.splitBufs = make([]*tensor.Tensor, c.Spec.Nodes)
-	}
-	c.splitBufs = c.splitBufs[:c.Spec.Nodes]
-	n, h, w := grad.Dim(0), grad.Dim(2), grad.Dim(3)
-	for p := range c.splitBufs {
-		c.splitBufs[p] = tensor.Reuse(c.splitBufs[p], n, c.Spec.C, h, w)
-	}
-	splitChannelsInto(c.splitBufs, grad, c.Spec.Nodes, c.Spec.C)
-	return c.splitBufs
-}
-
-// concatChannels concatenates [N,C,H,W] tensors along the channel axis into
-// a new tensor.
-func concatChannels(ts []*tensor.Tensor) *tensor.Tensor {
-	n, h, w := ts[0].Dim(0), ts[0].Dim(2), ts[0].Dim(3)
-	totalC := 0
-	for _, t := range ts {
-		totalC += t.Dim(1)
-	}
-	out := tensor.New(n, totalC, h, w)
+	out := c.ar.Take(&c.concatBuf, n, len(ts)*c.Spec.C, h, w)
 	concatChannelsInto(out, ts)
 	return out
+}
+
+// splitGrad splits the concat gradient into per-node slices of step storage
+// and returns the cell's state-gradient list with them as its node entries.
+func (c *Cell) splitGrad(grad *tensor.Tensor) []*tensor.Tensor {
+	n, h, w := grad.Dim(0), grad.Dim(2), grad.Dim(3)
+	parts := c.stateGrads[2:]
+	for p := range parts {
+		parts[p] = c.ar.Take(&c.splitBufs[p], n, c.Spec.C, h, w)
+	}
+	splitChannelsInto(parts, grad, c.Spec.Nodes, c.Spec.C)
+	return c.stateGrads
 }
 
 // concatChannelsInto concatenates ts along the channel axis into out, which
@@ -385,18 +356,6 @@ func concatChannelsInto(out *tensor.Tensor, ts []*tensor.Tensor) {
 		}
 		cOff += c
 	}
-}
-
-// splitChannels splits an [N, parts*c, H, W] tensor into parts new tensors
-// of c channels each (inverse of concatChannels).
-func splitChannels(t *tensor.Tensor, parts, c int) []*tensor.Tensor {
-	n, h, w := t.Dim(0), t.Dim(2), t.Dim(3)
-	out := make([]*tensor.Tensor, parts)
-	for p := range out {
-		out[p] = tensor.New(n, c, h, w)
-	}
-	splitChannelsInto(out, t, parts, c)
-	return out
 }
 
 // splitChannelsInto splits t into the pre-shaped tensors in out.

@@ -111,6 +111,7 @@ func newSingleOpNet(rng *rand.Rand, cfg Config, g Genotype) (*Supernet, error) {
 		prevReduction = reduction
 	}
 	s.head = nn.NewLinear("head", rng, cPrev, cfg.NumClasses)
+	s.bindArena()
 	return s, nil
 }
 

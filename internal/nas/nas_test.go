@@ -81,13 +81,12 @@ func TestConcatSplitInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := tensor.Randn(rng, 1, 2, 3, 4, 4)
 	b := tensor.Randn(rng, 1, 2, 3, 4, 4)
-	cat := concatChannels([]*tensor.Tensor{a, b})
-	if cat.Dim(1) != 6 {
-		t.Fatalf("concat channels = %d, want 6", cat.Dim(1))
-	}
-	parts := splitChannels(cat, 2, 3)
+	cat := tensor.New(2, 6, 4, 4)
+	concatChannelsInto(cat, []*tensor.Tensor{a, b})
+	parts := []*tensor.Tensor{tensor.New(2, 3, 4, 4), tensor.New(2, 3, 4, 4)}
+	splitChannelsInto(parts, cat, 2, 3)
 	if !parts[0].AllClose(a, 0) || !parts[1].AllClose(b, 0) {
-		t.Error("splitChannels is not the inverse of concatChannels")
+		t.Error("splitChannelsInto is not the inverse of concatChannelsInto")
 	}
 }
 
@@ -123,7 +122,7 @@ func TestSupernetMixedMatchesSampledWhenOneHot(t *testing.T) {
 		return rows
 	}
 	x := tensor.Randn(rng, 1, 2, 3, 8, 8)
-	a := s.ForwardSampled(x, g)
+	a := s.ForwardSampled(x, g).Clone() // the next forward rewrites the logits
 	b := s.ForwardMixed(x, oneHot(nE), oneHot(rE))
 	if !a.AllClose(b, 1e-9) {
 		t.Error("one-hot mixed forward must equal sampled forward")

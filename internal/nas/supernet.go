@@ -99,17 +99,18 @@ type Supernet struct {
 
 	reduction map[int]bool
 
+	// ar holds every buffer of the current step (package nn's buffer-ownership
+	// contract); ForwardSampled and ForwardMixed reset it.
+	ar tensor.Arena
+
 	// Cached enumerations (the structure is fixed at construction) and
-	// hot-path scratch. sizeScratch backs SubModelBytes; cellGradBufs /
-	// stemGradBuf are the persistent inter-cell gradient accumulators of
-	// backwardCells (see the buffer-ownership contract in package nn).
+	// hot-path scratch. sizeScratch backs SubModelBytes; cellGrads is
+	// backwardCells' list of per-cell output gradients.
 	params       []*nn.Param
 	sharedParams []*nn.Param
 	sizeScratch  []*nn.Param
 	elemScratch  []int
 	cellGrads    []*tensor.Tensor
-	cellGradBufs []*tensor.Tensor
-	stemGradBuf  *tensor.Tensor
 }
 
 // NewSupernet materializes the network described by cfg.
@@ -143,7 +144,20 @@ func NewSupernet(rng *rand.Rand, cfg Config) (*Supernet, error) {
 		prevReduction = reduction
 	}
 	s.head = nn.NewLinear("head", rng, cPrev, cfg.NumClasses)
+	s.bindArena()
 	return s, nil
+}
+
+// bindArena points every module of the network at its arena.
+func (s *Supernet) bindArena() {
+	nn.BindArena(&s.ar, s.stem, s.gap, s.head)
+	for _, c := range s.cells {
+		c.ar = &s.ar
+		nn.BindArena(&s.ar, c.pre0, c.pre1)
+		for _, e := range c.Edges {
+			nn.BindArena(&s.ar, e.ops...)
+		}
+	}
 }
 
 // ArchSpace returns (normal-cell edge count, reduction-cell edge count): the
@@ -273,8 +287,10 @@ func (s *Supernet) SetTraining(training bool) {
 	}
 }
 
-// ForwardSampled runs the network pruned by gates g.
+// ForwardSampled runs the network pruned by gates g. It starts a step: every
+// tensor the previous step returned is released.
 func (s *Supernet) ForwardSampled(x *tensor.Tensor, g Gates) *tensor.Tensor {
+	s.ar.Reset()
 	h := s.stem.Forward(x)
 	s0, s1 := h, h
 	for _, c := range s.cells {
@@ -296,8 +312,10 @@ func (s *Supernet) BackwardSampled(gradLogits *tensor.Tensor) {
 }
 
 // ForwardMixed runs the network with probability-blended edges (baselines).
-// probsNormal/probsReduce are per-edge rows over candidates.
+// probsNormal/probsReduce are per-edge rows over candidates. Like
+// ForwardSampled, it starts a step.
 func (s *Supernet) ForwardMixed(x *tensor.Tensor, probsNormal, probsReduce [][]float64) *tensor.Tensor {
+	s.ar.Reset()
 	h := s.stem.Forward(x)
 	s0, s1 := h, h
 	for _, c := range s.cells {
@@ -327,50 +345,28 @@ func (s *Supernet) BackwardMixed(gradLogits *tensor.Tensor) MixedGrads {
 }
 
 // backwardCells walks the cell stack in reverse, handling the two-input
-// skip wiring (cell l receives cell l-1 and cell l-2 outputs). Inter-cell
-// gradient accumulation copies into per-slot persistent buffers instead of
-// cloning: a cell's backward outputs (gs0/gs1) live in buffers the next
-// cell's backward overwrites, so they must be captured, but the capture
-// target only ever changes its batch dimension between passes (tensor.Reuse).
+// skip wiring (cell l receives cell l-1 and cell l-2 outputs). A cell's
+// input gradients live in step storage nothing else writes, so the first
+// contribution to a cell's output gradient is kept as is and later ones add
+// into it.
 func (s *Supernet) backwardCells(grad *tensor.Tensor, mg *MixedGrads) {
 	n := len(s.cells)
 	if cap(s.cellGrads) < n {
 		s.cellGrads = make([]*tensor.Tensor, n)
 	}
-	if s.cellGradBufs == nil {
-		s.cellGradBufs = make([]*tensor.Tensor, n)
-	}
 	// gradOut[i] is dL/d(output of cell i); gs0 contributions flow to i-2.
 	gradOut := s.cellGrads[:n]
-	for i := range gradOut {
-		gradOut[i] = nil
-	}
+	clear(gradOut)
 	gradOut[n-1] = grad
-	addCell := func(slot int, g *tensor.Tensor) {
-		if gradOut[slot] != nil {
-			gradOut[slot].AddInPlace(g)
-			return
-		}
-		buf := tensor.Reuse(s.cellGradBufs[slot], g.Dim(0), g.Dim(1), g.Dim(2), g.Dim(3))
-		s.cellGradBufs[slot] = buf
-		buf.CopyFrom(g)
-		gradOut[slot] = buf
-	}
 	var gradStem *tensor.Tensor
-	addStem := func(g *tensor.Tensor) {
-		if gradStem != nil {
-			gradStem.AddInPlace(g)
-			return
+	add := func(dst **tensor.Tensor, g *tensor.Tensor) {
+		if *dst == nil {
+			*dst = g
+		} else {
+			(*dst).AddInPlace(g)
 		}
-		s.stemGradBuf = tensor.Reuse(s.stemGradBuf, g.Dim(0), g.Dim(1), g.Dim(2), g.Dim(3))
-		s.stemGradBuf.CopyFrom(g)
-		gradStem = s.stemGradBuf
 	}
 	for i := n - 1; i >= 0; i-- {
-		if gradOut[i] == nil {
-			// Cell output unused downstream (possible only for n==1 handled above).
-			continue
-		}
 		gs0, gs1, dProbs := s.cells[i].Backward(gradOut[i])
 		if mg != nil && dProbs != nil {
 			if s.cells[i].Spec.Reduction {
@@ -381,15 +377,15 @@ func (s *Supernet) backwardCells(grad *tensor.Tensor, mg *MixedGrads) {
 		}
 		// s1 input of cell i is output of cell i-1 (or the stem).
 		if i-1 >= 0 {
-			addCell(i-1, gs1)
+			add(&gradOut[i-1], gs1)
 		} else {
-			addStem(gs1)
+			add(&gradStem, gs1)
 		}
 		// s0 input of cell i is output of cell i-2 (or the stem).
 		if i-2 >= 0 {
-			addCell(i-2, gs0)
+			add(&gradOut[i-2], gs0)
 		} else {
-			addStem(gs0)
+			add(&gradStem, gs0)
 		}
 	}
 	// Nothing upstream of the stem reads its input gradient.

@@ -8,10 +8,10 @@ import (
 	"fedrlnas/internal/tensor"
 )
 
-// The conv hot path must not allocate at all once warm: column scratch,
-// GEMM workspaces, the output tensor, and the input-gradient tensor are all
-// per-layer persistent buffers, reused whenever shapes repeat (the package
-// doc's buffer-ownership contract).
+// The conv hot path must not allocate at all once warm: column scratch, the
+// output tensor and the input-gradient tensor come from the layer's arena,
+// and GEMM workspaces from their pools (the package doc's buffer-ownership
+// contract).
 
 func TestConvForwardAllocsPinned(t *testing.T) {
 	if raceEnabled {
@@ -40,6 +40,7 @@ func TestConvBackwardAllocsPinned(t *testing.T) {
 	grad := tensor.Full(1, out.Shape()...)
 	c.Backward(grad) // warm the scratch buffers
 	allocs := testing.AllocsPerRun(20, func() {
+		_ = c.Forward(x) // a backward's storage lasts until the next forward
 		_ = c.Backward(grad)
 	})
 	if allocs > 0 {

@@ -20,28 +20,21 @@ type Conv2D struct {
 	bias   *Param // nil when bias is disabled
 	params []*Param
 
+	arenaRef
 	lastX *tensor.Tensor
 
-	// Per-layer im2col scratch and persistent output/gradient buffers,
-	// reused across calls (see the package doc's buffer-ownership contract).
-	// Safe because a layer belongs to exactly one model replica and each
-	// replica is driven by at most one worker at a time (see internal/parallel).
-	colBuf     []float64
-	colValid   bool // colBuf holds the lowering of lastX
-	colGradBuf []float64
-	outColBuf  []float64
-	gradColBuf []float64
-	outBuf     *tensor.Tensor
-	gradXBuf   *tensor.Tensor
+	// Step buffers (see the package doc's buffer-ownership contract): the
+	// forward's im2col column matrix, which backward reuses, and the output
+	// and input-gradient headers.
+	colBuf           []float64
+	colValid         bool // colBuf holds the lowering of lastX
+	outBuf, gradXBuf tensor.Tensor
 
 	// Hoisted in-bounds output ranges for the grouped direct path: for each
 	// kernel offset, the inclusive output rows/cols whose sampled input
 	// stays inside the image (see convValid).
 	oy0s, oy1s []int
 	ox0s, ox1s []int
-
-	// Tables and scratch of the depthwise lane path (see depthwise.go).
-	dw *dwPlan
 }
 
 var _ Module = (*Conv2D)(nil)
@@ -73,6 +66,9 @@ func NewConv2D(name string, rng *rand.Rand, inC, outC, k int, o ConvOpts) *Conv2
 		InC: inC, OutC: outC, KH: k, KW: k,
 		Stride: o.Stride, Pad: o.Pad, Dilation: o.Dilation, Groups: o.Groups,
 	}
+	// One allocation backs all four range tables.
+	buf := make([]int, 4*k)
+	c.oy0s, c.oy1s, c.ox0s, c.ox1s = buf[:k:k], buf[k:2*k:2*k], buf[2*k:3*k:3*k], buf[3*k:]
 	c.weight = NewParam(name+".weight", tensor.KaimingConv(rng, outC, inC/o.Groups, k, k))
 	if o.Bias {
 		c.bias = NewParam(name+".bias", tensor.New(outC))
@@ -99,25 +95,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if inC != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D got %d input channels, want %d", inC, c.InC))
 	}
+	ar := c.stepArena()
 	c.lastX = x
 	if c.Groups == 1 {
-		return c.forwardIm2col(x)
+		return c.forwardIm2col(ar, x)
 	}
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
-	c.outBuf = tensor.Reuse(c.outBuf, n, c.OutC, oh, ow)
-	c.forwardGrouped(x, c.outBuf, tensor.DepthwiseSIMD())
-	return c.outBuf
+	out := ar.Take(&c.outBuf, n, c.OutC, oh, ow)
+	c.forwardGrouped(ar, x, out, tensor.DepthwiseSIMD())
+	return out
 }
 
 // forwardGrouped fills out for Groups > 1. With useLanes set, a qualifying
 // depthwise layer sends its whole groups of four channels to the lane
-// kernels; the direct loops take whatever is left (everything, otherwise).
-func (c *Conv2D) forwardGrouped(x, out *tensor.Tensor, useLanes bool) {
+// kernels, whose scratch comes from ar; the direct loops take whatever is
+// left (everything, otherwise).
+func (c *Conv2D) forwardGrouped(ar *tensor.Arena, x, out *tensor.Tensor, useLanes bool) {
 	lanes := 0
 	if useLanes && c.laneDepthwise() {
 		lanes = c.OutC &^ (tensor.DWLanes - 1)
-		c.forwardDepthwiseLanes(x, out, lanes)
+		c.forwardDepthwiseLanes(ar, x, out, lanes)
 	}
 	if lanes < c.OutC {
 		c.forwardDirect(x, out, lanes)
@@ -199,15 +197,8 @@ func (c *Conv2D) forwardDirect(x, out *tensor.Tensor, oc0 int) {
 }
 
 // hoistRanges fills the per-kernel-offset valid output ranges used by the
-// grouped direct path, reusing the layer's scratch slices.
+// grouped direct path.
 func (c *Conv2D) hoistRanges(oh, ow, h, w int) {
-	if len(c.oy0s) != c.KH || len(c.ox0s) != c.KW {
-		// One allocation backs all four tables.
-		buf := make([]int, 2*(c.KH+c.KW))
-		c.oy0s, buf = buf[:c.KH:c.KH], buf[c.KH:]
-		c.oy1s, buf = buf[:c.KH:c.KH], buf[c.KH:]
-		c.ox0s, c.ox1s = buf[:c.KW:c.KW], buf[c.KW:]
-	}
 	for ky := 0; ky < c.KH; ky++ {
 		c.oy0s[ky], c.oy1s[ky] = convValid(oh, ky*c.Dilation-c.Pad, c.Stride, h)
 	}
@@ -263,14 +254,14 @@ func (c *Conv2D) backward(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 		return c.backwardIm2col(grad, needGradX)
 	}
 	mustDims4(grad, "Conv2D.Backward")
-	c.gradXBuf = tensor.ReuseLike(c.gradXBuf, x)
-	c.backwardGrouped(x, grad, c.gradXBuf, tensor.DepthwiseSIMD())
-	return c.gradXBuf
+	gradX := c.ar.TakeLike(&c.gradXBuf, x)
+	c.backwardGrouped(c.ar, x, grad, gradX, tensor.DepthwiseSIMD())
+	return gradX
 }
 
 // backwardGrouped is forwardGrouped's counterpart: it accumulates the
 // parameter gradients and overwrites gradX.
-func (c *Conv2D) backwardGrouped(x, grad, gradX *tensor.Tensor, useLanes bool) {
+func (c *Conv2D) backwardGrouped(ar *tensor.Arena, x, grad, gradX *tensor.Tensor, useLanes bool) {
 	lanes := 0
 	if useLanes && c.laneDepthwise() {
 		lanes = c.OutC &^ (tensor.DWLanes - 1)
@@ -279,7 +270,7 @@ func (c *Conv2D) backwardGrouped(x, grad, gradX *tensor.Tensor, useLanes bool) {
 		gradX.Zero() // the direct path accumulates into its channels
 	}
 	if lanes > 0 {
-		c.backwardDepthwiseLanes(x, grad, gradX, lanes) // overwrites its own
+		c.backwardDepthwiseLanes(ar, x, grad, gradX, lanes) // overwrites its own
 	}
 	if lanes < c.OutC {
 		c.backwardDirect(x, grad, gradX, lanes)

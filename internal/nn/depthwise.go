@@ -30,12 +30,12 @@ import (
 //	    input gradient is the same tap table walked backwards from each
 //	    input pixel.
 //
-// The borders and the gaps are written once, when the tables are built for a
-// geometry; each call overwrites only the live positions.
+// Both planes and the tables live in the step's arena, rebuilt per call: the
+// planes are cleared first, since their borders and gaps must read +0 and
+// arena storage holds whatever it last held.
 
-// dwPlan holds the offset tables and scratch for one input geometry.
+// dwPlan holds one call's offset tables and scratch.
 type dwPlan struct {
-	h, w        int
 	npix, ntaps int // oh*ow and KH*KW; tables are padded to multiples of 4
 
 	xp           []float64
@@ -65,44 +65,45 @@ func (c *Conv2D) laneDepthwise() bool {
 		c.Pad <= (c.KH-1)*c.Dilation && c.Pad <= (c.KW-1)*c.Dilation
 }
 
-// dwPlanFor returns the layer's plan for an h×w input, rebuilding it when the
-// geometry changed.
-func (c *Conv2D) dwPlanFor(h, w, oh, ow int) *dwPlan {
-	if p := c.dw; p != nil && p.h == h && p.w == w {
-		return p
-	}
+// dwPlanFor carves the plan for an h×w input from ar; only a backward pass
+// needs gp, gwl and the gradient tables.
+func (c *Conv2D) dwPlanFor(ar *tensor.Arena, h, w, oh, ow int, backward bool) dwPlan {
 	const L = tensor.DWLanes
 	d, s, pad := c.Dilation, c.Stride, c.Pad
-	p := &dwPlan{h: h, w: w, npix: oh * ow, ntaps: c.KH * c.KW}
+	p := dwPlan{npix: oh * ow, ntaps: c.KH * c.KW}
 	p.xpW = w + 2*pad
 	p.gOffY, p.gOffX = (c.KH-1)*d-pad, (c.KW-1)*d-pad
 	p.gpW = w + (c.KW-1)*d
-	npixPad, hwPad, ntapsPad := roundUp4(p.npix), roundUp4(h*w), roundUp4(p.ntaps)
-
-	// One allocation per element type backs every table and buffer (new
-	// layers are built per round on some paths; see allocs_per_op).
-	ints := make([]int, npixPad+p.npix+hwPad+ntapsPad+p.ntaps)
-	carveInts := func(n int) []int {
-		s := ints[:n:n]
-		ints = ints[n:]
-		return s
+	npixPad, ntapsPad, resPix := roundUp4(p.npix), roundUp4(p.ntaps), roundUp4(p.npix)
+	if backward {
+		resPix = max(resPix, roundUp4(h*w))
 	}
-	p.xpix, p.gpix, p.gxpix = carveInts(npixPad), carveInts(p.npix), carveInts(hwPad)
-	p.ftaps, p.btaps = carveInts(ntapsPad), carveInts(p.ntaps)
-	xpLen, gpLen := (h+2*pad)*p.xpW*L, (h+(c.KH-1)*d)*p.gpW*L
-	floats := make([]float64, xpLen+gpLen+2*ntapsPad*L+max(npixPad, hwPad)*L)
-	carveFloats := func(n int) []float64 {
-		s := floats[:n:n]
-		floats = floats[n:]
-		return s
-	}
-	p.xp, p.gp = carveFloats(xpLen), carveFloats(gpLen)
-	p.wl, p.gwl = carveFloats(ntapsPad*L), carveFloats(ntapsPad*L)
-	p.res = carveFloats(max(npixPad, hwPad) * L)
-
+	p.xp, p.wl, p.res = ar.Floats((h+2*pad)*p.xpW*L), ar.Floats(ntapsPad*L), ar.Floats(resPix*L)
+	clear(p.xp)
+	p.xpix, p.ftaps = ar.Ints(npixPad), ar.Ints(ntapsPad)
+	clear(p.ftaps) // padding taps read offset 0
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			p.xpix[oy*ow+ox] = (oy*s*p.xpW + ox*s) * L
+		}
+	}
+	// Table padding repeats a valid entry; the extra results are ignored.
+	for i := p.npix; i < len(p.xpix); i++ {
+		p.xpix[i] = p.xpix[0]
+	}
+	for ky := 0; ky < c.KH; ky++ {
+		for kx := 0; kx < c.KW; kx++ {
+			p.ftaps[ky*c.KW+kx] = (ky*d*p.xpW + kx*d) * L
+		}
+	}
+	if !backward {
+		return p
+	}
+	p.gp, p.gwl = ar.Floats((h+(c.KH-1)*d)*p.gpW*L), ar.Floats(ntapsPad*L)
+	clear(p.gp)
+	p.gpix, p.gxpix, p.btaps = ar.Ints(p.npix), ar.Ints(roundUp4(h*w)), ar.Ints(p.ntaps)
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
 			p.gpix[oy*ow+ox] = ((oy*s+p.gOffY)*p.gpW + ox*s + p.gOffX) * L
 		}
 	}
@@ -111,21 +112,14 @@ func (c *Conv2D) dwPlanFor(h, w, oh, ow int) *dwPlan {
 			p.gxpix[iy*w+ix] = ((iy+pad+p.gOffY)*p.gpW + ix + pad + p.gOffX) * L
 		}
 	}
-	// Table padding repeats a valid entry (index 0 is the zero value
-	// already for the taps); the extra results are ignored.
-	for i := p.npix; i < len(p.xpix); i++ {
-		p.xpix[i] = p.xpix[0]
-	}
 	for i := h * w; i < len(p.gxpix); i++ {
 		p.gxpix[i] = p.gxpix[0]
 	}
 	for ky := 0; ky < c.KH; ky++ {
 		for kx := 0; kx < c.KW; kx++ {
-			p.ftaps[ky*c.KW+kx] = (ky*d*p.xpW + kx*d) * L
 			p.btaps[ky*c.KW+kx] = -(ky*d*p.gpW + kx*d) * L
 		}
 	}
-	c.dw = p
 	return p
 }
 
@@ -141,11 +135,11 @@ func (p *dwPlan) loadWeights(wd []float64, ch0 int) {
 
 // forwardDepthwiseLanes computes output channels [0, chEnd), chEnd a multiple
 // of 4, through the lane kernel.
-func (c *Conv2D) forwardDepthwiseLanes(x, out *tensor.Tensor, chEnd int) {
+func (c *Conv2D) forwardDepthwiseLanes(ar *tensor.Arena, x, out *tensor.Tensor, chEnd int) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := out.Dim(2), out.Dim(3)
-	p := c.dwPlanFor(h, w, oh, ow)
+	p := c.dwPlanFor(ar, h, w, oh, ow, false)
 	xd, od, wd := x.Data(), out.Data(), c.weight.Value.Data()
 	xorg := c.Pad*p.xpW + c.Pad
 	taps := p.ftaps[:p.ntaps]
@@ -161,11 +155,11 @@ func (c *Conv2D) forwardDepthwiseLanes(x, out *tensor.Tensor, chEnd int) {
 
 // backwardDepthwiseLanes accumulates the weight gradient of channels
 // [0, chEnd) and overwrites their planes of gradX.
-func (c *Conv2D) backwardDepthwiseLanes(x, grad, gradX *tensor.Tensor, chEnd int) {
+func (c *Conv2D) backwardDepthwiseLanes(ar *tensor.Arena, x, grad, gradX *tensor.Tensor, chEnd int) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := grad.Dim(2), grad.Dim(3)
-	p := c.dwPlanFor(h, w, oh, ow)
+	p := c.dwPlanFor(ar, h, w, oh, ow, true)
 	xd, wd := x.Data(), c.weight.Value.Data()
 	gd, gxd, gwd := grad.Data(), gradX.Data(), c.weight.Grad.Data()
 	xorg := c.Pad*p.xpW + c.Pad

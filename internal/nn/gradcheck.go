@@ -39,7 +39,7 @@ func CheckGradients(m Module, x *tensor.Tensor, eps float64) (GradCheckResult, e
 	ZeroGrads(m.Params())
 	out := m.Forward(x.Clone())
 	seed := seedFor(out)
-	gradX := m.Backward(seed.Clone())
+	gradX := m.Backward(seed.Clone()).Clone() // the probes below re-run Forward
 
 	res := GradCheckResult{}
 	update := func(analytic, numeric float64, where string) {

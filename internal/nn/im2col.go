@@ -20,16 +20,6 @@ import (
 // weight gradient, whose reduction runs across the whole batch in one
 // ascending chain, still gathers its operands into batch-wide matrices.
 
-// growScratch returns a length-n slice backed by buf when it is large
-// enough, allocating only on growth. Contents are unspecified; callers
-// overwrite before reading.
-func growScratch(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 // im2colBuffer extracts patches from one image [C,H,W] into columns
 // [colOff, colOff+oH*oW) of a column matrix with row stride ld. With
 // ld = oH*oW and colOff = 0 it produces the single-image [C*kH*kW, oH*oW]
@@ -140,8 +130,8 @@ func (c *Conv2D) lowerBatch(x *tensor.Tensor, n, h, w, oh, ow int) {
 }
 
 // forwardIm2col computes the convolution via batch im2col + one GEMM for
-// Groups==1. The returned tensor is the layer's persistent output buffer.
-func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
+// Groups==1, taking the output and the column matrices from ar.
+func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
@@ -149,8 +139,7 @@ func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
 	cols := oh * ow
 	total := n * cols
 
-	c.outBuf = tensor.Reuse(c.outBuf, n, c.OutC, oh, ow)
-	out := c.outBuf
+	out := ar.Take(&c.outBuf, n, c.OutC, oh, ow)
 	od := out.Data()
 	if c.pointwise() && tensor.GemmRawBatched(false, n, c.OutC, cols, c.InC, 1,
 		c.weight.Value.Data(), c.InC, x.Data(), cols, c.InC*cols, 0, od, cols, c.OutC*cols) {
@@ -167,14 +156,14 @@ func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
 		}
 		return out
 	}
-	c.colBuf = growScratch(c.colBuf, k*total)
-	c.outColBuf = growScratch(c.outColBuf, c.OutC*total)
+	c.colBuf = ar.Floats(k * total)
+	outCol := ar.Floats(c.OutC * total)
 	c.lowerBatch(x, n, h, w, oh, ow)
 	c.colValid = true
 
 	// outCol [OutC, total] = W [OutC, k] · colAll [k, total]
 	tensor.GemmRaw(false, false, c.OutC, total, k, 1,
-		c.weight.Value.Data(), k, c.colBuf, total, 0, c.outColBuf, total)
+		c.weight.Value.Data(), k, c.colBuf, total, 0, outCol, total)
 
 	// Scatter image-major: outCol[oc, b*cols+j] → out[b, oc, j], plus bias.
 	var biasD []float64
@@ -182,7 +171,7 @@ func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
 		biasD = c.bias.Value.Data()
 	}
 	for oc := 0; oc < c.OutC; oc++ {
-		src := c.outColBuf[oc*total : (oc+1)*total]
+		src := outCol[oc*total : (oc+1)*total]
 		for b := 0; b < n; b++ {
 			dst := od[(b*c.OutC+oc)*cols : (b*c.OutC+oc+1)*cols]
 			s := src[b*cols : (b+1)*cols]
@@ -203,16 +192,16 @@ func (c *Conv2D) forwardIm2col(x *tensor.Tensor) *tensor.Tensor {
 // the batch-wide column representation for Groups==1. With needGradX false
 // only the parameter gradients are accumulated and nil is returned.
 func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
-	x := c.lastX
+	x, ar := c.lastX, c.ar
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := grad.Dim(2), grad.Dim(3)
 	k := c.InC * c.KH * c.KW
 	cols := oh * ow
 	total := n * cols
 
-	c.gradColBuf = growScratch(c.gradColBuf, c.OutC*total)
+	gradCol := ar.Floats(c.OutC * total)
 	if !c.colValid {
-		c.colBuf = growScratch(c.colBuf, k*total)
+		c.colBuf = ar.Floats(k * total)
 		c.lowerBatch(x, n, h, w, oh, ow)
 		c.colValid = true
 	}
@@ -220,7 +209,7 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 	// Gather the output gradient image-major into gradCol [OutC, total].
 	gd := grad.Data()
 	for oc := 0; oc < c.OutC; oc++ {
-		dst := c.gradColBuf[oc*total : (oc+1)*total]
+		dst := gradCol[oc*total : (oc+1)*total]
 		for b := 0; b < n; b++ {
 			copy(dst[b*cols:(b+1)*cols], gd[(b*c.OutC+oc)*cols:(b*c.OutC+oc+1)*cols])
 		}
@@ -229,7 +218,7 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 		gbd := c.bias.Grad.Data()
 		for oc := 0; oc < c.OutC; oc++ {
 			s := 0.0
-			for _, v := range c.gradColBuf[oc*total : (oc+1)*total] {
+			for _, v := range gradCol[oc*total : (oc+1)*total] {
 				s += v
 			}
 			gbd[oc] += s
@@ -238,29 +227,28 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 
 	// gradW [OutC, k] += gradCol [OutC, total] · colAllᵀ [total, k]
 	tensor.GemmRaw(false, true, c.OutC, k, total, 1,
-		c.gradColBuf, total, c.colBuf, total, 1, c.weight.Grad.Data(), k)
+		gradCol, total, c.colBuf, total, 1, c.weight.Grad.Data(), k)
 	if !needGradX {
 		return nil
 	}
-	c.gradXBuf = tensor.ReuseLike(c.gradXBuf, x)
+	gradX := ar.TakeLike(&c.gradXBuf, x)
 	// Pointwise: gradX[b] [InC, cols] = Wᵀ [InC, OutC] · grad[b] [OutC, cols].
 	// A GEMM accumulator starts at +0 and so is never -0: storing it equals
 	// the 0 + v the scatter below would produce.
 	if c.pointwise() && tensor.GemmRawBatched(true, n, c.InC, cols, c.OutC, 1,
-		c.weight.Value.Data(), c.InC, gd, cols, c.OutC*cols, 0, c.gradXBuf.Data(), cols, c.InC*cols) {
-		return c.gradXBuf
+		c.weight.Value.Data(), c.InC, gd, cols, c.OutC*cols, 0, gradX.Data(), cols, c.InC*cols) {
+		return gradX
 	}
 	// colGrad [k, total] = Wᵀ [k, OutC] · gradCol [OutC, total]
-	c.colGradBuf = growScratch(c.colGradBuf, k*total)
+	colGrad := ar.Floats(k * total)
 	tensor.GemmRaw(true, false, k, total, c.OutC, 1,
-		c.weight.Value.Data(), k, c.gradColBuf, total, 0, c.colGradBuf, total)
+		c.weight.Value.Data(), k, gradCol, total, 0, colGrad, total)
 
-	gradX := c.gradXBuf
 	gradX.Zero() // col2imAdd accumulates into it
 	gxd := gradX.Data()
 	imgSize := c.InC * h * w
 	for b := 0; b < n; b++ {
-		col2imAdd(c.colGradBuf, c.InC, h, w, c.KH, c.KW,
+		col2imAdd(colGrad, c.InC, h, w, c.KH, c.KW,
 			c.Stride, c.Pad, c.Dilation, oh, ow, gxd[b*imgSize:(b+1)*imgSize], total, b*cols)
 	}
 	return gradX

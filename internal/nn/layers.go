@@ -10,11 +10,12 @@ import (
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
+	arenaRef
 	// mask is 1 where the last input was positive, 0 elsewhere, making the
 	// backward pass a branch-free multiply.
 	mask []float64
 
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*ReLU)(nil)
@@ -27,12 +28,10 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Module.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	r.outBuf = tensor.ReuseLike(r.outBuf, x)
-	xd, d := x.Data(), r.outBuf.Data()
-	if cap(r.mask) < len(xd) {
-		r.mask = make([]float64, len(xd))
-	}
-	r.mask = r.mask[:len(xd)]
+	ar := r.stepArena()
+	out := ar.TakeLike(&r.outBuf, x)
+	r.mask = ar.Floats(x.Size())
+	xd, d := x.Data(), out.Data()
 	m := r.mask[:len(d)]
 	xd = xd[:len(d)]
 	// Branch-free: on activations the sign is a coin flip, so a compare and
@@ -51,25 +50,26 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 		d[i] = math.Float64frombits(b & keep)
 		m[i] = math.Float64frombits(oneBits & keep)
 	}
-	return r.outBuf
+	return out
 }
 
 // Backward implements Module.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	r.gradXBuf = tensor.ReuseLike(r.gradXBuf, grad)
-	srcD, gd := grad.Data(), r.gradXBuf.Data()
+	gradX := r.ar.TakeLike(&r.gradXBuf, grad)
+	srcD, gd := grad.Data(), gradX.Data()
 	m := r.mask[:len(srcD)]
 	for i, v := range srcD {
 		gd[i] = v * m[i]
 	}
-	return r.gradXBuf
+	return gradX
 }
 
 // Identity passes its input through unchanged (the "skip connect" op). It
 // returns a copy, not an alias: callers (cell nodes) accumulate into op
 // outputs in place, so aliasing the input would corrupt upstream buffers.
 type Identity struct {
-	outBuf, gradXBuf *tensor.Tensor
+	arenaRef
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*Identity)(nil)
@@ -82,16 +82,16 @@ func (id *Identity) Params() []*Param { return nil }
 
 // Forward implements Module.
 func (id *Identity) Forward(x *tensor.Tensor) *tensor.Tensor {
-	id.outBuf = tensor.ReuseLike(id.outBuf, x)
-	id.outBuf.CopyFrom(x)
-	return id.outBuf
+	out := id.stepArena().TakeLike(&id.outBuf, x)
+	out.CopyFrom(x)
+	return out
 }
 
 // Backward implements Module.
 func (id *Identity) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	id.gradXBuf = tensor.ReuseLike(id.gradXBuf, grad)
-	id.gradXBuf.CopyFrom(grad)
-	return id.gradXBuf
+	gradX := id.ar.TakeLike(&id.gradXBuf, grad)
+	gradX.CopyFrom(grad)
+	return gradX
 }
 
 // Zero is the "none" op: it outputs zeros (optionally spatially strided),
@@ -99,9 +99,10 @@ func (id *Identity) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type Zero struct {
 	Stride int
 
+	arenaRef
 	lastShape [4]int
 
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*Zero)(nil)
@@ -121,16 +122,16 @@ func (z *Zero) Forward(x *tensor.Tensor) *tensor.Tensor {
 		oh = (h + z.Stride - 1) / z.Stride
 		ow = (w + z.Stride - 1) / z.Stride
 	}
-	z.outBuf = tensor.Reuse(z.outBuf, n, c, oh, ow)
-	z.outBuf.Zero() // callers accumulate into returned buffers in place
-	return z.outBuf
+	out := z.stepArena().Take(&z.outBuf, n, c, oh, ow)
+	out.Zero() // callers accumulate into returned buffers in place
+	return out
 }
 
 // Backward implements Module.
 func (z *Zero) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	z.gradXBuf = tensor.Reuse(z.gradXBuf, z.lastShape[:]...)
-	z.gradXBuf.Zero()
-	return z.gradXBuf
+	gradX := z.ar.Take(&z.gradXBuf, z.lastShape[:]...)
+	gradX.Zero()
+	return gradX
 }
 
 // Linear is a fully connected layer: y = x Wᵀ + b with x of shape [N, in].
@@ -141,9 +142,10 @@ type Linear struct {
 	bias   *Param
 	params []*Param
 
+	arenaRef
 	lastX *tensor.Tensor
 
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*Linear)(nil)
@@ -173,8 +175,7 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	l.lastX = x
 	n := x.Dim(0)
-	l.outBuf = tensor.Reuse(l.outBuf, n, l.Out)
-	out := l.outBuf
+	out := l.stepArena().Take(&l.outBuf, n, l.Out)
 	// out [N, Out] = x [N, In] · Wᵀ [In, Out], then broadcast the bias.
 	tensor.GemmRaw(false, true, n, l.Out, l.In, 1,
 		x.Data(), l.In, l.weight.Value.Data(), l.In, 0, out.Data(), l.Out)
@@ -191,8 +192,7 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward implements Module.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Dim(0)
-	l.gradXBuf = tensor.Reuse(l.gradXBuf, n, l.In)
-	gradX := l.gradXBuf
+	gradX := l.ar.Take(&l.gradXBuf, n, l.In)
 	gd, gbd := grad.Data(), l.bias.Grad.Data()
 	for b := 0; b < n; b++ {
 		row := gd[b*l.Out : (b+1)*l.Out]
@@ -231,12 +231,11 @@ type BatchNorm2D struct {
 	captured  []BNStats
 	statsFree []BNStats
 
-	// cached for backward
-	lastX    *tensor.Tensor
-	lastXHat *tensor.Tensor
-	lastStd  []float64
+	// cached for backward: x̂ in xHatBuf and the per-channel std
+	arenaRef
+	lastStd []float64
 
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, xHatBuf, gradXBuf tensor.Tensor
 }
 
 var (
@@ -283,15 +282,10 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if c != bn.C {
 		panic(fmt.Sprintf("nn: BatchNorm2D got %d channels, want %d", c, bn.C))
 	}
-	bn.lastX = x
-	bn.outBuf = tensor.Reuse(bn.outBuf, n, c, h, w)
-	out := bn.outBuf
-	bn.lastXHat = tensor.Reuse(bn.lastXHat, n, c, h, w)
-	xhat := bn.lastXHat
-	if cap(bn.lastStd) < c {
-		bn.lastStd = make([]float64, c)
-	}
-	bn.lastStd = bn.lastStd[:c]
+	ar := bn.stepArena()
+	out := ar.Take(&bn.outBuf, n, c, h, w)
+	xhat := ar.Take(&bn.xHatBuf, n, c, h, w)
+	bn.lastStd = ar.Floats(c)
 
 	m := float64(n * h * w)
 	xd, od, xh := x.Data(), out.Data(), xhat.Data()
@@ -357,11 +351,10 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // as constants; in training mode the full batch-statistics gradient is used.
 func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := mustDims4(grad, "BatchNorm2D.Backward")
-	bn.gradXBuf = tensor.Reuse(bn.gradXBuf, n, c, h, w)
-	gradX := bn.gradXBuf
+	gradX := bn.ar.Take(&bn.gradXBuf, n, c, h, w)
 	m := float64(n * h * w)
 	gd := grad.Data()
-	xh := bn.lastXHat.Data()
+	xh := bn.xHatBuf.Data()
 	gxd := gradX.Data()
 	ggd, gbd := bn.gamma.Grad.Data(), bn.beta.Grad.Data()
 	gammaD := bn.gamma.Value.Data()

@@ -11,15 +11,15 @@
 // how the simulator drives training (strictly sequential per model replica)
 // and keeps the implementation simple and allocation-light.
 //
-// Buffer ownership: tensors returned by Forward and Backward are owned by
-// the module and remain valid only until that module's next Forward or
-// Backward call, which may overwrite them in place. Callers that need a
-// result to outlive the next call must Clone it. This is what makes the
-// steady-state training loop allocation-free: every layer reuses its
-// output and input-gradient buffers as long as shapes repeat, and their
-// storage (under a new tensor header, see tensor.Reuse) whenever a
-// differently shaped call fits in it, so batches of varying size cost a
-// small header, not a cleared activation, per layer.
+// Buffer ownership: every activation, mask, scratch and input-gradient
+// buffer is taken from a tensor.Arena — the arena of the model that owns the
+// module (BindArena), which the model resets when a step starts, or else a
+// private one the module resets at its own Forward. Tensors returned by
+// Forward and Backward therefore remain valid until the owning model's next
+// forward, header included: the next step rewrites them in place. Callers
+// that need a result to outlive it must Clone it. Modules keep only
+// parameters, shape plans and tensor headers, so a model holds the buffers of
+// the one sub-model its step runs, and a steady-state step allocates nothing.
 package nn
 
 import (
@@ -149,6 +149,39 @@ func SetTraining(training bool, ms ...Module) {
 	for _, m := range ms {
 		if t, ok := m.(TrainToggler); ok {
 			t.SetTraining(training)
+		}
+	}
+}
+
+// arenaRef is where a module's step-scoped buffers come from.
+type arenaRef struct {
+	ar      *tensor.Arena
+	private bool // ar is the module's own, reset by its Forward
+}
+
+// stepArena returns the arena a Forward takes from, resetting it when it is
+// the module's private one (created on first use outside any model).
+func (r *arenaRef) stepArena() *tensor.Arena {
+	if r.ar == nil {
+		r.ar, r.private = new(tensor.Arena), true
+	}
+	if r.private {
+		r.ar.Reset()
+	}
+	return r.ar
+}
+
+func (r *arenaRef) bindArena(a *tensor.Arena) { r.ar, r.private = a, false }
+
+// BindArena makes a the arena of every module in the trees rooted at ms; the
+// model that owns a resets it when a step starts.
+func BindArena(a *tensor.Arena, ms ...Module) {
+	for _, m := range ms {
+		if b, ok := m.(interface{ bindArena(*tensor.Arena) }); ok {
+			b.bindArena(a)
+		}
+		if c, ok := m.(Container); ok {
+			BindArena(a, c.Children()...)
 		}
 	}
 }

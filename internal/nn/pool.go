@@ -10,14 +10,11 @@ import (
 type MaxPool2D struct {
 	K, Stride, Pad int
 
+	arenaRef
 	lastX   *tensor.Tensor
 	argmaxI []int // flat input index of each output's max
 
-	// Row-pass scratch of the separable 3×3 path: per input row and output
-	// column, the window's first maximum and its flat input index.
-	rows []rowMax
-
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*MaxPool2D)(nil)
@@ -33,20 +30,17 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // Forward implements Module.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := mustDims4(x, "MaxPool2D")
+	ar := p.stepArena()
 	p.lastX = x
 	oh := convOutDim(h, p.K, p.Stride, p.Pad, 1)
 	ow := convOutDim(w, p.K, p.Stride, p.Pad, 1)
-	p.outBuf = tensor.Reuse(p.outBuf, n, c, oh, ow)
-	out := p.outBuf
-	if cap(p.argmaxI) < out.Size() {
-		p.argmaxI = make([]int, out.Size())
-	}
-	p.argmaxI = p.argmaxI[:out.Size()]
+	out := ar.Take(&p.outBuf, n, c, oh, ow)
+	p.argmaxI = ar.Ints(out.Size())
 	xd, od := x.Data(), out.Data()
 	// Planes narrower than three outputs are all border: the row pass buys
 	// nothing there and the window scan is quicker.
 	if p.K == 3 && ow >= 3 {
-		p.forward3(xd, od, n*c, h, w, oh, ow)
+		p.forward3(ar, xd, od, n*c, h, w, oh, ow)
 		return out
 	}
 	p.forwardWindow(xd, od, n, c, h, w, oh, ow)
@@ -95,12 +89,11 @@ func (p *MaxPool2D) forwardWindow(xd, od []float64, n, c, h, w, oh, ow int) {
 // (ky,kx) holding the window's maximum lies in the first row that reaches
 // it, at that row's leftmost position, so the result and the argmax equal
 // forwardWindow's scan — with 6 compares per output instead of 9 and the
-// clamping confined to the border columns and rows.
-func (p *MaxPool2D) forward3(xd, od []float64, planes, h, w, oh, ow int) {
-	if cap(p.rows) < h*ow {
-		p.rows = make([]rowMax, h*ow)
-	}
-	rows := p.rows[:h*ow]
+// clamping confined to the border columns and rows. The row pass keeps, per
+// input row and output column, the window's first maximum in rowV and its
+// flat input index in rowAt, both taken from ar.
+func (p *MaxPool2D) forward3(ar *tensor.Arena, xd, od []float64, planes, h, w, oh, ow int) {
+	rowV, rowAt := ar.Floats(h*ow), ar.Ints(h*ow)
 	s, pad := p.Stride, p.Pad
 	negInf := math.Inf(-1)
 	// Output columns [oxLo, oxHi) see a full in-bounds window.
@@ -110,9 +103,9 @@ func (p *MaxPool2D) forward3(xd, od []float64, planes, h, w, oh, ow int) {
 		for iy := 0; iy < h; iy++ {
 			rbase := base + iy*w
 			row := xd[rbase : rbase+w]
-			rm := rows[iy*ow : (iy+1)*ow]
+			rv, ra := rowV[iy*ow:(iy+1)*ow], rowAt[iy*ow:(iy+1)*ow]
 			for ox := 0; ox < oxLo; ox++ {
-				rm[ox] = rowMaxClamped(row, rbase, ox*s-pad)
+				rv[ox], ra[ox] = rowMaxClamped(row, rbase, ox*s-pad)
 			}
 			ix := oxLo*s - pad
 			for ox := oxLo; ox < oxHi; ox++ {
@@ -127,11 +120,11 @@ func (p *MaxPool2D) forward3(xd, od []float64, planes, h, w, oh, ow int) {
 				if v := win[2]; v > best {
 					best, bi = v, rbase+ix+2
 				}
-				rm[ox] = rowMax{best, bi}
+				rv[ox], ra[ox] = best, bi
 				ix += s
 			}
 			for ox := oxHi; ox < ow; ox++ {
-				rm[ox] = rowMaxClamped(row, rbase, ox*s-pad)
+				rv[ox], ra[ox] = rowMaxClamped(row, rbase, ox*s-pad)
 			}
 		}
 		obase := pl * oh * ow
@@ -143,8 +136,8 @@ func (p *MaxPool2D) forward3(xd, od []float64, planes, h, w, oh, ow int) {
 			for ox := range orow {
 				best, bi := negInf, -1
 				for k := k0; k <= k1; k++ {
-					if r := rows[(iy0+k)*ow+ox]; r.v > best {
-						best, bi = r.v, r.at
+					if at := (iy0+k)*ow + ox; rowV[at] > best {
+						best, bi = rowV[at], rowAt[at]
 					}
 				}
 				if bi < 0 { // window entirely in padding
@@ -156,24 +149,18 @@ func (p *MaxPool2D) forward3(xd, od []float64, planes, h, w, oh, ow int) {
 	}
 }
 
-// rowMax is one row-pass result: the first maximum of a three-wide window
-// and its flat input index (-Inf, -1 when nothing in bounds exceeds -Inf).
-type rowMax struct {
-	v  float64
-	at int
-}
-
-// rowMaxClamped is forward3's row pass for a border column: the window
-// row[ix0:ix0+3] clipped to the row.
-func rowMaxClamped(row []float64, rbase, ix0 int) rowMax {
+// rowMaxClamped is forward3's row pass for a border column: the first
+// maximum of the window row[ix0:ix0+3] clipped to the row, and its flat input
+// index (-Inf, -1 when nothing in bounds exceeds -Inf).
+func rowMaxClamped(row []float64, rbase, ix0 int) (float64, int) {
 	k0, k1 := clampWindow(ix0, 3, len(row))
-	best := rowMax{math.Inf(-1), -1}
+	best, at := math.Inf(-1), -1
 	for k := k0; k <= k1; k++ {
-		if v := row[ix0+k]; v > best.v {
-			best = rowMax{v, rbase + ix0 + k}
+		if v := row[ix0+k]; v > best {
+			best, at = v, rbase+ix0+k
 		}
 	}
-	return best
+	return best, at
 }
 
 // interiorRange returns the half-open range [lo, hi) of output indices whose
@@ -202,8 +189,7 @@ func clampWindow(i0, k, limit int) (k0, k1 int) {
 
 // Backward implements Module.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	p.gradXBuf = tensor.ReuseLike(p.gradXBuf, p.lastX)
-	gradX := p.gradXBuf
+	gradX := p.ar.TakeLike(&p.gradXBuf, p.lastX)
 	gradX.Zero() // the argmax scatter accumulates
 	gd, gxd := grad.Data(), gradX.Data()
 	for oi, src := range p.argmaxI {
@@ -219,9 +205,10 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type AvgPool2D struct {
 	K, Stride, Pad int
 
+	arenaRef
 	lastShape [4]int
 
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*AvgPool2D)(nil)
@@ -240,8 +227,7 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.lastShape = [4]int{n, c, h, w}
 	oh := convOutDim(h, p.K, p.Stride, p.Pad, 1)
 	ow := convOutDim(w, p.K, p.Stride, p.Pad, 1)
-	p.outBuf = tensor.Reuse(p.outBuf, n, c, oh, ow)
-	out := p.outBuf
+	out := p.stepArena().Take(&p.outBuf, n, c, oh, ow)
 	inv := 1.0 / float64(p.K*p.K)
 	xd, od := x.Data(), out.Data()
 	s, pad := p.Stride, p.Pad
@@ -316,8 +302,7 @@ func (p *AvgPool2D) sumClamped(xd []float64, base, h, w, iy0, ix0 int) float64 {
 // Backward implements Module.
 func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, oh, ow := mustDims4(grad, "AvgPool2D.Backward")
-	p.gradXBuf = tensor.Reuse(p.gradXBuf, p.lastShape[:]...)
-	gradX := p.gradXBuf
+	gradX := p.ar.Take(&p.gradXBuf, p.lastShape[:]...)
 	gradX.Zero() // overlapping windows accumulate
 	h, w := p.lastShape[2], p.lastShape[3]
 	inv := 1.0 / float64(p.K*p.K)
@@ -377,9 +362,10 @@ func (p *AvgPool2D) spreadClamped(gxd []float64, base, h, w, iy0, ix0 int, gv fl
 // GlobalAvgPool averages each channel's spatial map to a single value,
 // producing [N, C] output from [N, C, H, W] input.
 type GlobalAvgPool struct {
+	arenaRef
 	lastShape [4]int
 
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*GlobalAvgPool)(nil)
@@ -394,8 +380,7 @@ func (p *GlobalAvgPool) Params() []*Param { return nil }
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := mustDims4(x, "GlobalAvgPool")
 	p.lastShape = [4]int{n, c, h, w}
-	p.outBuf = tensor.Reuse(p.outBuf, n, c)
-	out := p.outBuf
+	out := p.stepArena().Take(&p.outBuf, n, c)
 	inv := 1.0 / float64(h*w)
 	xd, od := x.Data(), out.Data()
 	for b := 0; b < n; b++ {
@@ -413,8 +398,7 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Module.
 func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	p.gradXBuf = tensor.Reuse(p.gradXBuf, p.lastShape[:]...)
-	gradX := p.gradXBuf // fully overwritten below, no zeroing needed
+	gradX := p.ar.Take(&p.gradXBuf, p.lastShape[:]...) // fully overwritten below
 	n, c, h, w := p.lastShape[0], p.lastShape[1], p.lastShape[2], p.lastShape[3]
 	inv := 1.0 / float64(h*w)
 	gd, gxd := grad.Data(), gradX.Data()
@@ -436,9 +420,10 @@ func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type SubSample struct {
 	Stride int
 
+	arenaRef
 	lastShape [4]int
 
-	outBuf, gradXBuf *tensor.Tensor
+	outBuf, gradXBuf tensor.Tensor
 }
 
 var _ Module = (*SubSample)(nil)
@@ -451,18 +436,18 @@ func (s *SubSample) Params() []*Param { return nil }
 
 // Forward implements Module.
 func (s *SubSample) Forward(x *tensor.Tensor) *tensor.Tensor {
+	ar := s.stepArena()
 	if s.Stride == 1 {
 		// A copy of any shape; Backward sizes itself from its gradient.
-		s.outBuf = tensor.ReuseLike(s.outBuf, x)
-		s.outBuf.CopyFrom(x)
-		return s.outBuf
+		out := ar.TakeLike(&s.outBuf, x)
+		out.CopyFrom(x)
+		return out
 	}
 	n, c, h, w := mustDims4(x, "SubSample")
 	s.lastShape = [4]int{n, c, h, w}
 	oh := (h + s.Stride - 1) / s.Stride
 	ow := (w + s.Stride - 1) / s.Stride
-	s.outBuf = tensor.Reuse(s.outBuf, n, c, oh, ow)
-	out := s.outBuf
+	out := ar.Take(&s.outBuf, n, c, oh, ow)
 	xd, od := x.Data(), out.Data()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -480,12 +465,11 @@ func (s *SubSample) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward implements Module.
 func (s *SubSample) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if s.Stride == 1 {
-		s.gradXBuf = tensor.ReuseLike(s.gradXBuf, grad)
-		s.gradXBuf.CopyFrom(grad)
-		return s.gradXBuf
+		gradX := s.ar.TakeLike(&s.gradXBuf, grad)
+		gradX.CopyFrom(grad)
+		return gradX
 	}
-	s.gradXBuf = tensor.Reuse(s.gradXBuf, s.lastShape[:]...)
-	gradX := s.gradXBuf
+	gradX := s.ar.Take(&s.gradXBuf, s.lastShape[:]...)
 	gradX.Zero() // only the strided positions are written below
 	n, c, oh, ow := mustDims4(grad, "SubSample.Backward")
 	h, w := s.lastShape[2], s.lastShape[3]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"runtime"
 	"sync"
 	"time"
 
@@ -26,15 +27,20 @@ type ParticipantService struct {
 	id     int
 	netCfg nas.Config
 
+	// mu is held for a whole step: it guards part, slot and the top-k state.
 	mu   sync.Mutex
 	ds   *data.Dataset
 	part *fed.Participant
 
-	// replica is this process's replica slot for netCfg (see replicaSlot);
-	// slot holds the step's reusable buffers, which replies copy out of and
-	// never alias.
-	replica chan *fed.Replica
-	slot    fed.Slot
+	// pool lends this process's replicas of netCfg (see replicaPool); slot
+	// holds the step's reusable buffers, which replies copy out of and never
+	// alias.
+	pool *replicaPool
+	slot fed.Slot
+
+	// setMu guards the settings below and curSpan, so reading them never
+	// waits for a step.
+	setMu sync.Mutex
 
 	// Delay artificially slows every call (straggler injection for soft
 	// synchronization tests and demos).
@@ -69,18 +75,18 @@ func NewParticipantService(id int, ds *data.Dataset, indices []int, netCfg nas.C
 		return nil, fmt.Errorf("rpcfed: %w", err)
 	}
 	return &ParticipantService{
-		id:      id,
-		netCfg:  netCfg,
-		ds:      ds,
-		part:    part,
-		replica: replicaSlot(netCfg),
+		id:     id,
+		netCfg: netCfg,
+		ds:     ds,
+		part:   part,
+		pool:   poolFor(netCfg),
 	}, nil
 }
 
 // SetDelay injects an artificial per-call delay (straggler simulation).
 func (p *ParticipantService) SetDelay(d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.setMu.Lock()
+	defer p.setMu.Unlock()
 	p.delay = d
 }
 
@@ -91,45 +97,76 @@ func (p *ParticipantService) Hello(_ *HelloRequest, reply *HelloReply) error {
 	return nil
 }
 
-// replicas holds one slot per network structure for every participant this
-// process hosts. A replica is needed only while a step runs, and it keeps
-// activation buffers for every candidate op on every edge — about 16 MB for
-// the rpc benchmark network at batch 8, against a few hundred KB of
-// sub-model — so co-located participants take turns on one rather than
-// holding one each. A deployment runs one participant per process, where
-// the slot is simply that participant's replica.
-var replicas sync.Map // fmt "%+v" of the nas.Config → chan *fed.Replica
+// replicaPool lends the replicas of one network structure to the
+// participants this process hosts. A replica is needed only while a step
+// runs, and it holds the buffers of one step (about 5 MB for the rpc
+// benchmark network at batch 8, against a few hundred KB of sub-model), so
+// the pool lends up to one per core and co-located participants train
+// concurrently. It builds a replica only when every built one is lent out
+// and lends the most recently returned first, so a process whose steps never
+// overlap — a deployment runs one participant per process — builds one.
+type replicaPool struct {
+	lent chan struct{} // one token per lent replica; capacity GOMAXPROCS
+	mu   sync.Mutex
+	free []*fed.Replica
+}
 
-// replicaSlot returns the process's replica slot for networks shaped like
-// cfg: a one-element channel that holds the replica while it is free (nil
-// until the first step builds it).
-func replicaSlot(cfg nas.Config) chan *fed.Replica {
-	slot := make(chan *fed.Replica, 1)
-	slot <- nil
-	v, _ := replicas.LoadOrStore(fmt.Sprintf("%+v", cfg), slot)
-	return v.(chan *fed.Replica)
+var replicas sync.Map // fmt "%+v" of the nas.Config → *replicaPool
+
+// poolFor returns the process's replica pool for networks shaped like cfg.
+func poolFor(cfg nas.Config) *replicaPool {
+	v, _ := replicas.LoadOrStore(fmt.Sprintf("%+v", cfg),
+		&replicaPool{lent: make(chan struct{}, runtime.GOMAXPROCS(0))})
+	return v.(*replicaPool)
+}
+
+// get waits until fewer than cap(lent) replicas are lent and returns a free
+// one, or nil when the caller must build it.
+func (rp *replicaPool) get() *fed.Replica {
+	rp.lent <- struct{}{}
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	n := len(rp.free)
+	if n == 0 {
+		return nil
+	}
+	rep := rp.free[n-1]
+	rp.free = rp.free[:n-1]
+	return rep
+}
+
+// put hands back what get lent (nil when the build failed).
+func (rp *replicaPool) put(rep *fed.Replica) {
+	if rep != nil {
+		rp.mu.Lock()
+		rp.free = append(rp.free, rep)
+		rp.mu.Unlock()
+	}
+	<-rp.lent
 }
 
 // straggle is a call's prologue: it records the request's trace context and
 // sleeps out any injected straggler delay.
 func (p *ParticipantService) straggle(span wire.SpanContext) *telemetry.Tracer {
-	p.mu.Lock()
+	p.setMu.Lock()
 	delay, tracer := p.delay, p.tracer
 	p.curSpan = span
-	p.mu.Unlock()
+	p.setMu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)
 	}
 	return tracer
 }
 
-// acquireReplica checks a request's gates and batch size, then waits for the
-// process's replica — building it on first use, so enrolling a participant
-// costs no model — and returns it with the sub-model's parameters. Its
-// weights are overwritten before every step, so it is seeded from its own
-// constant source and never draws from a participant's stream. Hand it back
-// with releaseReplica. Callers take p.mu only after it returns, so no call
-// waits for the replica while holding a participant's lock.
+// acquireReplica checks a request's gates and batch size, then borrows a
+// replica from the process's pool — building it when none is free, so
+// enrolling a participant costs no model — and returns it with the
+// sub-model's parameters. It waits only while every replica the pool allows
+// is training. A replica's weights are overwritten before every step, so it
+// is seeded from its own constant source and never draws from a
+// participant's stream. Hand it back with releaseReplica. Callers take p.mu
+// only after it returns, so no call waits for a replica while holding a
+// participant's lock.
 func (p *ParticipantService) acquireReplica(g nas.Gates, batchSize int) (*fed.Replica, []*nn.Param, error) {
 	if batchSize <= 0 {
 		return nil, nil, fmt.Errorf("rpcfed: batch size %d", batchSize)
@@ -137,18 +174,18 @@ func (p *ParticipantService) acquireReplica(g nas.Gates, batchSize int) (*fed.Re
 	if err := p.netCfg.CheckGates(g); err != nil {
 		return nil, nil, fmt.Errorf("rpcfed: %w", err)
 	}
-	rep := <-p.replica
+	rep := p.pool.get()
 	if rep == nil {
 		var err error
-		if rep, err = fed.NewReplica(0, p.netCfg, p.ds, batchSize); err != nil {
-			p.replica <- nil
+		if rep, err = fed.NewReplica(0, p.netCfg); err != nil {
+			p.pool.put(nil)
 			return nil, nil, fmt.Errorf("rpcfed: participant %d: %w", p.id, err)
 		}
 	}
 	return rep, rep.Sampled(g), nil
 }
 
-func (p *ParticipantService) releaseReplica(rep *fed.Replica) { p.replica <- rep }
+func (p *ParticipantService) releaseReplica(rep *fed.Replica) { p.pool.put(rep) }
 
 // Train implements Alg. 1's participant update (lines 37–42) over RPC.
 func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
@@ -259,8 +296,8 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 // to every connection accepted after the call. Pass a bundle from
 // telemetry.NewWireMetrics; the default is unobserved.
 func (p *ParticipantService) SetWireMetrics(met telemetry.WireMetrics) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.setMu.Lock()
+	defer p.setMu.Unlock()
 	p.wireMet = met
 }
 
@@ -269,8 +306,8 @@ func (p *ParticipantService) SetWireMetrics(met telemetry.WireMetrics) {
 // worker.train span, all parented under the server round span carried in
 // each request. A nil tracer (the default) disables worker spans.
 func (p *ParticipantService) SetTracer(t *telemetry.Tracer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.setMu.Lock()
+	defer p.setMu.Unlock()
 	p.tracer = t
 }
 
@@ -278,8 +315,8 @@ func (p *ParticipantService) SetTracer(t *telemetry.Tracer) {
 // is (or was most recently) training — the hook a fault injector uses to
 // tag chaos.fault events with the round they disrupted.
 func (p *ParticipantService) CurrentSpan() wire.SpanContext {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.setMu.Lock()
+	defer p.setMu.Unlock()
 	return p.curSpan
 }
 
@@ -327,10 +364,10 @@ func (p *ParticipantService) ServeListener(ln net.Listener) (<-chan struct{}, er
 
 // serveConn sniffs one connection's protocol and serves it to completion.
 func (p *ParticipantService) serveConn(srv *rpc.Server, conn net.Conn) {
-	p.mu.Lock()
+	p.setMu.Lock()
 	met := p.wireMet
 	tracer := p.tracer
-	p.mu.Unlock()
+	p.setMu.Unlock()
 	counted := &countingConn{Conn: conn, met: &met}
 	br := bufio.NewReader(counted)
 	magic, err := br.Peek(len(wirePreamble))

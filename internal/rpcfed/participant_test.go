@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net/rpc"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func TestTrainMatchesLocalStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fed.NewReplica(12345, cfg, ds, 8)
+	rep, err := fed.NewReplica(12345, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +136,44 @@ func TestTrainMatchesLocalStep(t *testing.T) {
 	}
 }
 
+// twoReplicaNet returns testNet with the given layer count — a structure
+// whose replica pool belongs to the calling test — and creates that pool
+// with room for two replicas, whatever the host's core count.
+func twoReplicaNet(t *testing.T, layers int) nas.Config {
+	t.Helper()
+	cfg := testNet()
+	cfg.Layers = layers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if n := cap(poolFor(cfg).lent); n != 2 {
+		t.Fatalf("pool of %d replicas, want 2", n)
+	}
+	return cfg
+}
+
+// built returns the distinct replicas an idle pool holds.
+func (rp *replicaPool) built(t *testing.T) map[*fed.Replica]bool {
+	t.Helper()
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	if len(rp.lent) != 0 {
+		t.Fatalf("%d replicas still lent", len(rp.lent))
+	}
+	reps := map[*fed.Replica]bool{}
+	for _, rep := range rp.free {
+		reps[rep] = true
+	}
+	return reps
+}
+
 // net/rpc encodes a reply after Train returns, concurrently with the next
 // call's Train, so a reply must never alias buffers a later step
 // overwrites: an earlier reply keeps its values through later calls, and two
-// overlapping calls over the wire answer exactly what two serial calls on an
-// identical participant answer, in either order (under -race, also without
-// a reported race).
+// overlapping calls over the wire — each on a replica of its own — answer
+// exactly what two serial calls on an identical participant answer, in
+// either order (under -race, also without a reported race).
 func TestConcurrentTrainRepliesMatchSerial(t *testing.T) {
 	ds := testDataset(t)
-	cfg := testNet()
+	cfg := twoReplicaNet(t, 3)
 	net, err := nas.NewSupernet(rand.New(rand.NewSource(4)), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -173,16 +203,25 @@ func TestConcurrentTrainRepliesMatchSerial(t *testing.T) {
 	}
 
 	svc, client := serveParticipant(t, ds, shardOf(24), cfg, 31, wire.FP64)
-	svc.SetDelay(5 * time.Millisecond) // both calls wait, then race for the step
+	// Hold the participant's step lock until both calls have borrowed a
+	// replica, so each trains on its own: the pool of two lends both.
+	svc.mu.Lock()
 	var got [2]TrainReply
 	calls := [2]*rpc.Call{
 		client.Go("Participant.Train", req, &got[0], nil),
 		client.Go("Participant.Train", req, &got[1], nil),
 	}
+	for len(svc.pool.lent) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	svc.mu.Unlock()
 	for _, c := range calls {
 		if err := (<-c.Done).Error; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := len(svc.pool.built(t)); n != 2 {
+		t.Errorf("the pool built %d replicas for two overlapping calls, want 2", n)
 	}
 	if !(sameBits(got[0].Grads, want[0]) && sameBits(got[1].Grads, want[1])) &&
 		!(sameBits(got[0].Grads, want[1]) && sameBits(got[1].Grads, want[0])) {
@@ -305,44 +344,93 @@ func TestTrainRejectsMalformedGates(t *testing.T) {
 	}
 }
 
-// Participants of one process share its replica for a network; a step that
-// fails before training leaves it free for the next caller.
-func TestParticipantsShareReplicaSlot(t *testing.T) {
+// Participants of one process borrow replicas from one pool per network
+// structure. A participant gets one while another holds one (a single shared
+// replica would make it wait), the pool never builds more replicas than its
+// size — the core count when it was created — it lends the replica returned
+// last first, and a step that fails before training hands its replica back.
+func TestParticipantsShareReplicaPool(t *testing.T) {
 	ds := testDataset(t)
-	a, err := NewParticipantService(0, ds, shardOf(10), testNet(), 1)
-	if err != nil {
-		t.Fatal(err)
+	cfg := twoReplicaNet(t, 4)
+	svc := func(id int, cfg nas.Config) *ParticipantService {
+		p, err := NewParticipantService(id, ds, shardOf(10), cfg, int64(id+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	b, err := NewParticipantService(1, ds, shardOf(10), testNet(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := testNet()
+	other := cfg
 	other.C++
-	c, err := NewParticipantService(2, ds, shardOf(10), other, 3)
+	a, b, c := svc(0, cfg), svc(1, cfg), svc(2, other)
+	if a.pool != b.pool || a.pool == c.pool {
+		t.Fatal("replica pools must be keyed by network structure")
+	}
+
+	net, err := nas.NewSupernet(rand.New(rand.NewSource(3)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.replica != b.replica || a.replica == c.replica {
-		t.Fatal("replica slots must be keyed by network structure")
+	g := nas.Gates{Normal: make([]int, nas.NumEdges(cfg.Nodes)), Reduce: make([]int, nas.NumEdges(cfg.Nodes))}
+	req := &TrainRequest{Normal: g.Normal, Reduce: g.Reduce, Weights: flattenValues(net.SampledParams(g)), BatchSize: 8}
+	acquire := func(p *ParticipantService) <-chan *fed.Replica {
+		got := make(chan *fed.Replica, 1)
+		go func() {
+			rep, _, err := p.acquireReplica(g, 8)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- rep
+		}()
+		return got
 	}
-	req := trainRequestForTest(t)
+	within := func(got <-chan *fed.Replica, what string) *fed.Replica {
+		select {
+		case rep := <-got:
+			return rep
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: acquireReplica still waiting", what)
+			return nil
+		}
+	}
+	ra := within(acquire(a), "empty pool")
+	rb := within(acquire(b), "a holds one replica of two")
+	if ra == nil || ra == rb {
+		t.Fatal("two holders share a replica")
+	}
+	third := acquire(a)
+	select {
+	case <-third:
+		t.Fatal("a pool of two handed out a third replica")
+	case <-time.After(50 * time.Millisecond):
+	}
+	b.releaseReplica(rb)
+	if rc := within(third, "b released its replica"); rc != rb {
+		t.Fatal("the waiting call did not get the released replica")
+	}
+	a.releaseReplica(rb)
+	a.releaseReplica(ra)
+	if a.pool.get() != ra {
+		t.Fatal("the pool did not lend the most recently returned replica first")
+	}
+	a.releaseReplica(ra)
+
 	bad := *req
 	bad.Weights = bad.Weights[:1]
-	var reply TrainReply
-	if err := a.Train(&bad, &reply); err == nil {
+	if err := a.Train(&bad, &TrainReply{}); err == nil {
 		t.Fatal("truncated weights accepted")
 	}
 	var wg sync.WaitGroup
-	for _, p := range []*ParticipantService{a, b} {
+	for _, p := range []*ParticipantService{a, b, a, b} {
 		wg.Add(1)
 		go func(p *ParticipantService) {
 			defer wg.Done()
-			var reply TrainReply
-			if err := p.Train(req, &reply); err != nil {
+			if err := p.Train(req, &TrainReply{}); err != nil {
 				t.Error(err)
 			}
 		}(p)
 	}
 	wg.Wait()
+	if n := len(a.pool.built(t)); n != 2 {
+		t.Errorf("a pool of two built %d replicas", n)
+	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // steadyStateAllocs measures the average heap allocations of a search round
-// after the engine has reached steady state (replica pre-warm done at
-// construction, per-participant scratch touched by a few real rounds).
+// after the engine has reached steady state (replica arenas sized and
+// per-participant scratch touched by a few real rounds).
 func steadyStateAllocs(t *testing.T, workers int) float64 {
 	t.Helper()
 	cfg := tinyConfig()
@@ -33,12 +33,13 @@ func steadyStateAllocs(t *testing.T, workers int) float64 {
 	})
 }
 
-// The parallel engine must not allocate per (replica, edge, candidate) after
-// construction: replicas are pre-warmed, so a steady-state round at
-// workers=4 costs at most the pool's fixed dispatch overhead (goroutines,
-// error slice) over the serial engine. Before replica pre-warm this was a
-// coupon-collector process — first-touch buffer allocations kept landing on
-// the hot path hundreds of rounds into a multi-worker search.
+// The parallel engine must not allocate per (replica, edge, candidate): a
+// replica's buffers belong to the step (its arena), not to an op, so a
+// steady-state round at workers=4 costs at most the pool's fixed dispatch
+// overhead (goroutines, error slice) over the serial engine. With per-op
+// buffers built on first touch this was a coupon-collector process —
+// allocations kept landing on the hot path hundreds of rounds into a
+// multi-worker search.
 func TestParallelSteadyStateAllocsMatchSerial(t *testing.T) {
 	serial := steadyStateAllocs(t, 1)
 	par := steadyStateAllocs(t, 4)
@@ -49,7 +50,7 @@ func TestParallelSteadyStateAllocsMatchSerial(t *testing.T) {
 	// while leaving headroom over the ~10 actually observed.
 	const dispatchBudget = 60
 	if par > serial+dispatchBudget {
-		t.Errorf("workers=4 allocates %.0f/round vs %.0f serial (budget +%d): replica buffers are not pre-warmed",
+		t.Errorf("workers=4 allocates %.0f/round vs %.0f serial (budget +%d): replica buffers are allocated on first touch",
 			par, serial, dispatchBudget)
 	}
 }

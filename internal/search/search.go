@@ -247,7 +247,7 @@ func New(cfg Config) (*Search, error) {
 	for i := range s.replicas {
 		// Structure is all that matters (weights are restored every step),
 		// so reuse the primary network's init seed.
-		if s.replicas[i], err = fed.NewReplica(cfg.Seed+202, cfg.Net, ds, cfg.BatchSize); err != nil {
+		if s.replicas[i], err = fed.NewReplica(cfg.Seed+202, cfg.Net); err != nil {
 			return nil, fmt.Errorf("search: worker replica %d: %w", i, err)
 		}
 	}

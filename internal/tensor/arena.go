@@ -1,0 +1,103 @@
+package tensor
+
+import (
+	"math"
+	"unsafe"
+)
+
+// Arena is step-scoped storage: slices handed out in call order from a few
+// large float64 slabs and released all at once by Reset. A model resets its
+// arena when a step starts, so everything the step takes — activations,
+// masks, scratch, input gradients, index tables — lives until the next step,
+// and the model holds one step's buffers instead of one set per module it
+// might run.
+//
+// The first step grows the arena slab by slab, and the Reset after it folds
+// them into one with an eighth to spare. A later step that outgrows the
+// slabs appends one of an eighth of the largest step, kept from then on, so
+// the slabs never churn: once the largest step has run, no step allocates.
+// The zero Arena is ready to use; it is not safe for concurrent use.
+type Arena struct {
+	bufs       [][]float64
+	cur, off   int // carving bufs[cur] from off on
+	used, high int // words taken this step; the most any step took
+}
+
+// Reset releases everything taken since the previous Reset. Built with the
+// fedcheck tag it first poisons the released storage with poisonBits, so a
+// reader of a dead buffer computes NaNs or indexes out of range instead of
+// reusing plausible stale values.
+func (a *Arena) Reset() {
+	first := a.high == 0
+	a.high = max(a.high, a.used)
+	if first && len(a.bufs) > 1 {
+		clear(a.bufs) // drop the old slabs, not just hide them past len
+		a.bufs = append(a.bufs[:0], alloc(a.high+a.high/8))
+	} else if fedcheck {
+		for _, b := range a.bufs {
+			poison(b)
+		}
+	}
+	a.cur, a.off, a.used = 0, 0, 0
+}
+
+// Floats returns n float64s of step storage. Their contents are unspecified:
+// the caller writes every element before reading it.
+func (a *Arena) Floats(n int) []float64 {
+	for a.cur < len(a.bufs) && n > len(a.bufs[a.cur])-a.off {
+		a.cur, a.off = a.cur+1, 0
+	}
+	if a.cur == len(a.bufs) {
+		// A new slab holds the take and a quarter of what a first step took
+		// so far (so that step needs logarithmically many slabs and
+		// overshoots little), or an eighth of the largest step.
+		spare := a.used / 4
+		if a.high > 0 {
+			spare = a.high / 8
+		}
+		a.bufs = append(a.bufs, alloc(n+spare))
+	}
+	b := a.bufs[a.cur][a.off : a.off+n : a.off+n]
+	a.off += n
+	a.used += n
+	return b
+}
+
+// Ints is Floats for ints, carved from the same slabs (an int is no wider
+// than a float64 word, and neither holds a pointer), so one high-water mark
+// sizes both.
+func (a *Arena) Ints(n int) []int {
+	return unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(a.Floats(n)))), n)
+}
+
+// Take points t at fresh step storage of the given shape and returns it. Only
+// t's header is rewritten, in place (a shape of rank ≤ 4 lives inside the
+// header), so a take allocates nothing but arena storage; whoever still holds
+// t sees the new shape and storage. Contents are unspecified, as for Floats.
+func (a *Arena) Take(t *Tensor, shape ...int) *Tensor {
+	t.setShape(shape)
+	t.data = a.Floats(checkShape(t.shape))
+	return t
+}
+
+// TakeLike is Take with src's shape.
+func (a *Arena) TakeLike(t, src *Tensor) *Tensor { return a.Take(t, src.shape...) }
+
+func alloc(n int) []float64 {
+	b := make([]float64, n)
+	if fedcheck {
+		poison(b) // fresh storage must not pass for a cleared buffer either
+	}
+	return b
+}
+
+// poisonBits is a signalling NaN — arithmetic on it yields a NaN, so it
+// propagates into every result it touches — and, read as an int, an index
+// far past any slice.
+const poisonBits = 0x7FF0DEADDEADDEAD
+
+func poison(s []float64) {
+	for i := range s {
+		s[i] = math.Float64frombits(poisonBits)
+	}
+}

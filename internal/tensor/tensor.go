@@ -20,12 +20,26 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float64
+	// dims backs shape up to rank 4 (every tensor in this repository), so a
+	// header needs no second allocation and Arena.Take rewrites it in place.
+	dims [4]int
 }
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
-	n := checkShape(shape)
-	return &Tensor{shape: cloneInts(shape), data: make([]float64, n)}
+	t := &Tensor{data: make([]float64, checkShape(shape))}
+	t.setShape(shape)
+	return t
+}
+
+// setShape copies shape into t's header.
+func (t *Tensor) setShape(shape []int) {
+	if len(shape) > len(t.dims) {
+		t.shape = cloneInts(shape)
+		return
+	}
+	t.shape = t.dims[:len(shape)]
+	copy(t.shape, shape)
 }
 
 // FromSlice wraps data (copied) into a tensor of the given shape.
@@ -34,36 +48,11 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if n != len(data) {
 		panic(fmt.Sprintf("tensor: FromSlice data length %d != shape size %d", len(data), n))
 	}
-	t := &Tensor{shape: cloneInts(shape), data: make([]float64, n)}
+	t := &Tensor{data: make([]float64, n)}
+	t.setShape(shape)
 	copy(t.data, data)
 	return t
 }
-
-// Reuse returns a tensor of the given shape for a caller that will write all
-// of it: buf itself when its shape already matches, a new tensor over buf's
-// storage when that is large enough, a fresh zeroed tensor otherwise (buf may
-// be nil). Reused storage is NOT cleared: a caller that accumulates into the
-// result must Zero it first. buf is never resized in place — it keeps its
-// shape and length but shares the memory, so the caller must be done with
-// what it held. Growing only when the storage is too small is what keeps a
-// layer fed batches of varying size (a cohort of unequal shards, a serving
-// queue) from allocating and clearing every activation on every call.
-func Reuse(buf *Tensor, shape ...int) *Tensor {
-	if buf != nil && buf.ShapeIs(shape...) {
-		return buf
-	}
-	// Keep a copy, so the variadic slice does not escape and a caller whose
-	// shape repeats allocates nothing.
-	own := cloneInts(shape)
-	n := checkShape(own)
-	if buf != nil && cap(buf.data) >= n {
-		return &Tensor{shape: own, data: buf.data[:n]}
-	}
-	return &Tensor{shape: own, data: make([]float64, n)}
-}
-
-// ReuseLike is Reuse with src's shape.
-func ReuseLike(buf, src *Tensor) *Tensor { return Reuse(buf, src.shape...) }
 
 // Full returns a tensor filled with v.
 func Full(v float64, shape ...int) *Tensor {
@@ -121,7 +110,8 @@ func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
-	c := &Tensor{shape: cloneInts(t.shape), data: make([]float64, len(t.data))}
+	c := &Tensor{data: make([]float64, len(t.data))}
+	c.setShape(t.shape)
 	copy(c.data, t.data)
 	return c
 }
@@ -141,7 +131,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: Reshape size %d != %d", n, len(t.data)))
 	}
 	c := t.Clone()
-	c.shape = cloneInts(shape)
+	c.setShape(shape)
 	return c
 }
 
@@ -172,8 +162,7 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-// ShapeIs reports whether t's shape equals the given dims. Layers use it to
-// decide whether a persistent output buffer can be reused for this call.
+// ShapeIs reports whether t's shape equals the given dims.
 func (t *Tensor) ShapeIs(shape ...int) bool {
 	if len(t.shape) != len(shape) {
 		return false

@@ -305,31 +305,3 @@ func TestRandnDeterministic(t *testing.T) {
 		t.Error("Randn not deterministic for equal seeds")
 	}
 }
-
-func TestReuseSharesStorageAndKeepsOldShape(t *testing.T) {
-	big := Full(3, 4, 2, 2)
-	if Reuse(big, 4, 2, 2) != big || ReuseLike(big, New(4, 2, 2)) != big {
-		t.Fatal("a matching shape did not return the buffer itself")
-	}
-	small := Reuse(big, 2, 2, 2)
-	if !small.ShapeIs(2, 2, 2) || small.Size() != 8 {
-		t.Fatalf("Reuse(big, 2,2,2) = %v", small)
-	}
-	if &small.Data()[0] != &big.Data()[0] || small.At(1, 1, 1) != 3 {
-		t.Fatal("reused tensor does not view the old storage, uncleared")
-	}
-	if !big.ShapeIs(4, 2, 2) || big.Size() != 16 {
-		t.Fatalf("reuse changed the source tensor to %v", big.Shape())
-	}
-	// A smaller view still reaches the whole backing array.
-	if again := Reuse(small, 4, 2, 2); &again.Data()[0] != &big.Data()[0] {
-		t.Fatal("a reused view lost the capacity of its storage")
-	}
-	grown := Reuse(big, 17)
-	if grown.Size() != 17 || &grown.Data()[0] == &big.Data()[0] || grown.At(16) != 0 {
-		t.Fatal("Reuse handed out more than the storage holds")
-	}
-	if fresh := Reuse(nil, 2, 3); !fresh.ShapeIs(2, 3) || fresh.At(1, 2) != 0 {
-		t.Fatal("Reuse(nil) is not a fresh zeroed tensor")
-	}
-}
