@@ -37,8 +37,11 @@ go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... ./
 	./internal/rpcfed/... ./internal/telemetry/... ./internal/cohort/... \
 	./internal/serve/... ./internal/scenario/...
 
-echo "== fedcheck (arena reset poisons released step storage: a buffer read after its step fails loudly)"
-go test -tags fedcheck ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/search/... ./internal/rpcfed/...
+echo "== reuse under failure (-race, 10 runs: a reply buffer written after its call was abandoned, or recycled before it was encoded, races or moves a result)"
+go test -race -count=10 -run 'TestLateAnswerIntoAbandonedReplyLeavesLaterRoundsIntact|TestReplyGradsRecycledOnlyAfterEncode|TestConcurrentTrainRepliesMatchSerial' ./internal/rpcfed/
+
+echo "== fedcheck (arena resets, the next Exchange and snapshot eviction poison what they release: a buffer read past its lifetime fails loudly)"
+go test -tags fedcheck ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/round/... ./internal/search/... ./internal/rpcfed/...
 
 echo "== bench smoke (tensor, nn kernels; 1 iteration, catches crashes/regressed shapes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/...

@@ -78,8 +78,14 @@ func (c *Controller) probsScratch() (normal, reduce [][]float64) {
 
 // SampleGates draws a one-hot architecture from the current policy (Eq. 5).
 func (c *Controller) SampleGates(rng *rand.Rand) nas.Gates {
+	return c.SampleGatesInto(nas.Gates{}, rng)
+}
+
+// SampleGatesInto is SampleGates into g's storage, which it reuses when large
+// enough; it draws exactly what SampleGates draws.
+func (c *Controller) SampleGatesInto(g nas.Gates, rng *rand.Rand) nas.Gates {
 	pn, pr := c.probsScratch()
-	return nas.Gates{Normal: sampleRows(rng, pn), Reduce: sampleRows(rng, pr)}
+	return nas.Gates{Normal: sampleRows(g.Normal, rng, pn), Reduce: sampleRows(g.Reduce, rng, pr)}
 }
 
 // LogProb returns log p(g): the sum over all edges of the log-probability of
@@ -176,12 +182,16 @@ func (c *Controller) View() AlphaSnapshot {
 	return AlphaSnapshot{Normal: c.alphaNormal, Reduce: c.alphaReduce}
 }
 
-// Snapshot deep-copies the current α matrices (for staleness memory pools).
+// Snapshot deep-copies the current α matrices.
 func (c *Controller) Snapshot() AlphaSnapshot {
-	return AlphaSnapshot{
-		Normal: copyRows(c.alphaNormal),
-		Reduce: copyRows(c.alphaReduce),
-	}
+	return c.SnapshotInto(AlphaSnapshot{})
+}
+
+// SnapshotInto is Snapshot into dst's rows, reused when their shape matches.
+func (c *Controller) SnapshotInto(dst AlphaSnapshot) AlphaSnapshot {
+	dst.Normal = copyRowsInto(dst.Normal, c.alphaNormal)
+	dst.Reduce = copyRowsInto(dst.Reduce, c.alphaReduce)
+	return dst
 }
 
 // Restore overwrites α with a snapshot.
@@ -209,10 +219,17 @@ type AlphaSnapshot struct {
 // Diff returns (other − s) elementwise, the Δα the delay-compensation
 // correction needs (Eq. 15's α_{t+τ} − α_t).
 func (s AlphaSnapshot) Diff(other AlphaSnapshot) AlphaGrad {
-	d := AlphaGrad{Normal: copyRows(other.Normal), Reduce: copyRows(other.Reduce)}
-	subRows(d.Normal, s.Normal)
-	subRows(d.Reduce, s.Reduce)
+	var d AlphaGrad
+	s.DiffInto(&d, other)
 	return d
+}
+
+// DiffInto is Diff into dst's rows, reused when their shape matches.
+func (s AlphaSnapshot) DiffInto(dst *AlphaGrad, other AlphaSnapshot) {
+	dst.Normal = copyRowsInto(dst.Normal, other.Normal)
+	dst.Reduce = copyRowsInto(dst.Reduce, other.Reduce)
+	subRows(dst.Normal, s.Normal)
+	subRows(dst.Reduce, s.Reduce)
 }
 
 // LogProbGradAt evaluates ∇α log p(g) at an arbitrary α snapshot (Eq. 12
@@ -308,8 +325,12 @@ func softmaxRowsInto(dst [][]float64, alpha [][]float64) [][]float64 {
 	return dst
 }
 
-func sampleRows(rng *rand.Rand, probs [][]float64) []int {
-	out := make([]int, len(probs))
+// sampleRows draws one candidate per row into out's storage.
+func sampleRows(out []int, rng *rand.Rand, probs [][]float64) []int {
+	if cap(out) < len(probs) {
+		out = make([]int, len(probs))
+	}
+	out = out[:len(probs)]
 	for e, row := range probs {
 		r := rng.Float64()
 		acc := 0.0
@@ -334,12 +355,17 @@ func zeroRows(rows, cols int) [][]float64 {
 	return out
 }
 
-func copyRows(src [][]float64) [][]float64 {
-	out := make([][]float64, len(src))
-	for i := range src {
-		out[i] = append([]float64(nil), src[i]...)
+func copyRows(src [][]float64) [][]float64 { return copyRowsInto(nil, src) }
+
+// copyRowsInto copies src into dst's rows, reusing their storage.
+func copyRowsInto(dst, src [][]float64) [][]float64 {
+	if len(dst) != len(src) {
+		dst = make([][]float64, len(src))
 	}
-	return out
+	for i := range src {
+		dst[i] = append(dst[i][:0], src[i]...)
+	}
+	return dst
 }
 
 func subRows(dst, src [][]float64) {

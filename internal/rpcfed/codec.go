@@ -39,6 +39,9 @@ import (
 // wirePreamble is the connection-level magic selecting the binary codec.
 const wirePreamble = "FWP1"
 
+// trainMethod is the one method every round calls.
+const trainMethod = "Participant.Train"
+
 // wireVersion is the frame format version byte.
 const wireVersion = 1
 
@@ -144,11 +147,11 @@ type frameHeader struct {
 // returns the frame payload. Raw network reads happen here, so codec
 // decode timers can exclude them.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
+	buf = resized(buf, 4) // the prefix lands in buf: a local array would escape
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("rpcfed: frame of %d bytes exceeds limit %d", n, maxFrameBytes)
 	}
@@ -188,7 +191,9 @@ func parseFrameHeader(r *wire.Reader) (frameHeader, error) {
 	if err != nil {
 		return h, err
 	}
-	h.method = string(mb)
+	if h.method = trainMethod; string(mb) != trainMethod { // the hot name costs no string
+		h.method = string(mb)
+	}
 	if h.seq, err = r.U64(); err != nil {
 		return h, err
 	}
@@ -479,7 +484,7 @@ type binaryClientCodec struct {
 
 	decBuf  []byte
 	pending frameHeader
-	body    *wire.Reader
+	body    wire.Reader
 }
 
 // newBinaryClientCodec writes the preamble and returns the codec.
@@ -533,12 +538,12 @@ func (c *binaryClientCodec) ReadResponseHeader(resp *rpc.Response) error {
 	}
 	c.decBuf = frame
 	t0 := time.Now()
-	r := wire.NewReader(frame)
-	h, err := parseFrameHeader(r)
+	c.body = *wire.NewReader(frame) // in place: a fresh reader per frame would escape
+	h, err := parseFrameHeader(&c.body)
 	if err != nil {
 		return err
 	}
-	c.pending, c.body = h, r
+	c.pending = h
 	resp.ServiceMethod = h.method
 	resp.Seq = h.seq
 	resp.Error = h.errStr
@@ -550,7 +555,7 @@ func (c *binaryClientCodec) ReadResponseHeader(resp *rpc.Response) error {
 
 func (c *binaryClientCodec) ReadResponseBody(body any) error {
 	t0 := time.Now()
-	err := decodeBody(c.body, c.pending.kind, c.pending.mode, body)
+	err := decodeBody(&c.body, c.pending.kind, c.pending.mode, body)
 	dec := time.Since(t0)
 	c.met.DecodeNs.Add(dec.Nanoseconds())
 	c.met.DecodeSeconds.Observe(dec.Seconds())
@@ -563,32 +568,41 @@ func (c *binaryClientCodec) Close() error { return c.conn.Close() }
 
 // requestEcho is what a response must echo from its request: the wire mode
 // the client asked for and the trace context its worker-side spans (and the
-// response frame header) parent under.
+// response frame header) parent under. req is the decoded train request,
+// whose storage the codec takes back once the response is written.
 type requestEcho struct {
 	mode wire.Mode
 	span wire.SpanContext
+	req  *TrainRequest
 }
 
 // binaryServerCodec implements rpc.ServerCodec. The read methods run from
 // the server's single read loop; WriteResponse runs from service
 // goroutines (serialized by net/rpc's per-connection sending lock, but
-// concurrent with reads), so the seq→echo map needs its own lock.
+// concurrent with reads), so the seq→echo map and the free storage need
+// their own lock.
 type binaryServerCodec struct {
 	conn   io.ReadWriteCloser
 	met    *telemetry.WireMetrics
 	tracer *telemetry.Tracer
+	// grads takes back each train reply's gradient storage once the reply
+	// is encoded, while it has room (nil: nobody recycles it).
+	grads chan<- [][]float64
 
 	decBuf  []byte
 	pending frameHeader
-	body    *wire.Reader
+	body    wire.Reader
 
 	mu        sync.Mutex
 	encBuf    []byte
 	echoBySeq map[uint64]requestEcho
+	// spare holds the storage of requests whose responses are written,
+	// which the next train requests decode into.
+	spare []TrainRequest
 }
 
-func newBinaryServerCodec(conn io.ReadWriteCloser, met *telemetry.WireMetrics, tracer *telemetry.Tracer) *binaryServerCodec {
-	return &binaryServerCodec{conn: conn, met: met, tracer: tracer,
+func newBinaryServerCodec(conn io.ReadWriteCloser, met *telemetry.WireMetrics, tracer *telemetry.Tracer, grads chan<- [][]float64) *binaryServerCodec {
+	return &binaryServerCodec{conn: conn, met: met, tracer: tracer, grads: grads,
 		echoBySeq: make(map[uint64]requestEcho)}
 }
 
@@ -599,12 +613,12 @@ func (c *binaryServerCodec) ReadRequestHeader(req *rpc.Request) error {
 	}
 	c.decBuf = frame
 	t0 := time.Now()
-	r := wire.NewReader(frame)
-	h, err := parseFrameHeader(r)
+	c.body = *wire.NewReader(frame) // in place: a fresh reader per frame would escape
+	h, err := parseFrameHeader(&c.body)
 	if err != nil {
 		return err
 	}
-	c.pending, c.body = h, r
+	c.pending = h
 	req.ServiceMethod = h.method
 	req.Seq = h.seq
 	c.mu.Lock()
@@ -617,21 +631,35 @@ func (c *binaryServerCodec) ReadRequestHeader(req *rpc.Request) error {
 }
 
 func (c *binaryServerCodec) ReadRequestBody(body any) error {
+	req, isTrain := body.(*TrainRequest)
+	if isTrain {
+		c.mu.Lock()
+		if n := len(c.spare); n > 0 {
+			*req, c.spare = c.spare[n-1], c.spare[:n-1]
+		}
+		c.mu.Unlock()
+	}
 	t0 := time.Now()
-	err := decodeBody(c.body, c.pending.kind, c.pending.mode, body)
+	err := decodeBody(&c.body, c.pending.kind, c.pending.mode, body)
 	dec := time.Since(t0)
 	c.met.DecodeNs.Add(dec.Nanoseconds())
 	c.met.DecodeSeconds.Observe(dec.Seconds())
 	if err != nil {
 		return err
 	}
-	// The binary body layouts skip the span; restore it from the frame
-	// header so the service sees the same request a gob client would send,
-	// and record the decode as a worker-side span under the round.
+	if isTrain {
+		// The binary body layouts skip the span; restore it from the frame
+		// header so the service sees the same request a gob client would
+		// send.
+		req.Span = c.pending.span
+		c.mu.Lock()
+		echo := c.echoBySeq[c.pending.seq]
+		echo.req = req
+		c.echoBySeq[c.pending.seq] = echo
+		c.mu.Unlock()
+	}
+	// Record the decode as a worker-side span under the round.
 	if c.pending.span.Valid() {
-		if b, ok := body.(*TrainRequest); ok {
-			b.Span = c.pending.span
-		}
 		c.tracer.WorkerSpan(telemetry.EventWorkerDecode, c.pending.span,
 			int64(len(c.decBuf)+4), dec.Seconds())
 	}
@@ -646,6 +674,9 @@ func (c *binaryServerCodec) WriteResponse(resp *rpc.Response, body any) error {
 		echo = requestEcho{mode: wire.FP64}
 	}
 	delete(c.echoBySeq, resp.Seq)
+	if r := echo.req; r != nil { // the service is done with it
+		c.spare = append(c.spare, TrainRequest{Normal: r.Normal, Reduce: r.Reduce, Weights: r.Weights})
+	}
 
 	t0 := time.Now()
 	buf, err := appendFrameHeader(c.encBuf[:0], echo.mode, resp.ServiceMethod, resp.Seq, resp.Error, echo.span, bodyNone)
@@ -660,6 +691,12 @@ func (c *binaryServerCodec) WriteResponse(resp *rpc.Response, body any) error {
 			return err
 		}
 		buf[kindAt] = kind
+		if b, ok := body.(*TrainReply); ok && b.Grads != nil { // encoded: the frame holds the copy
+			select {
+			case c.grads <- b.Grads:
+			default:
+			}
+		}
 	}
 	buf = finishFrame(buf, 0)
 	c.encBuf = buf

@@ -6,6 +6,9 @@ import (
 	"net/rpc"
 	"sync"
 	"time"
+
+	"fedrlnas/internal/nn"
+	"fedrlnas/internal/tensor"
 )
 
 // The participant lifecycle state machine. Every participant connection
@@ -79,6 +82,18 @@ type peer struct {
 	failures int
 	// redialing keeps at most one redial loop alive per peer.
 	redialing bool
+
+	// Round buffers, touched only by whoever holds the peer's dispatch slot
+	// (its in-flight bit): the dispatch refills req, net/rpc decodes the
+	// answer into reply, and decodeReply rebinds grads onto it and lists
+	// the sub-model in sub and subIdx. A failed call abandons reply, which
+	// net/rpc may still write into, for a fresh one.
+	req      TrainRequest
+	reqBytes int64
+	reply    *TrainReply
+	sub      []*nn.Param
+	subIdx   []int
+	grads    []*tensor.Tensor
 }
 
 // State snapshots the lifecycle state.

@@ -33,10 +33,13 @@ type ParticipantService struct {
 	part *fed.Participant
 
 	// pool lends this process's replicas of netCfg (see replicaPool); slot
-	// holds the step's reusable buffers, which replies copy out of and never
-	// alias.
-	pool *replicaPool
-	slot fed.Slot
+	// holds the step's reusable buffers. net/rpc encodes a reply after Train
+	// returns, possibly while the next call already trains into the slot, so
+	// a reply copies its gradients out into a buffer from the free list
+	// grads, which the binary codec hands back once the reply is encoded.
+	pool  *replicaPool
+	slot  fed.Slot
+	grads chan [][]float64
 
 	// setMu guards the settings below and curSpan, so reading them never
 	// waits for a step.
@@ -80,6 +83,7 @@ func NewParticipantService(id int, ds *data.Dataset, indices []int, netCfg nas.C
 		ds:     ds,
 		part:   part,
 		pool:   poolFor(netCfg),
+		grads:  make(chan [][]float64, runtime.GOMAXPROCS(0)),
 	}, nil
 }
 
@@ -283,11 +287,14 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 		reply.Packed = packed
 		return nil
 	}
-	// net/rpc encodes the reply after Train returns, possibly while the next
-	// call already trains into the slot: the reply gets its own copy.
-	reply.Grads = make([][]float64, len(grads))
+	var buf [][]float64
+	select {
+	case buf = <-p.grads:
+	default:
+	}
+	reply.Grads = resized(buf, len(grads))
 	for i, gr := range grads {
-		reply.Grads[i] = append([]float64(nil), gr.Data()...)
+		reply.Grads[i] = append(reply.Grads[i][:0], gr.Data()...)
 	}
 	return nil
 }
@@ -376,7 +383,7 @@ func (p *ParticipantService) serveConn(srv *rpc.Server, conn net.Conn) {
 			conn.Close()
 			return
 		}
-		srv.ServeCodec(newBinaryServerCodec(sniffedConn{r: br, Conn: counted}, &met, tracer))
+		srv.ServeCodec(newBinaryServerCodec(sniffedConn{r: br, Conn: counted}, &met, tracer, p.grads))
 		return
 	}
 	// Not our preamble (or the peer closed before sending 4 bytes): hand

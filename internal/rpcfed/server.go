@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -185,6 +185,11 @@ type Server struct {
 	// inFlight marks participants with an outstanding call.
 	arrivals chan arrival
 	inFlight map[int]bool
+
+	// replies and todo are Exchange's reusable lists: what it returns, and
+	// the cohort positions it dispatches.
+	replies []round.Reply
+	todo    []int
 
 	// downlink holds per-participant top-k weight mirrors (wire.TopK only;
 	// nil otherwise), indexed by participant id. topkRatio is the effective
@@ -413,12 +418,12 @@ func (x rpcTransport) Exchange(ctx context.Context, t int, snap *round.Snapshot)
 	// Dispatch to every live cohort member that is not still busy with
 	// an earlier round (genuine soft sync: stragglers skip rounds; dead
 	// peers are reported offline until their redial loop revives them).
-	// Payload serialization — sampling and flattening each participant's
-	// sub-model weights, the server-side hot path — fans out across the
-	// worker pool; the supernet is read-only for the whole exchange, so
-	// tasks share it safely. Dispatch itself stays in participant order.
-	var replies []round.Reply
-	var todo []int // cohort positions
+	// Payload preparation — sampling each participant's sub-model and
+	// refilling its peer's request with the weights, the server-side hot
+	// path — fans out across the worker pool; the supernet is read-only
+	// for the whole exchange, so tasks share it safely, and each task
+	// writes only its own peer. Dispatch itself stays in participant order.
+	replies, todo := s.replies[:0], s.todo[:0] // todo holds cohort positions
 	for j, pid := range members {
 		if s.inFlight[pid] {
 			continue
@@ -429,54 +434,51 @@ func (x rpcTransport) Exchange(ctx context.Context, t int, snap *round.Snapshot)
 		}
 		todo = append(todo, j)
 	}
-	reqs := make([]*TrainRequest, len(todo))
-	reqBytes := make([]int64, len(todo))
+	s.todo = todo
 	dispatchStart := time.Now()
 	if err := s.pool.Run(len(todo), func(_, i int) error {
 		j := todo[i]
-		pid := members[j]
-		sub := s.net.SampledParams(gates[j])
-		span := spanCtx
-		span.Participant = int32(pid)
-		reqs[i] = &TrainRequest{
-			Round:     t,
-			Normal:    append([]int(nil), gates[j].Normal...),
-			Reduce:    append([]int(nil), gates[j].Reduce...),
-			BatchSize: s.cfg.BatchSize,
-			Span:      span,
-		}
+		p := s.peers[members[j]]
+		p.sub = s.net.AppendSampledParams(p.sub[:0], gates[j])
+		req := &p.req
+		req.Round, req.BatchSize, req.Span = t, s.cfg.BatchSize, spanCtx
+		req.Span.Participant = int32(p.id)
+		req.Normal = append(req.Normal[:0], gates[j].Normal...)
+		req.Reduce = append(req.Reduce[:0], gates[j].Reduce...)
 		if s.cfg.Transport.Wire == wire.TopK {
 			// Top-k transport: ship mirror deltas instead of dense
 			// weights. Each worker touches only its own participant's
 			// mirror, so the fan-out stays race-free.
-			subIdx := make([]int, len(sub))
-			for si, p := range sub {
-				subIdx[si] = s.paramIndex[p]
+			req.ParamIDs = req.ParamIDs[:0]
+			for _, prm := range p.sub {
+				req.ParamIDs = append(req.ParamIDs, s.paramIndex[prm])
 			}
-			reqs[i].ParamIDs = subIdx
-			reqs[i].TopKRatio = s.topkGradRatio
-			reqs[i].Packed = s.downlink[pid].encodeDownlink(sub, subIdx, s.topkRatio)
-			reqBytes[i] = int64(len(reqs[i].Packed))
+			req.TopKRatio = s.topkGradRatio
+			req.Packed = s.downlink[p.id].encodeDownlink(p.sub, req.ParamIDs, s.topkRatio)
+			p.reqBytes = int64(len(req.Packed))
 			return nil
 		}
-		reqs[i].Weights = flattenValues(sub)
+		req.Weights = resized(req.Weights, len(p.sub))
+		for k, prm := range p.sub {
+			req.Weights[k] = append(req.Weights[k][:0], prm.Value.Data()...)
+		}
 		// Measured encoded payload size under the active wire mode
 		// (for Gob, the FP64-equivalent analytic size), not the 4 B/
 		// param fiction — this is what transmission ranking and the
 		// submodel_bytes telemetry now report.
-		reqBytes[i] = wire.GroupBytes(s.cfg.Transport.Wire, reqs[i].Weights)
+		p.reqBytes = wire.GroupBytes(s.cfg.Transport.Wire, req.Weights)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	var dispatchBytes int64
-	for i, j := range todo {
-		pid := members[j]
-		s.met.SubModelBytes.Observe(float64(reqBytes[i]))
-		s.tracer.SubModelSample(t, pid, reqBytes[i])
-		dispatchBytes += reqBytes[i]
-		s.inFlight[pid] = true
-		go s.call(s.peers[pid], reqs[i])
+	for _, j := range todo {
+		p := s.peers[members[j]]
+		s.met.SubModelBytes.Observe(float64(p.reqBytes))
+		s.tracer.SubModelSample(t, p.id, p.reqBytes)
+		dispatchBytes += p.reqBytes
+		s.inFlight[p.id] = true
+		go s.call(p)
 	}
 	s.tracer.RoundDispatch(t, dispatchBytes, time.Since(dispatchStart).Seconds())
 
@@ -493,7 +495,7 @@ func (x rpcTransport) Exchange(ctx context.Context, t int, snap *round.Snapshot)
 			r.Status = round.Returned
 			at, pos, verdict := s.core.Admit(t, a.round, a.pid)
 			if verdict == round.Fresh || verdict == round.Late {
-				if err := s.decodeReply(&r, a.reply, at.Gates[pos]); err != nil {
+				if err := s.decodeReply(&r, s.peers[a.pid], a.reply, at.Gates[pos]); err != nil {
 					r.Status = round.Lost // undecodable or wrong-shape payload
 				} else if verdict == round.Fresh {
 					freshCount++
@@ -543,43 +545,48 @@ drain:
 		}
 	}
 
-	sort.Slice(replies, func(i, j int) bool {
-		if replies[i].Round != replies[j].Round {
-			return replies[i].Round < replies[j].Round
+	slices.SortFunc(replies, func(a, b round.Reply) int {
+		if a.Round != b.Round {
+			return a.Round - b.Round
 		}
-		return replies[i].PID < replies[j].PID
+		return a.PID - b.PID
 	})
+	s.replies = replies
 	return replies, nil
 }
 
 // decodeReply turns a wire reply into the core's form: gradients shaped like
 // the sub-model gk selects, each tagged with its canonical parameter index.
-func (s *Server) decodeReply(r *round.Reply, reply *TrainReply, gk nas.Gates) error {
-	sub := s.net.SampledParams(gk)
+// The dense gradients alias the reply's storage through p's reusable
+// headers, so nothing is copied.
+func (s *Server) decodeReply(r *round.Reply, p *peer, reply *TrainReply, gk nas.Gates) error {
+	p.sub = s.net.AppendSampledParams(p.sub[:0], gk)
 	if len(reply.Packed) > 0 {
 		// Top-k transport: the payload carries tag-4 deltas of the k
 		// largest gradient+residual coordinates per tensor; decoding against
 		// zeros recovers them as a dense (mostly zero) gradient.
 		var err error
-		if r.Grads, err = decodePackedGrads(reply.Packed, sub); err != nil {
+		if r.Grads, err = decodePackedGrads(reply.Packed, p.sub); err != nil {
 			return err
 		}
 	} else {
-		if len(reply.Grads) != len(sub) {
-			return fmt.Errorf("rpcfed: %d gradient tensors, want %d", len(reply.Grads), len(sub))
+		if len(reply.Grads) != len(p.sub) {
+			return fmt.Errorf("rpcfed: %d gradient tensors, want %d", len(reply.Grads), len(p.sub))
 		}
-		r.Grads = make([]*tensor.Tensor, len(sub))
-		for i, p := range sub {
-			if len(reply.Grads[i]) != p.Value.Size() {
-				return fmt.Errorf("rpcfed: gradient %d has %d values, want %d", i, len(reply.Grads[i]), p.Value.Size())
+		p.grads = resized(p.grads, len(p.sub))
+		for i, prm := range p.sub {
+			if len(reply.Grads[i]) != prm.Value.Size() {
+				return fmt.Errorf("rpcfed: gradient %d has %d values, want %d", i, len(reply.Grads[i]), prm.Value.Size())
 			}
-			r.Grads[i] = tensor.FromSlice(reply.Grads[i], p.Value.Shape()...)
+			p.grads[i] = tensor.Rebind(p.grads[i], reply.Grads[i], prm.Value)
 		}
+		r.Grads = p.grads
 	}
-	r.SubIdx = make([]int, len(sub))
-	for i, p := range sub {
-		r.SubIdx[i] = s.paramIndex[p]
+	p.subIdx = p.subIdx[:0]
+	for _, prm := range p.sub {
+		p.subIdx = append(p.subIdx, s.paramIndex[prm])
 	}
+	r.SubIdx = p.subIdx
 	r.Acc = reply.Reward
 	return nil
 }
@@ -589,12 +596,19 @@ func (s *Server) decodeReply(r *round.Reply, reply *TrainReply, gk nas.Gates) er
 // with the (round, participant) of the request. What the peer echoes is only
 // checked against that stamp: an answer claiming another round or id is a
 // misbehaving peer, and is lost like a failed call.
-func (s *Server) call(p *peer, req *TrainRequest) {
+func (s *Server) call(p *peer) {
 	t0 := time.Now()
-	reply := &TrainReply{}
+	req := &p.req
+	if p.reply == nil {
+		p.reply = new(TrainReply)
+	}
+	reply := p.reply
+	// Keep the storage, clear the rest: gob leaves a field the answer omits
+	// as it was.
+	*reply = TrainReply{Grads: reply.Grads}
 	err := s.ensureClient(p)
 	if err == nil {
-		err = p.do("Participant.Train", req, reply, s.cfg.Transport.CallTimeout)
+		err = p.do(trainMethod, req, reply, s.cfg.Transport.CallTimeout)
 	}
 	elapsed := time.Since(t0).Seconds()
 	var replyBytes int64
@@ -611,7 +625,9 @@ func (s *Server) call(p *peer, req *TrainRequest) {
 			s.downlink[p.id].valid = false
 		}
 		// After a deadline expiry net/rpc may still write into the abandoned
-		// reply object, so it must not travel any further.
+		// reply object, so it must not travel any further, and the peer's
+		// next call decodes into a fresh one.
+		p.reply = nil
 		reply = nil
 	} else {
 		s.noteCallSuccess(p)
@@ -664,10 +680,11 @@ func (s *Server) ensureClient(p *peer) error {
 	return nil
 }
 
-func flattenValues(params []*nn.Param) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.Value.Data()...)
+// resized returns s with length n, keeping its elements — and the storage
+// they hold — wherever it can.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
-	return out
+	return s[:n]
 }

@@ -118,7 +118,7 @@ func decodePackedGrads(packed []byte, sub []*nn.Param) ([]*tensor.Tensor, error)
 	}
 	grads := make([]*tensor.Tensor, len(sub))
 	for i, p := range sub {
-		grads[i] = tensor.FromSlice(base[i], p.Value.Shape()...)
+		grads[i] = tensor.Rebind(nil, base[i], p.Value)
 	}
 	return grads, nil
 }

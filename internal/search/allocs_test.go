@@ -54,3 +54,46 @@ func TestParallelSteadyStateAllocsMatchSerial(t *testing.T) {
 			par, serial, dispatchBudget)
 	}
 }
+
+// A soft-sync round with delay compensation and late replies allocates no
+// more than a hard-sync one: the core refills a recycled snapshot (θ, α,
+// cohort, gates) instead of cloning, and compensates late gradients and the
+// α drift in place. What is left is outside the core: a batch index slice
+// per trained participant, transmission.Assign's sort scratch, two closures.
+// Cloning θ per round and per late reply cost this network hundreds of
+// objects a round.
+func TestDCRoundSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, defeating scratch reuse")
+	}
+	cfg := tinyConfig()
+	cfg.K = 8
+	cfg.Workers = 1
+	cfg.WarmupSteps = 0
+	cfg.SearchSteps = 1
+	cfg.Strategy = staleness.DC
+	cfg.Staleness = staleness.Severe() // Δ = 2: most replies are late
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := s.runRound(true, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := s.Stats.Late
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.runRound(true, true); err != nil {
+			t.Error(err)
+		}
+	})
+	const pinned = 26
+	t.Logf("steady-state DC round: %.0f allocs, %d late replies over the runs", allocs, s.Stats.Late-late)
+	if s.Stats.Late == late {
+		t.Fatal("no late reply in the measured rounds; the pin would not cover compensation")
+	}
+	if allocs > pinned+2 {
+		t.Errorf("a DC round allocates %.0f objects, pinned at %d (+2)", allocs, pinned)
+	}
+}

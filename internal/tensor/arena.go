@@ -91,6 +91,21 @@ func alloc(n int) []float64 {
 	return b
 }
 
+// Fedcheck reports a build with the fedcheck tag. Code outside this package
+// guards its lifetime checks with it, so they compile away otherwise.
+const Fedcheck = fedcheck
+
+// Poison overwrites the storage of ts with the poison pattern, marking
+// buffers whose owner's contract says they are dead. Call it only under
+// Fedcheck.
+func Poison(ts ...*Tensor) {
+	for _, t := range ts {
+		if t != nil {
+			poison(t.data)
+		}
+	}
+}
+
 // poisonBits is a signalling NaN — arithmetic on it yields a NaN, so it
 // propagates into every result it touches — and, read as an int, an index
 // far past any slice.

@@ -54,6 +54,21 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return t
 }
 
+// Rebind points t's header at data, shaped like like, and returns it; a nil t
+// gets a fresh header. Nothing is copied: t aliases data until the next
+// Rebind, so a decoder can hand out tensors over buffers it refills.
+func Rebind(t *Tensor, data []float64, like *Tensor) *Tensor {
+	if len(data) != len(like.data) {
+		panic(fmt.Sprintf("tensor: Rebind data length %d != shape size %d", len(data), len(like.data)))
+	}
+	if t == nil {
+		t = &Tensor{}
+	}
+	t.setShape(like.shape)
+	t.data = data
+	return t
+}
+
 // Full returns a tensor filled with v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
