@@ -16,6 +16,44 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== asm lint (internal/tensor/*_amd64.s: VEX encodings only — no legacy-SSE instruction may name an X register, since one after a 256-bit op stalls on the upper-state transition — and VZEROUPPER before every RET of a function that touches a Y register)"
+awk '
+	function flush(   i) {
+		if (fn != "" && usesY)
+			for (i = 1; i <= nret; i++)
+				if (!retok[i]) {
+					print retat[i] ": " fn " uses a Y register but returns without VZEROUPPER"
+					bad = 1
+				}
+		fn = ""; usesY = 0; nret = 0; prev = ""
+	}
+	FNR == 1 { flush() }
+	{
+		line = $0
+		sub(/\/\/.*/, "", line)
+		sub(/\\[ \t]*$/, "", line)
+		sub(/^[ \t]*#define[ \t]+[A-Za-z0-9_]+(\([^)]*\))?/, "", line)
+		if (line ~ /^[ \t]*#/) next
+		n = split(line, stmts, ";")
+		for (i = 1; i <= n; i++) {
+			s = stmts[i]
+			gsub(/^[ \t]+|[ \t]+$/, "", s)
+			if (s == "" || s ~ /^[A-Za-z0-9_]+:$/) continue
+			op = s; sub(/[ \t(].*/, "", op)
+			args = substr(s, length(op) + 1)
+			if (op == "TEXT") { flush(); fn = args; sub(/\(SB\).*/, "", fn); sub(/^[ \t]*/, "", fn); continue }
+			if (args ~ /(^|[^A-Za-z0-9_])Y([0-9]|1[0-5])([^0-9]|$)/) usesY = 1
+			if (op !~ /^V/ && args ~ /(^|[^A-Za-z0-9_])X([0-9]|1[0-5])([^0-9]|$)/) {
+				print FILENAME ":" FNR ": legacy-SSE " op " names an X register (use the VEX form)"
+				bad = 1
+			}
+			if (op == "RET") { nret++; retok[nret] = (prev == "VZEROUPPER"); retat[nret] = FILENAME ":" FNR }
+			prev = op
+		}
+	}
+	END { flush(); exit bad }
+' internal/tensor/*_amd64.s
+
 echo "== go build ./..."
 go build ./...
 
@@ -24,7 +62,7 @@ go test ./...
 
 echo "== noasm fallback (pure-Go kernels must build, pass the same suite and vet clean)"
 go build -tags noasm ./...
-go test -tags noasm ./internal/tensor/... ./internal/nn/...
+go test -tags noasm ./internal/tensor/... ./internal/nn/... ./internal/nas/...
 go vet -tags noasm ./internal/tensor/... ./internal/nn/...
 
 echo "== cross-compile arm64 (no amd64 assembly may leak outside its build tags; the kernel packages are vetted under it too)"

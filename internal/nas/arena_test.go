@@ -67,9 +67,9 @@ func TestLargestStepSizesEveryStep(t *testing.T) {
 // memory. The probe needs no accessor: a Reset and a take of n words
 // allocate nothing exactly when n fits.
 func TestArenaHighWaterPinned(t *testing.T) {
-	largest := 612830 // words, 4.9 MB
+	largest := 496190 // words, 4.0 MB
 	if !tensor.DepthwiseSIMD() {
-		largest = 573524 // no lane kernel: no padded planes or offset tables
+		largest = 479828 // no lane kernel: no padded planes or offset tables
 	}
 	rng := rand.New(rand.NewSource(2))
 	s, err := NewSupernet(rng, rpcNet())

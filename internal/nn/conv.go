@@ -251,7 +251,7 @@ func (c *Conv2D) backward(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 		panic("nn: Conv2D.Backward before Forward")
 	}
 	if c.Groups == 1 {
-		return c.backwardIm2col(grad, needGradX)
+		return c.backwardIm2col(grad, needGradX, tensor.DepthwiseSIMD())
 	}
 	mustDims4(grad, "Conv2D.Backward")
 	gradX := c.ar.TakeLike(&c.gradXBuf, x)

@@ -65,15 +65,21 @@ func (c *Conv2D) laneDepthwise() bool {
 		c.Pad <= (c.KH-1)*c.Dilation && c.Pad <= (c.KW-1)*c.Dilation
 }
 
+// dwGeom is a sliding window's geometry: kernel size, stride, padding and
+// dilation. Convolutions and pools share the plan built from it.
+type dwGeom struct{ kh, kw, stride, pad, dil int }
+
+func (c *Conv2D) geom() dwGeom { return dwGeom{c.KH, c.KW, c.Stride, c.Pad, c.Dilation} }
+
 // dwPlanFor carves the plan for an h×w input from ar; only a backward pass
 // needs gp, gwl and the gradient tables.
-func (c *Conv2D) dwPlanFor(ar *tensor.Arena, h, w, oh, ow int, backward bool) dwPlan {
+func dwPlanFor(ar *tensor.Arena, g dwGeom, h, w, oh, ow int, backward bool) dwPlan {
 	const L = tensor.DWLanes
-	d, s, pad := c.Dilation, c.Stride, c.Pad
-	p := dwPlan{npix: oh * ow, ntaps: c.KH * c.KW}
+	d, s, pad := g.dil, g.stride, g.pad
+	p := dwPlan{npix: oh * ow, ntaps: g.kh * g.kw}
 	p.xpW = w + 2*pad
-	p.gOffY, p.gOffX = (c.KH-1)*d-pad, (c.KW-1)*d-pad
-	p.gpW = w + (c.KW-1)*d
+	p.gOffY, p.gOffX = (g.kh-1)*d-pad, (g.kw-1)*d-pad
+	p.gpW = w + (g.kw-1)*d
 	npixPad, ntapsPad, resPix := roundUp4(p.npix), roundUp4(p.ntaps), roundUp4(p.npix)
 	if backward {
 		resPix = max(resPix, roundUp4(h*w))
@@ -91,15 +97,15 @@ func (c *Conv2D) dwPlanFor(ar *tensor.Arena, h, w, oh, ow int, backward bool) dw
 	for i := p.npix; i < len(p.xpix); i++ {
 		p.xpix[i] = p.xpix[0]
 	}
-	for ky := 0; ky < c.KH; ky++ {
-		for kx := 0; kx < c.KW; kx++ {
-			p.ftaps[ky*c.KW+kx] = (ky*d*p.xpW + kx*d) * L
+	for ky := 0; ky < g.kh; ky++ {
+		for kx := 0; kx < g.kw; kx++ {
+			p.ftaps[ky*g.kw+kx] = (ky*d*p.xpW + kx*d) * L
 		}
 	}
 	if !backward {
 		return p
 	}
-	p.gp, p.gwl = ar.Floats((h+(c.KH-1)*d)*p.gpW*L), ar.Floats(ntapsPad*L)
+	p.gp, p.gwl = ar.Floats((h+(g.kh-1)*d)*p.gpW*L), ar.Floats(ntapsPad*L)
 	clear(p.gp)
 	p.gpix, p.gxpix, p.btaps = ar.Ints(p.npix), ar.Ints(roundUp4(h*w)), ar.Ints(p.ntaps)
 	for oy := 0; oy < oh; oy++ {
@@ -115,9 +121,9 @@ func (c *Conv2D) dwPlanFor(ar *tensor.Arena, h, w, oh, ow int, backward bool) dw
 	for i := h * w; i < len(p.gxpix); i++ {
 		p.gxpix[i] = p.gxpix[0]
 	}
-	for ky := 0; ky < c.KH; ky++ {
-		for kx := 0; kx < c.KW; kx++ {
-			p.btaps[ky*c.KW+kx] = -(ky*d*p.gpW + kx*d) * L
+	for ky := 0; ky < g.kh; ky++ {
+		for kx := 0; kx < g.kw; kx++ {
+			p.btaps[ky*g.kw+kx] = -(ky*d*p.gpW + kx*d) * L
 		}
 	}
 	return p
@@ -139,7 +145,7 @@ func (c *Conv2D) forwardDepthwiseLanes(ar *tensor.Arena, x, out *tensor.Tensor, 
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := out.Dim(2), out.Dim(3)
-	p := c.dwPlanFor(ar, h, w, oh, ow, false)
+	p := dwPlanFor(ar, c.geom(), h, w, oh, ow, false)
 	xd, od, wd := x.Data(), out.Data(), c.weight.Value.Data()
 	xorg := c.Pad*p.xpW + c.Pad
 	taps := p.ftaps[:p.ntaps]
@@ -159,7 +165,7 @@ func (c *Conv2D) backwardDepthwiseLanes(ar *tensor.Arena, x, grad, gradX *tensor
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := grad.Dim(2), grad.Dim(3)
-	p := c.dwPlanFor(ar, h, w, oh, ow, true)
+	p := dwPlanFor(ar, c.geom(), h, w, oh, ow, true)
 	xd, wd := x.Data(), c.weight.Value.Data()
 	gd, gxd, gwd := grad.Data(), gradX.Data(), c.weight.Grad.Data()
 	xorg := c.Pad*p.xpW + c.Pad

@@ -190,44 +190,42 @@ func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tenso
 
 // backwardIm2col computes weight/bias/input gradients with two GEMMs over
 // the batch-wide column representation for Groups==1. With needGradX false
-// only the parameter gradients are accumulated and nil is returned.
-func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
+// only the parameter gradients are accumulated and nil is returned. With
+// lanes set, a pointwise layer whose forward lowered nothing takes its
+// weight gradient from gradWLanes instead.
+func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX, lanes bool) *tensor.Tensor {
 	x, ar := c.lastX, c.ar
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := grad.Dim(2), grad.Dim(3)
 	k := c.InC * c.KH * c.KW
 	cols := oh * ow
 	total := n * cols
-
-	gradCol := ar.Floats(c.OutC * total)
-	if !c.colValid {
-		c.colBuf = ar.Floats(k * total)
-		c.lowerBatch(x, n, h, w, oh, ow)
-		c.colValid = true
-	}
-
-	// Gather the output gradient image-major into gradCol [OutC, total].
 	gd := grad.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		dst := gradCol[oc*total : (oc+1)*total]
-		for b := 0; b < n; b++ {
-			copy(dst[b*cols:(b+1)*cols], gd[(b*c.OutC+oc)*cols:(b*c.OutC+oc+1)*cols])
-		}
-	}
-	if c.bias != nil {
-		gbd := c.bias.Grad.Data()
-		for oc := 0; oc < c.OutC; oc++ {
-			s := 0.0
-			for _, v := range gradCol[oc*total : (oc+1)*total] {
-				s += v
-			}
-			gbd[oc] += s
-		}
-	}
 
-	// gradW [OutC, k] += gradCol [OutC, total] · colAllᵀ [total, k]
-	tensor.GemmRaw(false, true, c.OutC, k, total, 1,
-		gradCol, total, c.colBuf, total, 1, c.weight.Grad.Data(), k)
+	var gradCol []float64
+	if lanes && c.pointwise() && !c.colValid && c.bias == nil && c.InC%4 == 0 && c.OutC%4 == 0 {
+		c.gradWLanes(ar, x.Data(), gd, n, cols)
+	} else {
+		if !c.colValid {
+			c.colBuf = ar.Floats(k * total)
+			c.lowerBatch(x, n, h, w, oh, ow)
+			c.colValid = true
+		}
+		gradCol = c.gatherGrad(ar, gd, n, total, cols)
+		if c.bias != nil {
+			gbd := c.bias.Grad.Data()
+			for oc := 0; oc < c.OutC; oc++ {
+				s := 0.0
+				for _, v := range gradCol[oc*total : (oc+1)*total] {
+					s += v
+				}
+				gbd[oc] += s
+			}
+		}
+		// gradW [OutC, k] += gradCol [OutC, total] · colAllᵀ [total, k]
+		tensor.GemmRaw(false, true, c.OutC, k, total, 1,
+			gradCol, total, c.colBuf, total, 1, c.weight.Grad.Data(), k)
+	}
 	if !needGradX {
 		return nil
 	}
@@ -238,6 +236,9 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 	if c.pointwise() && tensor.GemmRawBatched(true, n, c.InC, cols, c.OutC, 1,
 		c.weight.Value.Data(), c.InC, gd, cols, c.OutC*cols, 0, gradX.Data(), cols, c.InC*cols) {
 		return gradX
+	}
+	if gradCol == nil {
+		gradCol = c.gatherGrad(ar, gd, n, total, cols)
 	}
 	// colGrad [k, total] = Wᵀ [k, OutC] · gradCol [OutC, total]
 	colGrad := ar.Floats(k * total)
@@ -252,4 +253,44 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 			c.Stride, c.Pad, c.Dilation, oh, ow, gxd[b*imgSize:(b+1)*imgSize], total, b*cols)
 	}
 	return gradX
+}
+
+// gatherGrad copies the output gradient image-major into a [OutC, total]
+// matrix taken from ar.
+func (c *Conv2D) gatherGrad(ar *tensor.Arena, gd []float64, n, total, cols int) []float64 {
+	gradCol := ar.Floats(c.OutC * total)
+	for oc := 0; oc < c.OutC; oc++ {
+		dst := gradCol[oc*total : (oc+1)*total]
+		for b := 0; b < n; b++ {
+			copy(dst[b*cols:(b+1)*cols], gd[(b*c.OutC+oc)*cols:(b*c.OutC+oc+1)*cols])
+		}
+	}
+	return gradCol
+}
+
+// gradWLanes accumulates a pointwise layer's weight gradient through
+// tensor.DWGemmAcc: four input channels of the whole batch are
+// lane-interleaved, and four rows of the output gradient are read in place
+// from its NCHW layout, so nothing is lowered, gathered or packed. Each
+// element is the GEMM's single chain over (image, pixel) from +0, then added
+// into the gradient: the bits of the lowered-batch path.
+func (c *Conv2D) gradWLanes(ar *tensor.Arena, xd, gd []float64, n, cols int) {
+	const L = tensor.DWLanes
+	xi, acc := ar.Floats(n*cols*L), ar.Floats(4*L)
+	gw := c.weight.Grad.Data()
+	for i0 := 0; i0 < c.InC; i0 += L {
+		for b := 0; b < n; b++ {
+			tensor.DWInterleave(xi, b*cols, cols, 1, xd[(b*c.InC+i0)*cols:], 1, cols)
+		}
+		for o0 := 0; o0 < c.OutC; o0 += 4 {
+			clear(acc)
+			tensor.DWGemmAcc(acc, gd[o0*cols:], cols, c.OutC*cols, xi, cols, n)
+			for r := 0; r < 4; r++ {
+				row := gw[(o0+r)*c.InC+i0 : (o0+r)*c.InC+i0+L]
+				for l, v := range acc[r*L : (r+1)*L] {
+					row[l] += v
+				}
+			}
+		}
+	}
 }

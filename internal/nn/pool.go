@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 
 	"fedrlnas/internal/tensor"
 )
@@ -29,6 +30,12 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 
 // Forward implements Module.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return p.forward(x, tensor.DepthwiseSIMD())
+}
+
+// forward pools x. With useLanes set, whole groups of four planes go to the
+// lane kernel (forwardLanes) and the scalar paths take the rest.
+func (p *MaxPool2D) forward(x *tensor.Tensor, useLanes bool) *tensor.Tensor {
 	n, c, h, w := mustDims4(x, "MaxPool2D")
 	ar := p.stepArena()
 	p.lastX = x
@@ -37,47 +44,96 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := ar.Take(&p.outBuf, n, c, oh, ow)
 	p.argmaxI = ar.Ints(out.Size())
 	xd, od := x.Data(), out.Data()
+	planes, lanes := n*c, 0
+	if useLanes {
+		lanes = planes &^ (tensor.DWLanes - 1)
+		p.forwardLanes(ar, xd, od, lanes, h, w, oh, ow)
+	}
 	// Planes narrower than three outputs are all border: the row pass buys
 	// nothing there and the window scan is quicker.
-	if p.K == 3 && ow >= 3 {
-		p.forward3(ar, xd, od, n*c, h, w, oh, ow)
-		return out
+	switch {
+	case lanes == planes:
+	case p.K == 3 && ow >= 3:
+		p.forward3(ar, xd, od, lanes, planes, h, w, oh, ow)
+	default:
+		p.forwardWindow(xd, od, lanes, planes, h, w, oh, ow)
 	}
-	p.forwardWindow(xd, od, n, c, h, w, oh, ow)
 	return out
+}
+
+// forwardLanes pools planes [0, planes), a multiple of four, four at a time
+// through tensor.DWMaxTaps: the planes are lane-interleaved inside a -Inf
+// border (as nn.Conv2D's depthwise path does with a zero one), and each
+// output scans its K×K window in (ky,kx) order with a strict >, keeping the
+// first maximum and its flat input index. A border position never wins, so
+// maxima and indices equal forwardWindow's, which skips them.
+func (p *MaxPool2D) forwardLanes(ar *tensor.Arena, xd, od []float64, planes, h, w, oh, ow int) {
+	if planes == 0 {
+		return
+	}
+	const L = tensor.DWLanes
+	pl := dwPlanFor(ar, dwGeom{p.K, p.K, p.Stride, p.Pad, 1}, h, w, oh, ow, false)
+	negInf := math.Inf(-1)
+	for i := range pl.xp {
+		pl.xp[i] = negInf
+	}
+	s, pad := p.Stride, p.Pad
+	pixAt, tapAt, at := ar.Ints(len(pl.xpix)), ar.Ints(pl.ntaps), ar.Ints(len(pl.res))
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			pixAt[oy*ow+ox] = (oy*s-pad)*w + ox*s - pad
+		}
+	}
+	for i := pl.npix; i < len(pixAt); i++ {
+		pixAt[i] = pixAt[0]
+	}
+	for ky := 0; ky < p.K; ky++ {
+		for kx := 0; kx < p.K; kx++ {
+			tapAt[ky*p.K+kx] = ky*w + kx
+		}
+	}
+	hw, npix := h*w, pl.npix
+	lane := ar.Ints(L) // the group's plane offsets
+	for g := 0; g < planes; g += L {
+		for l := range lane {
+			lane[l] = (g + l) * hw
+		}
+		tensor.DWInterleave(pl.xp, pad*pl.xpW+pad, pl.xpW, 1, xd[g*hw:], h, w)
+		tensor.DWMaxTaps(pl.res, at, pl.xp, pl.xpix, pixAt, pl.ftaps[:pl.ntaps], tapAt, lane)
+		tensor.DWDeinterleave(od[g*npix:], pl.res, npix)
+		tensor.DWDeinterleaveInts(p.argmaxI[g*npix:], at, npix)
+	}
 }
 
 // forwardWindow is the general path and the reference the 3×3 path is tested
 // against: the window's in-bounds kernel range is clamped once per output row
 // and column and scanned in (ky,kx) order. First-max semantics: the strict >
 // keeps the earliest maximum and never selects a NaN.
-func (p *MaxPool2D) forwardWindow(xd, od []float64, n, c, h, w, oh, ow int) {
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := ((b*c + ch) * h) * w
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*p.Stride - p.Pad
-				ky0, ky1 := clampWindow(iy0, p.K, h)
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*p.Stride - p.Pad
-					kx0, kx1 := clampWindow(ix0, p.K, w)
-					best := math.Inf(-1)
-					bestI := -1
-					for ky := ky0; ky <= ky1; ky++ {
-						row := base + (iy0+ky)*w + ix0
-						for kx := kx0; kx <= kx1; kx++ {
-							if v := xd[row+kx]; v > best {
-								best, bestI = v, row+kx
-							}
+func (p *MaxPool2D) forwardWindow(xd, od []float64, pl0, pl1, h, w, oh, ow int) {
+	for pl := pl0; pl < pl1; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*p.Stride - p.Pad
+			ky0, ky1 := clampWindow(iy0, p.K, h)
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*p.Stride - p.Pad
+				kx0, kx1 := clampWindow(ix0, p.K, w)
+				best := math.Inf(-1)
+				bestI := -1
+				for ky := ky0; ky <= ky1; ky++ {
+					row := base + (iy0+ky)*w + ix0
+					for kx := kx0; kx <= kx1; kx++ {
+						if v := xd[row+kx]; v > best {
+							best, bestI = v, row+kx
 						}
 					}
-					oi := ((b*c+ch)*oh+oy)*ow + ox
-					if bestI < 0 { // window entirely in padding
-						best = 0
-					}
-					od[oi] = best
-					p.argmaxI[oi] = bestI
 				}
+				oi := (pl*oh+oy)*ow + ox
+				if bestI < 0 { // window entirely in padding
+					best = 0
+				}
+				od[oi] = best
+				p.argmaxI[oi] = bestI
 			}
 		}
 	}
@@ -92,13 +148,13 @@ func (p *MaxPool2D) forwardWindow(xd, od []float64, n, c, h, w, oh, ow int) {
 // clamping confined to the border columns and rows. The row pass keeps, per
 // input row and output column, the window's first maximum in rowV and its
 // flat input index in rowAt, both taken from ar.
-func (p *MaxPool2D) forward3(ar *tensor.Arena, xd, od []float64, planes, h, w, oh, ow int) {
+func (p *MaxPool2D) forward3(ar *tensor.Arena, xd, od []float64, pl0, pl1, h, w, oh, ow int) {
 	rowV, rowAt := ar.Floats(h*ow), ar.Ints(h*ow)
 	s, pad := p.Stride, p.Pad
 	negInf := math.Inf(-1)
 	// Output columns [oxLo, oxHi) see a full in-bounds window.
 	oxLo, oxHi := interiorRange(ow, 3, s, pad, w)
-	for pl := 0; pl < planes; pl++ {
+	for pl := pl0; pl < pl1; pl++ {
 		base := pl * h * w
 		for iy := 0; iy < h; iy++ {
 			rbase := base + iy*w
@@ -223,16 +279,28 @@ func (p *AvgPool2D) Params() []*Param { return nil }
 
 // Forward implements Module.
 func (p *AvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return p.forward(x, tensor.DepthwiseSIMD())
+}
+
+// forward pools x. With useLanes set, whole groups of four planes go to the
+// lane kernels (forwardLanes) and the scalar loops below take the rest.
+func (p *AvgPool2D) forward(x *tensor.Tensor, useLanes bool) *tensor.Tensor {
 	n, c, h, w := mustDims4(x, "AvgPool2D")
 	p.lastShape = [4]int{n, c, h, w}
 	oh := convOutDim(h, p.K, p.Stride, p.Pad, 1)
 	ow := convOutDim(w, p.K, p.Stride, p.Pad, 1)
-	out := p.stepArena().Take(&p.outBuf, n, c, oh, ow)
+	ar := p.stepArena()
+	out := ar.Take(&p.outBuf, n, c, oh, ow)
 	inv := 1.0 / float64(p.K*p.K)
 	xd, od := x.Data(), out.Data()
+	lanes := 0
+	if useLanes && p.Pad < p.K {
+		lanes = n * c &^ (tensor.DWLanes - 1)
+		p.forwardLanes(ar, xd, od, lanes, h, w, oh, ow, inv)
+	}
 	s, pad := p.Stride, p.Pad
 	oyLo, oyHi, oxLo, oxHi := p.interior(oh, ow, h, w)
-	for pl := 0; pl < n*c; pl++ {
+	for pl := lanes; pl < n*c; pl++ {
 		base := pl * h * w
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*s - pad
@@ -272,6 +340,55 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// forwardLanes pools planes [0, planes), a multiple of four, through the
+// depthwise lane kernel with every weight 1: each window's terms are added
+// from +0 in (ky,kx) order, the zero border adding +0 where the scalar loop
+// skips (which leaves an accumulator started at +0 unchanged), and the sum is
+// then multiplied by inv.
+func (p *AvgPool2D) forwardLanes(ar *tensor.Arena, xd, od []float64, planes, h, w, oh, ow int, inv float64) {
+	if planes == 0 {
+		return
+	}
+	const L = tensor.DWLanes
+	pl := dwPlanFor(ar, p.geom(), h, w, oh, ow, false)
+	for i := range pl.wl {
+		pl.wl[i] = 1
+	}
+	hw, npix := h*w, pl.npix
+	for g := 0; g < planes; g += L {
+		tensor.DWInterleave(pl.xp, p.Pad*pl.xpW+p.Pad, pl.xpW, 1, xd[g*hw:], h, w)
+		tensor.DWTaps(pl.res, pl.xp, pl.xpix, pl.ftaps[:pl.ntaps], pl.wl)
+		tensor.DWDeinterleave(od[g*npix:], pl.res, npix)
+	}
+	tensor.ScaleTo(od[:planes*npix], od[:planes*npix], inv)
+}
+
+// backwardLanes writes the input gradient of planes [0, planes) through the
+// depthwise lane kernel, as nn.Conv2D's depthwise backward does: the output
+// gradient is spread Stride apart inside a zero border and each input pixel
+// sums inv·g over the outputs whose window covers it. The backward taps are
+// walked last to first, so those outputs come in (oy,ox) order — the order in
+// which the scalar loop's scatter adds them.
+func (p *AvgPool2D) backwardLanes(ar *tensor.Arena, gd, gxd []float64, planes, h, w, oh, ow int, inv float64) {
+	if planes == 0 {
+		return
+	}
+	const L = tensor.DWLanes
+	pl := dwPlanFor(ar, p.geom(), h, w, oh, ow, true)
+	slices.Reverse(pl.btaps)
+	for i := range pl.wl {
+		pl.wl[i] = inv
+	}
+	hw, npix := h*w, pl.npix
+	for g := 0; g < planes; g += L {
+		tensor.DWInterleave(pl.gp, pl.gOffY*pl.gpW+pl.gOffX, p.Stride*pl.gpW, p.Stride, gd[g*npix:], oh, ow)
+		tensor.DWTaps(pl.res, pl.gp, pl.gxpix, pl.btaps, pl.wl)
+		tensor.DWDeinterleave(gxd[g*hw:], pl.res, hw)
+	}
+}
+
+func (p *AvgPool2D) geom() dwGeom { return dwGeom{p.K, p.K, p.Stride, p.Pad, 1} }
+
 // interior returns the output rows [oyLo, oyHi) and columns [oxLo, oxHi)
 // whose whole window is in bounds and takes the unrolled 3×3 body; other
 // kernel sizes have none, so every output takes the clamped scan.
@@ -301,15 +418,25 @@ func (p *AvgPool2D) sumClamped(xd []float64, base, h, w, iy0, ix0 int) float64 {
 
 // Backward implements Module.
 func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return p.backward(grad, tensor.DepthwiseSIMD())
+}
+
+// backward is forward's counterpart.
+func (p *AvgPool2D) backward(grad *tensor.Tensor, useLanes bool) *tensor.Tensor {
 	n, c, oh, ow := mustDims4(grad, "AvgPool2D.Backward")
 	gradX := p.ar.Take(&p.gradXBuf, p.lastShape[:]...)
-	gradX.Zero() // overlapping windows accumulate
 	h, w := p.lastShape[2], p.lastShape[3]
 	inv := 1.0 / float64(p.K*p.K)
 	gd, gxd := grad.Data(), gradX.Data()
+	lanes := 0
+	if useLanes && p.Pad < p.K { // a wider border would put gradients outside the spread plane
+		lanes = n * c &^ (tensor.DWLanes - 1)
+		p.backwardLanes(p.ar, gd, gxd, lanes, h, w, oh, ow, inv)
+	}
+	clear(gxd[lanes*h*w:]) // overlapping windows accumulate
 	s, pad := p.Stride, p.Pad
 	oyLo, oyHi, oxLo, oxHi := p.interior(oh, ow, h, w)
-	for pl := 0; pl < n*c; pl++ {
+	for pl := lanes; pl < n*c; pl++ {
 		base := pl * h * w
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*s - pad

@@ -77,6 +77,76 @@ func BackwardParams(m Module, grad *tensor.Tensor) {
 	}
 }
 
+// forwardAdder and backwardAdder are the modules that can add a result at
+// its producer: into a caller's buffer instead of one of their own.
+type forwardAdder interface{ forwardAdd(x, dst *tensor.Tensor) }
+
+type backwardAdder interface {
+	backwardAdd(grad, dst *tensor.Tensor)
+}
+
+// ForwardAdd runs m forward on x and adds its output into dst, which must
+// have the output's shape, without materialising the output (a cell node
+// sums its edges this way). Every element of dst becomes dst + y, the bits
+// dst.AddInPlace(m.Forward(x)) gives. A Sequential adds through its last
+// module. It reports false, having run nothing, when m cannot add; the caller
+// then runs Forward and adds.
+func ForwardAdd(m Module, x, dst *tensor.Tensor) bool {
+	if s, ok := m.(*Sequential); ok {
+		last := len(s.mods) - 1
+		if last < 0 || !addsForward(s.mods[last]) {
+			return false
+		}
+		for _, mod := range s.mods[:last] {
+			x = mod.Forward(x)
+		}
+		return ForwardAdd(s.mods[last], x, dst)
+	}
+	if a, ok := m.(forwardAdder); ok {
+		a.forwardAdd(x, dst)
+		return true
+	}
+	return false
+}
+
+func addsForward(m Module) bool {
+	if s, ok := m.(*Sequential); ok {
+		return len(s.mods) > 0 && addsForward(s.mods[len(s.mods)-1])
+	}
+	_, ok := m.(forwardAdder)
+	return ok
+}
+
+// BackwardAdd is ForwardAdd's backward: it back-propagates grad through m,
+// adding dL/d(input) into dst (a cell's state gradient) instead of
+// returning it — the bits dst.AddInPlace(m.Backward(grad)) gives. A
+// Sequential adds through its first module. It reports false, having run
+// nothing, when m cannot add.
+func BackwardAdd(m Module, grad, dst *tensor.Tensor) bool {
+	if s, ok := m.(*Sequential); ok {
+		if len(s.mods) == 0 || !addsBackward(s.mods[0]) {
+			return false
+		}
+		for i := len(s.mods) - 1; i >= 1; i-- {
+			grad = s.mods[i].Backward(grad)
+		}
+		return BackwardAdd(s.mods[0], grad, dst)
+	}
+	if a, ok := m.(backwardAdder); ok {
+		a.backwardAdd(grad, dst)
+		return true
+	}
+	return false
+}
+
+func addsBackward(m Module) bool {
+	if s, ok := m.(*Sequential); ok {
+		return len(s.mods) > 0 && addsBackward(s.mods[0])
+	}
+	_, ok := m.(backwardAdder)
+	return ok
+}
+
 // SetTraining implements TrainToggler, propagating to children.
 func (s *Sequential) SetTraining(training bool) {
 	SetTraining(training, s.mods...)

@@ -39,6 +39,7 @@ package round
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -422,6 +423,11 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 				}
 			}
 			c.opt.Step(c.cfg.StepParams)
+			for _, p := range c.cfg.StepParams {
+				if p.Value.HasNaN() {
+					return Report{}, &ErrDiverged{Round: t, Param: p.Name}
+				}
+			}
 		}
 		if updateAlpha {
 			c.aggAlpha.Scale(inv)
@@ -447,6 +453,19 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 	c.tracer.RoundEnd(t, rep.Seconds, rep.Accuracy)
 	c.pool.Evict(t + 1)
 	return rep, nil
+}
+
+// ErrDiverged is Step's error when the θ step left a parameter non-finite:
+// training has diverged, and every later round would only spread the NaN.
+// The callers pass it on (search.Run, rpcfed.Server.RunContext; a served job
+// ends Failed with it).
+type ErrDiverged struct {
+	Round int    // the round whose step diverged
+	Param string // the first stepped parameter holding a NaN or an infinity
+}
+
+func (e *ErrDiverged) Error() string {
+	return fmt.Sprintf("round %d: θ diverged: parameter %s is not finite after the step", e.Round, e.Param)
 }
 
 // snapshot records round t's θ, α, cohort and freshly sampled gates (Alg. 1

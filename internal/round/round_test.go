@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -452,4 +453,40 @@ func cloneRows(rows [][]float64) [][]float64 {
 		out[i] = append([]float64(nil), r...)
 	}
 	return out
+}
+
+// infTransport is the scripted transport with one gradient element of the
+// first reply replaced by +Inf.
+type infTransport struct{ *fake }
+
+func (f infTransport) Exchange(ctx context.Context, t int, snap *Snapshot) ([]Reply, error) {
+	out, err := f.fake.Exchange(ctx, t, snap)
+	if len(out) > 0 && len(out[0].Grads) > 0 {
+		out[0].Grads[0].Data()[0] = math.Inf(1)
+	}
+	return out, err
+}
+
+// A gradient that makes θ non-finite stops the round with ErrDiverged naming
+// the round and the parameter, instead of stepping on silently.
+func TestStepReportsDivergedTheta(t *testing.T) {
+	script := map[int][]scripted{
+		0: {{from: 0, member: 0, status: Returned}},
+		1: {{from: 1, member: 0, status: Returned}},
+	}
+	h := newHarness(t, staleness.Hard, script)
+	if _, err := h.core.Step(context.Background(), 0, true, true); err != nil {
+		t.Fatalf("finite round: %v", err)
+	}
+	h.assertFinite(t, 0)
+	h.core.tr = infTransport{h.fake}
+	_, err := h.core.Step(context.Background(), 1, true, true)
+	var div *ErrDiverged
+	if !errors.As(err, &div) {
+		t.Fatalf("Step with an Inf gradient returned %v, want ErrDiverged", err)
+	}
+	want := h.params[h.fake.sent[1][0].SubIdx[0]].Name
+	if div.Round != 1 || div.Param != want {
+		t.Fatalf("ErrDiverged{Round: %d, Param: %q}, want round 1, parameter %q", div.Round, div.Param, want)
+	}
 }

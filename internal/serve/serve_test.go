@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,6 +117,22 @@ func TestJobFailureSurfacesError(t *testing.T) {
 	waitState(t, j, JobFailed)
 	if j.Status().Error == "" {
 		t.Fatal("failed job has no error in status")
+	}
+}
+
+// A job whose θ step diverges ends Failed with round.ErrDiverged in its
+// status, instead of training on NaN.
+func TestDivergedJobFails(t *testing.T) {
+	cfg := tinySearchConfig(1, 50)
+	cfg.ThetaLR = 1e308
+	s := NewServer(Options{})
+	j, err := s.CreateJob(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, JobFailed)
+	if msg := j.Status().Error; !strings.Contains(msg, "θ diverged") {
+		t.Fatalf("failed job's error %q does not report the divergence", msg)
 	}
 }
 

@@ -1,6 +1,11 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"time"
+	"unsafe"
+)
 
 // Depthwise convolution kernels: the second entry behind the kernel dispatch
 // seam (gemm.go holds the first). A depthwise convolution has one filter per
@@ -36,9 +41,11 @@ const DWLanes = 4
 
 // dwKernel is one implementation of the pair.
 type dwKernel struct {
-	name  string
-	taps  func(out, src []float64, pix, taps []int, w []float64)
-	gradW func(gw, g []float64, gpix []int, x []float64, xpix, taps []int)
+	name    string
+	taps    func(out, src []float64, pix, taps []int, w []float64)
+	gradW   func(gw, g []float64, gpix []int, x []float64, xpix, taps []int)
+	maxTaps func(out []float64, at []int, src []float64, pix, pixAt, taps, tapAt, lane []int)
+	gemmAcc func(acc, a []float64, aRow, aImg int, x []float64, n, nimg int)
 
 	interleave   func(dst []float64, org, rowStep, colStep int, src []float64, h, w int)
 	deinterleave func(dst, src []float64, n int)
@@ -47,7 +54,7 @@ type dwKernel struct {
 // dwGo is the portable reference pair — always compiled, and what the
 // assembly is tested against.
 var dwGo = dwKernel{
-	name: "go-lanes4", taps: dwTapsGo, gradW: dwGradWGo,
+	name: "go-lanes4", taps: dwTapsGo, gradW: dwGradWGo, maxTaps: dwMaxTapsGo, gemmAcc: dwGemmAccGo,
 	interleave: func(dst []float64, org, rowStep, colStep int, src []float64, h, w int) {
 		dwInterleaveCols(dst, org, rowStep, colStep, src, h, w, 0)
 	},
@@ -116,6 +123,103 @@ func DWGradW(gw, g []float64, gpix []int, x []float64, xpix, taps []int) {
 	dwActive.gradW(gw, g, gpix, x, xpix, taps)
 }
 
+// DWMaxTaps is DWTaps' max-pooling form: for every pixel p and lane l it
+// scans src[pix[p]+taps[t]+l] in ascending t, replacing the running maximum
+// (which starts at -Inf) only with a strictly greater value, so the earliest
+// maximum wins and a NaN never does. It writes
+//
+//	out[p*4+l] = that maximum, or +0 when no tap exceeds -Inf
+//	at[p*4+l]  = lane[l] + pixAt[p] + tapAt[t] for the winning tap t, or -1
+//
+// pixAt, tapAt and lane describe where a tap sits in the caller's own
+// indexing (a max pool's flat input index); every tapAt entry must be ≥ 0,
+// and lane holds 4 entries. len(pix) must be a multiple of 4 (pad the tables
+// by repeating an entry).
+func DWMaxTaps(out []float64, at []int, src []float64, pix, pixAt, taps, tapAt, lane []int) {
+	if len(pix)%4 != 0 || len(pixAt) != len(pix) || len(tapAt) != len(taps) || len(lane) != DWLanes ||
+		len(out) < DWLanes*len(pix) || len(at) < DWLanes*len(pix) {
+		panic(fmt.Sprintf("tensor: DWMaxTaps pix %d/%d taps %d/%d out %d at %d",
+			len(pix), len(pixAt), len(taps), len(tapAt), len(out), len(at)))
+	}
+	for _, v := range tapAt {
+		if v < 0 {
+			panic(fmt.Sprintf("tensor: DWMaxTaps tap index %d", v))
+		}
+	}
+	if len(pix) == 0 {
+		return
+	}
+	if len(taps) == 0 {
+		for i := range out[:DWLanes*len(pix)] {
+			out[i], at[i] = 0, -1
+		}
+		return
+	}
+	dwActive.maxTaps(out, at, src, pix, pixAt, taps, tapAt, lane)
+}
+
+func dwMaxTapsGo(out []float64, at []int, src []float64, pix, pixAt, taps, tapAt, lane []int) {
+	for p, base := range pix {
+		for l := 0; l < DWLanes; l++ {
+			best, bt := math.Inf(-1), -1
+			for t, off := range taps {
+				if v := src[base+off+l]; v > best {
+					best, bt = v, t
+				}
+			}
+			i := p*DWLanes + l
+			if bt < 0 {
+				out[i], at[i] = 0, -1
+			} else {
+				out[i], at[i] = best, lane[l]+pixAt[p]+tapAt[bt]
+			}
+		}
+	}
+}
+
+// DWGemmAcc continues, for four rows o and the four lanes l, the chains
+//
+//	acc[o*4+l] += a[b*aImg + o*aRow + j] · x[(b*n+j)*4 + l]
+//
+// over images b < nimg and positions j < n in that order, one multiply and
+// one add per term: a GEMM whose B operand is lane-interleaved. With acc
+// started at +0 it is the product of four rows of a, each the concatenation
+// of its per-image segments, and four lane columns of x — the weight
+// gradient of a 1×1 convolution, read straight from the NCHW output
+// gradient, that GemmRaw would give from the lowered and transposed batch.
+// Being that product, it counts into GemmFLOPs and GemmKernelNanos.
+func DWGemmAcc(acc, a []float64, aRow, aImg int, x []float64, n, nimg int) {
+	if n <= 0 || nimg <= 0 {
+		return
+	}
+	if len(acc) < 4*DWLanes || len(a) < (nimg-1)*aImg+3*aRow+n || len(x) < DWLanes*n*nimg {
+		panic(fmt.Sprintf("tensor: DWGemmAcc %d×%d images, rows %d apart, images %d apart, over a %d, x %d, acc %d",
+			nimg, n, aRow, aImg, len(a), len(x), len(acc)))
+	}
+	start := time.Now()
+	dwActive.gemmAcc(acc, a, aRow, aImg, x, n, nimg)
+	gemmAddStats(2*4*DWLanes*int64(n*nimg), time.Since(start).Nanoseconds(), uintptr(unsafe.Pointer(&acc[0])))
+}
+
+func dwGemmAccGo(acc, a []float64, aRow, aImg int, x []float64, n, nimg int) {
+	for o := 0; o < 4; o++ {
+		c := acc[o*4 : o*4+4 : o*4+4]
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		for b := 0; b < nimg; b++ {
+			row := a[b*aImg+o*aRow : b*aImg+o*aRow+n]
+			xb := x[b*n*4 : (b+1)*n*4]
+			for j, av := range row {
+				xv := xb[j*4 : j*4+4 : j*4+4]
+				c0 += av * xv[0]
+				c1 += av * xv[1]
+				c2 += av * xv[2]
+				c3 += av * xv[3]
+			}
+		}
+		c[0], c[1], c[2], c[3] = c0, c1, c2, c3
+	}
+}
+
 func dwTapsGo(out, src []float64, pix, taps []int, w []float64) {
 	for p, base := range pix {
 		var a0, a1, a2, a3 float64
@@ -174,6 +278,32 @@ func DWDeinterleave(dst, src []float64, n int) {
 		panic(fmt.Sprintf("tensor: DWDeinterleave %d into %d from %d", n, len(dst), len(src)))
 	}
 	dwActive.deinterleave(dst, src, n)
+}
+
+// DWDeinterleaveInts is DWDeinterleave for the indices DWMaxTaps writes.
+// A vector kernel moves them as 64-bit words, which is exact.
+func DWDeinterleaveInts(dst, src []int, n int) {
+	if n <= 0 {
+		return
+	}
+	if len(dst) < DWLanes*n || len(src) < DWLanes*n {
+		panic(fmt.Sprintf("tensor: DWDeinterleaveInts %d into %d from %d", n, len(dst), len(src)))
+	}
+	if DepthwiseSIMD() && unsafe.Sizeof(int(0)) == 8 {
+		dwActive.deinterleave(intWords(dst), intWords(src), n)
+		return
+	}
+	p0, p1, p2, p3 := dst[:n], dst[n:2*n], dst[2*n:3*n], dst[3*n:4*n]
+	for i := 0; i < n; i++ {
+		r := src[i*4 : i*4+4 : i*4+4]
+		p0[i], p1[i], p2[i], p3[i] = r[0], r[1], r[2], r[3]
+	}
+}
+
+// intWords views 64-bit ints as float64 words for a kernel that only moves
+// them.
+func intWords(s []int) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // dwInterleaveCols is DWInterleave for columns [x0, w) of every row.

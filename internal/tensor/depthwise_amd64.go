@@ -5,7 +5,7 @@ package tensor
 // dwAVX2 is selected by the package init in gemm_amd64.go when the CPU has
 // AVX2, alongside the GEMM micro-kernels.
 var dwAVX2 = dwKernel{
-	name: "avx2-lanes4", taps: dwTapsAsm, gradW: dwGradWAsm,
+	name: "avx2-lanes4", taps: dwTapsAsm, gradW: dwGradWAsm, maxTaps: dwMaxTapsAsm, gemmAcc: dwGemmAccAsm,
 	interleave: dwInterleaveAsm, deinterleave: dwDeinterleaveAsm,
 }
 
@@ -15,6 +15,14 @@ func dwTapsAsm(out, src []float64, pix, taps []int, w []float64) {
 
 func dwGradWAsm(gw, g []float64, gpix []int, x []float64, xpix, taps []int) {
 	dwGradWAVX2(&gw[0], &g[0], &gpix[0], &x[0], &xpix[0], len(gpix), &taps[0], len(taps)/4)
+}
+
+func dwMaxTapsAsm(out []float64, at []int, src []float64, pix, pixAt, taps, tapAt, lane []int) {
+	dwMaxTapsAVX2(&out[0], &at[0], &src[0], &pix[0], &pixAt[0], len(pix)/4, &taps[0], &tapAt[0], len(taps), &lane[0])
+}
+
+func dwGemmAccAsm(acc, a []float64, aRow, aImg int, x []float64, n, nimg int) {
+	dwGemmAccAVX2(&acc[0], &a[0], aRow*8, aImg*8, &x[0], n, nimg)
 }
 
 // dwInterleaveAsm transposes whole blocks of four columns in registers and
@@ -51,3 +59,9 @@ func dwTapsAVX2(out, src *float64, pix *int, nblk int, taps *int, ntaps int, w *
 
 //go:noescape
 func dwGradWAVX2(gw, gr *float64, gpix *int, x *float64, xpix *int, npix int, taps *int, nblk int)
+
+//go:noescape
+func dwMaxTapsAVX2(out *float64, at *int, src *float64, pix, pixAt *int, nblk int, taps, tapAt *int, ntaps int, lane *int)
+
+//go:noescape
+func dwGemmAccAVX2(acc, a *float64, aRow, aImg int, x *float64, n, nimg int)

@@ -203,3 +203,147 @@ dwdBlock:
 
 	VZEROUPPER
 	RET
+
+// func dwMaxTapsAVX2(out *float64, at *int, src *float64, pix, pixAt *int, nblk int, taps, tapAt *int, ntaps int, lane *int)
+//
+// For each block of four pixels: Y0..Y3 hold the four pixels' running
+// maxima and Y4..Y7 the tapAt entry of the tap that set each lane (-1 until
+// one does). A tap's compare reads the maximum before VMAXPD updates it;
+// VMAXPD returns its second source unless the first is strictly greater, so
+// ties, NaNs and -Inf leave the maximum and its tap alone. Then a lane that
+// no tap set stores +0 and -1, the others their maximum and
+// lane + pixAt + tapAt.
+TEXT ·dwMaxTapsAVX2(SB), NOSPLIT, $0-80
+	MOVQ     out+0(FP), DI
+	MOVQ     at+8(FP), R14
+	MOVQ     src+16(FP), SI
+	MOVQ     pix+24(FP), DX
+	MOVQ     pixAt+32(FP), BX
+	MOVQ     taps+48(FP), R13
+	MOVQ     tapAt+56(FP), AX
+	SUBQ     R13, AX                 // tapAt lies AX bytes past taps
+	MOVQ     ntaps+64(FP), CX
+	LEAQ     (R13)(CX*8), R13        // end of the tap table
+	MOVQ     lane+72(FP), CX
+	VMOVDQU  (CX), Y9
+	VPCMPEQQ Y15, Y15, Y15           // -1 in every lane
+	VPSLLQ   $52, Y15, Y8            // -Inf: 0xFFF0000000000000
+
+dmtBlock:
+	MOVQ    (DX), R8
+	MOVQ    8(DX), R9
+	MOVQ    16(DX), R10
+	MOVQ    24(DX), R11
+	LEAQ    (SI)(R8*8), R8
+	LEAQ    (SI)(R9*8), R9
+	LEAQ    (SI)(R10*8), R10
+	LEAQ    (SI)(R11*8), R11
+	MOVQ    taps+48(FP), R12
+	VMOVAPD Y8, Y0
+	VMOVAPD Y8, Y1
+	VMOVAPD Y8, Y2
+	VMOVAPD Y8, Y3
+	VMOVDQA Y15, Y4
+	VMOVDQA Y15, Y5
+	VMOVDQA Y15, Y6
+	VMOVDQA Y15, Y7
+
+dmtTap:
+	MOVQ         (R12), CX
+	VPBROADCASTQ (R12)(AX*1), Y14
+	VMOVUPD      (R8)(CX*8), Y12
+	VCMPPD       $0x1e, Y0, Y12, Y13
+	VMAXPD       Y0, Y12, Y0
+	VBLENDVPD    Y13, Y14, Y4, Y4
+	VMOVUPD      (R9)(CX*8), Y12
+	VCMPPD       $0x1e, Y1, Y12, Y13
+	VMAXPD       Y1, Y12, Y1
+	VBLENDVPD    Y13, Y14, Y5, Y5
+	VMOVUPD      (R10)(CX*8), Y12
+	VCMPPD       $0x1e, Y2, Y12, Y13
+	VMAXPD       Y2, Y12, Y2
+	VBLENDVPD    Y13, Y14, Y6, Y6
+	VMOVUPD      (R11)(CX*8), Y12
+	VCMPPD       $0x1e, Y3, Y12, Y13
+	VMAXPD       Y3, Y12, Y3
+	VBLENDVPD    Y13, Y14, Y7, Y7
+	ADDQ         $8, R12
+	CMPQ         R12, R13
+	JNE          dmtTap
+
+// FINISH(k, best, tap) stores pixel k of the block.
+#define FINISH(k, best, tap) \
+	VPBROADCASTQ (k*8)(BX), Y12; \
+	VPADDQ       Y9, Y12, Y12; \
+	VPCMPEQQ     Y15, tap, Y13; \
+	VPADDQ       Y12, tap, tap; \
+	VPOR         Y13, tap, tap; \
+	VANDNPD      best, Y13, best; \
+	VMOVUPD      best, (k*32)(DI); \
+	VMOVDQU      tap, (k*32)(R14)
+
+	FINISH(0, Y0, Y4)
+	FINISH(1, Y1, Y5)
+	FINISH(2, Y2, Y6)
+	FINISH(3, Y3, Y7)
+	ADDQ $128, DI
+	ADDQ $128, R14
+	ADDQ $32, DX
+	ADDQ $32, BX
+	DECQ nblk+40(FP)
+	JNZ  dmtBlock
+
+	VZEROUPPER
+	RET
+
+// func dwGemmAccAVX2(acc, a *float64, aRow, aImg int, x *float64, n, nimg int)
+//
+// aRow and aImg are in bytes. Y0..Y3 carry the four rows' chains (lanes =
+// the four columns) across every image; each position broadcasts the four
+// rows' a values against one lane vector of x.
+TEXT ·dwGemmAccAVX2(SB), NOSPLIT, $0-56
+	MOVQ    acc+0(FP), DI
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    a+8(FP), SI
+	MOVQ    aRow+16(FP), R8
+	MOVQ    aImg+24(FP), R9
+	MOVQ    x+32(FP), DX
+	MOVQ    nimg+48(FP), BX
+	LEAQ    (R8)(R8*2), R10 // 3*aRow
+
+dgaImg:
+	MOVQ SI, R11
+	MOVQ n+40(FP), CX
+
+dgaPix:
+	VMOVUPD      (DX), Y4
+	VBROADCASTSD (R11), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (R11)(R8*1), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (R11)(R8*2), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD (R11)(R10*1), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R11
+	ADDQ         $32, DX
+	DECQ         CX
+	JNZ          dgaPix
+
+	ADDQ R9, SI
+	DECQ BX
+	JNZ  dgaImg
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET

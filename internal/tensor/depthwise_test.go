@@ -171,3 +171,135 @@ func TestDepthwiseEmptyTablesZeroTheResult(t *testing.T) {
 		}
 	}
 }
+
+// TestDWMaxTapsVariantsBitIdentical drives every compiled max-tap kernel
+// over random tables whose values are mostly ties, zeros of both signs,
+// NaNs and infinities, and requires the reference's maxima and indices.
+func TestDWMaxTapsVariantsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pick := []float64{0, math.Copysign(0, -1), 1, 1, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.Inf(-1), 2.5}
+	for trial := 0; trial < 80; trial++ {
+		npix := 4 * (1 + rng.Intn(12))
+		ntaps := rng.Intn(12)
+		span := 32 + rng.Intn(128)
+		src := make([]float64, DWLanes*(2*span+1))
+		for i := range src {
+			if rng.Intn(3) == 0 {
+				src[i] = rng.NormFloat64()
+			} else {
+				src[i] = pick[rng.Intn(len(pick))]
+			}
+		}
+		pix, pixAt := make([]int, npix), make([]int, npix)
+		for p := range pix {
+			pix[p] = DWLanes * (span/2 + rng.Intn(span))
+			pixAt[p] = rng.Intn(1000) - 500
+		}
+		taps, tapAt := make([]int, ntaps), make([]int, ntaps)
+		for i := range taps {
+			taps[i] = DWLanes * (rng.Intn(span) - span/2)
+			tapAt[i] = rng.Intn(1000)
+		}
+		lane := []int{rng.Intn(100), 1000 + rng.Intn(100), 2000, 3000}
+		wantOut, wantAt := make([]float64, DWLanes*npix), make([]int, DWLanes*npix)
+		if ntaps == 0 {
+			for i := range wantAt {
+				wantAt[i] = -1
+			}
+		} else {
+			dwMaxTapsGo(wantOut, wantAt, src, pix, pixAt, taps, tapAt, lane)
+		}
+		for _, kv := range dwVariants() {
+			saved := dwActive
+			dwActive = kv
+			out, at := make([]float64, DWLanes*npix), make([]int, DWLanes*npix)
+			DWMaxTaps(out, at, src, pix, pixAt, taps, tapAt, lane)
+			dwActive = saved
+			for i := range out {
+				if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) || at[i] != wantAt[i] {
+					t.Fatalf("trial %d %s: element %d = %v at %d, want %v at %d",
+						trial, kv.name, i, out[i], at[i], wantOut[i], wantAt[i])
+				}
+			}
+		}
+	}
+}
+
+// The max-tap semantics on one hand-built pixel per lane: the earliest of
+// tied maxima wins, NaN and -Inf never win, and a window with nothing above
+// -Inf yields +0 at -1.
+func TestDWMaxTapsFirstMax(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	// Three taps; lane l of tap t at src[t*4+l].
+	src := []float64{
+		nan, 3, math.Inf(-1), math.Copysign(0, -1),
+		nan, 3, math.Inf(-1), 0,
+		-inf, 2, nan, -1,
+	}
+	pix := []int{0, 0, 0, 0}
+	pixAt := []int{100, 100, 100, 100}
+	taps, tapAt := []int{0, 4, 8}, []int{0, 1, 2}
+	lane := []int{0, 10, 20, 30}
+	for _, kv := range dwVariants() {
+		saved := dwActive
+		dwActive = kv
+		out, at := make([]float64, 16), make([]int, 16)
+		DWMaxTaps(out, at, src, pix, pixAt, taps, tapAt, lane)
+		dwActive = saved
+		wantOut := []float64{0, 3, 0, math.Copysign(0, -1)}
+		wantAt := []int{-1, 110, -1, 130}
+		for l := 0; l < DWLanes; l++ {
+			if math.Float64bits(out[l]) != math.Float64bits(wantOut[l]) || at[l] != wantAt[l] {
+				t.Fatalf("%s lane %d: %v at %d, want %v at %d", kv.name, l, out[l], at[l], wantOut[l], wantAt[l])
+			}
+		}
+	}
+}
+
+// TestDWGemmAccMatchesGemm requires every compiled DWGemmAcc to give, from
+// +0 and added into C, the bits of GemmRaw multiplying the same rows (each
+// the concatenation of its per-image segments) by the transposed lanes, and
+// to continue chains exactly across calls split at any image.
+func TestDWGemmAccMatchesGemm(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 40; trial++ {
+		n, nimg := 1+rng.Intn(20), 1+rng.Intn(6)
+		aRow := n + rng.Intn(3)
+		aImg := 4*aRow + rng.Intn(5)
+		a := sparseSlice(rng, (nimg-1)*aImg+4*aRow)
+		x := sparseSlice(rng, DWLanes*n*nimg)
+		c0 := sparseSlice(rng, 4*DWLanes)
+
+		// The GEMM form: A [4, n·nimg] gathered, B = lanes as [n·nimg, 4].
+		k := n * nimg
+		ag := make([]float64, 4*k)
+		for o := 0; o < 4; o++ {
+			for b := 0; b < nimg; b++ {
+				copy(ag[o*k+b*n:o*k+(b+1)*n], a[b*aImg+o*aRow:b*aImg+o*aRow+n])
+			}
+		}
+		want := append([]float64(nil), c0...)
+		GemmRaw(false, false, 4, DWLanes, k, 1, ag, k, x, DWLanes, 1, want, DWLanes)
+
+		for _, kv := range dwVariants() {
+			saved := dwActive
+			dwActive = kv
+			acc := make([]float64, 4*DWLanes)
+			split := rng.Intn(nimg + 1)
+			DWGemmAcc(acc, a, aRow, aImg, x, n, split)
+			if split < nimg {
+				DWGemmAcc(acc, a[split*aImg:], aRow, aImg, x[split*n*DWLanes:], n, nimg-split)
+			}
+			dwActive = saved
+			got := append([]float64(nil), c0...)
+			for i := range got {
+				got[i] += acc[i]
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d %s: element %d = %v, want %v", trial, kv.name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -65,6 +65,11 @@ type gemmKernelF64 struct {
 	name   string
 	mr, nr int
 	micro  func(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64)
+	// microC, when set, is micro storing a whole tile straight into C (c at
+	// the tile's first element, row stride ldc) for alpha 1: overwriting it
+	// (beta 0) or adding to it (add, beta 1) — the values gemmStore would
+	// write, without the trip through acc.
+	microC func(k int, a []float64, aRow, aStep int, b []float64, bStep int, c []float64, ldc int, add bool)
 }
 
 // gemmGo4x4 is the portable reference kernel — always compiled, on every
@@ -373,6 +378,7 @@ func (ws *gemmScratch) pack(mr, nr int, transA, transB bool, m, n, k int, a []fl
 func gemmMacro(kv *gemmKernelF64, ops *gemmOperands, s0, s1, ns, m, n, k int, alpha, beta float64, c []float64, ldc int) {
 	mr, nr := kv.mr, kv.nr
 	acc := gemmAccPool.Get().(*[gemmMaxMR * gemmMaxNR]float64)
+	direct := kv.microC != nil && alpha == 1 && (beta == 0 || beta == 1)
 	for sb := s0; sb < s1; sb += gemmMC {
 		sEnd := sb + gemmMC
 		if sEnd > s1 {
@@ -381,8 +387,13 @@ func gemmMacro(kv *gemmKernelF64, ops *gemmOperands, s0, s1, ns, m, n, k int, al
 		for t := 0; t < ns; t++ {
 			b, bStep := ops.bTile(t, nr, k)
 			cTile := c[ops.cBase(t*nr):]
+			wholeCols := (t+1)*nr <= n
 			for s := sb; s < sEnd; s++ {
 				a, aRow, aStep := ops.aTile(s, mr, k)
+				if direct && wholeCols && (s+1)*mr <= m {
+					kv.microC(k, a, aRow, aStep, b, bStep, cTile[s*mr*ldc:], ldc, beta == 1)
+					continue
+				}
 				kv.micro(k, a, aRow, aStep, b, bStep, acc)
 				gemmStore(acc, nr, s*mr, t*nr, mr, m, n, alpha, beta, cTile, ldc)
 			}

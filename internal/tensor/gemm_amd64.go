@@ -20,23 +20,34 @@ func init() {
 		gemmActiveF64 = &gemmAVX2F64
 		gemmShortF64 = &gemmAVX2F64x4
 		dwActive = &dwAVX2
+		ewActive = &ewAVX2
 	}
 }
 
 // gemmAVX2F64 widens the register block to 8×8: the asm kernel computes two
 // 4×8 halves, each holding 8 ymm accumulators across the whole k loop.
-var gemmAVX2F64 = gemmKernelF64{name: "avx2-8x8", mr: 8, nr: 8, micro: microAVX2F64}
+var gemmAVX2F64 = gemmKernelF64{name: "avx2-8x8", mr: 8, nr: 8, micro: microAVX2F64, microC: microCAVX2F64}
 
 // gemmAVX2F64x4 is the short-m variant: problems with m ≤ 4 rows pack one
 // 4-row strip instead of padding half an 8-row tile with zeros.
-var gemmAVX2F64x4 = gemmKernelF64{name: "avx2-4x8", mr: 4, nr: 8, micro: microAVX2F64x4}
+var gemmAVX2F64x4 = gemmKernelF64{name: "avx2-4x8", mr: 4, nr: 8, micro: microAVX2F64x4, microC: microCAVX2F64x4}
 
 func microAVX2F64(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
-	gemmMicroAVX2F64(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, acc)
+	gemmMicroAVX2F64(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &acc[0], gemmMaxNR*8, 0)
 }
 
 func microAVX2F64x4(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
-	gemmMicroAVX2F64x4(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, acc)
+	gemmMicroAVX2F64x4(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &acc[0], gemmMaxNR*8, 0)
+}
+
+func microCAVX2F64(k int, a []float64, aRow, aStep int, b []float64, bStep int, c []float64, ldc int, add bool) {
+	_ = c[7*ldc+7] // the whole tile lies in c
+	gemmMicroAVX2F64(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &c[0], ldc*8, boolInt(add))
+}
+
+func microCAVX2F64x4(k int, a []float64, aRow, aStep int, b []float64, bStep int, c []float64, ldc int, add bool) {
+	_ = c[3*ldc+7]
+	gemmMicroAVX2F64x4(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &c[0], ldc*8, boolInt(add))
 }
 
 // detectAVX2 reports (avx2, fma) usable in this process.
@@ -67,13 +78,13 @@ func detectAVX2() (avx2, fma bool) {
 
 // Implemented in gemm_amd64.s.
 
-// Strides are in bytes.
+// Strides (and ld, dst's row stride) are in bytes.
 
 //go:noescape
-func gemmMicroAVX2F64(k int, a *float64, aRow, aStep int, b *float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64)
+func gemmMicroAVX2F64(k int, a *float64, aRow, aStep int, b *float64, bStep int, dst *float64, ld, add int)
 
 //go:noescape
-func gemmMicroAVX2F64x4(k int, a *float64, aRow, aStep int, b *float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64)
+func gemmMicroAVX2F64x4(k int, a *float64, aRow, aStep int, b *float64, bStep int, dst *float64, ld, add int)
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

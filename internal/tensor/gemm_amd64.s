@@ -10,21 +10,50 @@
 // reorder any element's operation sequence, so the results are bit-identical
 // to the go-4x4 fallback kernel at every shape.
 
-// func gemmMicroAVX2F64(k int, a *float64, aRow, aStep int, b *float64, bStep int, acc *[64]float64)
+// STORE4 writes the four accumulated rows Y0..Y7 (row r in Y(2r), Y(2r+1))
+// to DI, DI+R14, DI+2·R14 and DI+3·R14 — first adding what is there when
+// add+64(FP) is set, the accumulator as the first operand as in gemmStore's
+// Go loop — and leaves DI at row four.
+#define STORE4(lbl) \
+	LEAQ    (DI)(R14*2), R9; \
+	CMPQ    add+64(FP), $0; \
+	JEQ     lbl; \
+	VADDPD  (DI), Y0, Y0; \
+	VADDPD  32(DI), Y1, Y1; \
+	VADDPD  (DI)(R14*1), Y2, Y2; \
+	VADDPD  32(DI)(R14*1), Y3, Y3; \
+	VADDPD  (R9), Y4, Y4; \
+	VADDPD  32(R9), Y5, Y5; \
+	VADDPD  (R9)(R14*1), Y6, Y6; \
+	VADDPD  32(R9)(R14*1), Y7, Y7; \
+lbl:; \
+	VMOVUPD Y0, (DI); \
+	VMOVUPD Y1, 32(DI); \
+	VMOVUPD Y2, (DI)(R14*1); \
+	VMOVUPD Y3, 32(DI)(R14*1); \
+	VMOVUPD Y4, (R9); \
+	VMOVUPD Y5, 32(R9); \
+	VMOVUPD Y6, (R9)(R14*1); \
+	VMOVUPD Y7, 32(R9)(R14*1); \
+	LEAQ    (DI)(R14*4), DI
+
+// func gemmMicroAVX2F64(k int, a *float64, aRow, aStep int, b *float64, bStep int, dst *float64, ld, add int)
 //
 // 8×8 float64 register tile computed as two 4×8 halves. Step p reads row r's
 // A value at a + r*aRow + p*aStep and the eight B values at b + p*bStep
 // (strides in bytes), so the same code walks a packed panel or the caller's
 // matrix. Each half holds 8 ymm accumulators: rows r=0..3 (or 4..7), with
-// Y(2r) = cols 0..3 and Y(2r+1) = cols 4..7.
-TEXT ·gemmMicroAVX2F64(SB), NOSPLIT, $0-56
+// Y(2r) = cols 0..3 and Y(2r+1) = cols 4..7. Row r of the tile is stored at
+// dst + r*ld (bytes): the caller's acc scratch, or C itself for a whole tile.
+TEXT ·gemmMicroAVX2F64(SB), NOSPLIT, $0-72
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), AX
 	MOVQ aRow+16(FP), R10
 	MOVQ aStep+24(FP), SI
 	MOVQ b+32(FP), BX
 	MOVQ bStep+40(FP), R13
-	MOVQ acc+48(FP), DI
+	MOVQ dst+48(FP), DI
+	MOVQ ld+56(FP), R14
 	LEAQ (R10)(R10*1), R11  // 2*aRow
 	LEAQ (R11)(R10*1), R12  // 3*aRow
 
@@ -75,14 +104,7 @@ f64lo:
 	DECQ DX
 	JNZ  f64lo
 
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
+	STORE4(f64loStore)
 
 	// ---- rows 4..7 ----
 	VXORPD Y0, Y0, Y0
@@ -131,32 +153,26 @@ f64hi:
 	DECQ DX
 	JNZ  f64hi
 
-	VMOVUPD Y0, 256(DI)
-	VMOVUPD Y1, 288(DI)
-	VMOVUPD Y2, 320(DI)
-	VMOVUPD Y3, 352(DI)
-	VMOVUPD Y4, 384(DI)
-	VMOVUPD Y5, 416(DI)
-	VMOVUPD Y6, 448(DI)
-	VMOVUPD Y7, 480(DI)
+	STORE4(f64hiStore)
 
 	VZEROUPPER
 	RET
 
-// func gemmMicroAVX2F64x4(k int, a *float64, aRow, aStep int, b *float64, bStep int, acc *[64]float64)
+// func gemmMicroAVX2F64x4(k int, a *float64, aRow, aStep int, b *float64, bStep int, dst *float64, ld, add int)
 //
 // 4×8 float64 register tile — the short-m variant (one strip of a stem or
 // linear layer is often 4 rows or fewer, where an 8-row tile would waste
-// half its work on padding). Same operand addressing and the same acc layout
-// as the 8×8 kernel's first half.
-TEXT ·gemmMicroAVX2F64x4(SB), NOSPLIT, $0-56
+// half its work on padding). Same operand addressing and the same stores as
+// the 8×8 kernel's first half.
+TEXT ·gemmMicroAVX2F64x4(SB), NOSPLIT, $0-72
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), AX
 	MOVQ aRow+16(FP), R10
 	MOVQ aStep+24(FP), SI
 	MOVQ b+32(FP), BX
 	MOVQ bStep+40(FP), R13
-	MOVQ acc+48(FP), DI
+	MOVQ dst+48(FP), DI
+	MOVQ ld+56(FP), R14
 	LEAQ (R10)(R10*1), R11  // 2*aRow
 	LEAQ (R11)(R10*1), R12  // 3*aRow
 
@@ -202,14 +218,7 @@ f64x4:
 	DECQ CX
 	JNZ  f64x4
 
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
+	STORE4(f64x4Store)
 
 	VZEROUPPER
 	RET

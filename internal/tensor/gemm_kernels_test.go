@@ -49,15 +49,19 @@ func TestKernelVariantsBitIdentical(t *testing.T) {
 				a := randSlice(rng, s.m*s.k)
 				b := randSlice(rng, s.k*s.n)
 				cInit := randSlice(rng, s.m*s.n)
-				want := append([]float64(nil), cInit...)
-				gemmRawWith(&gemmGo4x4, tA, tB, s.m, s.n, s.k, 1.25, a, lda, b, ldb, 0.5, want, s.n)
-				for _, kv := range kernelVariantsF64() {
-					got := append([]float64(nil), cInit...)
-					gemmRawWith(kv, tA, tB, s.m, s.n, s.k, 1.25, a, lda, b, ldb, 0.5, got, s.n)
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("kernel %s (tA=%v tB=%v m=%d n=%d k=%d): c[%d]=%g, reference %g",
-								kv.name, tA, tB, s.m, s.n, s.k, i, got[i], want[i])
+				// alpha 1 with beta 0 or 1 is where whole tiles are stored
+				// straight from the registers; the rest go through gemmStore.
+				for _, ab := range [][2]float64{{1.25, 0.5}, {1, 0}, {1, 1}} {
+					want := append([]float64(nil), cInit...)
+					gemmRawWith(&gemmGo4x4, tA, tB, s.m, s.n, s.k, ab[0], a, lda, b, ldb, ab[1], want, s.n)
+					for _, kv := range kernelVariantsF64() {
+						got := append([]float64(nil), cInit...)
+						gemmRawWith(kv, tA, tB, s.m, s.n, s.k, ab[0], a, lda, b, ldb, ab[1], got, s.n)
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("kernel %s (tA=%v tB=%v m=%d n=%d k=%d alpha=%v beta=%v): c[%d]=%g, reference %g",
+									kv.name, tA, tB, s.m, s.n, s.k, ab[0], ab[1], i, got[i], want[i])
+							}
 						}
 					}
 				}
@@ -175,5 +179,12 @@ func TestKernelInfo(t *testing.T) {
 	}
 	if info.KernelDepthwise != wantDW || DepthwiseSIMD() != (wantDW != "direct") {
 		t.Fatalf("depthwise kernel %q (SIMD %v), want %q", info.KernelDepthwise, DepthwiseSIMD(), wantDW)
+	}
+	wantEW := "go"
+	if asmKernels && info.AVX2 {
+		wantEW = "avx2"
+	}
+	if info.KernelElementwise != wantEW {
+		t.Fatalf("element-wise kernel %q, want %q", info.KernelElementwise, wantEW)
 	}
 }

@@ -81,6 +81,9 @@ type KernelFeatures struct {
 	// "avx2-lanes4", or "direct" when no vector kernel was selected and
 	// nn.Conv2D keeps its valid-range loops (see DepthwiseSIMD).
 	KernelDepthwise string `json:"kernel_depthwise"`
+	// KernelElementwise names the kernel set behind the element-wise tail
+	// of a step (ReLU, batch-norm apply, node sums): "avx2" or "go".
+	KernelElementwise string `json:"kernel_elementwise"`
 }
 
 // KernelInfo returns the kernel selection made at package init.
@@ -91,7 +94,8 @@ func KernelInfo() KernelFeatures {
 		FMA:       cpuHasFMA,
 		KernelF64: gemmActiveF64.name,
 
-		KernelDepthwise: depthwiseKernelName(),
+		KernelDepthwise:   depthwiseKernelName(),
+		KernelElementwise: ewActive.name,
 	}
 }
 

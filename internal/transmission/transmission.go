@@ -8,7 +8,7 @@ package transmission
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"fedrlnas/internal/nettrace"
 )
@@ -103,8 +103,8 @@ func Assign(policy Policy, modelBytes []int64, bandwidthsMbps []float64, rng *ra
 		// Sort models ascending by size and participants ascending by
 		// bandwidth; pair rank-for-rank so the largest model rides the
 		// fastest link.
-		modelOrder := argsortInt64(modelBytes)
-		partOrder := argsortFloat(bandwidthsMbps)
+		modelOrder := argsort(modelBytes)
+		partOrder := argsort(bandwidthsMbps)
 		for r := 0; r < k; r++ {
 			modelFor[partOrder[r]] = modelOrder[r]
 		}
@@ -119,7 +119,7 @@ func Assign(policy Policy, modelBytes []int64, bandwidthsMbps []float64, rng *ra
 	case Greedy:
 		// Largest model first, each to the participant whose projected
 		// latency for it is smallest among the still-free participants.
-		modelOrder := argsortInt64(modelBytes)
+		modelOrder := argsort(modelBytes)
 		free := make([]bool, k)
 		for i := range free {
 			free[i] = true
@@ -163,20 +163,22 @@ func Assign(policy Policy, modelBytes []int64, bandwidthsMbps []float64, rng *ra
 	return Assignment{ModelFor: modelFor, LatencySeconds: lat}, nil
 }
 
-func argsortInt64(vals []int64) []int {
+// argsort returns the indices of vals in ascending order, ties in index
+// order. A stable sort's result is unique, so the sort algorithm cannot move
+// an assignment; slices' generic sort allocates nothing beyond idx.
+func argsort[T int64 | float64](vals []T) []int {
 	idx := make([]int, len(vals))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-	return idx
-}
-
-func argsortFloat(vals []float64) []int {
-	idx := make([]int, len(vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch {
+		case vals[a] < vals[b]:
+			return -1
+		case vals[b] < vals[a]:
+			return 1
+		}
+		return 0
+	})
 	return idx
 }
