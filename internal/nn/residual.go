@@ -39,7 +39,8 @@ func (r *Residual) Children() []Module { return []Module{r.body} }
 // Params implements Module.
 func (r *Residual) Params() []*Param { return r.body.Params() }
 
-// Forward implements Module.
+// Forward implements Module. It adds the skip into the body's output in
+// place, so the body must not end in a ReLU (see ReLU).
 func (r *Residual) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := r.body.Forward(x)
 	out.AddInPlace(x)
