@@ -81,8 +81,8 @@ go test -race -count=10 -run 'TestLateAnswerIntoAbandonedReplyLeavesLaterRoundsI
 echo "== fedcheck (arena resets, the next Exchange and snapshot eviction poison what they release: a buffer read past its lifetime fails loudly)"
 go test -tags fedcheck ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/round/... ./internal/search/... ./internal/rpcfed/...
 
-echo "== bench smoke (tensor, nn kernels; 1 iteration, catches crashes/regressed shapes)"
-go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/...
+echo "== bench smoke (tensor, nn kernels, nas participant steps; 1 iteration, catches crashes/regressed shapes)"
+go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/... ./internal/nas/...
 
 echo "== repo benchmark smoke (the three workloads the round core serves, at 1/50 size; each one's repeatability and accuracy checks must hold)"
 for w in pipeline softsync rpc; do

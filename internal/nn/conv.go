@@ -108,30 +108,26 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // forwardGrouped fills out for Groups > 1. With useLanes set, a qualifying
-// depthwise layer sends its whole groups of four channels to the lane
-// kernels, whose scratch comes from ar; the direct loops take whatever is
-// left (everything, otherwise).
+// depthwise layer runs every channel through the lane kernels, whose scratch
+// comes from ar; any other takes the direct loops.
 func (c *Conv2D) forwardGrouped(ar *tensor.Arena, x, out *tensor.Tensor, useLanes bool) {
-	lanes := 0
 	if useLanes && c.laneDepthwise() {
-		lanes = c.OutC &^ (tensor.DWLanes - 1)
-		c.forwardDepthwiseLanes(ar, x, out, lanes)
+		c.forwardDepthwiseLanes(ar, x, out)
+		return
 	}
-	if lanes < c.OutC {
-		c.forwardDirect(x, out, lanes)
-	}
+	c.forwardDirect(x, out)
 }
 
-// forwardDirect computes output channels [oc0, OutC) of a grouped
-// convolution with the direct loops. It is the general grouped path, the
-// depthwise path where no vector kernel exists, and the reference the lane
+// forwardDirect computes a grouped convolution with the direct loops. It is
+// the general grouped path, the depthwise path where no vector kernel exists
+// or the layer has fewer than four channels, and the reference the lane
 // kernels are tested against.
 //
 // Shift-and-AXPY formulation: the kernel offsets are the outer loops and
 // each (ky,kx) contributes one branch-free strided row update over the
 // precomputed in-bounds output range. Per output element the additions
 // arrive in (ic,ky,kx) order.
-func (c *Conv2D) forwardDirect(x, out *tensor.Tensor, oc0 int) {
+func (c *Conv2D) forwardDirect(x, out *tensor.Tensor) {
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := out.Dim(2), out.Dim(3)
 	xd, wd, od := x.Data(), c.weight.Value.Data(), out.Data()
@@ -144,7 +140,7 @@ func (c *Conv2D) forwardDirect(x, out *tensor.Tensor, oc0 int) {
 	c.hoistRanges(oh, ow, h, w)
 	oy0s, oy1s, ox0s, ox1s := c.oy0s, c.oy1s, c.ox0s, c.ox1s
 	for b := 0; b < n; b++ {
-		for oc := oc0; oc < c.OutC; oc++ {
+		for oc := 0; oc < c.OutC; oc++ {
 			g := oc / ocg
 			plane := od[((b*c.OutC+oc)*oh)*ow : ((b*c.OutC+oc)*oh+oh)*ow]
 			bv := 0.0
@@ -262,25 +258,18 @@ func (c *Conv2D) backward(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 // backwardGrouped is forwardGrouped's counterpart: it accumulates the
 // parameter gradients and overwrites gradX.
 func (c *Conv2D) backwardGrouped(ar *tensor.Arena, x, grad, gradX *tensor.Tensor, useLanes bool) {
-	lanes := 0
 	if useLanes && c.laneDepthwise() {
-		lanes = c.OutC &^ (tensor.DWLanes - 1)
+		c.backwardDepthwiseLanes(ar, x, grad, gradX) // overwrites gradX
+		return
 	}
-	if lanes < c.OutC {
-		gradX.Zero() // the direct path accumulates into its channels
-	}
-	if lanes > 0 {
-		c.backwardDepthwiseLanes(ar, x, grad, gradX, lanes) // overwrites its own
-	}
-	if lanes < c.OutC {
-		c.backwardDirect(x, grad, gradX, lanes)
-	}
+	gradX.Zero() // the direct loops accumulate into it
+	c.backwardDirect(x, grad, gradX)
 }
 
-// backwardDirect is forwardDirect's counterpart for output channels
-// [oc0, OutC): it accumulates their weight (and bias) gradients and adds
-// their contribution into gradX, which the caller has cleared.
-func (c *Conv2D) backwardDirect(x, grad, gradX *tensor.Tensor, oc0 int) {
+// backwardDirect is forwardDirect's counterpart: it accumulates the weight
+// (and bias) gradients and adds the input gradient into gradX, which the
+// caller has cleared.
+func (c *Conv2D) backwardDirect(x, grad, gradX *tensor.Tensor) {
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := grad.Dim(2), grad.Dim(3)
 	xd, wd := x.Data(), c.weight.Value.Data()
@@ -297,7 +286,7 @@ func (c *Conv2D) backwardDirect(x, grad, gradX *tensor.Tensor, oc0 int) {
 	c.hoistRanges(oh, ow, h, w)
 	oy0s, oy1s, ox0s, ox1s := c.oy0s, c.oy1s, c.ox0s, c.ox1s
 	for b := 0; b < n; b++ {
-		for oc := oc0; oc < c.OutC; oc++ {
+		for oc := 0; oc < c.OutC; oc++ {
 			g := oc / ocg
 			gplane := gd[((b*c.OutC+oc)*oh)*ow : ((b*c.OutC+oc)*oh+oh)*ow]
 			if gbd != nil {

@@ -4,12 +4,12 @@ import (
 	"fedrlnas/internal/tensor"
 )
 
-// Depthwise fast path: Conv2D with Groups == InC == OutC and no bias (the
+// Depthwise fast path: Conv2D with Groups == InC == OutC ≥ 4 and no bias (the
 // first stage of every sep_conv / dil_conv candidate) handed, four channels at
-// a time, to the lane-interleaved kernels in tensor/depthwise.go.
+// a time (laneGroup), to the lane-interleaved kernels in tensor/depthwise.go.
 //
 // Contract, shared with the direct loops in conv.go that remain the reference
-// (and the only path without a vector kernel): every output, input-gradient
+// (and the path for C < 4 or no vector kernel): every output, input-gradient
 // and per-plane weight-gradient element is one accumulator started at +0 that
 // adds its taps in (ky,kx) ascending order — weight-gradient chains add their
 // pixels in (oy,ox) ascending order — with a separate multiply and add. The
@@ -129,6 +129,18 @@ func dwPlanFor(ar *tensor.Arena, g dwGeom, h, w, oh, ow int, backward bool) dwPl
 	return p
 }
 
+// laneGroup returns the group of four of c channels that starts at ch, pulled
+// back to [c-4, c) where it would run past c, and skip, how many of its
+// channels the group before it covered. Overlapped channels are recomputed
+// with the same chains, so rewriting them keeps every bit; whatever
+// accumulates skips them. With c < 4 the group is [0, c).
+func laneGroup(ch, c int) (ch0, skip int) {
+	if ch+tensor.DWLanes <= c || c < tensor.DWLanes {
+		return ch, 0
+	}
+	return c - tensor.DWLanes, ch + tensor.DWLanes - c
+}
+
 // loadWeights interleaves the filters of channels ch0..ch0+3 into wl.
 func (p *dwPlan) loadWeights(wd []float64, ch0 int) {
 	for l := 0; l < tensor.DWLanes; l++ {
@@ -139,9 +151,9 @@ func (p *dwPlan) loadWeights(wd []float64, ch0 int) {
 	}
 }
 
-// forwardDepthwiseLanes computes output channels [0, chEnd), chEnd a multiple
-// of 4, through the lane kernel.
-func (c *Conv2D) forwardDepthwiseLanes(ar *tensor.Arena, x, out *tensor.Tensor, chEnd int) {
+// forwardDepthwiseLanes computes every output channel through the lane
+// kernel, in the groups laneGroup gives.
+func (c *Conv2D) forwardDepthwiseLanes(ar *tensor.Arena, x, out *tensor.Tensor) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := out.Dim(2), out.Dim(3)
@@ -149,7 +161,8 @@ func (c *Conv2D) forwardDepthwiseLanes(ar *tensor.Arena, x, out *tensor.Tensor, 
 	xd, od, wd := x.Data(), out.Data(), c.weight.Value.Data()
 	xorg := c.Pad*p.xpW + c.Pad
 	taps := p.ftaps[:p.ntaps]
-	for ch0 := 0; ch0 < chEnd; ch0 += L {
+	for ch := 0; ch < c.OutC; ch += L {
+		ch0, _ := laneGroup(ch, c.OutC)
 		p.loadWeights(wd, ch0)
 		for b := 0; b < n; b++ {
 			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*c.InC+ch0)*h*w:], h, w)
@@ -159,9 +172,9 @@ func (c *Conv2D) forwardDepthwiseLanes(ar *tensor.Arena, x, out *tensor.Tensor, 
 	}
 }
 
-// backwardDepthwiseLanes accumulates the weight gradient of channels
-// [0, chEnd) and overwrites their planes of gradX.
-func (c *Conv2D) backwardDepthwiseLanes(ar *tensor.Arena, x, grad, gradX *tensor.Tensor, chEnd int) {
+// backwardDepthwiseLanes accumulates the weight gradient of every channel and
+// overwrites gradX.
+func (c *Conv2D) backwardDepthwiseLanes(ar *tensor.Arena, x, grad, gradX *tensor.Tensor) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := grad.Dim(2), grad.Dim(3)
@@ -171,14 +184,15 @@ func (c *Conv2D) backwardDepthwiseLanes(ar *tensor.Arena, x, grad, gradX *tensor
 	xorg := c.Pad*p.xpW + c.Pad
 	gorg := p.gOffY*p.gpW + p.gOffX
 	s := c.Stride
-	for ch0 := 0; ch0 < chEnd; ch0 += L {
+	for ch := 0; ch < c.OutC; ch += L {
+		ch0, skip := laneGroup(ch, c.OutC)
 		p.loadWeights(wd, ch0)
 		for b := 0; b < n; b++ {
 			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*c.InC+ch0)*h*w:], h, w)
 			tensor.DWInterleave(p.gp, gorg, s*p.gpW, s, gd[(b*c.OutC+ch0)*p.npix:], oh, ow)
 
 			tensor.DWGradW(p.gwl, p.gp, p.gpix, p.xp, p.xpix[:p.npix], p.ftaps)
-			for l := 0; l < L; l++ {
+			for l := skip; l < L; l++ {
 				gw := gwd[(ch0+l)*p.ntaps : (ch0+l+1)*p.ntaps]
 				for t := range gw {
 					gw[t] += p.gwl[t*L+l]

@@ -147,6 +147,30 @@ func TestDepthwiseDispatch(t *testing.T) {
 			t.Errorf("%s: laneDepthwise = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+
+	// A six-channel layer runs all six channels on the lane path where a
+	// vector kernel exists (its last group overlaps the first), leaving no
+	// remainder to the direct loops. An infinite weight on tap (0,0) of every
+	// channel marks who computed what: the lane path multiplies it by a
+	// padding zero (NaN) where the direct loops skip the tap (finite), at
+	// output (0,0) forward and at input (h-1,w-1) backward.
+	const n, c, h, w = 2, 6, 5, 5
+	conv := NewConv2D("c", rng, c, c, 3, ConvOpts{Pad: 1, Groups: c})
+	for ch := 0; ch < c; ch++ {
+		conv.weight.Value.Data()[ch*9] = math.Inf(1)
+	}
+	out := conv.Forward(tensor.Randn(rng, 1, n, c, h, w))
+	gx := conv.Backward(tensor.Randn(rng, 1, n, c, h, w))
+	for b := 0; b < n; b++ {
+		for ch := 0; ch < c; ch++ {
+			plane := (b*c + ch) * h * w
+			fwd, bwd := out.Data()[plane], gx.Data()[plane+h*w-1]
+			if math.IsNaN(fwd) != tensor.DepthwiseSIMD() || math.IsNaN(bwd) != tensor.DepthwiseSIMD() {
+				t.Errorf("image %d channel %d: corners %v / %v, lane path expected: %v",
+					b, ch, fwd, bwd, tensor.DepthwiseSIMD())
+			}
+		}
+	}
 }
 
 // TestDepthwiseNonFiniteWeightDiverges pins the one place the lane path and
@@ -210,28 +234,68 @@ func FuzzDepthwiseGeometry(f *testing.F) {
 	})
 }
 
+// bnMoments1 is the one-chain reference for bnMoments4: one channel's batch
+// mean and biased variance over m = n*hw elements.
+func bnMoments1(xd []float64, n, c, hw, ch int, m float64) (mean, variance float64) {
+	sum := 0.0
+	for b := 0; b < n; b++ {
+		base := (b*c + ch) * hw
+		for _, v := range xd[base : base+hw] {
+			sum += v
+		}
+	}
+	mean = sum / m
+	sq := 0.0
+	for b := 0; b < n; b++ {
+		base := (b*c + ch) * hw
+		for _, v := range xd[base : base+hw] {
+			d := v - mean
+			sq += d * d
+		}
+	}
+	return mean, sq / m
+}
+
+// bnGradSums1 is the one-chain reference for bnGradSums4: one channel's Σdy
+// and Σdy·x̂.
+func bnGradSums1(gd, xh []float64, n, c, hw, ch int) (sumDy, sumDyXHat float64) {
+	for b := 0; b < n; b++ {
+		base := (b*c + ch) * hw
+		xr := xh[base : base+hw]
+		for i, dy := range gd[base : base+hw] {
+			sumDy += dy
+			sumDyXHat += dy * xr[i]
+		}
+	}
+	return sumDy, sumDyXHat
+}
+
 func TestBatchNormLanesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, s := range []struct{ n, c, h, w int }{
 		{16, 4, 8, 8}, {16, 8, 4, 4}, {16, 16, 2, 2}, {3, 5, 3, 3}, {1, 7, 1, 5}, {2, 1, 2, 2},
+		{8, 6, 8, 8}, {8, 10, 4, 4}, {2, 3, 2, 2},
 	} {
 		hw := s.h * s.w
 		m := float64(s.n * hw)
 		x, dy, xh := sparseTensor(rng, s.n, s.c, s.h, s.w), sparseTensor(rng, s.n, s.c, s.h, s.w), sparseTensor(rng, s.n, s.c, s.h, s.w)
-		for ch0 := 0; ch0+bnLanes <= s.c; ch0++ {
+		// Every group start, and with fewer than four channels the one
+		// group, whose spare lanes repeat the last channel.
+		for ch0 := 0; ch0 == 0 || ch0+bnLanes <= s.c; ch0++ {
 			mean, variance := bnMoments4(x.Data(), s.n, s.c, hw, ch0, m)
 			sumDy, sumDyXHat := bnGradSums4(dy.Data(), xh.Data(), s.n, s.c, hw, ch0)
 			for j := 0; j < bnLanes; j++ {
-				wm, wv := bnMoments1(x.Data(), s.n, s.c, hw, ch0+j, m)
-				wd, wx := bnGradSums1(dy.Data(), xh.Data(), s.n, s.c, hw, ch0+j)
+				ch := min(ch0+j, s.c-1)
+				wm, wv := bnMoments1(x.Data(), s.n, s.c, hw, ch, m)
+				wd, wx := bnGradSums1(dy.Data(), xh.Data(), s.n, s.c, hw, ch)
 				requireSameBits(t, "moments", []float64{mean[j], variance[j]}, []float64{wm, wv})
 				requireSameBits(t, "grad sums", []float64{sumDy[j], sumDyXHat[j]}, []float64{wd, wx})
 			}
 		}
 
 		// The whole layer against one single-channel layer per channel
-		// (a lone channel always takes the one-chain reductions), in
-		// training mode and then in evaluation mode.
+		// (whose four lanes all carry that channel), in training mode and
+		// then in evaluation mode.
 		for _, training := range []bool{true, false} {
 			bn := NewBatchNorm2D("bn", s.c)
 			for i := range bn.runningMean {
@@ -670,8 +734,10 @@ func TestVaryingBatchReusesStorage(t *testing.T) {
 // to carry the same bits whether it comes from the lane kernel or from the
 // GEMM over the lowered batch, on planes the forward's batched GEMM takes
 // (8×8, 4×4) and on one it declines (2×2, which lowers and so keeps the GEMM).
+// Channel counts that are not multiples of four overlap their last lane
+// group on either axis or both, and must add each element once.
 func TestPointwiseWeightGradLanes(t *testing.T) {
-	for _, ch := range [][2]int{{4, 4}, {8, 4}, {4, 8}, {8, 16}} {
+	for _, ch := range [][2]int{{4, 4}, {8, 4}, {4, 8}, {8, 16}, {6, 6}, {5, 7}, {6, 12}, {12, 6}, {18, 6}} {
 		for _, hw := range [][2]int{{8, 8}, {4, 4}, {2, 2}} {
 			grads := make([][]float64, 2)
 			for i, lanes := range []bool{false, true} {

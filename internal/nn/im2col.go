@@ -191,8 +191,8 @@ func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tenso
 // backwardIm2col computes weight/bias/input gradients with two GEMMs over
 // the batch-wide column representation for Groups==1. With needGradX false
 // only the parameter gradients are accumulated and nil is returned. With
-// lanes set, a pointwise layer whose forward lowered nothing takes its
-// weight gradient from gradWLanes instead.
+// lanes set, a bias-free pointwise layer of ≥ 4 input and output channels
+// whose forward lowered nothing takes its weight gradient from gradWLanes.
 func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX, lanes bool) *tensor.Tensor {
 	x, ar := c.lastX, c.ar
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -203,7 +203,7 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX, lanes bool) *ten
 	gd := grad.Data()
 
 	var gradCol []float64
-	if lanes && c.pointwise() && !c.colValid && c.bias == nil && c.InC%4 == 0 && c.OutC%4 == 0 {
+	if lanes && c.pointwise() && !c.colValid && c.bias == nil && c.InC >= 4 && c.OutC >= 4 {
 		c.gradWLanes(ar, x.Data(), gd, n, cols)
 	} else {
 		if !c.colValid {
@@ -273,22 +273,25 @@ func (c *Conv2D) gatherGrad(ar *tensor.Arena, gd []float64, n, total, cols int) 
 // lane-interleaved, and four rows of the output gradient are read in place
 // from its NCHW layout, so nothing is lowered, gathered or packed. Each
 // element is the GEMM's single chain over (image, pixel) from +0, then added
-// into the gradient: the bits of the lowered-batch path.
+// into the gradient once (both axes step in laneGroup's groups): the bits of
+// the lowered-batch path.
 func (c *Conv2D) gradWLanes(ar *tensor.Arena, xd, gd []float64, n, cols int) {
 	const L = tensor.DWLanes
 	xi, acc := ar.Floats(n*cols*L), ar.Floats(4*L)
 	gw := c.weight.Grad.Data()
-	for i0 := 0; i0 < c.InC; i0 += L {
+	for i := 0; i < c.InC; i += L {
+		i0, iskip := laneGroup(i, c.InC)
 		for b := 0; b < n; b++ {
 			tensor.DWInterleave(xi, b*cols, cols, 1, xd[(b*c.InC+i0)*cols:], 1, cols)
 		}
-		for o0 := 0; o0 < c.OutC; o0 += 4 {
+		for o := 0; o < c.OutC; o += 4 {
+			o0, oskip := laneGroup(o, c.OutC)
 			clear(acc)
 			tensor.DWGemmAcc(acc, gd[o0*cols:], cols, c.OutC*cols, xi, cols, n)
-			for r := 0; r < 4; r++ {
+			for r := oskip; r < 4; r++ {
 				row := gw[(o0+r)*c.InC+i0 : (o0+r)*c.InC+i0+L]
-				for l, v := range acc[r*L : (r+1)*L] {
-					row[l] += v
+				for l := iskip; l < L; l++ {
+					row[l] += acc[r*L+l]
 				}
 			}
 		}

@@ -304,21 +304,17 @@ func (bn *BatchNorm2D) forward(ar *tensor.Arena, x, out *tensor.Tensor, add bool
 		}
 	}
 	hw := h * w
-	for ch0 := 0; ch0 < c; ch0 += bnLanes {
+	for g := 0; g < c; g += bnLanes {
+		ch0, skip := laneGroup(g, c)
 		lanes := min(bnLanes, c-ch0)
 		var mean, variance [bnLanes]float64
-		switch {
-		case !bn.training:
+		if bn.training {
+			mean, variance = bnMoments4(xd, n, c, hw, ch0, m)
+		} else {
 			copy(mean[:lanes], bn.runningMean[ch0:])
 			copy(variance[:lanes], bn.runningVar[ch0:])
-		case lanes == bnLanes:
-			mean, variance = bnMoments4(xd, n, c, hw, ch0, m)
-		default:
-			for j := 0; j < lanes; j++ {
-				mean[j], variance[j] = bnMoments1(xd, n, c, hw, ch0+j, m)
-			}
 		}
-		for j := 0; j < lanes; j++ {
+		for j := skip; j < lanes; j++ {
 			ch := ch0 + j
 			if bn.training {
 				if capStats.Mean != nil {
@@ -356,17 +352,11 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	ggd, gbd := bn.gamma.Grad.Data(), bn.beta.Grad.Data()
 	gammaD := bn.gamma.Value.Data()
 	hw := h * w
-	for ch0 := 0; ch0 < c; ch0 += bnLanes {
+	for g := 0; g < c; g += bnLanes {
+		ch0, skip := laneGroup(g, c)
 		lanes := min(bnLanes, c-ch0)
-		var sumDy, sumDyXHat [bnLanes]float64
-		if lanes == bnLanes {
-			sumDy, sumDyXHat = bnGradSums4(gd, xh, n, c, hw, ch0)
-		} else {
-			for j := 0; j < lanes; j++ {
-				sumDy[j], sumDyXHat[j] = bnGradSums1(gd, xh, n, c, hw, ch0+j)
-			}
-		}
-		for j := 0; j < lanes; j++ {
+		sumDy, sumDyXHat := bnGradSums4(gd, xh, n, c, hw, ch0)
+		for j := skip; j < lanes; j++ {
 			ch := ch0 + j
 			ggd[ch] += sumDyXHat[j]
 			gbd[ch] += sumDy[j]
@@ -393,41 +383,27 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // channel's sum is a single dependent chain (an add every ~4 cycles);
 // advancing four channels' chains together fills the adder's pipeline while
 // each chain still adds its own elements in (batch, pixel) ascending order,
-// so every statistic keeps the bits of the one-channel loop.
-const bnLanes = 4
+// so every statistic keeps the bits of the one-channel loop. The groups are
+// laneGroup's; a layer of fewer than four channels repeats its last channel
+// in the spare lanes.
+const bnLanes = tensor.DWLanes
 
-// bnMoments1 is the reference reduction: one channel's batch mean and biased
-// variance over m = n*hw elements.
-func bnMoments1(xd []float64, n, c, hw, ch int, m float64) (mean, variance float64) {
-	sum := 0.0
-	for b := 0; b < n; b++ {
-		base := (b*c + ch) * hw
-		for _, v := range xd[base : base+hw] {
-			sum += v
-		}
-	}
-	mean = sum / m
-	sq := 0.0
-	for b := 0; b < n; b++ {
-		base := (b*c + ch) * hw
-		for _, v := range xd[base : base+hw] {
-			d := v - mean
-			sq += d * d
-		}
-	}
-	return mean, sq / m
+// bnOffsets returns where the planes of channels ch0..ch0+3 (of c) start in
+// an image, a channel past the last repeating the last.
+func bnOffsets(c, hw, ch0 int) (o0, o1, o2, o3 int) {
+	o := func(l int) int { return min(ch0+l, c-1) * hw }
+	return o(0), o(1), o(2), o(3)
 }
 
-// bnMoments4 is bnMoments1 for channels ch0..ch0+3 with the four chains
+// bnMoments4 returns the batch mean and biased variance over m = n*hw
+// elements of channels ch0..ch0+3, one chain per channel, the four chains
 // interleaved.
 func bnMoments4(xd []float64, n, c, hw, ch0 int, m float64) (mean, variance [bnLanes]float64) {
 	var s0, s1, s2, s3 float64
+	o0, o1, o2, o3 := bnOffsets(c, hw, ch0)
 	for b := 0; b < n; b++ {
-		base := (b*c + ch0) * hw
-		p0 := xd[base : base+hw]
-		p1 := xd[base+hw : base+2*hw]
-		p2 := xd[base+2*hw : base+3*hw]
-		p3 := xd[base+3*hw : base+4*hw]
+		img := xd[b*c*hw:]
+		p0, p1, p2, p3 := img[o0:][:hw], img[o1:][:hw], img[o2:][:hw], img[o3:][:hw]
 		for i, v := range p0 {
 			s0 += v
 			s1 += p1[i]
@@ -438,11 +414,8 @@ func bnMoments4(xd []float64, n, c, hw, ch0 int, m float64) (mean, variance [bnL
 	m0, m1, m2, m3 := s0/m, s1/m, s2/m, s3/m
 	var q0, q1, q2, q3 float64
 	for b := 0; b < n; b++ {
-		base := (b*c + ch0) * hw
-		p0 := xd[base : base+hw]
-		p1 := xd[base+hw : base+2*hw]
-		p2 := xd[base+2*hw : base+3*hw]
-		p3 := xd[base+3*hw : base+4*hw]
+		img := xd[b*c*hw:]
+		p0, p1, p2, p3 := img[o0:][:hw], img[o1:][:hw], img[o2:][:hw], img[o3:][:hw]
 		for i, v := range p0 {
 			d0, d1, d2, d3 := v-m0, p1[i]-m1, p2[i]-m2, p3[i]-m3
 			q0 += d0 * d0
@@ -454,30 +427,15 @@ func bnMoments4(xd []float64, n, c, hw, ch0 int, m float64) (mean, variance [bnL
 	return [bnLanes]float64{m0, m1, m2, m3}, [bnLanes]float64{q0 / m, q1 / m, q2 / m, q3 / m}
 }
 
-// bnGradSums1 is the reference backward reduction for one channel: Σdy and
-// Σdy·x̂.
-func bnGradSums1(gd, xh []float64, n, c, hw, ch int) (sumDy, sumDyXHat float64) {
-	for b := 0; b < n; b++ {
-		base := (b*c + ch) * hw
-		xr := xh[base : base+hw]
-		for i, dy := range gd[base : base+hw] {
-			sumDy += dy
-			sumDyXHat += dy * xr[i]
-		}
-	}
-	return sumDy, sumDyXHat
-}
-
-// bnGradSums4 is bnGradSums1 for channels ch0..ch0+3 with the eight chains
-// interleaved.
+// bnGradSums4 returns Σdy and Σdy·x̂ of channels ch0..ch0+3 with the eight
+// chains interleaved.
 func bnGradSums4(gd, xh []float64, n, c, hw, ch0 int) (sumDy, sumDyXHat [bnLanes]float64) {
 	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	o0, o1, o2, o3 := bnOffsets(c, hw, ch0)
 	for b := 0; b < n; b++ {
-		base := (b*c + ch0) * hw
-		g0, x0 := gd[base:base+hw], xh[base:base+hw]
-		g1, x1 := gd[base+hw:base+2*hw], xh[base+hw:base+2*hw]
-		g2, x2 := gd[base+2*hw:base+3*hw], xh[base+2*hw:base+3*hw]
-		g3, x3 := gd[base+3*hw:base+4*hw], xh[base+3*hw:base+4*hw]
+		gi, xi := gd[b*c*hw:], xh[b*c*hw:]
+		g0, g1, g2, g3 := gi[o0:][:hw], gi[o1:][:hw], gi[o2:][:hw], gi[o3:][:hw]
+		x0, x1, x2, x3 := xi[o0:][:hw], xi[o1:][:hw], xi[o2:][:hw], xi[o3:][:hw]
 		for i, dy := range g0 {
 			dy1, dy2, dy3 := g1[i], g2[i], g3[i]
 			a0 += dy

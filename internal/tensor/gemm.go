@@ -14,13 +14,15 @@
 // the repo-wide determinism invariant (DESIGN.md §Kernels) falls out for
 // free.
 //
-// The micro-kernel itself is pluggable: gemmActiveF64 names the variant the
-// package dispatches to, selected once at init. On amd64 with AVX2 an
-// assembly 8×8 kernel (gemm_amd64.s) replaces the pure-Go 4×4 one; both
-// vectorize only across independent output elements and keep a separate
-// multiply and add per k step (never a fused multiply-add), so every
-// variant produces bit-identical output. The pure-Go kernel remains the
-// always-compiled reference (`-tags noasm` or any non-amd64 GOARCH).
+// The micro-kernel itself is pluggable: gemmKernelFor picks the variant for
+// each problem from those selected once at init. On amd64 with AVX2 assembly
+// kernels (gemm_amd64.s) replace the pure-Go 4×4 one: 8×8 in general, 4×8
+// for problems of at most 4 rows, and 6×8 for row counts that are multiples
+// of 6 but not of 8, so those are covered by whole strips instead of padded
+// ones. All vectorize only across independent output elements and keep a
+// separate multiply and add per k step (never a fused multiply-add), so
+// every variant produces bit-identical output. The pure-Go kernel remains
+// the always-compiled reference (`-tags noasm` or any non-amd64 GOARCH).
 //
 // Operands are read in place wherever a tile's loads are already what the
 // micro-kernel wants: an A strip of mr whole rows is broadcast one scalar per
@@ -87,10 +89,18 @@ var gemmActiveF64 = &gemmGo4x4
 // stored element — so this is purely a throughput dispatch.
 var gemmShortF64 *gemmKernelF64
 
+// gemmRows6F64, when non-nil, handles problems whose row count is a multiple
+// of 6 but not of 8, which it covers in whole 6-row strips. Like
+// gemmShortF64 it is a throughput dispatch only.
+var gemmRows6F64 *gemmKernelF64
+
 // gemmKernelFor picks the variant for an m-row problem.
 func gemmKernelFor(m int) *gemmKernelF64 {
-	if gemmShortF64 != nil && m <= 4 {
+	switch {
+	case gemmShortF64 != nil && m <= 4:
 		return gemmShortF64
+	case gemmRows6F64 != nil && m%6 == 0 && m%8 != 0:
+		return gemmRows6F64
 	}
 	return gemmActiveF64
 }

@@ -19,6 +19,7 @@ func init() {
 	if cpuHasAVX2 {
 		gemmActiveF64 = &gemmAVX2F64
 		gemmShortF64 = &gemmAVX2F64x4
+		gemmRows6F64 = &gemmAVX2F64x6
 		dwActive = &dwAVX2
 		ewActive = &ewAVX2
 	}
@@ -32,12 +33,22 @@ var gemmAVX2F64 = gemmKernelF64{name: "avx2-8x8", mr: 8, nr: 8, micro: microAVX2
 // 4-row strip instead of padding half an 8-row tile with zeros.
 var gemmAVX2F64x4 = gemmKernelF64{name: "avx2-4x8", mr: 4, nr: 8, micro: microAVX2F64x4, microC: microCAVX2F64x4}
 
+// gemmAVX2F64x6 is the 6-row variant for m a multiple of 6 and not of 8 (a
+// network of six channels, or twelve after a reduction): whole 6-row strips
+// read in place where an 8-row tile would pad and pack them. Its 12
+// accumulators are the classic Haswell dgemm tile.
+var gemmAVX2F64x6 = gemmKernelF64{name: "avx2-6x8", mr: 6, nr: 8, micro: microAVX2F64x6, microC: microCAVX2F64x6}
+
 func microAVX2F64(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
 	gemmMicroAVX2F64(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &acc[0], gemmMaxNR*8, 0)
 }
 
 func microAVX2F64x4(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
 	gemmMicroAVX2F64x4(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &acc[0], gemmMaxNR*8, 0)
+}
+
+func microAVX2F64x6(k int, a []float64, aRow, aStep int, b []float64, bStep int, acc *[gemmMaxMR * gemmMaxNR]float64) {
+	gemmMicroAVX2F64x6(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &acc[0], gemmMaxNR*8, 0)
 }
 
 func microCAVX2F64(k int, a []float64, aRow, aStep int, b []float64, bStep int, c []float64, ldc int, add bool) {
@@ -48,6 +59,11 @@ func microCAVX2F64(k int, a []float64, aRow, aStep int, b []float64, bStep int, 
 func microCAVX2F64x4(k int, a []float64, aRow, aStep int, b []float64, bStep int, c []float64, ldc int, add bool) {
 	_ = c[3*ldc+7]
 	gemmMicroAVX2F64x4(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &c[0], ldc*8, boolInt(add))
+}
+
+func microCAVX2F64x6(k int, a []float64, aRow, aStep int, b []float64, bStep int, c []float64, ldc int, add bool) {
+	_ = c[5*ldc+7]
+	gemmMicroAVX2F64x6(k, &a[0], aRow*8, aStep*8, &b[0], bStep*8, &c[0], ldc*8, boolInt(add))
 }
 
 // detectAVX2 reports (avx2, fma) usable in this process.
@@ -85,6 +101,9 @@ func gemmMicroAVX2F64(k int, a *float64, aRow, aStep int, b *float64, bStep int,
 
 //go:noescape
 func gemmMicroAVX2F64x4(k int, a *float64, aRow, aStep int, b *float64, bStep int, dst *float64, ld, add int)
+
+//go:noescape
+func gemmMicroAVX2F64x6(k int, a *float64, aRow, aStep int, b *float64, bStep int, dst *float64, ld, add int)
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -223,6 +223,104 @@ f64x4:
 	VZEROUPPER
 	RET
 
+// func gemmMicroAVX2F64x6(k int, a *float64, aRow, aStep int, b *float64, bStep int, dst *float64, ld, add int)
+//
+// 6×8 float64 register tile in one pass, the classic Haswell dgemm shape:
+// 12 ymm accumulators (row r in Y(2r), Y(2r+1)), two for the B row, one for
+// the broadcast A value and one for the product. It serves problems whose row
+// count is a multiple of 6 but not of 8, which the 8×8 kernel would pad,
+// pack and store through the scalar edge path. Same operand addressing and
+// the same stores as the 8×8 kernel.
+TEXT ·gemmMicroAVX2F64x6(SB), NOSPLIT, $0-72
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), AX
+	MOVQ aRow+16(FP), R10
+	MOVQ aStep+24(FP), SI
+	MOVQ b+32(FP), BX
+	MOVQ bStep+40(FP), R13
+	MOVQ dst+48(FP), DI
+	MOVQ ld+56(FP), R14
+	LEAQ (R10)(R10*1), R11  // 2*aRow
+	LEAQ (R11)(R10*1), R12  // 3*aRow
+	LEAQ (R10)(R10*4), R8   // 5*aRow
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+
+f64x6:
+	VMOVUPD (BX), Y12       // b[0:4]
+	VMOVUPD 32(BX), Y13     // b[4:8]
+
+	VBROADCASTSD (AX), Y14  // a[row0]
+	VMULPD       Y12, Y14, Y15
+	VADDPD       Y15, Y0, Y0
+	VMULPD       Y13, Y14, Y15
+	VADDPD       Y15, Y1, Y1
+
+	VBROADCASTSD (AX)(R10*1), Y14 // a[row1]
+	VMULPD       Y12, Y14, Y15
+	VADDPD       Y15, Y2, Y2
+	VMULPD       Y13, Y14, Y15
+	VADDPD       Y15, Y3, Y3
+
+	VBROADCASTSD (AX)(R11*1), Y14 // a[row2]
+	VMULPD       Y12, Y14, Y15
+	VADDPD       Y15, Y4, Y4
+	VMULPD       Y13, Y14, Y15
+	VADDPD       Y15, Y5, Y5
+
+	VBROADCASTSD (AX)(R12*1), Y14 // a[row3]
+	VMULPD       Y12, Y14, Y15
+	VADDPD       Y15, Y6, Y6
+	VMULPD       Y13, Y14, Y15
+	VADDPD       Y15, Y7, Y7
+
+	VBROADCASTSD (AX)(R10*4), Y14 // a[row4]
+	VMULPD       Y12, Y14, Y15
+	VADDPD       Y15, Y8, Y8
+	VMULPD       Y13, Y14, Y15
+	VADDPD       Y15, Y9, Y9
+
+	VBROADCASTSD (AX)(R8*1), Y14 // a[row5]
+	VMULPD       Y12, Y14, Y15
+	VADDPD       Y15, Y10, Y10
+	VMULPD       Y13, Y14, Y15
+	VADDPD       Y15, Y11, Y11
+
+	ADDQ SI, AX
+	ADDQ R13, BX
+	DECQ CX
+	JNZ  f64x6
+
+	STORE4(f64x6Store)
+
+	// Rows 4 and 5 (STORE4 left DI at row 4).
+	CMPQ    add+64(FP), $0
+	JEQ     f64x6Store45
+	VADDPD  (DI), Y8, Y8
+	VADDPD  32(DI), Y9, Y9
+	VADDPD  (DI)(R14*1), Y10, Y10
+	VADDPD  32(DI)(R14*1), Y11, Y11
+
+f64x6Store45:
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, (DI)(R14*1)
+	VMOVUPD Y11, 32(DI)(R14*1)
+
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -15,8 +15,10 @@ func kernelVariantsF64() []*gemmKernelF64 {
 	if gemmActiveF64 != &gemmGo4x4 {
 		variants = append(variants, gemmActiveF64)
 	}
-	if gemmShortF64 != nil {
-		variants = append(variants, gemmShortF64)
+	for _, kv := range []*gemmKernelF64{gemmShortF64, gemmRows6F64} {
+		if kv != nil {
+			variants = append(variants, kv)
+		}
 	}
 	return variants
 }
@@ -34,6 +36,10 @@ func TestKernelVariantsBitIdentical(t *testing.T) {
 	shapes := []struct{ m, n, k int }{
 		{1, 1, 1}, {3, 5, 2}, {4, 8, 27}, {5, 9, 7}, {8, 8, 8},
 		{8, 1024, 8}, {9, 17, 33}, {16, 10, 16}, {64, 48, 31},
+		// Row counts the 6-row kernel takes (and 7, which it does not), at
+		// whole and ragged widths.
+		{6, 8, 6}, {6, 13, 6}, {6, 512, 6}, {12, 64, 12}, {12, 9, 5},
+		{18, 16, 18}, {18, 21, 3}, {7, 16, 7}, {7, 11, 9},
 	}
 	for _, s := range shapes {
 		for _, tA := range []bool{false, true} {
@@ -78,6 +84,7 @@ func TestGemmBatchedMatchesPerImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, s := range []struct{ count, m, n, k int }{
 		{16, 4, 64, 4}, {16, 8, 16, 8}, {16, 16, 4, 16}, {3, 5, 24, 7}, {2, 9, 10, 3}, {1, 4, 8, 1}, {0, 4, 8, 4},
+		{8, 6, 64, 6}, {8, 12, 16, 12},
 	} {
 		for _, tA := range []bool{false, true} {
 			for _, beta := range []float64{0, 1} {
@@ -172,6 +179,23 @@ func TestKernelInfo(t *testing.T) {
 	}
 	if asmKernels && info.AVX2 && info.KernelF64 != "avx2-8x8" {
 		t.Fatalf("AVX2 host should select avx2-8x8, got %+v", info)
+	}
+	// Which kernel each row count takes: the 6-row kernel exactly where m is
+	// a multiple of 6 and not of 8.
+	for _, tc := range []struct {
+		m    int
+		want string
+	}{
+		{1, "avx2-4x8"}, {4, "avx2-4x8"}, {6, "avx2-6x8"}, {12, "avx2-6x8"}, {18, "avx2-6x8"},
+		{5, "avx2-8x8"}, {7, "avx2-8x8"}, {8, "avx2-8x8"}, {10, "avx2-8x8"}, {16, "avx2-8x8"}, {24, "avx2-8x8"}, {48, "avx2-8x8"},
+	} {
+		want := tc.want
+		if !info.AVX2 {
+			want = "go-4x4"
+		}
+		if got := gemmKernelFor(tc.m).name; got != want {
+			t.Errorf("gemmKernelFor(%d) = %s, want %s", tc.m, got, want)
+		}
 	}
 	wantDW := "direct"
 	if asmKernels && info.AVX2 {

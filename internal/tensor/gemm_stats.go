@@ -75,7 +75,8 @@ type KernelFeatures struct {
 	AVX2 bool `json:"avx2"`
 	FMA  bool `json:"fma"`
 	// KernelF64 names the selected micro-kernel variant (e.g. "avx2-8x8",
-	// "go-4x4").
+	// "go-4x4"). On AVX2, problems of at most 4 rows take avx2-4x8 and row
+	// counts that are multiples of 6 but not of 8 take avx2-6x8.
 	KernelF64 string `json:"kernel_f64"`
 	// KernelDepthwise names the depthwise-convolution code that runs:
 	// "avx2-lanes4", or "direct" when no vector kernel was selected and
