@@ -64,6 +64,9 @@ echo "== noasm fallback (pure-Go kernels must build, pass the same suite and vet
 go build -tags noasm ./...
 go test -tags noasm ./internal/tensor/... ./internal/nn/... ./internal/nas/...
 go vet -tags noasm ./internal/tensor/... ./internal/nn/...
+# The nn/nas benches run the portable go-lanes4 kernels here, the code an
+# arm64 participant runs: 1 iteration, catches crashes/regressed shapes.
+go test -tags noasm -run '^$' -bench . -benchtime 1x ./internal/nn/... ./internal/nas/...
 
 echo "== cross-compile arm64 (no amd64 assembly may leak outside its build tags; the kernel packages are vetted under it too)"
 GOARCH=arm64 go build ./...

@@ -67,12 +67,7 @@ func TestLargestStepSizesEveryStep(t *testing.T) {
 // memory. The probe needs no accessor: a Reset and a take of n words
 // allocate nothing exactly when n fits.
 func TestArenaHighWaterPinned(t *testing.T) {
-	largest := 460478 // words, 3.7 MB
-	if !tensor.DepthwiseSIMD() {
-		// No lane kernels: no padded planes or offset tables, but every
-		// pointwise weight gradient lowers and gathers the whole batch.
-		largest = 479828
-	}
+	const largest = 460478 // words, 3.7 MB, on every build
 	rng := rand.New(rand.NewSource(2))
 	s, err := NewSupernet(rng, rpcNet())
 	if err != nil {

@@ -7,9 +7,9 @@ import (
 	"fedrlnas/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution with optional grouping (for depthwise
-// convolutions), dilation, stride, and zero padding. Input [N,C,H,W],
-// weight [outC, inC/groups, kH, kW], optional bias [outC].
+// Conv2D is a 2-D convolution with dilation, stride and zero padding, either
+// dense or depthwise (Groups == InC == OutC: one filter per channel). Input
+// [N,C,H,W], weight [outC, inC/groups, kH, kW], optional bias [outC].
 type Conv2D struct {
 	InC, OutC        int
 	KH, KW           int
@@ -29,12 +29,6 @@ type Conv2D struct {
 	colBuf           []float64
 	colValid         bool // colBuf holds the lowering of lastX
 	outBuf, gradXBuf tensor.Tensor
-
-	// Hoisted in-bounds output ranges for the grouped direct path: for each
-	// kernel offset, the inclusive output rows/cols whose sampled input
-	// stays inside the image (see convValid).
-	oy0s, oy1s []int
-	ox0s, ox1s []int
 }
 
 var _ Module = (*Conv2D)(nil)
@@ -44,11 +38,14 @@ type ConvOpts struct {
 	Stride   int // default 1
 	Pad      int // default 0
 	Dilation int // default 1
-	Groups   int // default 1
+	Groups   int // default 1; otherwise inC, with outC == inC (depthwise)
 	Bias     bool
 }
 
-// NewConv2D constructs a convolution with Kaiming-initialized weights.
+// NewConv2D constructs a convolution with Kaiming-initialized weights. A
+// depthwise layer runs on the lane kernels (depthwise.go), so it takes no
+// bias and no padding beyond the kernel's reach; NewConv2D panics on those,
+// and on any grouping other than dense or depthwise.
 func NewConv2D(name string, rng *rand.Rand, inC, outC, k int, o ConvOpts) *Conv2D {
 	if o.Stride == 0 {
 		o.Stride = 1
@@ -59,16 +56,20 @@ func NewConv2D(name string, rng *rand.Rand, inC, outC, k int, o ConvOpts) *Conv2
 	if o.Groups == 0 {
 		o.Groups = 1
 	}
-	if inC%o.Groups != 0 || outC%o.Groups != 0 {
-		panic(fmt.Sprintf("nn: conv groups %d must divide inC %d and outC %d", o.Groups, inC, outC))
+	if o.Groups != 1 {
+		switch {
+		case o.Groups != inC || outC != inC:
+			panic(fmt.Sprintf("nn: conv groups %d with inC %d and outC %d: only 1 or depthwise (inC == outC == groups)", o.Groups, inC, outC))
+		case o.Bias:
+			panic("nn: a depthwise conv takes no bias")
+		case o.Pad > (k-1)*o.Dilation:
+			panic(fmt.Sprintf("nn: depthwise conv pad %d beyond the kernel's reach %d", o.Pad, (k-1)*o.Dilation))
+		}
 	}
 	c := &Conv2D{
 		InC: inC, OutC: outC, KH: k, KW: k,
 		Stride: o.Stride, Pad: o.Pad, Dilation: o.Dilation, Groups: o.Groups,
 	}
-	// One allocation backs all four range tables.
-	buf := make([]int, 4*k)
-	c.oy0s, c.oy1s, c.ox0s, c.ox1s = buf[:k:k], buf[k:2*k:2*k], buf[2*k:3*k:3*k], buf[3*k:]
 	c.weight = NewParam(name+".weight", tensor.KaimingConv(rng, outC, inC/o.Groups, k, k))
 	if o.Bias {
 		c.bias = NewParam(name+".bias", tensor.New(outC))
@@ -103,104 +104,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
 	out := ar.Take(&c.outBuf, n, c.OutC, oh, ow)
-	c.forwardGrouped(ar, x, out, tensor.DepthwiseSIMD())
+	c.forwardDepthwise(ar, x, out)
 	return out
-}
-
-// forwardGrouped fills out for Groups > 1. With useLanes set, a qualifying
-// depthwise layer runs every channel through the lane kernels, whose scratch
-// comes from ar; any other takes the direct loops.
-func (c *Conv2D) forwardGrouped(ar *tensor.Arena, x, out *tensor.Tensor, useLanes bool) {
-	if useLanes && c.laneDepthwise() {
-		c.forwardDepthwiseLanes(ar, x, out)
-		return
-	}
-	c.forwardDirect(x, out)
-}
-
-// forwardDirect computes a grouped convolution with the direct loops. It is
-// the general grouped path, the depthwise path where no vector kernel exists
-// or the layer has fewer than four channels, and the reference the lane
-// kernels are tested against.
-//
-// Shift-and-AXPY formulation: the kernel offsets are the outer loops and
-// each (ky,kx) contributes one branch-free strided row update over the
-// precomputed in-bounds output range. Per output element the additions
-// arrive in (ic,ky,kx) order.
-func (c *Conv2D) forwardDirect(x, out *tensor.Tensor) {
-	n, _, h, w := mustDims4(x, "Conv2D")
-	oh, ow := out.Dim(2), out.Dim(3)
-	xd, wd, od := x.Data(), c.weight.Value.Data(), out.Data()
-	var biasD []float64
-	if c.bias != nil {
-		biasD = c.bias.Value.Data()
-	}
-	icg := c.InC / c.Groups // input channels per group
-	ocg := c.OutC / c.Groups
-	c.hoistRanges(oh, ow, h, w)
-	oy0s, oy1s, ox0s, ox1s := c.oy0s, c.oy1s, c.ox0s, c.ox1s
-	for b := 0; b < n; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			g := oc / ocg
-			plane := od[((b*c.OutC+oc)*oh)*ow : ((b*c.OutC+oc)*oh+oh)*ow]
-			bv := 0.0
-			if biasD != nil {
-				bv = biasD[oc]
-			}
-			for i := range plane {
-				plane[i] = bv
-			}
-			for ic := 0; ic < icg; ic++ {
-				xBase := ((b*c.InC + g*icg + ic) * h) * w
-				wBase := ((oc*icg + ic) * c.KH) * c.KW
-				for ky := 0; ky < c.KH; ky++ {
-					kyOff := ky*c.Dilation - c.Pad
-					oy0, oy1 := oy0s[ky], oy1s[ky]
-					for kx := 0; kx < c.KW; kx++ {
-						wv := wd[wBase+ky*c.KW+kx]
-						kxOff := kx*c.Dilation - c.Pad
-						ox0, ox1 := ox0s[kx], ox1s[kx]
-						if ox0 > ox1 {
-							continue
-						}
-						if c.Stride == 1 {
-							// Contiguous AXPY over the in-bounds span;
-							// slicing both rows to the same length lets the
-							// compiler drop the bounds checks.
-							for oy := oy0; oy <= oy1; oy++ {
-								orow := plane[oy*ow+ox0 : oy*ow+ox1+1]
-								xrow := xd[xBase+(oy+kyOff)*w+ox0+kxOff:][:len(orow)]
-								for i, v := range xrow {
-									orow[i] += wv * v
-								}
-							}
-							continue
-						}
-						for oy := oy0; oy <= oy1; oy++ {
-							xrow := xd[xBase+(oy*c.Stride+kyOff)*w:]
-							orow := plane[oy*ow:]
-							ix := ox0*c.Stride + kxOff
-							for ox := ox0; ox <= ox1; ox++ {
-								orow[ox] += wv * xrow[ix]
-								ix += c.Stride
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// hoistRanges fills the per-kernel-offset valid output ranges used by the
-// grouped direct path.
-func (c *Conv2D) hoistRanges(oh, ow, h, w int) {
-	for ky := 0; ky < c.KH; ky++ {
-		c.oy0s[ky], c.oy1s[ky] = convValid(oh, ky*c.Dilation-c.Pad, c.Stride, h)
-	}
-	for kx := 0; kx < c.KW; kx++ {
-		c.ox0s[kx], c.ox1s[kx] = convValid(ow, kx*c.Dilation-c.Pad, c.Stride, w)
-	}
 }
 
 // convValid returns the inclusive output-index range [lo, hi] whose sampled
@@ -247,99 +152,10 @@ func (c *Conv2D) backward(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 		panic("nn: Conv2D.Backward before Forward")
 	}
 	if c.Groups == 1 {
-		return c.backwardIm2col(grad, needGradX, tensor.DepthwiseSIMD())
+		return c.backwardIm2col(grad, needGradX)
 	}
 	mustDims4(grad, "Conv2D.Backward")
 	gradX := c.ar.TakeLike(&c.gradXBuf, x)
-	c.backwardGrouped(c.ar, x, grad, gradX, tensor.DepthwiseSIMD())
+	c.backwardDepthwise(c.ar, x, grad, gradX)
 	return gradX
-}
-
-// backwardGrouped is forwardGrouped's counterpart: it accumulates the
-// parameter gradients and overwrites gradX.
-func (c *Conv2D) backwardGrouped(ar *tensor.Arena, x, grad, gradX *tensor.Tensor, useLanes bool) {
-	if useLanes && c.laneDepthwise() {
-		c.backwardDepthwiseLanes(ar, x, grad, gradX) // overwrites gradX
-		return
-	}
-	gradX.Zero() // the direct loops accumulate into it
-	c.backwardDirect(x, grad, gradX)
-}
-
-// backwardDirect is forwardDirect's counterpart: it accumulates the weight
-// (and bias) gradients and adds the input gradient into gradX, which the
-// caller has cleared.
-func (c *Conv2D) backwardDirect(x, grad, gradX *tensor.Tensor) {
-	n, _, h, w := mustDims4(x, "Conv2D")
-	oh, ow := grad.Dim(2), grad.Dim(3)
-	xd, wd := x.Data(), c.weight.Value.Data()
-	gd, gxd, gwd := grad.Data(), gradX.Data(), c.weight.Grad.Data()
-	icg := c.InC / c.Groups
-	ocg := c.OutC / c.Groups
-	var gbd []float64
-	if c.bias != nil {
-		gbd = c.bias.Grad.Data()
-	}
-	// Same shift-and-AXPY structure as the grouped forward: per (ky,kx) one
-	// branch-free strided sweep accumulates both the weight gradient (as a
-	// register reduction) and the input gradient.
-	c.hoistRanges(oh, ow, h, w)
-	oy0s, oy1s, ox0s, ox1s := c.oy0s, c.oy1s, c.ox0s, c.ox1s
-	for b := 0; b < n; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			g := oc / ocg
-			gplane := gd[((b*c.OutC+oc)*oh)*ow : ((b*c.OutC+oc)*oh+oh)*ow]
-			if gbd != nil {
-				s := 0.0
-				for _, v := range gplane {
-					s += v
-				}
-				gbd[oc] += s
-			}
-			for ic := 0; ic < icg; ic++ {
-				xBase := ((b*c.InC + g*icg + ic) * h) * w
-				wBase := ((oc*icg + ic) * c.KH) * c.KW
-				for ky := 0; ky < c.KH; ky++ {
-					kyOff := ky*c.Dilation - c.Pad
-					oy0, oy1 := oy0s[ky], oy1s[ky]
-					for kx := 0; kx < c.KW; kx++ {
-						wv := wd[wBase+ky*c.KW+kx]
-						kxOff := kx*c.Dilation - c.Pad
-						ox0, ox1 := ox0s[kx], ox1s[kx]
-						if ox0 > ox1 {
-							continue
-						}
-						gw := 0.0
-						if c.Stride == 1 {
-							for oy := oy0; oy <= oy1; oy++ {
-								grow := gplane[oy*ow+ox0 : oy*ow+ox1+1]
-								rowBase := xBase + (oy+kyOff)*w + ox0 + kxOff
-								xrow := xd[rowBase:][:len(grow)]
-								gxrow := gxd[rowBase:][:len(grow)]
-								for i, gv := range grow {
-									gw += gv * xrow[i]
-									gxrow[i] += gv * wv
-								}
-							}
-						} else {
-							for oy := oy0; oy <= oy1; oy++ {
-								rowBase := xBase + (oy*c.Stride+kyOff)*w
-								xrow := xd[rowBase:]
-								gxrow := gxd[rowBase:]
-								grow := gplane[oy*ow:]
-								ix := ox0*c.Stride + kxOff
-								for ox := ox0; ox <= ox1; ox++ {
-									gv := grow[ox]
-									gw += gv * xrow[ix]
-									gxrow[ix] += gv * wv
-									ix += c.Stride
-								}
-							}
-						}
-						gwd[wBase+ky*c.KW+kx] += gw
-					}
-				}
-			}
-		}
-	}
 }

@@ -4,23 +4,24 @@ import (
 	"fedrlnas/internal/tensor"
 )
 
-// Depthwise fast path: Conv2D with Groups == InC == OutC ≥ 4 and no bias (the
-// first stage of every sep_conv / dil_conv candidate) handed, four channels at
-// a time (laneGroup), to the lane-interleaved kernels in tensor/depthwise.go.
+// Depthwise convolutions and the 3×3 pools run on one algorithm on every
+// build: four planes at a time (laneGroup), lane-interleaved, through the
+// kernels in tensor/depthwise.go (AVX2 where the CPU has it, the portable
+// go-lanes4 pair otherwise — the kernel differs by platform, the algorithm
+// does not).
 //
-// Contract, shared with the direct loops in conv.go that remain the reference
-// (and the path for C < 4 or no vector kernel): every output, input-gradient
-// and per-plane weight-gradient element is one accumulator started at +0 that
-// adds its taps in (ky,kx) ascending order — weight-gradient chains add their
-// pixels in (oy,ox) ascending order — with a separate multiply and add. The
-// direct loops skip taps that fall outside the image; this path reads them
-// from a zero border instead, which adds ±0 terms and so cannot change an
-// accumulator that started at +0 (tensor/depthwise.go has the argument and
-// its one caveat, non-finite factors). That is why a bias rules the path out:
+// Contract, held by the tests to naive loops that skip out-of-image taps:
+// every output, input-gradient and per-plane weight-gradient element is one
+// accumulator started at +0 that adds its taps in (ky,kx) ascending order —
+// weight-gradient chains add their pixels in (oy,ox) ascending order — with a
+// separate multiply and add. This path reads the skipped taps from a zero
+// border instead, which adds ±0 terms and so cannot change an accumulator
+// that started at +0 (tensor/depthwise.go has the argument and its one
+// caveat, non-finite factors). That is why a depthwise conv takes no bias:
 // an accumulator started at a bias of -0 would be flipped to +0 by a padding
 // term.
 //
-// Layout per call on one (image, 4-channel group):
+// Layout per call on one group of four planes:
 //
 //	xp  the four input planes, lane-interleaved, inside a Pad-wide zero
 //	    border, so tap (ky,kx) of output (oy,ox) sits at a fixed offset from
@@ -28,7 +29,7 @@ import (
 //	gp  the four output-gradient planes, lane-interleaved, spread Stride
 //	    apart (zeros between) inside a zero border wide enough that the
 //	    input gradient is the same tap table walked backwards from each
-//	    input pixel.
+//	    input pixel (which is why Pad may not exceed the kernel's reach).
 //
 // Both planes and the tables live in the step's arena, rebuilt per call: the
 // planes are cleared first, since their borders and gaps must read +0 and
@@ -56,14 +57,6 @@ type dwPlan struct {
 }
 
 func roundUp4(n int) int { return (n + 3) &^ 3 }
-
-// laneDepthwise reports whether the layer qualifies for the lane kernels.
-// Pad beyond the kernel's reach would put gradient positions outside gp.
-func (c *Conv2D) laneDepthwise() bool {
-	return c.Groups == c.InC && c.Groups == c.OutC && c.bias == nil &&
-		c.OutC >= tensor.DWLanes &&
-		c.Pad <= (c.KH-1)*c.Dilation && c.Pad <= (c.KW-1)*c.Dilation
-}
 
 // dwGeom is a sliding window's geometry: kernel size, stride, padding and
 // dilation. Convolutions and pools share the plan built from it.
@@ -129,11 +122,12 @@ func dwPlanFor(ar *tensor.Arena, g dwGeom, h, w, oh, ow int, backward bool) dwPl
 	return p
 }
 
-// laneGroup returns the group of four of c channels that starts at ch, pulled
-// back to [c-4, c) where it would run past c, and skip, how many of its
-// channels the group before it covered. Overlapped channels are recomputed
-// with the same chains, so rewriting them keeps every bit; whatever
-// accumulates skips them. With c < 4 the group is [0, c).
+// laneGroup returns the group of four of c channels (or planes) that starts
+// at ch, pulled back to [c-4, c) where it would run past c, and skip, how
+// many of its channels the group before it covered. Overlapped channels are
+// recomputed with the same chains, so rewriting them keeps every bit;
+// whatever accumulates skips them. With c < 4 the group is [0, c), its
+// spare lanes repeating channel c-1.
 func laneGroup(ch, c int) (ch0, skip int) {
 	if ch+tensor.DWLanes <= c || c < tensor.DWLanes {
 		return ch, 0
@@ -141,58 +135,102 @@ func laneGroup(ch, c int) (ch0, skip int) {
 	return c - tensor.DWLanes, ch + tensor.DWLanes - c
 }
 
-// loadWeights interleaves the filters of channels ch0..ch0+3 into wl.
-func (p *dwPlan) loadWeights(wd []float64, ch0 int) {
+// padLanes returns n blocks of c planes of sz elements in d as the lane
+// kernels read them, four consecutive planes at a time: d itself where a
+// block has at least four planes, else a copy in storage taken from ar that
+// widens each block to four, its spare lanes repeating the block's last
+// plane. (A depthwise layer pads each image's channels; a pool pads its N·C
+// planes as one block.)
+func padLanes(ar *tensor.Arena, d []float64, n, c, sz int) []float64 {
+	const L = tensor.DWLanes
+	if c >= L {
+		return d
+	}
+	p := ar.Floats(n * L * sz)
+	for b := 0; b < n; b++ {
+		for l := 0; l < L; l++ {
+			q := (b*c + min(l, c-1)) * sz
+			copy(p[(b*L+l)*sz:(b*L+l+1)*sz], d[q:q+sz])
+		}
+	}
+	return p
+}
+
+// unpadLanes copies the first c planes of each of padLanes' n blocks back
+// to d.
+func unpadLanes(d, p []float64, n, c, sz int) {
+	for b := 0; b < n; b++ {
+		copy(d[b*c*sz:(b+1)*c*sz], p[b*tensor.DWLanes*sz:])
+	}
+}
+
+// loadWeights interleaves the filters of channels ch0..ch0+3 of c into wl,
+// a channel past the last repeating the last.
+func (p *dwPlan) loadWeights(wd []float64, ch0, c int) {
 	for l := 0; l < tensor.DWLanes; l++ {
-		f := wd[(ch0+l)*p.ntaps : (ch0+l+1)*p.ntaps]
+		ch := min(ch0+l, c-1)
+		f := wd[ch*p.ntaps : (ch+1)*p.ntaps]
 		for t, v := range f {
 			p.wl[t*tensor.DWLanes+l] = v
 		}
 	}
 }
 
-// forwardDepthwiseLanes computes every output channel through the lane
-// kernel, in the groups laneGroup gives.
-func (c *Conv2D) forwardDepthwiseLanes(ar *tensor.Arena, x, out *tensor.Tensor) {
+// forwardDepthwise computes every output channel through the lane kernel,
+// four channels of one image at a time, in the groups laneGroup gives; the
+// weights are interleaved once per group of channels. A layer of fewer than
+// four channels runs on padLanes' copies.
+func (c *Conv2D) forwardDepthwise(ar *tensor.Arena, x, out *tensor.Tensor) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := out.Dim(2), out.Dim(3)
 	p := dwPlanFor(ar, c.geom(), h, w, oh, ow, false)
-	xd, od, wd := x.Data(), out.Data(), c.weight.Value.Data()
+	C, cs, hw := c.OutC, max(c.OutC, L), h*w
+	xd, od, wd := padLanes(ar, x.Data(), n, C, hw), out.Data(), c.weight.Value.Data()
+	if C < L {
+		od = ar.Floats(n * L * p.npix)
+	}
 	xorg := c.Pad*p.xpW + c.Pad
 	taps := p.ftaps[:p.ntaps]
-	for ch := 0; ch < c.OutC; ch += L {
-		ch0, _ := laneGroup(ch, c.OutC)
-		p.loadWeights(wd, ch0)
+	for ch := 0; ch < C; ch += L {
+		ch0, _ := laneGroup(ch, C)
+		p.loadWeights(wd, ch0, C)
 		for b := 0; b < n; b++ {
-			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*c.InC+ch0)*h*w:], h, w)
+			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*cs+ch0)*hw:], h, w)
 			tensor.DWTaps(p.res, p.xp, p.xpix, taps, p.wl)
-			tensor.DWDeinterleave(od[(b*c.OutC+ch0)*p.npix:], p.res, p.npix)
+			tensor.DWDeinterleave(od[(b*cs+ch0)*p.npix:], p.res, p.npix)
 		}
+	}
+	if C < L {
+		unpadLanes(out.Data(), od, n, C, p.npix)
 	}
 }
 
-// backwardDepthwiseLanes accumulates the weight gradient of every channel and
-// overwrites gradX.
-func (c *Conv2D) backwardDepthwiseLanes(ar *tensor.Arena, x, grad, gradX *tensor.Tensor) {
+// backwardDepthwise accumulates the weight gradient of every channel, each
+// image's sums in image order, and overwrites gradX.
+func (c *Conv2D) backwardDepthwise(ar *tensor.Arena, x, grad, gradX *tensor.Tensor) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := grad.Dim(2), grad.Dim(3)
 	p := dwPlanFor(ar, c.geom(), h, w, oh, ow, true)
-	xd, wd := x.Data(), c.weight.Value.Data()
-	gd, gxd, gwd := grad.Data(), gradX.Data(), c.weight.Grad.Data()
+	C, cs, hw := c.OutC, max(c.OutC, L), h*w
+	xd, gd := padLanes(ar, x.Data(), n, C, hw), padLanes(ar, grad.Data(), n, C, p.npix)
+	gxd, wd, gwd := gradX.Data(), c.weight.Value.Data(), c.weight.Grad.Data()
+	if C < L {
+		gxd = ar.Floats(n * L * hw)
+	}
 	xorg := c.Pad*p.xpW + c.Pad
 	gorg := p.gOffY*p.gpW + p.gOffX
 	s := c.Stride
-	for ch := 0; ch < c.OutC; ch += L {
-		ch0, skip := laneGroup(ch, c.OutC)
-		p.loadWeights(wd, ch0)
+	for ch := 0; ch < C; ch += L {
+		ch0, skip := laneGroup(ch, C)
+		p.loadWeights(wd, ch0, C)
 		for b := 0; b < n; b++ {
-			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*c.InC+ch0)*h*w:], h, w)
-			tensor.DWInterleave(p.gp, gorg, s*p.gpW, s, gd[(b*c.OutC+ch0)*p.npix:], oh, ow)
+			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*cs+ch0)*hw:], h, w)
+			tensor.DWInterleave(p.gp, gorg, s*p.gpW, s, gd[(b*cs+ch0)*p.npix:], oh, ow)
 
 			tensor.DWGradW(p.gwl, p.gp, p.gpix, p.xp, p.xpix[:p.npix], p.ftaps)
-			for l := skip; l < L; l++ {
+			for l := skip; l < min(L, C-ch0); l++ {
 				gw := gwd[(ch0+l)*p.ntaps : (ch0+l+1)*p.ntaps]
 				for t := range gw {
 					gw[t] += p.gwl[t*L+l]
@@ -200,7 +238,10 @@ func (c *Conv2D) backwardDepthwiseLanes(ar *tensor.Arena, x, grad, gradX *tensor
 			}
 
 			tensor.DWTaps(p.res, p.gp, p.gxpix, p.btaps, p.wl)
-			tensor.DWDeinterleave(gxd[(b*c.InC+ch0)*h*w:], p.res, h*w)
+			tensor.DWDeinterleave(gxd[(b*cs+ch0)*hw:], p.res, hw)
 		}
+	}
+	if C < L {
+		unpadLanes(gradX.Data(), gxd, n, C, hw)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"fedrlnas/internal/tensor"
 )
 
-// Bit-identity tables for the fast paths: each compares against the loop it
-// replaced or runs beside, element by element on the bits. They call the
-// paths directly, so they exercise the lane-interleaved depthwise
-// formulation under -tags noasm too (with tensor's portable kernels).
+// Bit-identity tables for the fast paths: each compares against a naive
+// loop, element by element on the bits. Every build runs the same
+// algorithms (under -tags noasm with tensor's portable kernels), so the
+// tables hold on every platform.
 
 // sparseTensor draws what a layer downstream of a ReLU sees: about half
 // exact zeros, of both signs.
@@ -45,12 +45,12 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 }
 
 type dwGeometry struct {
-	k, stride, dil, pad, c, h, w int
+	k, stride, dil, pad, n, c, h, w int
 }
 
-// checkDepthwise runs one depthwise layer through the lane path and through
-// the direct loops and requires identical out, gradX and gradW. It reports
-// false when the geometry has no output.
+// checkDepthwise runs one depthwise layer and requires the bits of the
+// naive loops (directForward, depthwiseBackward) on out, gradX and the
+// accumulated gradW. It reports false when the geometry has no output.
 func checkDepthwise(t *testing.T, g dwGeometry, seed int64) bool {
 	t.Helper()
 	// (convOutDim's truncating division reports 1 for a kernel that
@@ -59,37 +59,20 @@ func checkDepthwise(t *testing.T, g dwGeometry, seed int64) bool {
 		return false
 	}
 	rng := rand.New(rand.NewSource(seed))
-	opts := ConvOpts{Stride: g.stride, Pad: g.pad, Dilation: g.dil, Groups: g.c}
-	fast := NewConv2D("fast", rng, g.c, g.c, g.k, opts)
-	ref := NewConv2D("ref", rng, g.c, g.c, g.k, opts)
-	ref.weight.Value.CopyFrom(fast.weight.Value)
-	const n = 3
-	x := sparseTensor(rng, n, g.c, g.h, g.w)
+	c := NewConv2D("dw", rng, g.c, g.c, g.k, ConvOpts{Stride: g.stride, Pad: g.pad, Dilation: g.dil, Groups: g.c})
 	oh := convOutDim(g.h, g.k, g.stride, g.pad, g.dil)
 	ow := convOutDim(g.w, g.k, g.stride, g.pad, g.dil)
-	grad := sparseTensor(rng, n, g.c, oh, ow)
-
-	// Two rounds: the second rebuilds the plan over the first's storage, so
-	// the zero borders and the gaps between strided gradient positions must
-	// be cleared again.
-	var ar tensor.Arena
-	for round := 0; round < 2; round++ {
-		ar.Reset()
-		outF, outR := tensor.New(n, g.c, oh, ow), tensor.New(n, g.c, oh, ow)
-		fast.forwardGrouped(&ar, x, outF, true)
-		ref.forwardGrouped(&ar, x, outR, false)
-		requireSameBits(t, "out", outF.Data(), outR.Data())
-
-		gxF, gxR := tensor.Full(math.NaN(), n, g.c, g.h, g.w), tensor.Full(math.NaN(), n, g.c, g.h, g.w)
-		fast.backwardGrouped(&ar, x, grad, gxF, true)
-		ref.backwardGrouped(&ar, x, grad, gxR, false)
-		requireSameBits(t, "gradX", gxF.Data(), gxR.Data())
-		// Not cleared between rounds: accumulation into a non-zero gradient
-		// must match too.
-		requireSameBits(t, "gradW", fast.weight.Grad.Data(), ref.weight.Grad.Data())
-
-		x = sparseTensor(rng, n, g.c, g.h, g.w)
-		grad = sparseTensor(rng, n, g.c, oh, ow)
+	wantGW := make([]float64, c.weight.Grad.Size())
+	// Two steps: the second rebuilds the plan over the first's arena
+	// storage, so the zero borders and the gaps between strided gradient
+	// positions must be cleared again, and the weight gradient, not cleared
+	// between them, must accumulate.
+	for step := 0; step < 2; step++ {
+		x := sparseTensor(rng, g.n, g.c, g.h, g.w)
+		grad := sparseTensor(rng, g.n, g.c, oh, ow)
+		requireSameBits(t, "out", c.Forward(x).Data(), directForward(c, x).Data())
+		requireSameBits(t, "gradX", c.Backward(grad).Data(), depthwiseBackward(c, x, grad, wantGW).Data())
+		requireSameBits(t, "gradW", c.weight.Grad.Data(), wantGW)
 	}
 	return true
 }
@@ -105,21 +88,27 @@ func TestDepthwiseKernelsBitIdentical(t *testing.T) {
 			for _, s := range []struct{ c, h, w, stride int }{
 				{4, 8, 8, 1}, {8, 8, 8, 2}, {8, 4, 4, 1}, {16, 4, 4, 2}, {16, 2, 2, 1},
 			} {
-				cases = append(cases, dwGeometry{k, s.stride, dil, pad, s.c, s.h, s.w})
+				cases = append(cases, dwGeometry{k, s.stride, dil, pad, 3, s.c, s.h, s.w})
 			}
-			// Odd and 1-wide planes, channel counts with a remainder group.
-			for _, s := range []struct{ c, h, w, stride int }{
-				{4, 5, 7, 1}, {4, 7, 5, 2}, {4, 1, 9, 1}, {4, 9, 1, 1}, {4, 1, 1, 1},
-				{6, 3, 3, 1}, {5, 6, 6, 2}, {9, 4, 3, 3},
+			// Odd and 1-wide planes; channel counts below four (spare lanes
+			// repeating the last channel) and with an overlapping last group;
+			// batches of one and of a few images.
+			for _, s := range []struct{ n, c, h, w, stride int }{
+				{3, 4, 5, 7, 1}, {3, 4, 7, 5, 2}, {3, 4, 1, 9, 1}, {3, 4, 9, 1, 1}, {3, 4, 1, 1, 1},
+				{3, 6, 3, 3, 1}, {3, 5, 6, 6, 2}, {3, 9, 4, 3, 3},
+				{1, 1, 5, 5, 1}, {5, 1, 4, 4, 2}, {1, 2, 3, 4, 1}, {3, 2, 4, 4, 1}, {1, 3, 5, 5, 2},
+				{2, 3, 3, 3, 1}, {1, 5, 4, 4, 1}, {1, 6, 5, 3, 1}, {1, 7, 4, 4, 2}, {2, 7, 3, 3, 1},
+				{7, 1, 2, 2, 1}, {1, 9, 3, 3, 1},
 			} {
-				cases = append(cases, dwGeometry{k, s.stride, dil, pad, s.c, s.h, s.w})
+				cases = append(cases, dwGeometry{k, s.stride, dil, pad, s.n, s.c, s.h, s.w})
 			}
 		}
 	}
-	// Padding other than "same": none, and wider than half the kernel.
+	// Padding other than "same": none, and up to the kernel's reach.
 	cases = append(cases,
-		dwGeometry{3, 1, 1, 0, 4, 6, 6}, dwGeometry{3, 2, 1, 2, 4, 5, 5},
-		dwGeometry{5, 1, 2, 8, 4, 4, 4}, dwGeometry{2, 1, 1, 1, 4, 4, 4},
+		dwGeometry{3, 1, 1, 0, 3, 4, 6, 6}, dwGeometry{3, 2, 1, 2, 3, 4, 5, 5},
+		dwGeometry{5, 1, 2, 8, 3, 4, 4, 4}, dwGeometry{2, 1, 1, 1, 3, 4, 4, 4},
+		dwGeometry{3, 1, 1, 2, 1, 3, 3, 3},
 	)
 	for i, g := range cases {
 		if !checkDepthwise(t, g, int64(100+i)) {
@@ -128,80 +117,81 @@ func TestDepthwiseKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDepthwiseDispatch pins which layers take the lane path.
+// TestDepthwiseDispatch pins that every depthwise layer runs the lane path,
+// whatever its channel count and on every build, and that the
+// configurations it cannot run are refused at construction. An infinite
+// weight on tap (0,0) of every channel marks the lane path: it multiplies
+// the weight by a padding zero (NaN) where a loop skipping the tap gives a
+// finite value, at output (0,0) forward and at input (h-1,w-1) backward.
+// (A one-channel layer is a dense conv, Groups 1.)
 func TestDepthwiseDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, tc := range []struct {
-		name string
-		c    *Conv2D
-		want bool
-	}{
-		{"depthwise", NewConv2D("c", rng, 8, 8, 3, ConvOpts{Pad: 1, Groups: 8}), true},
-		{"biased", NewConv2D("c", rng, 8, 8, 3, ConvOpts{Pad: 1, Groups: 8, Bias: true}), false},
-		{"grouped, not depthwise", NewConv2D("c", rng, 8, 8, 3, ConvOpts{Pad: 1, Groups: 4}), false},
-		{"channel multiplier", NewConv2D("c", rng, 4, 8, 3, ConvOpts{Pad: 1, Groups: 4}), false},
-		{"fewer than four channels", NewConv2D("c", rng, 3, 3, 3, ConvOpts{Pad: 1, Groups: 3}), false},
-		{"padding beyond the kernel", NewConv2D("c", rng, 4, 4, 3, ConvOpts{Pad: 3, Groups: 4}), false},
-	} {
-		if got := tc.c.laneDepthwise(); got != tc.want {
-			t.Errorf("%s: laneDepthwise = %v, want %v", tc.name, got, tc.want)
+	const n, h, w = 2, 5, 5
+	for _, c := range []int{2, 3, 4, 5, 6, 8} {
+		conv := NewConv2D("c", rng, c, c, 3, ConvOpts{Pad: 1, Groups: c})
+		for ch := 0; ch < c; ch++ {
+			conv.weight.Value.Data()[ch*9] = math.Inf(1)
+		}
+		out := conv.Forward(tensor.Randn(rng, 1, n, c, h, w))
+		gx := conv.Backward(tensor.Randn(rng, 1, n, c, h, w))
+		for b := 0; b < n; b++ {
+			for ch := 0; ch < c; ch++ {
+				plane := (b*c + ch) * h * w
+				if fwd, bwd := out.Data()[plane], gx.Data()[plane+h*w-1]; !math.IsNaN(fwd) || !math.IsNaN(bwd) {
+					t.Errorf("C=%d image %d channel %d: corners %v / %v, want the lane path's NaN", c, b, ch, fwd, bwd)
+				}
+			}
 		}
 	}
 
-	// A six-channel layer runs all six channels on the lane path where a
-	// vector kernel exists (its last group overlaps the first), leaving no
-	// remainder to the direct loops. An infinite weight on tap (0,0) of every
-	// channel marks who computed what: the lane path multiplies it by a
-	// padding zero (NaN) where the direct loops skip the tap (finite), at
-	// output (0,0) forward and at input (h-1,w-1) backward.
-	const n, c, h, w = 2, 6, 5, 5
-	conv := NewConv2D("c", rng, c, c, 3, ConvOpts{Pad: 1, Groups: c})
-	for ch := 0; ch < c; ch++ {
-		conv.weight.Value.Data()[ch*9] = math.Inf(1)
-	}
-	out := conv.Forward(tensor.Randn(rng, 1, n, c, h, w))
-	gx := conv.Backward(tensor.Randn(rng, 1, n, c, h, w))
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			plane := (b*c + ch) * h * w
-			fwd, bwd := out.Data()[plane], gx.Data()[plane+h*w-1]
-			if math.IsNaN(fwd) != tensor.DepthwiseSIMD() || math.IsNaN(bwd) != tensor.DepthwiseSIMD() {
-				t.Errorf("image %d channel %d: corners %v / %v, lane path expected: %v",
-					b, ch, fwd, bwd, tensor.DepthwiseSIMD())
-			}
-		}
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"biased depthwise", func() { NewConv2D("c", rng, 8, 8, 3, ConvOpts{Pad: 1, Groups: 8, Bias: true}) }},
+		{"grouped, not depthwise", func() { NewConv2D("c", rng, 8, 8, 3, ConvOpts{Pad: 1, Groups: 4}) }},
+		{"channel multiplier", func() { NewConv2D("c", rng, 4, 8, 3, ConvOpts{Pad: 1, Groups: 4}) }},
+		{"depthwise padding beyond the kernel", func() { NewConv2D("c", rng, 4, 4, 3, ConvOpts{Pad: 3, Groups: 4}) }},
+		{"dilated depthwise padding beyond the kernel", func() {
+			NewConv2D("c", rng, 4, 4, 3, ConvOpts{Pad: 5, Dilation: 2, Groups: 4})
+		}},
+		{"avg pool padding as wide as the kernel", func() { NewAvgPool2D(3, 1, 3) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: constructed, want a panic", tc.name)
+				}
+			}()
+			tc.build()
+		}()
 	}
 }
 
 // TestDepthwiseNonFiniteWeightDiverges pins the one place the lane path and
-// the direct loops are allowed to differ: the lane path multiplies the
+// the naive loops are allowed to differ: the lane path multiplies the
 // padding zeros by the weights, so an infinite weight turns every border
-// output into Inf·0 = NaN where the direct loops skip the tap. Bit-identity
-// between kernel variants is a statement about finite values only.
+// output into Inf·0 = NaN where the naive loops skip the tap. Bit-identity
+// with them is a statement about finite values only.
 func TestDepthwiseNonFiniteWeightDiverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	opts := ConvOpts{Pad: 1, Groups: 4}
-	fast := NewConv2D("fast", rng, 4, 4, 3, opts)
-	ref := NewConv2D("ref", rng, 4, 4, 3, opts)
-	fast.weight.Value.Data()[0] = math.Inf(1) // channel 0, tap (0,0)
-	ref.weight.Value.CopyFrom(fast.weight.Value)
+	c := NewConv2D("dw", rng, 4, 4, 3, ConvOpts{Pad: 1, Groups: 4})
+	c.weight.Value.Data()[0] = math.Inf(1) // channel 0, tap (0,0)
 	x := tensor.Full(1, 1, 4, 3, 3)
-	outF, outR := tensor.New(1, 4, 3, 3), tensor.New(1, 4, 3, 3)
-	fast.forwardGrouped(new(tensor.Arena), x, outF, true)
-	ref.forwardGrouped(new(tensor.Arena), x, outR, false)
+	out, ref := c.Forward(x).Data(), directForward(c, x).Data()
 	// Output (0,0) of channel 0 has tap (0,0) in the padding.
-	if got := outF.Data()[0]; !math.IsNaN(got) {
+	if got := out[0]; !math.IsNaN(got) {
 		t.Errorf("lane path corner = %v, want NaN (Inf times a padding zero)", got)
 	}
-	if got := outR.Data()[0]; math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Errorf("direct loops corner = %v, want finite (the tap is skipped)", got)
+	if got := ref[0]; math.IsNaN(got) || math.IsInf(got, 0) {
+		t.Errorf("naive loops corner = %v, want finite (the tap is skipped)", got)
 	}
 	// Where the tap lands inside the image both give +Inf, and the channels
 	// with finite weights still agree on every bit.
-	if f, r := outF.Data()[8], outR.Data()[8]; !math.IsInf(f, 1) || !math.IsInf(r, 1) {
+	if f, r := out[8], ref[8]; !math.IsInf(f, 1) || !math.IsInf(r, 1) {
 		t.Errorf("interior-tap output = %v / %v, want +Inf on both", f, r)
 	}
-	requireSameBits(t, "finite channels", outF.Data()[9:], outR.Data()[9:])
+	requireSameBits(t, "finite channels", out[9:], ref[9:])
 }
 
 // TestSubSampleStride1AnyRank: at stride 1 the layer is a copy and takes
@@ -227,9 +217,9 @@ func FuzzDepthwiseGeometry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k, stride, dil, pad, c, h, w uint8, seed int64) {
 		g := dwGeometry{
 			k: 1 + int(k)%6, stride: 1 + int(stride)%3, dil: 1 + int(dil)%3,
-			c: 1 + int(c)%17, h: 1 + int(h)%10, w: 1 + int(w)%10,
+			n: 3, c: 1 + int(c)%17, h: 1 + int(h)%10, w: 1 + int(w)%10,
 		}
-		g.pad = int(pad) % ((g.k-1)*g.dil + 2) // up to one past the lane path's limit
+		g.pad = int(pad) % ((g.k-1)*g.dil + 1) // up to the kernel's reach, NewConv2D's limit
 		checkDepthwise(t, g, seed)
 	})
 }
@@ -356,45 +346,84 @@ func poolInputs(rng *rand.Rand, n, c, h, w int) []*tensor.Tensor {
 	return []*tensor.Tensor{constant, ties, sparseTensor(rng, n, c, h, w), tensor.Randn(rng, 1, n, c, h, w), special, allNaN}
 }
 
-var poolGeometries = []struct{ c, h, w, stride, pad int }{
-	{4, 8, 8, 1, 1}, {8, 8, 8, 2, 1}, {8, 4, 4, 1, 1}, {16, 4, 4, 2, 1}, {16, 2, 2, 1, 1},
-	{2, 5, 7, 1, 1}, {2, 7, 5, 2, 1}, {2, 1, 9, 1, 1}, {2, 9, 1, 1, 1}, {1, 1, 1, 1, 1},
-	{2, 6, 6, 1, 0}, {2, 7, 7, 2, 0}, {2, 3, 3, 1, 2}, {2, 5, 5, 3, 2},
-	{1, 2, 2, 4, 1}, // some windows lie entirely in the padding
-	{1, 3, 4, 1, 3}, // so do whole rows and columns of windows
+// poolGeometries include N·C below four (spare lanes repeating the last
+// plane) and above four but not a multiple of it (an overlapping last group).
+var poolGeometries = []struct{ n, c, h, w, stride, pad int }{
+	{2, 4, 8, 8, 1, 1}, {2, 8, 8, 8, 2, 1}, {2, 8, 4, 4, 1, 1}, {2, 16, 4, 4, 2, 1}, {2, 16, 2, 2, 1, 1},
+	{2, 2, 5, 7, 1, 1}, {2, 2, 7, 5, 2, 1}, {2, 2, 1, 9, 1, 1}, {2, 2, 9, 1, 1, 1}, {2, 1, 1, 1, 1, 1},
+	{2, 2, 6, 6, 1, 0}, {2, 2, 7, 7, 2, 0}, {2, 2, 3, 3, 1, 2}, {2, 2, 5, 5, 3, 2},
+	{1, 1, 4, 4, 1, 1}, {1, 2, 3, 5, 2, 1}, {1, 3, 5, 5, 1, 1}, {5, 1, 4, 4, 2, 1},
+	{3, 2, 4, 4, 1, 1}, {1, 7, 3, 3, 1, 0}, {7, 1, 6, 6, 2, 1}, {1, 6, 8, 8, 1, 1},
+	{2, 1, 2, 2, 4, 1}, // some windows lie entirely in the padding
+	{2, 1, 3, 4, 1, 3}, // so do whole rows and columns of windows
+}
+
+// maxPoolReference scans each output's window with its in-bounds kernel
+// range clamped, in (ky,kx) order. First-max semantics: the strict > keeps
+// the earliest maximum and never selects a NaN; a window with nothing above
+// -Inf gives 0 at -1.
+func maxPoolReference(x *tensor.Tensor, k, stride, pad int) (*tensor.Tensor, []int) {
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	oh, ow := convOutDim(h, k, stride, pad, 1), convOutDim(w, k, stride, pad, 1)
+	out := tensor.New(n, c, oh, ow)
+	argmax := make([]int, out.Size())
+	xd, od := x.Data(), out.Data()
+	for pl := 0; pl < n*c; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*stride - pad
+			ky0, ky1 := clampWindow(iy0, k, h)
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*stride - pad
+				kx0, kx1 := clampWindow(ix0, k, w)
+				best, bestI := math.Inf(-1), -1
+				for ky := ky0; ky <= ky1; ky++ {
+					row := base + (iy0+ky)*w + ix0
+					for kx := kx0; kx <= kx1; kx++ {
+						if v := xd[row+kx]; v > best {
+							best, bestI = v, row+kx
+						}
+					}
+				}
+				oi := (pl*oh+oy)*ow + ox
+				if bestI < 0 {
+					best = 0
+				}
+				od[oi], argmax[oi] = best, bestI
+			}
+		}
+	}
+	return out, argmax
+}
+
+// clampWindow returns the inclusive kernel-offset range [k0, k1] for which
+// i0+k stays inside [0, limit); k1 < k0 when the window misses entirely.
+func clampWindow(i0, k, limit int) (k0, k1 int) {
+	k0, k1 = 0, k-1
+	if i0 < 0 {
+		k0 = -i0
+	}
+	if i0+k1 >= limit {
+		k1 = limit - 1 - i0
+	}
+	return k0, k1
 }
 
 func TestMaxPool3x3BitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const n = 2
 	for _, g := range poolGeometries {
-		oh, ow := convOutDim(g.h, 3, g.stride, g.pad, 1), convOutDim(g.w, 3, g.stride, g.pad, 1)
-		if oh < 1 || ow < 1 {
+		if convOutDim(g.h, 3, g.stride, g.pad, 1) < 1 || convOutDim(g.w, 3, g.stride, g.pad, 1) < 1 {
 			t.Fatalf("geometry %+v has no output", g)
 		}
-		for _, x := range poolInputs(rng, n, g.c, g.h, g.w) {
-			fast, ref := NewMaxPool2D(3, g.stride, g.pad), NewMaxPool2D(3, g.stride, g.pad)
-			fast.argmaxI, ref.argmaxI = make([]int, n*g.c*oh*ow), make([]int, n*g.c*oh*ow)
-			outF, outR := tensor.New(n, g.c, oh, ow), tensor.New(n, g.c, oh, ow)
-			fast.forward3(new(tensor.Arena), x.Data(), outF.Data(), 0, n*g.c, g.h, g.w, oh, ow)
-			ref.forwardWindow(x.Data(), outR.Data(), 0, n*g.c, g.h, g.w, oh, ow)
-			requireSameBits(t, "max pool out", outF.Data(), outR.Data())
-			for i := range ref.argmaxI {
-				if fast.argmaxI[i] != ref.argmaxI[i] {
-					t.Fatalf("geometry %+v: argmax[%d] = %d, want %d", g, i, fast.argmaxI[i], ref.argmaxI[i])
+		for _, x := range poolInputs(rng, g.n, g.c, g.h, g.w) {
+			want, wantAt := maxPoolReference(x, 3, g.stride, g.pad)
+			p := NewMaxPool2D(3, g.stride, g.pad)
+			requireSameBits(t, "max pool out", p.Forward(x).Data(), want.Data())
+			for i, at := range wantAt {
+				if p.argmaxI[i] != at {
+					t.Fatalf("geometry %+v: argmax[%d] = %d, want %d", g, i, p.argmaxI[i], at)
 				}
 			}
-			// The lane kernel (whole groups of four planes; the rest scalar),
-			// whatever kernel this build selected.
-			lanes := NewMaxPool2D(3, g.stride, g.pad)
-			requireSameBits(t, "max pool lanes", lanes.forward(x, true).Data(), outR.Data())
-			for i := range ref.argmaxI {
-				if lanes.argmaxI[i] != ref.argmaxI[i] {
-					t.Fatalf("geometry %+v lanes: argmax[%d] = %d, want %d", g, i, lanes.argmaxI[i], ref.argmaxI[i])
-				}
-			}
-			// Whichever path Forward picks, the module agrees with the scan.
-			requireSameBits(t, "MaxPool2D.Forward", NewMaxPool2D(3, g.stride, g.pad).Forward(x).Data(), outR.Data())
 		}
 	}
 }
@@ -432,8 +461,8 @@ func requireAddOrderBits(t *testing.T, what string, got, accFirst, valFirst []fl
 	}
 }
 
-// avgPoolReference is the clamped-window average pool the interior/border
-// split replaced: per output, the in-bounds taps in (ky,kx) order.
+// avgPoolReference is the clamped-window average pool: per output, the
+// in-bounds taps in (ky,kx) order.
 func avgPoolReference(x *tensor.Tensor, k, stride, pad int, accFirst bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := convOutDim(h, k, stride, pad, 1), convOutDim(w, k, stride, pad, 1)
@@ -484,13 +513,12 @@ func avgPoolGradReference(grad *tensor.Tensor, h, w, k, stride, pad int, accFirs
 
 func TestAvgPoolBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	const n = 2
-	for _, k := range []int{3, 2} { // 2 takes the all-clamped path
+	for _, k := range []int{3, 2} {
 		for _, g := range poolGeometries {
-			if convOutDim(g.h, k, g.stride, g.pad, 1) < 1 || convOutDim(g.w, k, g.stride, g.pad, 1) < 1 {
-				continue
+			if g.pad >= k || convOutDim(g.h, k, g.stride, g.pad, 1) < 1 || convOutDim(g.w, k, g.stride, g.pad, 1) < 1 {
+				continue // NewAvgPool2D refuses pad ≥ k
 			}
-			for _, x := range poolInputs(rng, n, g.c, g.h, g.w) {
+			for _, x := range poolInputs(rng, g.n, g.c, g.h, g.w) {
 				want := avgPoolReference(x, k, g.stride, g.pad, true).Data()
 				wantV := avgPoolReference(x, k, g.stride, g.pad, false).Data()
 				p := NewAvgPool2D(k, g.stride, g.pad)
@@ -500,12 +528,6 @@ func TestAvgPoolBitIdentical(t *testing.T) {
 				wantGX := avgPoolGradReference(grad, g.h, g.w, k, g.stride, g.pad, true).Data()
 				wantGXV := avgPoolGradReference(grad, g.h, g.w, k, g.stride, g.pad, false).Data()
 				requireAddOrderBits(t, "avg pool gradX", p.Backward(grad).Data(), wantGX, wantGXV)
-				// Both paths, whichever one Forward picks.
-				for _, lanes := range []bool{false, true} {
-					p := NewAvgPool2D(k, g.stride, g.pad)
-					requireAddOrderBits(t, "avg pool out (path)", p.forward(x, lanes).Data(), want, wantV)
-					requireAddOrderBits(t, "avg pool gradX (path)", p.backward(grad, lanes).Data(), wantGX, wantGXV)
-				}
 			}
 		}
 	}
@@ -731,27 +753,39 @@ func TestVaryingBatchReusesStorage(t *testing.T) {
 }
 
 // TestPointwiseWeightGradLanes requires a pointwise layer's weight gradient
-// to carry the same bits whether it comes from the lane kernel or from the
-// GEMM over the lowered batch, on planes the forward's batched GEMM takes
-// (8×8, 4×4) and on one it declines (2×2, which lowers and so keeps the GEMM).
-// Channel counts that are not multiples of four overlap their last lane
-// group on either axis or both, and must add each element once.
+// to carry the bits of the lowered-batch GEMM's chain — per element one
+// accumulator from +0 over (image, pixel) in ascending order, added into the
+// gradient once — whether it comes from the lane kernel (8×8 and 4×4 planes,
+// which the forward's batched GEMM takes) or from that GEMM (2×2, which
+// lowers). Channel counts that are not multiples of four overlap their last
+// lane group on either axis or both, and must add each element once.
 func TestPointwiseWeightGradLanes(t *testing.T) {
+	const n = 5
 	for _, ch := range [][2]int{{4, 4}, {8, 4}, {4, 8}, {8, 16}, {6, 6}, {5, 7}, {6, 12}, {12, 6}, {18, 6}} {
 		for _, hw := range [][2]int{{8, 8}, {4, 4}, {2, 2}} {
-			grads := make([][]float64, 2)
-			for i, lanes := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(3))
-				c := NewConv2D("pw", rng, ch[0], ch[1], 1, ConvOpts{})
-				x := sparseTensor(rng, 5, ch[0], hw[0], hw[1])
-				grad := sparseTensor(rng, 5, ch[1], hw[0], hw[1])
-				prior := sparseTensor(rng, ch[1], ch[0], 1, 1)
-				c.weight.Grad.CopyFrom(prior) // the gradient accumulates
-				c.Forward(x)
-				c.backwardIm2col(grad, true, lanes)
-				grads[i] = c.weight.Grad.Data()
+			inC, outC, cols := ch[0], ch[1], hw[0]*hw[1]
+			rng := rand.New(rand.NewSource(3))
+			c := NewConv2D("pw", rng, inC, outC, 1, ConvOpts{})
+			x := sparseTensor(rng, n, inC, hw[0], hw[1])
+			grad := sparseTensor(rng, n, outC, hw[0], hw[1])
+			prior := sparseTensor(rng, outC, inC, 1, 1)
+			c.weight.Grad.CopyFrom(prior) // the gradient accumulates
+			c.Forward(x)
+			c.Backward(grad)
+			want := prior.Data()
+			xd, gd := x.Data(), grad.Data()
+			for oc := 0; oc < outC; oc++ {
+				for ic := 0; ic < inC; ic++ {
+					acc := 0.0
+					for b := 0; b < n; b++ {
+						for j := 0; j < cols; j++ {
+							acc += gd[(b*outC+oc)*cols+j] * xd[(b*inC+ic)*cols+j]
+						}
+					}
+					want[oc*inC+ic] += acc
+				}
 			}
-			requireSameBits(t, "pointwise weight gradient", grads[1], grads[0])
+			requireSameBits(t, "pointwise weight gradient", c.weight.Grad.Data(), want)
 		}
 	}
 }

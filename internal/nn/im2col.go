@@ -10,8 +10,8 @@ import (
 // column matrix so each pass runs ONE GEMM per layer (wide enough to
 // amortize the kernel's packing) instead of a small matmul per image.
 //
-// Conv2D uses it automatically for Groups == 1; grouped (depthwise)
-// convolutions take the paths in conv.go and depthwise.go.
+// Conv2D uses it for Groups == 1; depthwise convolutions take the lane
+// path in depthwise.go.
 //
 // A pointwise convolution (1×1, stride 1, no padding) needs no lowering at
 // all: image b's column matrix is its [C, H·W] activation block as it lies in
@@ -190,10 +190,10 @@ func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tenso
 
 // backwardIm2col computes weight/bias/input gradients with two GEMMs over
 // the batch-wide column representation for Groups==1. With needGradX false
-// only the parameter gradients are accumulated and nil is returned. With
-// lanes set, a bias-free pointwise layer of ≥ 4 input and output channels
-// whose forward lowered nothing takes its weight gradient from gradWLanes.
-func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX, lanes bool) *tensor.Tensor {
+// only the parameter gradients are accumulated and nil is returned. A
+// bias-free pointwise layer of ≥ 4 input and output channels whose forward
+// lowered nothing takes its weight gradient from gradWLanes.
+func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 	x, ar := c.lastX, c.ar
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := grad.Dim(2), grad.Dim(3)
@@ -203,7 +203,7 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX, lanes bool) *ten
 	gd := grad.Data()
 
 	var gradCol []float64
-	if lanes && c.pointwise() && !c.colValid && c.bias == nil && c.InC >= 4 && c.OutC >= 4 {
+	if c.pointwise() && !c.colValid && c.bias == nil && c.InC >= 4 && c.OutC >= 4 {
 		c.gradWLanes(ar, x.Data(), gd, n, cols)
 	} else {
 		if !c.colValid {

@@ -7,19 +7,14 @@ import (
 	"fedrlnas/internal/tensor"
 )
 
-// directForward runs the loop-based convolution path regardless of Groups,
-// to verify the im2col fast path against it.
+// directForward is the naive convolution every fast path is held to: per
+// output, one accumulator started at the bias (+0 without one) that adds the
+// in-bounds taps of its group's input channels in (ic,ky,kx) order.
 func directForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
-	saved := c.Groups
-	// Temporarily force the direct path by pretending it is grouped; a
-	// 1-group conv equals itself, so instead we copy into a clone with the
-	// same weights and call the direct code through a grouped twin when
-	// possible. Simplest honest approach: replicate the direct algorithm
-	// here for groups == 1.
-	_ = saved
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h+2*c.Pad-(c.Dilation*(c.KH-1)+1))/c.Stride + 1
-	ow := (w+2*c.Pad-(c.Dilation*(c.KW-1)+1))/c.Stride + 1
+	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
+	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
+	icg, ocg := c.InC/c.Groups, c.OutC/c.Groups
 	out := tensor.New(n, c.OutC, oh, ow)
 	xd, wd, od := x.Data(), c.weight.Value.Data(), out.Data()
 	for b := 0; b < n; b++ {
@@ -31,9 +26,9 @@ func directForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
 					acc := biasV
-					for ic := 0; ic < c.InC; ic++ {
-						xBase := ((b*c.InC + ic) * h) * w
-						wBase := ((oc*c.InC + ic) * c.KH) * c.KW
+					for i := 0; i < icg; i++ {
+						xBase := ((b*c.InC + oc/ocg*icg + i) * h) * w
+						wBase := ((oc*icg + i) * c.KH) * c.KW
 						for ky := 0; ky < c.KH; ky++ {
 							iy := oy*c.Stride - c.Pad + ky*c.Dilation
 							if iy < 0 || iy >= h {
@@ -54,6 +49,60 @@ func directForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// depthwiseBackward is the naive depthwise backward: each input-gradient
+// element one accumulator from +0 over the in-bounds taps in (ky,kx) order,
+// and each weight-gradient element one chain from +0 over the outputs in
+// (oy,ox) order, added into gw once per image. A one-channel layer is built
+// dense (Groups 1), and its GEMM runs that chain across the whole batch.
+func depthwiseBackward(c *Conv2D, x, grad *tensor.Tensor, gw []float64) *tensor.Tensor {
+	n, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	oh, ow := grad.Dim(2), grad.Dim(3)
+	gx := tensor.New(n, ch, h, w)
+	xd, gd, wd, gxd := x.Data(), grad.Data(), c.weight.Value.Data(), gx.Data()
+	s, pad, d, kh, kw := c.Stride, c.Pad, c.Dilation, c.KH, c.KW
+	for pl := 0; pl < n*ch; pl++ {
+		f := wd[pl%ch*kh*kw:]
+		for iy := 0; iy < h; iy++ {
+			for ix := 0; ix < w; ix++ {
+				acc := 0.0
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						ny, nx := iy+pad-ky*d, ix+pad-kx*d
+						if ny < 0 || nx < 0 || ny%s != 0 || nx%s != 0 || ny/s >= oh || nx/s >= ow {
+							continue
+						}
+						acc += gd[(pl*oh+ny/s)*ow+nx/s] * f[ky*kw+kx]
+					}
+				}
+				gxd[(pl*h+iy)*w+ix] = acc
+			}
+		}
+	}
+	for k := 0; k < ch; k++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				acc := 0.0
+				for b := 0; b < n; b++ {
+					pl := b*ch + k
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							iy, ix := oy*s-pad+ky*d, ox*s-pad+kx*d
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								acc += gd[(pl*oh+oy)*ow+ox] * xd[(pl*h+iy)*w+ix]
+							}
+						}
+					}
+					if c.Groups > 1 || b == n-1 {
+						gw[(k*kh+ky)*kw+kx] += acc
+						acc = 0
+					}
+				}
+			}
+		}
+	}
+	return gx
 }
 
 func TestIm2colForwardMatchesDirect(t *testing.T) {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 	"unsafe"
 )
@@ -10,17 +11,17 @@ import (
 // Depthwise convolution kernels: the second entry behind the kernel dispatch
 // seam (gemm.go holds the first). A depthwise convolution has one filter per
 // channel, so it never becomes a GEMM; its cost is taps × pixels multiply-adds
-// per plane, and what makes the direct loops slow is latency (the weight
+// per plane, and what makes naive loops slow is latency (the weight
 // gradient is one dependent chain per tap) and loop overhead on planes of 64,
 // 16 or 4 pixels — not arithmetic.
 //
 // The kernels here work on DWLanes = 4 channels at once, one channel per
-// vector lane. The caller (nn.Conv2D) copies four planes into a zero-padded,
-// lane-interleaved buffer (element (y,x) of lane l at index (y*W+x)*4+l) and
-// describes the geometry with two small offset tables — one start offset per
-// output pixel, one relative offset per kernel tap — so a single kernel serves
-// every kernel size, stride, dilation and plane shape, including 1-wide and
-// odd planes, with no edge cases in the vector code.
+// vector lane. The caller (nn.Conv2D and the pools) copies four planes into
+// a zero-padded, lane-interleaved buffer (element (y,x) of lane l at index
+// (y*W+x)*4+l) and describes the geometry with two small offset tables — one
+// start offset per output pixel, one relative offset per kernel tap — so a
+// single kernel serves every kernel size, stride, dilation and plane shape,
+// including 1-wide and odd planes, with no edge cases in the vector code.
 //
 // Contract (the same as GEMM's): every result element is ONE accumulator that
 // starts at +0 and adds its terms in ascending table order, each term a
@@ -51,8 +52,8 @@ type dwKernel struct {
 	deinterleave func(dst, src []float64, n int)
 }
 
-// dwGo is the portable reference pair — always compiled, and what the
-// assembly is tested against.
+// dwGo is the portable pair: what runs without a vector kernel (-tags noasm,
+// arm64) and what the assembly is tested against.
 var dwGo = dwKernel{
 	name: "go-lanes4", taps: dwTapsGo, gradW: dwGradWGo, maxTaps: dwMaxTapsGo, gemmAcc: dwGemmAccGo,
 	interleave: func(dst []float64, org, rowStep, colStep int, src []float64, h, w int) {
@@ -64,22 +65,6 @@ var dwGo = dwKernel{
 // dwActive is written once, by init (depthwise_amd64.go), like gemmActiveF64.
 var dwActive = &dwGo
 
-// DepthwiseSIMD reports whether a vector depthwise kernel was selected. The
-// lane-interleaved formulation only pays inside a vector kernel — in pure Go
-// the copy into the padded buffer costs more than the skipped bounds logic
-// saves — so nn.Conv2D keeps its direct valid-range loops when this is false.
-func DepthwiseSIMD() bool { return dwActive != &dwGo }
-
-// depthwiseKernelName is what KernelInfo reports: the selected vector kernel,
-// or "direct" when DepthwiseSIMD is false — dwGo is then only the reference
-// the tests compare against, not code a convolution runs.
-func depthwiseKernelName() string {
-	if !DepthwiseSIMD() {
-		return "direct"
-	}
-	return dwActive.name
-}
-
 // DWTaps computes, for every pixel p and lane l,
 //
 //	out[p*4+l] = Σ_t w[t*4+l] · src[pix[p]+taps[t]+l]      (t ascending)
@@ -89,7 +74,8 @@ func depthwiseKernelName() string {
 // be negative: the input-gradient pass walks the taps backwards). len(pix)
 // must be a multiple of 4 — pad the table by repeating an entry — and out
 // must hold 4·len(pix) elements. Offsets are the caller's to get right: the
-// vector kernel does not bounds-check them.
+// vector kernel does not bounds-check them (the Go kernel panics on one out
+// of range).
 func DWTaps(out, src []float64, pix, taps []int, w []float64) {
 	if len(pix)%4 != 0 || len(out) < DWLanes*len(pix) || len(w) < DWLanes*len(taps) {
 		panic(fmt.Sprintf("tensor: DWTaps pix %d out %d taps %d w %d", len(pix), len(out), len(taps), len(w)))
@@ -158,23 +144,61 @@ func DWMaxTaps(out []float64, at []int, src []float64, pix, pixAt, taps, tapAt, 
 	dwActive.maxTaps(out, at, src, pix, pixAt, taps, tapAt, lane)
 }
 
+// lanes4s returns a pointer to the start of buf, after checking that the
+// four-lane reads at every base[i]+off[j] fit in it. The Go kernels then
+// read through lanes4 unchecked: a bounds check per tap cost a third of
+// dwTapsGo's time.
+func lanes4s(buf []float64, base, off []int) unsafe.Pointer {
+	lo, hi := slices.Min(base)+slices.Min(off), slices.Max(base)+slices.Max(off)+DWLanes
+	if lo < 0 || hi > len(buf) {
+		panic(fmt.Sprintf("tensor: depthwise kernel reads [%d, %d) of %d elements", lo, hi, len(buf)))
+	}
+	return unsafe.Pointer(unsafe.SliceData(buf))
+}
+
+// lanes4 is the four lanes at element i of the buffer that starts at p.
+func lanes4(p unsafe.Pointer, i int) *[DWLanes]float64 {
+	return (*[DWLanes]float64)(unsafe.Add(p, i*8))
+}
+
+// dwMaxTapsGo keeps one running maximum per lane, the four advanced
+// together over the taps, as dwTapsGo keeps its four sums.
 func dwMaxTapsGo(out []float64, at []int, src []float64, pix, pixAt, taps, tapAt, lane []int) {
+	negInf := math.Inf(-1)
+	sp := lanes4s(src, pix, taps)
 	for p, base := range pix {
-		for l := 0; l < DWLanes; l++ {
-			best, bt := math.Inf(-1), -1
-			for t, off := range taps {
-				if v := src[base+off+l]; v > best {
-					best, bt = v, t
-				}
+		b0, b1, b2, b3 := negInf, negInf, negInf, negInf
+		t0, t1, t2, t3 := -1, -1, -1, -1
+		for t, off := range taps {
+			s := lanes4(sp, base+off)
+			if s[0] > b0 {
+				b0, t0 = s[0], t
 			}
-			i := p*DWLanes + l
-			if bt < 0 {
-				out[i], at[i] = 0, -1
-			} else {
-				out[i], at[i] = best, lane[l]+pixAt[p]+tapAt[bt]
+			if s[1] > b1 {
+				b1, t1 = s[1], t
+			}
+			if s[2] > b2 {
+				b2, t2 = s[2], t
+			}
+			if s[3] > b3 {
+				b3, t3 = s[3], t
 			}
 		}
+		o, a := out[p*4:p*4+4:p*4+4], at[p*4:p*4+4:p*4+4]
+		o[0], a[0] = maxResult(b0, t0, lane[0]+pixAt[p], tapAt)
+		o[1], a[1] = maxResult(b1, t1, lane[1]+pixAt[p], tapAt)
+		o[2], a[2] = maxResult(b2, t2, lane[2]+pixAt[p], tapAt)
+		o[3], a[3] = maxResult(b3, t3, lane[3]+pixAt[p], tapAt)
 	}
+}
+
+// maxResult is one lane's DWMaxTaps result: the maximum and its index, or
+// +0 and -1 when no tap won.
+func maxResult(best float64, t, at0 int, tapAt []int) (float64, int) {
+	if t < 0 {
+		return 0, -1
+	}
+	return best, at0 + tapAt[t]
 }
 
 // DWGemmAcc continues, for four rows o and the four lanes l, the chains
@@ -221,11 +245,11 @@ func dwGemmAccGo(acc, a []float64, aRow, aImg int, x []float64, n, nimg int) {
 }
 
 func dwTapsGo(out, src []float64, pix, taps []int, w []float64) {
+	sp, wp := lanes4s(src, pix, taps), unsafe.Pointer(unsafe.SliceData(w))
 	for p, base := range pix {
 		var a0, a1, a2, a3 float64
 		for t, off := range taps {
-			s := src[base+off : base+off+4 : base+off+4]
-			wt := w[t*4 : t*4+4 : t*4+4]
+			s, wt := lanes4(sp, base+off), lanes4(wp, t*DWLanes)
 			a0 += wt[0] * s[0]
 			a1 += wt[1] * s[1]
 			a2 += wt[2] * s[2]
@@ -237,12 +261,11 @@ func dwTapsGo(out, src []float64, pix, taps []int, w []float64) {
 }
 
 func dwGradWGo(gw, g []float64, gpix []int, x []float64, xpix, taps []int) {
+	gp, xp := lanes4s(g, gpix, []int{0}), lanes4s(x, xpix, taps)
 	for t, off := range taps {
 		var a0, a1, a2, a3 float64
 		for p, gb := range gpix {
-			gv := g[gb : gb+4 : gb+4]
-			xb := xpix[p] + off
-			xv := x[xb : xb+4 : xb+4]
+			gv, xv := lanes4(gp, gb), lanes4(xp, xpix[p]+off)
 			a0 += gv[0] * xv[0]
 			a1 += gv[1] * xv[1]
 			a2 += gv[2] * xv[2]
@@ -280,8 +303,9 @@ func DWDeinterleave(dst, src []float64, n int) {
 	dwActive.deinterleave(dst, src, n)
 }
 
-// DWDeinterleaveInts is DWDeinterleave for the indices DWMaxTaps writes.
-// A vector kernel moves them as 64-bit words, which is exact.
+// DWDeinterleaveInts is DWDeinterleave for the indices DWMaxTaps writes. On
+// a 64-bit host the selected kernel moves them as float64 words, which only
+// loads and stores them and so keeps every bit.
 func DWDeinterleaveInts(dst, src []int, n int) {
 	if n <= 0 {
 		return
@@ -289,7 +313,7 @@ func DWDeinterleaveInts(dst, src []int, n int) {
 	if len(dst) < DWLanes*n || len(src) < DWLanes*n {
 		panic(fmt.Sprintf("tensor: DWDeinterleaveInts %d into %d from %d", n, len(dst), len(src)))
 	}
-	if DepthwiseSIMD() && unsafe.Sizeof(int(0)) == 8 {
+	if unsafe.Sizeof(int(0)) == 8 {
 		dwActive.deinterleave(intWords(dst), intWords(src), n)
 		return
 	}

@@ -156,6 +156,14 @@ func TestDepthwiseRejectsUnpaddedTables(t *testing.T) {
 	mustPanic("pix not a multiple of 4", func() { DWTaps(buf, buf, make([]int, 3), make([]int, 4), buf) })
 	mustPanic("taps not a multiple of 4", func() { DWGradW(buf, buf, make([]int, 4), buf, make([]int, 4), make([]int, 3)) })
 	mustPanic("short out", func() { DWTaps(buf[:8], buf, make([]int, 4), make([]int, 4), buf) })
+	// The Go kernels read unchecked once every window is known to fit.
+	mustPanic("window past src", func() { dwTapsGo(buf, buf, []int{0, 0, 0, 61}, make([]int, 4), buf) })
+	mustPanic("window before src", func() { dwTapsGo(buf, buf, make([]int, 4), []int{0, -4, 0, 0}, buf) })
+	mustPanic("gradient past g", func() { dwGradWGo(buf, buf[:8], []int{0, 0, 0, 8}, buf, make([]int, 4), make([]int, 4)) })
+	mustPanic("window past x", func() { dwGradWGo(buf, buf, make([]int, 4), buf, make([]int, 4), []int{0, 0, 0, 64}) })
+	mustPanic("max window past src", func() {
+		dwMaxTapsGo(buf, make([]int, 16), buf, []int{0, 0, 0, 61}, make([]int, 4), make([]int, 1), make([]int, 1), make([]int, 4))
+	})
 	mustPanic("interleave past dst", func() { DWInterleave(buf, 1, 4, 1, buf, 4, 4) })
 	mustPanic("deinterleave past dst", func() { DWDeinterleave(buf[:8], buf, 4) })
 }
@@ -174,7 +182,7 @@ func TestDepthwiseEmptyTablesZeroTheResult(t *testing.T) {
 
 // TestDWMaxTapsVariantsBitIdentical drives every compiled max-tap kernel
 // over random tables whose values are mostly ties, zeros of both signs,
-// NaNs and infinities, and requires the reference's maxima and indices.
+// NaNs and infinities, and requires the one-lane scan's maxima and indices.
 func TestDWMaxTapsVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pick := []float64{0, math.Copysign(0, -1), 1, 1, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.Inf(-1), 2.5}
@@ -201,14 +209,7 @@ func TestDWMaxTapsVariantsBitIdentical(t *testing.T) {
 			tapAt[i] = rng.Intn(1000)
 		}
 		lane := []int{rng.Intn(100), 1000 + rng.Intn(100), 2000, 3000}
-		wantOut, wantAt := make([]float64, DWLanes*npix), make([]int, DWLanes*npix)
-		if ntaps == 0 {
-			for i := range wantAt {
-				wantAt[i] = -1
-			}
-		} else {
-			dwMaxTapsGo(wantOut, wantAt, src, pix, pixAt, taps, tapAt, lane)
-		}
+		wantOut, wantAt := maxTapsReference(src, pix, pixAt, taps, tapAt, lane)
 		for _, kv := range dwVariants() {
 			saved := dwActive
 			dwActive = kv
@@ -223,6 +224,29 @@ func TestDWMaxTapsVariantsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maxTapsReference is DWMaxTaps one lane at a time: a scan of the taps in
+// ascending order with a strict >.
+func maxTapsReference(src []float64, pix, pixAt, taps, tapAt, lane []int) ([]float64, []int) {
+	out, at := make([]float64, DWLanes*len(pix)), make([]int, DWLanes*len(pix))
+	for p, base := range pix {
+		for l := 0; l < DWLanes; l++ {
+			best, bt := math.Inf(-1), -1
+			for t, off := range taps {
+				if v := src[base+off+l]; v > best {
+					best, bt = v, t
+				}
+			}
+			i := p*DWLanes + l
+			if bt < 0 {
+				out[i], at[i] = 0, -1
+			} else {
+				out[i], at[i] = best, lane[l]+pixAt[p]+tapAt[bt]
+			}
+		}
+	}
+	return out, at
 }
 
 // The max-tap semantics on one hand-built pixel per lane: the earliest of

@@ -197,12 +197,12 @@ func TestKernelInfo(t *testing.T) {
 			t.Errorf("gemmKernelFor(%d) = %s, want %s", tc.m, got, want)
 		}
 	}
-	wantDW := "direct"
+	wantDW := "go-lanes4"
 	if asmKernels && info.AVX2 {
 		wantDW = "avx2-lanes4"
 	}
-	if info.KernelDepthwise != wantDW || DepthwiseSIMD() != (wantDW != "direct") {
-		t.Fatalf("depthwise kernel %q (SIMD %v), want %q", info.KernelDepthwise, DepthwiseSIMD(), wantDW)
+	if info.KernelDepthwise != wantDW {
+		t.Fatalf("depthwise kernel %q, want %q", info.KernelDepthwise, wantDW)
 	}
 	wantEW := "go"
 	if asmKernels && info.AVX2 {

@@ -78,9 +78,9 @@ type KernelFeatures struct {
 	// "go-4x4"). On AVX2, problems of at most 4 rows take avx2-4x8 and row
 	// counts that are multiples of 6 but not of 8 take avx2-6x8.
 	KernelF64 string `json:"kernel_f64"`
-	// KernelDepthwise names the depthwise-convolution code that runs:
-	// "avx2-lanes4", or "direct" when no vector kernel was selected and
-	// nn.Conv2D keeps its valid-range loops (see DepthwiseSIMD).
+	// KernelDepthwise names the lane kernel set that depthwise convolutions
+	// and the 3×3 pools run: "avx2-lanes4", or the portable "go-lanes4"
+	// where no vector kernel was selected (-tags noasm, arm64).
 	KernelDepthwise string `json:"kernel_depthwise"`
 	// KernelElementwise names the kernel set behind the element-wise tail
 	// of a step (ReLU, batch-norm apply, node sums): "avx2" or "go".
@@ -95,7 +95,7 @@ func KernelInfo() KernelFeatures {
 		FMA:       cpuHasFMA,
 		KernelF64: gemmActiveF64.name,
 
-		KernelDepthwise:   depthwiseKernelName(),
+		KernelDepthwise:   dwActive.name,
 		KernelElementwise: ewActive.name,
 	}
 }
