@@ -107,7 +107,7 @@ echo "== examples (the two that build search.DefaultConfig and rpcfed.DefaultSer
 go run ./examples/quickstart
 go run ./examples/distributed
 
-echo "== fedrpc two-process smoke + fedtrace (2 traced worker processes on loopback, 2 server rounds against them; must exit 0 with a genotype, and every span must stitch across the three trace files)"
+echo "== fedrpc two-process smoke + fedtrace (2 traced worker processes on loopback, 2 server rounds against them, then 2 untraced -wire fp32 rounds against the same workers; both must exit 0 with a genotype, and every span must stitch across the three trace files)"
 rpcdir=$(mktemp -d)
 trap 'rm -rf "$rpcdir"' EXIT
 ./fedrpc_smoke.sh "$rpcdir"

@@ -218,15 +218,17 @@ func runServer(args []string) error {
 		shards    = fs.Int("shards", 0, "aggregation-tree shards for the θ merge (0/1 = single root; any count is bit-identical)")
 		lazyDial  = fs.Bool("lazy-dial", false, "defer participant connections to first dispatch (only sampled participants ever connect)")
 		workers   = fs.Int("workers", 0, "concurrent payload serializations at dispatch (0 = NumCPU)")
-		wireMode  = fs.String("wire", "fp64", "payload encoding: gob|fp64|fp32|topk (fp64 = bit-identical to gob; topk = lossy error-feedback sparsification)")
-		topkRatio = fs.Float64("topk-ratio", 0, "topk wire mode: fraction of weight-delta coordinates shipped downlink (0 = default 0.1)")
-		topkGrad  = fs.Float64("topk-grad-ratio", 0, "topk wire mode: fraction of gradient coordinates shipped uplink (0 = default 0.025)")
+		wireMode  = fs.String("wire", "fp64", "payload encoding: gob|fp64|fp32 (fp64 = bit-identical to gob; fp32 = half the bytes, rounded to float32)")
 		callTO    = fs.Duration("call-timeout", 10*time.Second, "per-RPC deadline, distinct from the round timeout (0 disables)")
 		seed      = fs.Int64("seed", 1, "shared deployment seed")
 		traceOut  = fs.String("trace", "", "write a JSONL span trace of every round to this file")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	mode, err := wire.ParseMode(*wireMode)
+	if err != nil {
 		return err
 	}
 	if *addrList == "" {
@@ -250,12 +252,8 @@ func runServer(args []string) error {
 	scfg.Transport.Workers = *workers
 	scfg.Transport.CallTimeout = *callTO
 	scfg.Transport.LazyDial = *lazyDial
-	scfg.Transport.TopKRatio = *topkRatio
-	scfg.Transport.TopKGradRatio = *topkGrad
+	scfg.Transport.Wire = mode
 	scfg.Seed = *seed
-	if scfg.Transport.Wire, err = wire.ParseMode(*wireMode); err != nil {
-		return err
-	}
 	srv, err := rpcfed.NewServer(scfg, addrs)
 	if err != nil {
 		return err

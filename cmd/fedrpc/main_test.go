@@ -103,17 +103,27 @@ func TestServerModeNeedsAddrs(t *testing.T) {
 	}
 }
 
-// TestPrecisionFlagRemoved: both subcommands refuse the removed -precision
-// flag instead of ignoring it. The worker row also passes an out-of-range
-// -index, so a build that still parsed -precision fails fast.
+// TestPrecisionFlagRemoved: the subcommands refuse removed flags and flag
+// values instead of ignoring them: -precision on both, the top-k wire
+// mode's -topk-ratio and -topk-grad-ratio, and -wire topk and the retired
+// -wire binary alias. The worker row also passes an out-of-range -index,
+// so a build that still parsed -precision fails fast; no server row has
+// -addrs, so a build that still accepted the flag fails on that instead.
 func TestPrecisionFlagRemoved(t *testing.T) {
-	for _, args := range [][]string{
-		{"worker", "-precision", "fp32", "-index", "9"},
-		{"server", "-precision", "fp32"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"worker", "-precision", "fp32", "-index", "9"}, "flag provided but not defined: -precision"},
+		{[]string{"server", "-precision", "fp32"}, "flag provided but not defined: -precision"},
+		{[]string{"server", "-topk-ratio", "0.1"}, "flag provided but not defined: -topk-ratio"},
+		{[]string{"server", "-topk-grad-ratio", "0.1"}, "flag provided but not defined: -topk-grad-ratio"},
+		{[]string{"server", "-wire", "topk"}, `unknown mode "topk"`},
+		{[]string{"server", "-wire", "binary"}, `unknown mode "binary"`},
 	} {
-		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -precision") {
-			t.Errorf("run(%q) = %v, want an undefined-flag error", args, err)
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%q) = %v, want %q", c.args, err, c.want)
 		}
 	}
 }

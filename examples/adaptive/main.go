@@ -12,6 +12,7 @@ import (
 	"fedrlnas/internal/nettrace"
 	"fedrlnas/internal/search"
 	"fedrlnas/internal/transmission"
+	"fedrlnas/internal/wire"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func run() error {
 		for round := 0; round < rounds; round++ {
 			sizes := make([]int64, k)
 			for i := range sizes {
-				sizes[i] = s.Supernet().SubModelWireBytes(s.Controller().SampleGates(rng), cfg.Wire)
+				sizes[i] = s.Supernet().SubModelWireBytes(s.Controller().SampleGates(rng), wire.FP64)
 			}
 			bw := make([]float64, k)
 			for i := range bw {

@@ -2,8 +2,9 @@
 # fedrpc_smoke.sh DIR — two-process wire-protocol smoke with stitched traces.
 # Starts two traced `fedrpc worker` processes on loopback (ports picked by the
 # kernel, parsed from their "serving … on ADDR" line), runs a 2-round traced
-# `fedrpc server` against them, stops the workers, then runs fedtrace over
-# the three trace files. Fails unless the server exits 0 with a genotype and
+# `fedrpc server` against them, then a 2-round untraced `fedrpc server -wire
+# fp32` against the same workers, stops the workers, then runs fedtrace over
+# the three trace files. Fails unless both servers exit 0 with a genotype and
 # every span stitches across the processes. Traces and logs stay in DIR.
 set -eu
 mkdir -p "${1:?usage: fedrpc_smoke.sh DIR}"
@@ -36,6 +37,13 @@ if ! "$dir/fedrpc" server -addrs "$addrs" -rounds 2 -batch 8 -trace "$dir/server
 	! grep -q '^genotype:' "$dir/server.log"; then
 	echo "fedrpc server against two worker processes failed:" >&2
 	cat "$dir/server.log" >&2
+	exit 1
+fi
+# The one lossy wire mode, across the same real processes.
+if ! "$dir/fedrpc" server -addrs "$addrs" -rounds 2 -batch 8 -wire fp32 >"$dir/server-fp32.log" 2>&1 ||
+	! grep -q '^genotype:' "$dir/server-fp32.log"; then
+	echo "fedrpc server -wire fp32 against two worker processes failed:" >&2
+	cat "$dir/server-fp32.log" >&2
 	exit 1
 fi
 # Workers serve until killed; stop them so their traces are complete.

@@ -12,6 +12,7 @@ import (
 	"fedrlnas/internal/search"
 	"fedrlnas/internal/staleness"
 	"fedrlnas/internal/transmission"
+	"fedrlnas/internal/wire"
 )
 
 // Fig3Warmup reproduces Fig. 3: the warm-up phase training-accuracy curve
@@ -137,7 +138,7 @@ func Fig7AdaptiveLatency(scale Scale) (Output, error) {
 		for round := 0; round < rounds; round++ {
 			sizes := make([]int64, k)
 			for i := 0; i < k; i++ {
-				sizes[i] = s.Supernet().SubModelWireBytes(s.Controller().SampleGates(rng), cfg.Wire)
+				sizes[i] = s.Supernet().SubModelWireBytes(s.Controller().SampleGates(rng), wire.FP64)
 			}
 			bw := make([]float64, k)
 			for i := 0; i < k; i++ {

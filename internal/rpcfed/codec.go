@@ -273,63 +273,6 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// appendParamIDs / decodeParamIDs carry the top-k transport's supernet
-// parameter indices (u32 count + u32 per entry).
-func appendParamIDs(dst []byte, ids []int) ([]byte, error) {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
-	for _, id := range ids {
-		if id < 0 {
-			return nil, fmt.Errorf("rpcfed: negative param id %d", id)
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	}
-	return dst, nil
-}
-
-func decodeParamIDs(r *wire.Reader, into []int) ([]int, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n)*4 > int64(r.Len()) {
-		return nil, fmt.Errorf("rpcfed: param id count %d exceeds frame", n)
-	}
-	if cap(into) >= int(n) {
-		into = into[:n]
-	} else {
-		into = make([]int, n)
-	}
-	for i := range into {
-		v, err := r.U32()
-		if err != nil {
-			return nil, err
-		}
-		into[i] = int(v)
-	}
-	return into, nil
-}
-
-// appendPacked / decodePacked carry an opaque pre-encoded wire tensor group
-// (u32 length + bytes). Decoding COPIES the bytes: the frame buffer is
-// reused for the next frame while the service (or the reply consumer) still
-// holds the payload.
-func appendPacked(dst, packed []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(packed)))
-	return append(dst, packed...)
-}
-
-func decodePacked(r *wire.Reader, into []byte) ([]byte, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	b, err := r.Bytes(int(n))
-	if err != nil {
-		return nil, err
-	}
-	return append(into[:0], b...), nil
-}
-
 func appendTrainRequest(dst []byte, m wire.Mode, req *TrainRequest) ([]byte, error) {
 	dst = appendI32(dst, req.Round)
 	dst = appendI32(dst, req.BatchSize)
@@ -340,17 +283,10 @@ func appendTrainRequest(dst []byte, m wire.Mode, req *TrainRequest) ([]byte, err
 	if dst, err = appendGateInts(dst, req.Reduce); err != nil {
 		return nil, err
 	}
-	if m == wire.TopK {
-		if dst, err = appendParamIDs(dst, req.ParamIDs); err != nil {
-			return nil, err
-		}
-		dst = appendF64(dst, req.TopKRatio)
-		dst = appendPacked(dst, req.Packed)
-	}
 	return wire.AppendGroup(dst, m, req.Weights), nil
 }
 
-func decodeTrainRequest(r *wire.Reader, m wire.Mode, req *TrainRequest) error {
+func decodeTrainRequest(r *wire.Reader, req *TrainRequest) error {
 	var err error
 	if req.Round, err = r.I32(); err != nil {
 		return err
@@ -364,17 +300,6 @@ func decodeTrainRequest(r *wire.Reader, m wire.Mode, req *TrainRequest) error {
 	if req.Reduce, err = decodeGateInts(r, req.Reduce); err != nil {
 		return err
 	}
-	if m == wire.TopK {
-		if req.ParamIDs, err = decodeParamIDs(r, req.ParamIDs); err != nil {
-			return err
-		}
-		if req.TopKRatio, err = r.F64(); err != nil {
-			return err
-		}
-		if req.Packed, err = decodePacked(r, req.Packed); err != nil {
-			return err
-		}
-	}
 	req.Weights, err = wire.DecodeGroupInto(r, req.Weights)
 	return err
 }
@@ -384,13 +309,10 @@ func appendTrainReply(dst []byte, m wire.Mode, rep *TrainReply) ([]byte, error) 
 	dst = appendI32(dst, rep.ParticipantID)
 	dst = appendF64(dst, rep.Reward)
 	dst = appendF64(dst, rep.Loss)
-	if m == wire.TopK {
-		dst = appendPacked(dst, rep.Packed)
-	}
 	return wire.AppendGroup(dst, m, rep.Grads), nil
 }
 
-func decodeTrainReply(r *wire.Reader, m wire.Mode, rep *TrainReply) error {
+func decodeTrainReply(r *wire.Reader, rep *TrainReply) error {
 	var err error
 	if rep.Round, err = r.I32(); err != nil {
 		return err
@@ -403,11 +325,6 @@ func decodeTrainReply(r *wire.Reader, m wire.Mode, rep *TrainReply) error {
 	}
 	if rep.Loss, err = r.F64(); err != nil {
 		return err
-	}
-	if m == wire.TopK {
-		if rep.Packed, err = decodePacked(r, rep.Packed); err != nil {
-			return err
-		}
 	}
 	rep.Grads, err = wire.DecodeGroupInto(r, rep.Grads)
 	return err
@@ -436,10 +353,9 @@ func appendBody(dst []byte, m wire.Mode, body any) ([]byte, byte, error) {
 }
 
 // decodeBody decodes the remainder of a frame into the typed destination.
-// A nil dst discards the body (net/rpc does this on errors). The frame's
-// wire mode selects layout variants (the top-k transport extends the train
-// bodies).
-func decodeBody(r *wire.Reader, kind byte, m wire.Mode, dst any) error {
+// A nil dst discards the body (net/rpc does this on errors). Tensor tags
+// are per tensor, so decoding needs no wire mode.
+func decodeBody(r *wire.Reader, kind byte, dst any) error {
 	if dst == nil {
 		return nil
 	}
@@ -457,13 +373,13 @@ func decodeBody(r *wire.Reader, kind byte, m wire.Mode, dst any) error {
 		if !ok {
 			return fmt.Errorf("rpcfed: TrainRequest frame decoded into %T", dst)
 		}
-		return decodeTrainRequest(r, m, b)
+		return decodeTrainRequest(r, b)
 	case bodyTrainReply:
 		b, ok := dst.(*TrainReply)
 		if !ok {
 			return fmt.Errorf("rpcfed: TrainReply frame decoded into %T", dst)
 		}
-		return decodeTrainReply(r, m, b)
+		return decodeTrainReply(r, b)
 	default:
 		return fmt.Errorf("rpcfed: unknown body kind %d", kind)
 	}
@@ -555,7 +471,7 @@ func (c *binaryClientCodec) ReadResponseHeader(resp *rpc.Response) error {
 
 func (c *binaryClientCodec) ReadResponseBody(body any) error {
 	t0 := time.Now()
-	err := decodeBody(&c.body, c.pending.kind, c.pending.mode, body)
+	err := decodeBody(&c.body, c.pending.kind, body)
 	dec := time.Since(t0)
 	c.met.DecodeNs.Add(dec.Nanoseconds())
 	c.met.DecodeSeconds.Observe(dec.Seconds())
@@ -640,7 +556,7 @@ func (c *binaryServerCodec) ReadRequestBody(body any) error {
 		c.mu.Unlock()
 	}
 	t0 := time.Now()
-	err := decodeBody(&c.body, c.pending.kind, c.pending.mode, body)
+	err := decodeBody(&c.body, c.pending.kind, body)
 	dec := time.Since(t0)
 	c.met.DecodeNs.Add(dec.Nanoseconds())
 	c.met.DecodeSeconds.Observe(dec.Seconds())

@@ -27,7 +27,7 @@ type ParticipantService struct {
 	id     int
 	netCfg nas.Config
 
-	// mu is held for a whole step: it guards part, slot and the top-k state.
+	// mu is held for a whole step: it guards part and slot.
 	mu   sync.Mutex
 	ds   *data.Dataset
 	part *fed.Participant
@@ -58,16 +58,6 @@ type ParticipantService struct {
 	// training, so a chaos injector can tag faults with the active round.
 	tracer  *telemetry.Tracer
 	curSpan wire.SpanContext
-
-	// Top-k transport state (see topk.go), keyed by supernet parameter
-	// index: mirror is this end's copy of the server's per-participant
-	// weight mirror, residual the error-feedback accumulator for gradient
-	// coordinates not yet shipped. Both stay nil until a Packed request
-	// arrives. idx/scratch are reusable selection buffers.
-	mirror   map[int][]float64
-	residual map[int][]float64
-	idx      []int
-	scratch  []float64
 }
 
 // NewParticipantService constructs a participant over a shard of ds whose
@@ -209,38 +199,7 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 	defer p.releaseReplica(rep)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	topk := len(req.Packed) > 0
-	if topk {
-		if len(req.ParamIDs) != len(params) {
-			return fmt.Errorf("rpcfed: %d param ids, want %d", len(req.ParamIDs), len(params))
-		}
-		// Apply the server's weight payload onto the local mirrors: dense
-		// tensors resync, tag-4 entries advance the mirror by exactly what
-		// the server's copy advanced. A delta for a parameter we have no
-		// (right-sized) mirror for — e.g. after a restart wiped our state
-		// while the server kept believing it — decodes against a nil base
-		// and errors out; the failed call invalidates the server's mirror
-		// and the next round resyncs dense.
-		base := make([][]float64, len(params))
-		for i, id := range req.ParamIDs {
-			if m := p.mirror[id]; len(m) == params[i].Value.Size() {
-				base[i] = m
-			}
-		}
-		if _, err := wire.DecodeGroupDelta(req.Packed, base); err != nil {
-			return fmt.Errorf("rpcfed: apply weight delta: %w", err)
-		}
-		if p.mirror == nil {
-			p.mirror = make(map[int][]float64)
-			p.residual = make(map[int][]float64)
-		}
-		if err := loadWeights(params, base); err != nil {
-			return err
-		}
-		for i, id := range req.ParamIDs {
-			p.mirror[id] = base[i]
-		}
-	} else if err := loadWeights(params, req.Weights); err != nil {
+	if err := loadWeights(params, req.Weights); err != nil {
 		return err
 	}
 
@@ -252,41 +211,6 @@ func (p *ParticipantService) Train(req *TrainRequest, reply *TrainReply) error {
 	reply.ParticipantID = p.id
 	reply.Reward = p.slot.Acc
 	reply.Loss = p.slot.Loss
-	if topk {
-		// Error-feedback sparsification: ship the top-k coordinates of
-		// gradient + residual, carry everything dropped into the next
-		// round's residual for this parameter.
-		ratio := req.TopKRatio
-		if ratio <= 0 || ratio > 1 {
-			ratio = defaultTopKGradRatio
-		}
-		packed := wire.AppendGroupHeader(nil, len(grads))
-		for i, gr := range grads {
-			g := gr.Data()
-			id := req.ParamIDs[i]
-			res := p.residual[id]
-			if len(res) != len(g) {
-				res = make([]float64, len(g))
-				p.residual[id] = res
-			}
-			if cap(p.scratch) < len(g) {
-				p.scratch = make([]float64, len(g))
-			}
-			u := p.scratch[:len(g)]
-			for j := range g {
-				u[j] = g[j] + res[j]
-			}
-			k := wire.TopKCount(len(u), ratio)
-			p.idx = wire.TopKIndices(u, k, p.idx)
-			packed = wire.AppendTensorTopK(packed, u, p.idx)
-			copy(res, u)
-			for _, j := range p.idx {
-				res[j] = 0
-			}
-		}
-		reply.Packed = packed
-		return nil
-	}
 	var buf [][]float64
 	select {
 	case buf = <-p.grads:

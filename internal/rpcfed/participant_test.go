@@ -239,16 +239,16 @@ func TestConcurrentTrainRepliesMatchSerial(t *testing.T) {
 }
 
 // rpcBenchNet and rpcBenchDataset are the rpc benchmark workload's network
-// and data.
+// and its data at the given seed.
 func rpcBenchNet() nas.Config {
 	return nas.Config{InChannels: 3, NumClasses: 10, C: 6, Layers: 2, Nodes: 2, Candidates: nas.AllOps}
 }
 
-func rpcBenchDataset(t *testing.T) *data.Dataset {
+func rpcBenchDataset(t *testing.T, seed int64) *data.Dataset {
 	t.Helper()
 	ds, err := data.Generate(data.Spec{
 		Name: "rpcbench", NumClasses: 10, Channels: 3, Height: 8, Width: 8,
-		TrainPerClass: 32, TestPerClass: 8, Noise: 1.0, Confusion: 0.3, Seed: 13,
+		TrainPerClass: 32, TestPerClass: 8, Noise: 1.0, Confusion: 0.3, Seed: seed + 12,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestParticipantTrainSteadyStateAllocs(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops Puts at random, defeating scratch reuse")
 	}
 	const pinned = 1
-	ds := rpcBenchDataset(t)
+	ds := rpcBenchDataset(t, 1)
 	cfg := rpcBenchNet()
 	svc, err := NewParticipantService(0, ds, shardOf(40), cfg, 1)
 	if err != nil {

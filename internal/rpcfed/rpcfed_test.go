@@ -127,6 +127,8 @@ func TestServerConfigValidation(t *testing.T) {
 		func(c *ServerConfig) { c.Transport.DialAttempts = -1 },
 		func(c *ServerConfig) { c.Transport.DialBackoff = -time.Second },
 		func(c *ServerConfig) { c.Transport.CallTimeout = -time.Second },
+		func(c *ServerConfig) { c.Transport.Wire = 3 }, // retired sparse mode
+		func(c *ServerConfig) { c.Transport.Wire = 4 }, // retired top-k mode
 	} {
 		cfg := good
 		mut(&cfg)

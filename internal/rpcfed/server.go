@@ -28,8 +28,9 @@ type TransportConfig struct {
 	// Wire selects the tensor payload encoding (wire.FP64 default:
 	// binary framing, bit-identical results; wire.Gob is net/rpc's gob
 	// codec, kept only as TestWireModeBitIdentity's reference until ROADMAP
-	// item 10(g) retires it; FP32 trades precision for half the bytes; TopK
-	// ships error-feedback deltas).
+	// item 10(g) retires it; FP32 halves the bytes and rounds every value
+	// to float32, and TestFP32TracksFP64 holds its learning curve to
+	// FP64's).
 	Wire wire.Mode
 
 	// Workers caps how many participants' sub-model payloads are
@@ -60,15 +61,6 @@ type TransportConfig struct {
 	// failed lazy dial feeds the lifecycle state machine exactly like a
 	// failed call.
 	LazyDial bool
-
-	// TopKRatio is the fraction of weight-delta coordinates shipped per
-	// tensor on the downlink under wire.TopK (see topk.go for the
-	// error-feedback scheme); 0 selects the default (0.1). TopKGradRatio is
-	// the uplink fraction for gradients, which tolerate much sharper
-	// sparsification under error feedback; 0 selects the default (0.025).
-	// Both ignored by every other wire mode.
-	TopKRatio     float64
-	TopKGradRatio float64
 }
 
 // DefaultTransportConfig returns the transport defaults.
@@ -94,10 +86,6 @@ func (c TransportConfig) Validate() error {
 		return fmt.Errorf("rpcfed: DialBackoff must be >= 0")
 	case c.CallTimeout < 0:
 		return fmt.Errorf("rpcfed: CallTimeout must be >= 0")
-	case c.TopKRatio < 0 || c.TopKRatio > 1:
-		return fmt.Errorf("rpcfed: TopKRatio %v must be in [0, 1]", c.TopKRatio)
-	case c.TopKGradRatio < 0 || c.TopKGradRatio > 1:
-		return fmt.Errorf("rpcfed: TopKGradRatio %v must be in [0, 1]", c.TopKGradRatio)
 	}
 	return nil
 }
@@ -167,8 +155,8 @@ type ServerResult struct {
 
 // Server drives Alg. 1 over RPC participants: the round core
 // (internal/round) owns the algorithm, and this type is its RPC transport —
-// dispatch, in-flight tracking, quorum collection, peer lifecycle, top-k
-// mirrors and payload decoding.
+// dispatch, in-flight tracking, quorum collection, peer lifecycle and
+// payload decoding.
 type Server struct {
 	cfg  ServerConfig
 	net  *nas.Supernet
@@ -190,14 +178,6 @@ type Server struct {
 	// the cohort positions it dispatches.
 	replies []round.Reply
 	todo    []int
-
-	// downlink holds per-participant top-k weight mirrors (wire.TopK only;
-	// nil otherwise), indexed by participant id. topkRatio is the effective
-	// downlink (weight-delta) selection fraction, topkGradRatio the uplink
-	// (gradient) fraction requested from participants.
-	downlink      []*peerMirror
-	topkRatio     float64
-	topkGradRatio float64
 
 	// pool parallelizes per-participant payload serialization at dispatch
 	// and, inside the core, delay compensation and the sharded merge.
@@ -273,20 +253,6 @@ func NewServer(cfg ServerConfig, addrs []string) (*Server, error) {
 	}, rpcTransport{s})
 	if err != nil {
 		return nil, fmt.Errorf("rpcfed: %w", err)
-	}
-	if cfg.Transport.Wire == wire.TopK {
-		s.topkRatio = cfg.Transport.TopKRatio
-		if s.topkRatio == 0 {
-			s.topkRatio = defaultTopKRatio
-		}
-		s.topkGradRatio = cfg.Transport.TopKGradRatio
-		if s.topkGradRatio == 0 {
-			s.topkGradRatio = defaultTopKGradRatio
-		}
-		s.downlink = make([]*peerMirror, len(addrs))
-		for i := range s.downlink {
-			s.downlink[i] = &peerMirror{params: make(map[int][]float64)}
-		}
 	}
 	s.met = telemetry.NewDisabledRoundMetrics()
 	s.core.SetTelemetry(nil, s.met)
@@ -445,19 +411,6 @@ func (x rpcTransport) Exchange(ctx context.Context, t int, snap *round.Snapshot)
 		req.Span.Participant = int32(p.id)
 		req.Normal = append(req.Normal[:0], gates[j].Normal...)
 		req.Reduce = append(req.Reduce[:0], gates[j].Reduce...)
-		if s.cfg.Transport.Wire == wire.TopK {
-			// Top-k transport: ship mirror deltas instead of dense
-			// weights. Each worker touches only its own participant's
-			// mirror, so the fan-out stays race-free.
-			req.ParamIDs = req.ParamIDs[:0]
-			for _, prm := range p.sub {
-				req.ParamIDs = append(req.ParamIDs, s.paramIndex[prm])
-			}
-			req.TopKRatio = s.topkGradRatio
-			req.Packed = s.downlink[p.id].encodeDownlink(p.sub, req.ParamIDs, s.topkRatio)
-			p.reqBytes = int64(len(req.Packed))
-			return nil
-		}
 		req.Weights = resized(req.Weights, len(p.sub))
 		for k, prm := range p.sub {
 			req.Weights[k] = append(req.Weights[k][:0], prm.Value.Data()...)
@@ -561,27 +514,17 @@ drain:
 // headers, so nothing is copied.
 func (s *Server) decodeReply(r *round.Reply, p *peer, reply *TrainReply, gk nas.Gates) error {
 	p.sub = s.net.AppendSampledParams(p.sub[:0], gk)
-	if len(reply.Packed) > 0 {
-		// Top-k transport: the payload carries tag-4 deltas of the k
-		// largest gradient+residual coordinates per tensor; decoding against
-		// zeros recovers them as a dense (mostly zero) gradient.
-		var err error
-		if r.Grads, err = decodePackedGrads(reply.Packed, p.sub); err != nil {
-			return err
-		}
-	} else {
-		if len(reply.Grads) != len(p.sub) {
-			return fmt.Errorf("rpcfed: %d gradient tensors, want %d", len(reply.Grads), len(p.sub))
-		}
-		p.grads = resized(p.grads, len(p.sub))
-		for i, prm := range p.sub {
-			if len(reply.Grads[i]) != prm.Value.Size() {
-				return fmt.Errorf("rpcfed: gradient %d has %d values, want %d", i, len(reply.Grads[i]), prm.Value.Size())
-			}
-			p.grads[i] = tensor.Rebind(p.grads[i], reply.Grads[i], prm.Value)
-		}
-		r.Grads = p.grads
+	if len(reply.Grads) != len(p.sub) {
+		return fmt.Errorf("rpcfed: %d gradient tensors, want %d", len(reply.Grads), len(p.sub))
 	}
+	p.grads = resized(p.grads, len(p.sub))
+	for i, prm := range p.sub {
+		if len(reply.Grads[i]) != prm.Value.Size() {
+			return fmt.Errorf("rpcfed: gradient %d has %d values, want %d", i, len(reply.Grads[i]), prm.Value.Size())
+		}
+		p.grads[i] = tensor.Rebind(p.grads[i], reply.Grads[i], prm.Value)
+	}
+	r.Grads = p.grads
 	p.subIdx = p.subIdx[:0]
 	for _, prm := range p.sub {
 		p.subIdx = append(p.subIdx, s.paramIndex[prm])
@@ -616,14 +559,6 @@ func (s *Server) call(p *peer) {
 		if isTransportFailure(err) {
 			s.noteCallFailure(p, err)
 		}
-		if s.downlink != nil {
-			// The participant may or may not have applied the delta we sent
-			// (a timeout can fire after delivery), so its mirror state is
-			// unknown: mark it for a dense resync. The dispatcher only reads
-			// the flag after this goroutine's arrival clears the in-flight
-			// bit, so the write is ordered by the arrivals channel.
-			s.downlink[p.id].valid = false
-		}
 		// After a deadline expiry net/rpc may still write into the abandoned
 		// reply object, so it must not travel any further, and the peer's
 		// next call decodes into a fresh one.
@@ -631,11 +566,7 @@ func (s *Server) call(p *peer) {
 		reply = nil
 	} else {
 		s.noteCallSuccess(p)
-		if len(reply.Packed) > 0 {
-			replyBytes = int64(len(reply.Packed))
-		} else {
-			replyBytes = wire.GroupBytes(s.cfg.Transport.Wire, reply.Grads)
-		}
+		replyBytes = wire.GroupBytes(s.cfg.Transport.Wire, reply.Grads)
 		if reply.Round != req.Round || reply.ParticipantID != p.id {
 			reply = nil
 		}

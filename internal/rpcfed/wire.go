@@ -26,22 +26,10 @@ type TrainRequest struct {
 	Normal []int
 	Reduce []int
 	// Weights carries the sampled sub-model parameters in canonical
-	// (SampledParams) order, flattened per tensor. Empty when the top-k
-	// transport ships Packed deltas instead.
+	// (SampledParams) order, flattened per tensor.
 	Weights [][]float64
 	// BatchSize is the mini-batch size for the local step.
 	BatchSize int
-
-	// Top-k transport fields (wire.TopK mode only; see topk.go). ParamIDs
-	// names each shipped tensor by its supernet parameter index, the key
-	// under which both ends maintain weight mirrors and gradient residuals
-	// across rounds. Packed is a wire tensor group applied as a delta on
-	// the participant's mirrors: dense tensors resync, tag-4 entries add.
-	// TopKRatio tells the participant what fraction of gradient
-	// coordinates to return.
-	ParamIDs  []int
-	TopKRatio float64
-	Packed    []byte
 	// Span carries the distributed-trace context of the round that issued
 	// this request, so worker-side spans parent under the server's round
 	// span. The binary framing lifts it into the frame header; gob mode
@@ -57,13 +45,8 @@ type TrainReply struct {
 	Reward float64
 	Loss   float64
 	// Grads carries ∇θ for the sampled parameters, aligned with
-	// TrainRequest.Weights. Empty when the top-k transport ships Packed.
+	// TrainRequest.Weights.
 	Grads [][]float64
-	// Packed is the top-k transport's gradient payload: a wire tensor
-	// group of tag-4 deltas carrying the k largest-magnitude coordinates
-	// of gradient-plus-residual per tensor (decoded against zeros on the
-	// server), aligned with TrainRequest.ParamIDs.
-	Packed []byte
 }
 
 // HelloRequest is the registration handshake.

@@ -20,7 +20,6 @@ import (
 	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/staleness"
 	"fedrlnas/internal/transmission"
-	"fedrlnas/internal/wire"
 )
 
 // PartitionKind selects how training data is split across participants.
@@ -76,13 +75,6 @@ type Config struct {
 	// Transmission selects the sub-model assignment policy.
 	Transmission transmission.Policy
 
-	// Wire selects the payload encoding whose measured frame size ranks
-	// sub-models for transmission (and feeds the submodel_bytes
-	// telemetry); the zero value wire.Gob is sized like FP64. The
-	// in-process engine never serializes, so Wire changes reported sizes
-	// and ranking, not results of a fixed assignment.
-	Wire wire.Mode
-
 	// AlphaOnly freezes θ during search (the Fig. 5 ablation).
 	AlphaOnly bool
 
@@ -122,7 +114,6 @@ func DefaultConfig() Config {
 		SearchSteps:    60,
 		Staleness:      staleness.NoStaleness(),
 		Transmission:   transmission.Adaptive,
-		Wire:           wire.FP64,
 		Augment:        data.DefaultAugment(),
 	}
 }
@@ -154,8 +145,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("search: ChurnProb %v outside [0,1)", c.ChurnProb)
 	case c.Workers < 0:
 		return fmt.Errorf("search: Workers %d must be >= 0", c.Workers)
-	case !c.Wire.Valid():
-		return fmt.Errorf("search: invalid wire mode %d", c.Wire)
 	case c.Net.NumClasses != c.Dataset.NumClasses:
 		return fmt.Errorf("search: net classes %d != dataset classes %d",
 			c.Net.NumClasses, c.Dataset.NumClasses)

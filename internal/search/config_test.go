@@ -29,7 +29,7 @@ func TestConfigJSONKeys(t *testing.T) {
 		"Dataset", "DirichletAlpha", "K", "Lambda", "Net", "Partition",
 		"Quorum", "SearchSteps", "Seed", "Shards", "Staleness",
 		"StalenessThreshold", "Strategy", "ThetaClip", "ThetaLR",
-		"ThetaMomentum", "ThetaWD", "Transmission", "WarmupSteps", "Wire",
+		"ThetaMomentum", "ThetaWD", "Transmission", "WarmupSteps",
 		"Workers",
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -8,6 +8,7 @@ import (
 	"fedrlnas/internal/round"
 	"fedrlnas/internal/staleness"
 	"fedrlnas/internal/transmission"
+	"fedrlnas/internal/wire"
 )
 
 // The in-process transport of the round core (internal/round). An exchange
@@ -42,14 +43,14 @@ func (e inProcess) Exchange(_ context.Context, t int, snap *round.Snapshot) ([]r
 	s := e.s
 	members := snap.Cohort
 	// Sizes are the measured wire-frame bytes each sampled sub-model would
-	// occupy on the RPC transport under cfg.Wire — the quantity adaptive
-	// transmission actually saves. The same loop materializes any member not
+	// occupy on the RPC transport's default fp64 codec — the quantity
+	// adaptive transmission actually saves. The same loop materializes any member not
 	// yet built (and its personal head) before the parallel phase, so lazy
 	// construction stays single-threaded.
 	sampled, sizes, bw := s.sampled, s.sizes, s.bw
 	copy(sampled, snap.Gates)
 	for j, pid := range members {
-		sizes[j] = s.net.SubModelWireBytes(sampled[j], s.cfg.Wire)
+		sizes[j] = s.net.SubModelWireBytes(sampled[j], wire.FP64)
 		s.tracer.SubModelSample(t, pid, sizes[j])
 		p, err := s.pop.Get(pid)
 		if err != nil {

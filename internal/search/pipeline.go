@@ -9,6 +9,7 @@ import (
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/telemetry"
+	"fedrlnas/internal/wire"
 )
 
 // PipelineResult bundles the full P1→P4 run.
@@ -81,7 +82,7 @@ func RunPipeline(cfg Config, opts PipelineOptions) (PipelineResult, error) {
 		EntropyCurve:   s.EntropyCurve,
 		SearchSeconds:  s.TotalSeconds(),
 		MeanSubModelMB: float64(s.MeanSubModelBytes()) / (1024 * 1024),
-		SupernetMB:     float64(s.Supernet().SupernetWireBytes(cfg.Wire)) / (1024 * 1024),
+		SupernetMB:     float64(s.Supernet().SupernetWireBytes(wire.FP64)) / (1024 * 1024),
 	}
 	if opts.Centralized != nil {
 		res.Centralized, err = RetrainCentralized(s.Dataset(), cfg.Net, res.Genotype, *opts.Centralized, cfg.Seed+33)

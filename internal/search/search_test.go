@@ -9,6 +9,7 @@ import (
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nettrace"
 	"fedrlnas/internal/staleness"
+	"fedrlnas/internal/wire"
 )
 
 // tinyConfig is a fast configuration for unit tests: a 5-class dataset,
@@ -374,7 +375,7 @@ func TestSubModelSmallerThanSupernet(t *testing.T) {
 	}
 	// Compare like with like: shipped sub-model frames vs the full
 	// supernet under the same wire mode.
-	if s.MeanSubModelBytes() >= s.Supernet().SupernetWireBytes(cfg.Wire) {
+	if s.MeanSubModelBytes() >= s.Supernet().SupernetWireBytes(wire.FP64) {
 		t.Error("sub-model not smaller than supernet")
 	}
 }

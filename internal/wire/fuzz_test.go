@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -16,27 +17,35 @@ func FuzzDecodeGroup(f *testing.F) {
 		{{1.5, -2.0}, {0, 0, 0, 0}},
 		{make([]float64, 64)},
 		{{math.NaN(), math.Inf(1), 5e-324, math.Copysign(0, -1)}},
+		{{math.MaxFloat64, -1e-40}, {}, {3.25}}, // overflow and subnormal as f32
 	}
 	for _, g := range seedGroups {
-		for _, m := range []Mode{FP64, FP32, TopK} {
+		for _, m := range []Mode{FP64, FP32} {
 			f.Add(AppendGroup(nil, m, g))
 		}
-		// Top-k frames (tag 4), one tensor per frame with a ~25% selection.
-		for _, t := range g {
-			k := TopKCount(len(t), 0.25)
-			f.Add(AppendTensorTopK(AppendGroupHeader(nil, 1), t, TopKIndices(t, k, nil)))
-		}
 	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{1, 0, 0, 0, 3, 8, 0, 0, 0, 2, 0, 0, 0}) // retired tag 3
-	f.Add([]byte{1, 0, 0, 0, tagTopK, 8, 0, 0, 0, 2, 0, 0, 0})
+	maxElems := binary.LittleEndian.AppendUint32(nil, MaxElems)
+	for _, frame := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff},                                   // tensor count past the frame
+		{1, 0, 0, 0, tagDenseF64, 0xff, 0xff, 0xff, 0x7f},          // element count past MaxElems
+		{1, 0, 0, 0, tagDenseF64, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // truncated f64 body
+		{1, 0, 0, 0, tagDenseF32, 2, 0, 0, 0, 0, 0, 0, 0},          // truncated f32 body
+		{1, 0, 0, 0, 3, 8, 0, 0, 0, 2, 0, 0, 0},                    // retired tag 3
+		{1, 0, 0, 0, 4, 8, 0, 0, 0, 2, 0, 0, 0},                    // retired tag 4
+		// 13-byte frames claiming MaxElems elements under each retired
+		// tag: rejected before the decoder allocates for them.
+		append(append([]byte{1, 0, 0, 0, 2}, maxElems...), 0, 0, 0, 0),
+		append(append([]byte{1, 0, 0, 0, 3}, maxElems...), 0, 0, 0, 0),
+		append(append([]byte{1, 0, 0, 0, 4}, maxElems...), 0, 0, 0, 0),
+		// A valid one-element f64 tensor, then a retired tag.
+		{2, 0, 0, 0, tagDenseF64, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 4, 0, 0, 0, 0},
+		// A MaxElems f64 tensor with no body.
+		append([]byte{1, 0, 0, 0, tagDenseF64}, maxElems...),
+	} {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		// The delta decoder must also never panic, whatever the bytes; its
-		// base shapes are picked to sometimes match the seeds.
-		base := [][]float64{make([]float64, 2), make([]float64, 4)}
-		_, _ = DecodeGroupDelta(frame, base)
-
 		g, n, err := DecodeGroup(frame)
 		if err != nil {
 			return
@@ -45,7 +54,7 @@ func FuzzDecodeGroup(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(frame))
 		}
 		// A frame the decoder accepts must survive a lossless re-encode /
-		// re-decode cycle (fp32/top-k tags decode to float64, so re-encode
+		// re-decode cycle (fp32 tags decode to float64, so re-encode
 		// under FP64 which represents anything).
 		re := AppendGroup(nil, FP64, g)
 		g2, _, err := DecodeGroup(re)

@@ -1,16 +1,12 @@
 // Package wire is the compact binary tensor codec under the federated RPC
 // transport (the paper's communication path, Sec. IV "Adaptive
 // transmission"). It replaces per-element gob reflection with hand-rolled
-// little-endian frames and gives the transport three payload modes:
+// little-endian frames and gives the transport two payload modes:
 //
 //	FP64 — dense float64, bit-exact (the default; results are identical
 //	       to the gob baseline down to the last bit)
-//	FP32 — dense float32, half the bytes, lossy (documented drift)
-//	TopK — top-k magnitude gradient sparsification with error feedback
-//	       (lossy by design; the residual rides accumulators on both ends
-//	       of the RPC transport, see internal/rpcfed). Only the explicit
-//	       AppendTensorTopK/DecodeGroupDelta APIs produce and consume the
-//	       lossy frames; AppendGroup under TopK stays lossless (dense f64).
+//	FP32 — dense float32, half the bytes, lossy; TestFP32TracksFP64 in
+//	       internal/rpcfed gates its learning curve against FP64's
 //
 // The package is a leaf (stdlib only): internal/rpcfed builds its net/rpc
 // codecs on top of it, and internal/transmission call sites use its sizing
@@ -26,19 +22,15 @@
 //
 //	u32 tensorCount
 //	per tensor:
-//	  u8  tag         (0 dense f64 | 1 dense f32 | 4 top-k delta; tags 2
-//	                   and 3 belonged to a removed sparse mode and decode
-//	                   as unknown tags)
+//	  u8  tag         (0 dense f64 | 1 dense f32; tags 2 and 3 belonged to a
+//	                   removed sparse mode and tag 4 to a removed top-k
+//	                   mode, and all three decode as unknown tags)
 //	  u32 elemCount
 //	  tag 0: elemCount × u64   (math.Float64bits)
 //	  tag 1: elemCount × u32   (math.Float32bits)
-//	  tag 4: u32 k, then k × (u32 index, u64 bits); indices strictly
-//	         ascending and < elemCount. DecodeGroupDelta adds the entries
-//	         into a base tensor (error-feedback gradient deltas, see
-//	         topk.go); the plain decoders read zeros elsewhere.
 //
 // Tags are per tensor, so a decoder never needs to know the sender's mode;
-// the mode only chooses which tags the encoder emits.
+// the mode only chooses which tag the encoder emits.
 package wire
 
 import (
@@ -58,16 +50,11 @@ const (
 	Gob Mode = iota
 	FP64
 	FP32
-	// retiredSparse is the value of a removed lossless sparse mode. It
-	// stays reserved so TopK keeps its number on the wire and in configs.
+	// retiredSparse and retiredTopK are the values of a removed lossless
+	// sparse mode and a removed top-k gradient-sparsification mode. They
+	// stay reserved so neither number is reused on the wire.
 	retiredSparse
-	// TopK is the gradient-sparsification transport mode (top-k magnitude
-	// selection with server/participant error feedback, see
-	// internal/rpcfed). The lossy encoding is only produced by the explicit
-	// AppendTensorTopK API; AppendGroup under TopK emits dense f64, so paths
-	// that must stay exact (FedAvg control bodies) stay exact even when the
-	// transport mode is TopK.
-	TopK
+	retiredTopK
 )
 
 // String implements fmt.Stringer.
@@ -79,8 +66,6 @@ func (m Mode) String() string {
 		return "fp64"
 	case FP32:
 		return "fp32"
-	case TopK:
-		return "topk"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -91,37 +76,27 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "gob":
 		return Gob, nil
-	case "fp64", "binary":
+	case "fp64":
 		return FP64, nil
 	case "fp32":
 		return FP32, nil
-	case "topk":
-		return TopK, nil
 	}
-	return 0, fmt.Errorf("wire: unknown mode %q (gob|fp64|fp32|topk)", s)
+	return 0, fmt.Errorf("wire: unknown mode %q (gob|fp64|fp32)", s)
 }
 
 // Valid reports whether m is one of the defined modes.
-func (m Mode) Valid() bool { return m <= TopK && m != retiredSparse }
-
-// Lossless reports whether a round trip through m reproduces every float64
-// bit-exactly. TopK is lossy at the transport level (dropped coordinates
-// ride the error-feedback accumulators instead of the wire), even though
-// AppendGroup itself never drops values under it.
-func (m Mode) Lossless() bool { return m != FP32 && m != TopK }
+func (m Mode) Valid() bool { return m <= FP32 }
 
 // Per-tensor encoding tags.
 const (
 	tagDenseF64 = 0
 	tagDenseF32 = 1
-	// Tags 2 and 3 are reserved: decoders reject them as unknown.
-	tagTopK = 4
+	// Tags 2, 3 and 4 are reserved: decoders reject them as unknown.
 )
 
 const (
-	groupHeaderBytes  = 4  // u32 tensorCount
-	tensorHeaderBytes = 5  // u8 tag + u32 elemCount
-	topKEntryBytes    = 12 // u32 index + u64 bits
+	groupHeaderBytes  = 4 // u32 tensorCount
+	tensorHeaderBytes = 5 // u8 tag + u32 elemCount
 )
 
 // MaxElems caps the element count a decoder will allocate for a single
@@ -168,25 +143,15 @@ func GroupBytes(m Mode, group [][]float64) int64 {
 func AppendGroup(dst []byte, m Mode, group [][]float64) []byte {
 	dst = appendU32(dst, uint32(len(group)))
 	for _, t := range group {
-		dst = AppendTensor(dst, m, t)
-	}
-	return dst
-}
-
-// AppendTensor appends one tensor frame under m — the per-tensor body of
-// AppendGroup, exposed so callers assembling mixed groups (the top-k
-// transport interleaves dense resync tensors with tag-4 deltas) can emit
-// tensors one at a time after AppendGroupHeader.
-func AppendTensor(dst []byte, m Mode, t []float64) []byte {
-	switch m {
-	case FP32:
-		dst = append(dst, tagDenseF32)
-		dst = appendU32(dst, uint32(len(t)))
-		for _, v := range t {
-			dst = appendU32(dst, math.Float32bits(float32(v)))
+		if m == FP32 {
+			dst = append(dst, tagDenseF32)
+			dst = appendU32(dst, uint32(len(t)))
+			for _, v := range t {
+				dst = appendU32(dst, math.Float32bits(float32(v)))
+			}
+			continue
 		}
-	default: // FP64 and TopK (whose lossy encoding only exists behind
-		// AppendTensorTopK); Gob callers that reach here stay lossless too
+		// FP64; Gob callers that reach here stay lossless too.
 		dst = append(dst, tagDenseF64)
 		dst = appendU32(dst, uint32(len(t)))
 		for _, v := range t {
@@ -311,43 +276,35 @@ func decodeTensorInto(r *Reader, buf []float64) ([]float64, error) {
 	if n > MaxElems {
 		return nil, fmt.Errorf("element count %d exceeds limit %d", n, MaxElems)
 	}
-	// Cheap plausibility check before allocating: dense payloads must fit in
-	// what remains of the frame.
+	// Check the tag and that the body fits in what remains of the frame
+	// before allocating, so no frame can make the decoder allocate more
+	// than it carries.
+	var width int
 	switch tag {
 	case tagDenseF64:
-		if r.Len() < 8*n {
-			return nil, fmt.Errorf("truncated dense f64 body: need %d bytes, have %d", 8*n, r.Len())
-		}
+		width = 8
 	case tagDenseF32:
-		if r.Len() < 4*n {
-			return nil, fmt.Errorf("truncated dense f32 body: need %d bytes, have %d", 4*n, r.Len())
-		}
+		width = 4
+	default:
+		return nil, fmt.Errorf("unknown tensor tag %d", tag)
 	}
+	if r.Len() < width*n {
+		return nil, fmt.Errorf("truncated dense body: need %d bytes, have %d", width*n, r.Len())
+	}
+	b, _ := r.take(width * n)
 	if cap(buf) >= n {
 		buf = buf[:n]
 	} else {
 		buf = make([]float64, n)
 	}
-	switch tag {
-	case tagDenseF64:
-		b, _ := r.take(8 * n)
+	if tag == tagDenseF64 {
 		for i := range buf {
 			buf[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
-	case tagDenseF32:
-		b, _ := r.take(4 * n)
+	} else {
 		for i := range buf {
 			buf[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 		}
-	case tagTopK:
-		for i := range buf {
-			buf[i] = 0
-		}
-		if err := decodeTopK(r, buf, false); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown tensor tag %d", tag)
 	}
 	return buf, nil
 }

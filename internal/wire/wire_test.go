@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestModeStringParseRoundTrip(t *testing.T) {
-	for _, m := range []Mode{Gob, FP64, FP32, TopK} {
+	for _, m := range []Mode{Gob, FP64, FP32} {
 		got, err := ParseMode(m.String())
 		if err != nil {
 			t.Fatalf("ParseMode(%q): %v", m.String(), err)
@@ -23,23 +24,17 @@ func TestModeStringParseRoundTrip(t *testing.T) {
 			t.Fatalf("%v.Valid() = false", m)
 		}
 	}
-	if _, err := ParseMode("zstd"); err == nil {
-		t.Fatal("ParseMode accepted unknown mode")
+	// Unknown names, the retired sparse and top-k modes, and the retired
+	// "binary" alias of fp64 are all rejected.
+	for _, name := range []string{"zstd", "sparse", "topk", "binary"} {
+		if m, err := ParseMode(name); err == nil {
+			t.Fatalf("ParseMode(%q) = %v, want an error", name, m)
+		}
 	}
-	if m, err := ParseMode("binary"); err != nil || m != FP64 {
-		t.Fatalf("ParseMode(binary) = %v, %v; want fp64 alias", m, err)
-	}
-	if Mode(9).Valid() {
-		t.Fatal("Mode(9).Valid() = true")
-	}
-	if retiredSparse.Valid() {
-		t.Fatal("the retired sparse mode value still reports valid")
-	}
-	if _, err := ParseMode("sparse"); err == nil {
-		t.Fatal("ParseMode accepted the retired sparse mode")
-	}
-	if FP32.Lossless() || !FP64.Lossless() || !Gob.Lossless() {
-		t.Fatal("Lossless flags wrong")
+	for _, m := range []Mode{retiredSparse, retiredTopK, Mode(9)} {
+		if m.Valid() {
+			t.Fatalf("%v.Valid() = true", m)
+		}
 	}
 }
 
@@ -95,7 +90,7 @@ func equalBits(a, b [][]float64) bool {
 
 func TestGroupRoundTripLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, m := range []Mode{FP64, TopK} {
+	for _, m := range []Mode{FP64, Gob} { // Gob callers get fp64 frames
 		for trial := 0; trial < 200; trial++ {
 			g := randGroup(rng)
 			buf := AppendGroup(nil, m, g)
@@ -207,7 +202,6 @@ func TestGoldenFrame(t *testing.T) {
 			f32(0), f32(0), f32(0), f32(0), f32(0), f32(0), f32(3.25),
 		),
 	}
-	golden[TopK] = golden[FP64] // AppendGroup under TopK stays dense f64
 	for m, want := range golden {
 		got := AppendGroup(nil, m, group)
 		if !bytes.Equal(got, want) {
@@ -216,21 +210,37 @@ func TestGoldenFrame(t *testing.T) {
 	}
 }
 
-// TestRetiredSparseTagRejected: tags 2 (all-zero) and 3 (index/value
-// pairs) belonged to the removed lossless sparse mode. Nothing produces them
-// any more, and a decoder must reject one as an unknown tag rather than
-// guess at its body.
-func TestRetiredSparseTagRejected(t *testing.T) {
-	for tag, frame := range map[byte][]byte{
-		2: {1, 0, 0, 0, 2, 2, 0, 0, 0},
-		3: {1, 0, 0, 0, 3, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+// TestRetiredTagsRejected: tags 2 (all-zero) and 3 (index/value pairs)
+// belonged to the removed lossless sparse mode and tag 4 to the removed
+// top-k mode. Nothing produces them any more, and a decoder must reject one
+// as an unknown tag rather than guess at its body — before allocating for
+// its element count, so a 13-byte frame claiming MaxElems elements cannot
+// make the decoder allocate 512 MB.
+func TestRetiredTagsRejected(t *testing.T) {
+	maxElems := binary.LittleEndian.AppendUint32(nil, MaxElems)
+	huge := func(tag byte) []byte { // 13 bytes: header, tag, MaxElems, a zero u32
+		return cat2([]byte{1, 0, 0, 0, tag}, maxElems, []byte{0, 0, 0, 0})
+	}
+	for _, c := range []struct {
+		tag   byte
+		frame []byte
+	}{
+		{2, []byte{1, 0, 0, 0, 2, 2, 0, 0, 0}},
+		{3, []byte{1, 0, 0, 0, 3, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}},
+		{4, []byte{1, 0, 0, 0, 4, 8, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}},
+		{2, huge(2)},
+		{4, huge(4)},
 	} {
-		want := fmt.Sprintf("unknown tensor tag %d", tag)
-		if _, _, err := DecodeGroup(frame); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("tag-%d frame decoded with err = %v, want %q", tag, err, want)
+		want := fmt.Sprintf("unknown tensor tag %d", c.tag)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeGroup(c.frame)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("tag-%d frame % x decoded with err = %v, want %q", c.tag, c.frame, err, want)
 		}
-		if _, err := DecodeGroupDelta(frame, [][]float64{{0, 0}}); err == nil {
-			t.Fatalf("DecodeGroupDelta accepted a tag-%d tensor", tag)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("rejecting tag-%d frame % x allocated %d bytes", c.tag, c.frame, got)
 		}
 	}
 }
@@ -238,7 +248,7 @@ func TestRetiredSparseTagRejected(t *testing.T) {
 func TestDenseGroupBytes(t *testing.T) {
 	counts := []int{2, 0, 13}
 	group := [][]float64{{1, 2}, {}, make([]float64, 13)}
-	for _, m := range []Mode{Gob, FP64, FP32, TopK} {
+	for _, m := range []Mode{Gob, FP64, FP32} {
 		want := DenseGroupBytes(m, counts)
 		enc := m
 		if enc == Gob {
@@ -252,22 +262,15 @@ func TestDenseGroupBytes(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
-	good := AppendTensorTopK(AppendGroupHeader(nil, 2), []float64{0, 0, 7, 0, 0, 0, 0, 0, 0, 0}, []int{2})
-	good = AppendTensor(good, FP64, []float64{1, 2})
+	good := AppendGroup(nil, FP64, [][]float64{{0, 0, 7, 0, 0, 0, 0, 0, 0, 0}, {1, 2}})
 	cases := map[string][]byte{
-		"empty":           {},
-		"short header":    good[:2],
-		"truncated body":  good[:len(good)-3],
-		"bad tag":         append(append([]byte{}, good[:4]...), 99, 1, 0, 0, 0),
-		"huge count":      {0xff, 0xff, 0xff, 0xff},
-		"huge elems":      {1, 0, 0, 0, tagDenseF64, 0xff, 0xff, 0xff, 0x7f},
-		"k > n":           {1, 0, 0, 0, tagTopK, 2, 0, 0, 0, 3, 0, 0, 0},
-		"top-k idx range": {1, 0, 0, 0, tagTopK, 2, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"top-k idx order": cat2(
-			[]byte{1, 0, 0, 0, tagTopK, 4, 0, 0, 0, 2, 0, 0, 0},
-			[]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-			[]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		),
+		"empty":          {},
+		"short header":   good[:2],
+		"truncated body": good[:len(good)-3],
+		"bad tag":        append(append([]byte{}, good[:4]...), 99, 1, 0, 0, 0),
+		"huge count":     {0xff, 0xff, 0xff, 0xff},
+		"huge elems":     {1, 0, 0, 0, tagDenseF64, 0xff, 0xff, 0xff, 0x7f},
+		"short f32 body": {1, 0, 0, 0, tagDenseF32, 2, 0, 0, 0, 0, 0, 0, 0},
 	}
 	for name, frame := range cases {
 		if _, _, err := DecodeGroup(frame); err == nil {
