@@ -81,8 +81,8 @@ go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... ./
 echo "== reuse under failure (-race, 10 runs: a reply buffer written after its call was abandoned, or recycled before it was encoded, races or moves a result)"
 go test -race -count=10 -run 'TestLateAnswerIntoAbandonedReplyLeavesLaterRoundsIntact|TestReplyGradsRecycledOnlyAfterEncode|TestConcurrentTrainRepliesMatchSerial' ./internal/rpcfed/
 
-echo "== fedcheck (arena resets, the next Exchange and snapshot eviction poison what they release: a buffer read past its lifetime fails loudly)"
-go test -tags fedcheck ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/round/... ./internal/search/... ./internal/rpcfed/...
+echo "== fedcheck (arena resets, the next Exchange and snapshot eviction poison what they release: a buffer read past its lifetime fails loudly; serve covers the dispatcher's reuse of model scratch)"
+go test -tags fedcheck ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/round/... ./internal/search/... ./internal/rpcfed/... ./internal/serve/...
 
 echo "== bench smoke (tensor, nn kernels, nas participant steps; 1 iteration, catches crashes/regressed shapes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/... ./internal/nas/...

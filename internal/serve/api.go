@@ -30,7 +30,8 @@ type JobSpec struct {
 
 // ModelSpec is the POST /v1/jobs/{id}/serve and POST /v1/models request body.
 // The jobs variant derives the genotype from the live job and takes Net
-// from the job config; the models variant states both explicitly.
+// from the job config; the models variant states both explicitly. An
+// unknown key is refused, as for JobSpec.
 type ModelSpec struct {
 	Net      *nas.Config   `json:"net,omitempty"`
 	Genotype *nas.Genotype `json:"genotype,omitempty"`
@@ -170,7 +171,7 @@ func jobAction(act func(*Job) error) func(http.ResponseWriter, *http.Request, *J
 
 func (s *Server) handleServeDerived(w http.ResponseWriter, r *http.Request, j *Job) {
 	var spec ModelSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -184,7 +185,7 @@ func (s *Server) handleServeDerived(w http.ResponseWriter, r *http.Request, j *J
 
 func (s *Server) handleServeModel(w http.ResponseWriter, r *http.Request) {
 	var spec ModelSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -119,3 +119,50 @@ func TestCreateJobRejectsUnknownKeys(t *testing.T) {
 		t.Fatalf("rejected specs created %d jobs", len(jobs))
 	}
 }
+
+// TestServeModelRejectsUnknownKeys: the two routes that start a served
+// model refuse a misspelled batching knob, at the top level or inside net,
+// with a 400 naming the key instead of serving on the default policy.
+func TestServeModelRejectsUnknownKeys(t *testing.T) {
+	s := NewServer(Options{CheckpointDir: t.TempDir()})
+	ts := httptest.NewServer(s.APIHandler())
+	defer ts.Close()
+	j, err := s.CreateJob(tinySearchConfig(1, 1), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer waitState(t, j, JobCompleted)
+	net, geno := testNetConfig(), testGenotype()
+	valid, err := json.Marshal(ModelSpec{Net: &net, Genotype: &geno})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withKey := func(kv string) string { return string(valid[:len(valid)-1]) + "," + kv + "}" }
+	cases := []struct{ route, body, key string }{
+		{"/v1/models", withKey(`"maxbatch":4`), "maxbatch"},
+		{"/v1/models", withKey(`"max_wait":50`), "max_wait"},
+		{"/v1/models", strings.Replace(string(valid), `"InChannels"`, `"Channels":2,"InChannels"`, 1), "Channels"},
+		{"/v1/jobs/" + j.ID + "/serve", `{"seed":7,"maxbatch":4}`, "maxbatch"},
+		{"/v1/jobs/" + j.ID + "/serve", `{"seed":7,"max_wait":50}`, "max_wait"},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.key) {
+			t.Errorf("POST %s %s -> %d %s, want 400 naming %q", tc.route, tc.body, resp.StatusCode, msg, tc.key)
+		}
+	}
+	s.mu.Lock()
+	served := len(s.models)
+	s.mu.Unlock()
+	if served != 0 {
+		t.Fatalf("rejected specs served %d models", served)
+	}
+}

@@ -19,8 +19,8 @@ var ErrClosed = errors.New("serve: model closed")
 type BatchConfig struct {
 	// MaxBatch is the dispatch size: a batch launches as soon as it holds
 	// MaxBatch requests. 1 disables coalescing (every request is its own
-	// forward). Batches always pad to MaxBatch so kernel shapes — and the
-	// GEMM packing scratch behind them — stay identical across dispatches.
+	// forward). A batch that launches part-full forwards only the requests
+	// it holds; nas.ForwardBatch stages any fill without allocating.
 	MaxBatch int
 	// MaxWait bounds how long the first request of a batch waits for
 	// company before the batch launches part-full. Dispatch triggers on
@@ -64,7 +64,11 @@ type Inference struct {
 	closed bool
 	done   chan struct{}
 
-	xs []*tensor.Tensor // dispatcher-owned batch assembly scratch
+	// Dispatcher-owned batch assembly scratch: the requests not yet
+	// forwarded, and the requests and examples of the shape group being
+	// forwarded.
+	pending, group []*inferReq
+	xs             []*tensor.Tensor
 }
 
 type inferReq struct {
@@ -84,12 +88,14 @@ func NewInference(model *nas.FixedModel, cfg BatchConfig, met *Metrics) (*Infere
 	}
 	model.SetTraining(false)
 	inf := &Inference{
-		model: model,
-		cfg:   cfg,
-		met:   met,
-		reqs:  make(chan *inferReq, cfg.QueueCap),
-		done:  make(chan struct{}),
-		xs:    make([]*tensor.Tensor, 0, cfg.MaxBatch),
+		model:   model,
+		cfg:     cfg,
+		met:     met,
+		reqs:    make(chan *inferReq, cfg.QueueCap),
+		done:    make(chan struct{}),
+		pending: make([]*inferReq, 0, cfg.MaxBatch),
+		group:   make([]*inferReq, 0, cfg.MaxBatch),
+		xs:      make([]*tensor.Tensor, 0, cfg.MaxBatch),
 	}
 	go inf.dispatch()
 	return inf, nil
@@ -101,9 +107,9 @@ func (inf *Inference) Config() BatchConfig { return inf.cfg }
 // NumClasses returns the served model's output width.
 func (inf *Inference) NumClasses() int { return inf.model.Net.Cfg.NumClasses }
 
-// InputShape returns the expected per-example input shape [C, H, W]...
-// which the model itself does not pin (H and W are architectural
-// free variables); callers validate channel count only.
+// InChannels returns the channel count C an example [C, H, W] must have.
+// The model pins nothing else: H and W are free, so requests of different
+// sizes may share a batch (runBatch forwards each size on its own).
 func (inf *Inference) InChannels() int { return inf.model.Net.Cfg.InChannels }
 
 // Infer submits one example ([C,H,W] or [1,C,H,W]) and blocks until its
@@ -196,27 +202,47 @@ func (inf *Inference) dispatch() {
 	}
 }
 
-// runBatch executes one padded ForwardBatch and demultiplexes the logits
-// into request-owned slices (ForwardBatch's outputs are model scratch,
-// invalid after the next dispatch, so the copy here is what hands each
-// caller a stable result).
+// runBatch forwards exactly the requests of one dispatch and demultiplexes
+// the logits into request-owned slices. Requests whose examples differ in
+// shape cannot share a forward, so each distinct shape runs as its own
+// ForwardBatch, in order of first admission; an error then fails only the
+// requests of that shape. ForwardBatch's outputs are model scratch,
+// overwritten by the next call, so each group's logits are copied out
+// before the next group runs — the copy is also what hands each caller a
+// stable result.
 func (inf *Inference) runBatch(batch []*inferReq) {
-	xs := inf.xs[:0]
-	for _, r := range batch {
-		xs = append(xs, r.x)
-	}
-	inf.xs = xs
 	start := time.Now()
-	outs, err := inf.model.ForwardBatch(xs, inf.cfg.MaxBatch)
+	pending := append(inf.pending[:0], batch...)
+	for len(pending) > 0 {
+		// Split pending stably into the group shaped like its first request
+		// and the rest, compacted in place: the write index never passes
+		// the read index. Malformed examples share the zero shape, and
+		// their group's ForwardBatch reports the error.
+		shape, _ := nas.ExampleShape(pending[0].x)
+		group, xs, rest := inf.group[:0], inf.xs[:0], pending[:0]
+		for _, r := range pending {
+			if s, _ := nas.ExampleShape(r.x); s == shape {
+				group, xs = append(group, r), append(xs, r.x)
+			} else {
+				rest = append(rest, r)
+			}
+		}
+		inf.group, inf.xs = group, xs
+		outs, err := inf.model.ForwardBatch(xs, 0)
+		for i, r := range group {
+			if err != nil {
+				r.err = err
+			} else {
+				r.logits = append([]float64(nil), outs[i].Data()...)
+			}
+		}
+		pending = rest
+	}
+	inf.pending = pending
 	inf.met.Batches.Inc()
 	inf.met.BatchSize.Observe(float64(len(batch)))
 	inf.met.BatchSeconds.Observe(time.Since(start).Seconds())
-	for i, r := range batch {
-		if err != nil {
-			r.err = err
-		} else {
-			r.logits = append([]float64(nil), outs[i].Data()...)
-		}
+	for _, r := range batch {
 		close(r.done)
 	}
 }

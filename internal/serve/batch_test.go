@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -78,6 +79,49 @@ func TestInferMatchesDirectForward(t *testing.T) {
 			if got[i][j] != want[i][j] {
 				t.Fatalf("request %d logit %d: %v != %v (batching changed results)", i, j, got[i][j], want[i][j])
 			}
+		}
+	}
+}
+
+// TestInferMixedShapesInOneBatch: H and W are free for the model, so
+// requests of different sizes may coalesce into one dispatch. Each size
+// runs as its own forward, so every request succeeds with the logits of a
+// standalone forward, instead of the odd-sized one failing the batch.
+func TestInferMixedShapesInOneBatch(t *testing.T) {
+	// MaxWait far exceeds the time to admit four requests, so they share
+	// one dispatch.
+	inf, ref := newTestInference(t, BatchConfig{MaxBatch: 8, MaxWait: 500 * time.Millisecond})
+	rng := rand.New(rand.NewSource(29))
+	xs := []*tensor.Tensor{
+		tensor.Randn(rng, 1, 1, 2, 8, 8),
+		tensor.Randn(rng, 1, 1, 2, 6, 6),
+		tensor.Randn(rng, 1, 1, 2, 8, 8),
+		tensor.Randn(rng, 1, 1, 2, 8, 8),
+	}
+	want := make([][]float64, len(xs))
+	for i, x := range xs {
+		want[i] = append([]float64(nil), ref.Forward(x).Data()...)
+	}
+	var wg sync.WaitGroup
+	got := make([][]float64, len(xs))
+	errs := make([]error, len(xs))
+	for i := range xs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = inf.Infer(xs[i])
+		}(i)
+	}
+	wg.Wait()
+	if b := inf.met.Batches.Value(); b != 1 {
+		t.Fatalf("%d dispatches for %d requests, want 1", b, len(xs))
+	}
+	for i := range xs {
+		if errs[i] != nil {
+			t.Fatalf("request %d (shape %v): %v", i, xs[i].Shape(), errs[i])
+		}
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("request %d (shape %v): logits %v, want %v", i, xs[i].Shape(), got[i], want[i])
 		}
 	}
 }

@@ -3,10 +3,10 @@
 // over an HTTP JSON API layered on the telemetry debug mux) alongside
 // batched inference on derived genotypes. The serving path's perf headline
 // is the admission queue in batch.go: concurrent single-example requests
-// coalesce into one padded batch that runs a single ForwardBatch through
-// the GEMM kernels, then demultiplexes — the batched rows are bit-identical
-// to per-request forwards (see nas.ForwardBatch), so batching changes
-// throughput, never answers.
+// coalesce into one batch that runs a single ForwardBatch per example shape
+// through the GEMM kernels, at the batch's own fill, then demultiplexes —
+// the batched rows are bit-identical to per-request forwards (see
+// nas.ForwardBatch), so batching changes throughput, never answers.
 package serve
 
 import "fedrlnas/internal/telemetry"
