@@ -27,7 +27,17 @@ type FixedModel struct {
 	batchMax int
 	batchIn  tensor.Tensor
 	batchOut []*tensor.Tensor
-	batchBNs []*nn.BatchNorm2D // the eval-mode check's layer list, collected once
+
+	// The eval-mode fold (SetTraining): every conv→BN block of the model
+	// and every batch norm, collected once, and the blocks' folded weights
+	// and biases back to back in foldBuf. folded is set while the blocks run
+	// folded; foldHash, kept on fedcheck builds only, fingerprints the
+	// parameters and running statistics the fold was computed from.
+	blocks   []*nn.Sequential
+	bns      []*nn.BatchNorm2D
+	foldBuf  []float64
+	folded   bool
+	foldHash [2]uint64
 }
 
 // NewFixedModel materializes a fresh (re-initialized) discrete model for a
@@ -54,19 +64,83 @@ func NewFixedModel(rng *rand.Rand, cfg Config, g Genotype) (*FixedModel, error) 
 	return &FixedModel{Net: net, G: gates, Genotype: g}, nil
 }
 
-// Forward implements the federated Model contract.
+// Forward implements the federated Model contract. In eval mode it runs
+// the folded model (SetTraining).
 func (m *FixedModel) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if tensor.Fedcheck && m.folded && m.evalState() != m.foldHash {
+		panic("nas: FixedModel parameters or batch-norm statistics changed in eval mode; call SetTraining(false) again to refold")
+	}
 	return m.Net.ForwardSampled(x, m.G)
 }
 
-// Backward implements the federated Model contract.
-func (m *FixedModel) Backward(grad *tensor.Tensor) { m.Net.BackwardSampled(grad) }
+// Backward implements the federated Model contract. It panics in eval mode:
+// a folded forward leaves no batch-norm state to back-propagate through.
+func (m *FixedModel) Backward(grad *tensor.Tensor) {
+	if m.folded {
+		panic("nas: FixedModel.Backward after an eval-mode (folded) forward; call SetTraining(true) first")
+	}
+	m.Net.BackwardSampled(grad)
+}
 
 // Params implements the federated Model contract.
 func (m *FixedModel) Params() []*nn.Param { return m.Net.Params() }
 
-// SetTraining implements the federated Model contract.
-func (m *FixedModel) SetTraining(training bool) { m.Net.SetTraining(training) }
+// SetTraining implements the federated Model contract. Entering eval mode
+// folds every batch norm into the conv it follows — the stem conv, each
+// cell's pre0/pre1 1×1 conv and each sep/dil op's pointwise conv — as
+// nn.Sequential.Fold describes: the eval forward then runs each conv with
+// its folded weight and bias and no batch norm, within a relative 1e-12 of
+// the unfolded eval forward. The fold is a snapshot of the parameters and
+// running statistics: after changing either in eval mode, call
+// SetTraining(false) again (fedcheck builds panic on a forward that would
+// use a stale fold). SetTraining(true) drops the fold, so training runs the
+// unfolded layers exactly as before.
+func (m *FixedModel) SetTraining(training bool) {
+	m.Net.SetTraining(training)
+	m.folded = !training
+	if training {
+		return
+	}
+	if m.blocks == nil {
+		m.collectBlocks()
+	}
+	buf := m.foldBuf
+	for _, b := range m.blocks {
+		wn, bn := b.FoldLen()
+		b.Fold(buf[:wn], buf[wn:wn+bn])
+		buf = buf[wn+bn:]
+	}
+	if tensor.Fedcheck {
+		m.foldHash = m.evalState()
+	}
+}
+
+// collectBlocks lists the model's conv→BN blocks — the stem, each cell's
+// pre0 and pre1, and every sep/dil op (the only ops that are Sequentials) —
+// and sizes foldBuf for their folds.
+func (m *FixedModel) collectBlocks() {
+	s, size := m.Net, 0
+	m.blocks = []*nn.Sequential{s.stem}
+	for _, c := range s.cells {
+		m.blocks = append(m.blocks, c.pre0, c.pre1)
+		for _, e := range c.Edges {
+			if seq, ok := e.ops[0].(*nn.Sequential); ok {
+				m.blocks = append(m.blocks, seq)
+			}
+		}
+	}
+	for _, b := range m.blocks {
+		wn, bn := b.FoldLen()
+		size += wn + bn
+	}
+	m.foldBuf, m.bns = make([]float64, size), m.BatchNorms()
+}
+
+// evalState fingerprints what a fold reads: the parameters and the
+// batch-norm running statistics.
+func (m *FixedModel) evalState() [2]uint64 {
+	return [2]uint64{nn.ParamHash(m.Params()), nn.StatsHash(m.bns)}
+}
 
 // BatchNorms exposes the model's batch-norm layers in structural order,
 // letting the parallel federated engine sync running statistics between

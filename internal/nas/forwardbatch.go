@@ -9,12 +9,15 @@ import (
 // ForwardBatch runs one batched eval-mode forward over xs — every example
 // packed into a single [len(xs), C, H, W] tensor and pushed through the GEMM
 // path once — and demultiplexes the logits back into per-example rows.
-// Row i is bit-identical to m.Forward(xs[i]): in eval mode every layer is
-// row-independent (batch norm normalizes with running statistics
-// elementwise; convolutions lower to per-row GEMMs whose k-summation order
-// does not depend on batch size), so batching changes throughput, never
-// values. That independence is exactly what training-mode batch norm
-// breaks, so ForwardBatch refuses to run a training-mode model.
+// It runs the folded model (SetTraining): each batch norm folded into the
+// conv before it, so no batch-norm layer runs at all. Row i is
+// bit-identical to m.Forward(xs[i]): in eval mode every layer is
+// row-independent (convolutions lower to per-row GEMMs whose k-summation
+// order does not depend on batch size, and a folded bias is added
+// elementwise), so batching changes throughput, never values. That
+// independence is exactly what training-mode batch norm breaks, so
+// ForwardBatch refuses a model that SetTraining(false) has not put in eval
+// mode.
 //
 // The input is staged in storage the model keeps: a batch larger than any
 // before it replaces that storage with exactly its own size, and every
@@ -33,15 +36,8 @@ func (m *FixedModel) ForwardBatch(xs []*tensor.Tensor, padTo int) ([]*tensor.Ten
 	if n == 0 {
 		return nil, fmt.Errorf("nas: ForwardBatch on empty batch")
 	}
-	if m.batchBNs == nil {
-		// The module tree is fixed at construction, and walking it
-		// allocates; a dispatch must not.
-		m.batchBNs = m.Net.BatchNorms()
-	}
-	for _, bn := range m.batchBNs {
-		if bn.Training() {
-			return nil, fmt.Errorf("nas: ForwardBatch requires eval mode (SetTraining(false)); training-mode batch norm couples rows")
-		}
+	if !m.folded {
+		return nil, fmt.Errorf("nas: ForwardBatch requires eval mode (SetTraining(false)); training-mode batch norm couples rows")
 	}
 	shape, err := ExampleShape(xs[0])
 	if err != nil {
@@ -66,7 +62,7 @@ func (m *FixedModel) ForwardBatch(xs []*tensor.Tensor, padTo int) ([]*tensor.Ten
 		copy(in[i*exampleLen:(i+1)*exampleLen], x.Data())
 	}
 
-	logits := m.Net.ForwardSampled(&m.batchIn, m.G)
+	logits := m.Forward(&m.batchIn)
 	classes := logits.Size() / n
 	ld := logits.Data()
 	if len(m.batchOut) < n {

@@ -77,6 +77,16 @@ func (bn *BatchNorm2D) CopyStatsFrom(src *BatchNorm2D) {
 	copy(bn.runningVar, src.runningVar)
 }
 
+// StatsHash fingerprints the running statistics of bns to the bit, as
+// ParamHash does parameter values: each layer's means, then its variances.
+func StatsHash(bns []*BatchNorm2D) uint64 {
+	h := uint64(fnvOffset)
+	for _, bn := range bns {
+		h = hashFloats(hashFloats(h, bn.runningMean), bn.runningVar)
+	}
+	return h
+}
+
 // Container is implemented by modules that contain other modules, so
 // generic walkers can enumerate a module tree without knowing its concrete
 // layout. Children returns the direct children in deterministic order.

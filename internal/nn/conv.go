@@ -92,20 +92,38 @@ func (c *Conv2D) Params() []*Param {
 
 // Forward implements Module.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n, inC, h, w := mustDims4(x, "Conv2D")
-	if inC != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D got %d input channels, want %d", inC, c.InC))
-	}
-	ar := c.stepArena()
-	c.lastX = x
 	if c.Groups == 1 {
-		return c.forwardIm2col(ar, x)
+		var b []float64
+		if c.bias != nil {
+			b = c.bias.Value.Data()
+		}
+		return c.forwardWith(x, c.weight.Value.Data(), b, nil)
 	}
+	ar := c.begin(x)
+	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
 	out := ar.Take(&c.outBuf, n, c.OutC, oh, ow)
 	c.forwardDepthwise(ar, x, out)
 	return out
+}
+
+// forwardWith runs a dense layer forward with weight w (the layer's
+// weight's shape) and bias b (OutC, or nil) in place of its own parameters,
+// adding y + b into dst when dst is non-nil (see forwardIm2col). A folded
+// conv→BN pair runs this way (Sequential.Fold).
+func (c *Conv2D) forwardWith(x *tensor.Tensor, w, b []float64, dst *tensor.Tensor) *tensor.Tensor {
+	return c.forwardIm2col(c.begin(x), x, w, b, dst)
+}
+
+// begin checks x and starts a forward on it, returning the arena to take
+// from.
+func (c *Conv2D) begin(x *tensor.Tensor) *tensor.Arena {
+	if _, inC, _, _ := mustDims4(x, "Conv2D"); inC != c.InC {
+		panic(fmt.Sprintf("nn: Conv2D got %d input channels, want %d", inC, c.InC))
+	}
+	c.lastX = x
+	return c.stepArena()
 }
 
 // convValid returns the inclusive output-index range [lo, hi] whose sampled

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+
 	"fedrlnas/internal/tensor"
 )
 
@@ -129,9 +131,14 @@ func (c *Conv2D) lowerBatch(x *tensor.Tensor, n, h, w, oh, ow int) {
 	}
 }
 
-// forwardIm2col computes the convolution via batch im2col + one GEMM for
-// Groups==1, taking the output and the column matrices from ar.
-func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+// forwardIm2col computes the convolution with weight wt and bias b (nil
+// for none) via batch im2col + one GEMM for Groups==1, taking the output
+// and the column matrices from ar. With a non-nil dst it adds y + b into
+// dst, which must have the output's shape, instead of returning a buffer of
+// its own (a cell's node sum; b must be set). The bias rides the pass
+// that stores the product: the scatter out of the column matrix, or the one
+// pass over a pointwise layer's in-place product.
+func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor, wt, b []float64, dst *tensor.Tensor) *tensor.Tensor {
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := convOutDim(h, c.KH, c.Stride, c.Pad, c.Dilation)
 	ow := convOutDim(w, c.KW, c.Stride, c.Pad, c.Dilation)
@@ -139,53 +146,69 @@ func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tenso
 	cols := oh * ow
 	total := n * cols
 
-	out := ar.Take(&c.outBuf, n, c.OutC, oh, ow)
+	// y receives the product: the output itself, or, when adding into dst,
+	// step storage that also serves as the column product below.
+	out, add := dst, dst != nil
+	var y []float64
+	if add {
+		if b == nil || !dst.ShapeIs(n, c.OutC, oh, ow) {
+			panic(fmt.Sprintf("nn: Conv2D adds [%d %d %d %d] and a bias into %v", n, c.OutC, oh, ow, dst.Shape()))
+		}
+		y = ar.Floats(c.OutC * total)
+	} else {
+		out = ar.Take(&c.outBuf, n, c.OutC, oh, ow)
+		y = out.Data()
+	}
 	od := out.Data()
 	if c.pointwise() && tensor.GemmRawBatched(false, n, c.OutC, cols, c.InC, 1,
-		c.weight.Value.Data(), c.InC, x.Data(), cols, c.InC*cols, 0, od, cols, c.OutC*cols) {
+		wt, c.InC, x.Data(), cols, c.InC*cols, 0, y, cols, c.OutC*cols) {
 		c.colValid = false // nothing was lowered
-		if c.bias != nil {
-			for i, bv := range c.bias.Value.Data() {
-				for b := 0; b < n; b++ {
-					dst := od[(b*c.OutC+i)*cols : (b*c.OutC+i+1)*cols]
-					for j, v := range dst {
-						dst[j] = v + bv
-					}
-				}
+		if b != nil {
+			for i := 0; i < n*c.OutC; i++ {
+				storeBias(od[i*cols:(i+1)*cols], y[i*cols:(i+1)*cols], b[i%c.OutC], add)
 			}
 		}
 		return out
 	}
 	c.colBuf = ar.Floats(k * total)
-	outCol := ar.Floats(c.OutC * total)
+	outCol := y
+	if !add {
+		outCol = ar.Floats(c.OutC * total)
+	}
 	c.lowerBatch(x, n, h, w, oh, ow)
 	c.colValid = true
 
 	// outCol [OutC, total] = W [OutC, k] · colAll [k, total]
-	tensor.GemmRaw(false, false, c.OutC, total, k, 1,
-		c.weight.Value.Data(), k, c.colBuf, total, 0, outCol, total)
+	tensor.GemmRaw(false, false, c.OutC, total, k, 1, wt, k, c.colBuf, total, 0, outCol, total)
 
 	// Scatter image-major: outCol[oc, b*cols+j] → out[b, oc, j], plus bias.
-	var biasD []float64
-	if c.bias != nil {
-		biasD = c.bias.Value.Data()
-	}
 	for oc := 0; oc < c.OutC; oc++ {
 		src := outCol[oc*total : (oc+1)*total]
-		for b := 0; b < n; b++ {
-			dst := od[(b*c.OutC+oc)*cols : (b*c.OutC+oc+1)*cols]
-			s := src[b*cols : (b+1)*cols]
-			if biasD == nil {
-				copy(dst, s)
+		for i := 0; i < n; i++ {
+			d := od[(i*c.OutC+oc)*cols : (i*c.OutC+oc+1)*cols]
+			s := src[i*cols : (i+1)*cols]
+			if b == nil {
+				copy(d, s)
 			} else {
-				bv := biasD[oc]
-				for j, v := range s {
-					dst[j] = v + bv
-				}
+				storeBias(d, s, b[oc], add)
 			}
 		}
 	}
 	return out
+}
+
+// storeBias stores s + bv into d, or adds it (d += s + bv) when add is set;
+// d may be s.
+func storeBias(d, s []float64, bv float64, add bool) {
+	if add {
+		for j, v := range s {
+			d[j] += v + bv
+		}
+		return
+	}
+	for j, v := range s {
+		d[j] = v + bv
+	}
 }
 
 // backwardIm2col computes weight/bias/input gradients with two GEMMs over

@@ -249,11 +249,6 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 // SetTraining implements TrainToggler.
 func (bn *BatchNorm2D) SetTraining(training bool) { bn.training = training }
 
-// Training reports whether the layer is in training mode. Batched inference
-// paths use this to refuse training-mode forwards, where batch statistics
-// couple rows and batching would change results.
-func (bn *BatchNorm2D) Training() bool { return bn.training }
-
 // Params implements Module. The returned slice is cached and must not be
 // mutated.
 func (bn *BatchNorm2D) Params() []*Param {

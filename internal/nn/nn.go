@@ -103,18 +103,23 @@ func CloneParamValues(ps []*Param) []*tensor.Tensor {
 // little-endian bytes of every value, in order. It is the θ hash every
 // determinism pin in this repository is stated in.
 func ParamHash(ps []*Param) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset)
 	for _, p := range ps {
-		for _, v := range p.Value.Data() {
-			bits := math.Float64bits(v)
-			for i := 0; i < 64; i += 8 {
-				h ^= uint64(byte(bits >> i))
-				h *= prime64
-			}
+		h = hashFloats(h, p.Value.Data())
+	}
+	return h
+}
+
+const fnvOffset = 14695981039346656037
+
+// hashFloats continues the FNV-1a hash h over the little-endian bytes of vs.
+func hashFloats(h uint64, vs []float64) uint64 {
+	const prime64 = 1099511628211
+	for _, v := range vs {
+		bits := math.Float64bits(v)
+		for i := 0; i < 64; i += 8 {
+			h ^= uint64(byte(bits >> i))
+			h *= prime64
 		}
 	}
 	return h

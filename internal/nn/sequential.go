@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"fedrlnas/internal/tensor"
@@ -10,6 +11,15 @@ import (
 type Sequential struct {
 	mods   []Module
 	params []*Param
+
+	fold convFold
+}
+
+// convFold, while conv is set, runs a Sequential's trailing conv→BN pair as
+// that conv with weight w and bias b (Sequential.Fold).
+type convFold struct {
+	conv *Conv2D
+	w, b []float64
 }
 
 var (
@@ -42,10 +52,77 @@ func (s *Sequential) Params() []*Param {
 
 // Forward implements Module.
 func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if f := &s.fold; f.conv != nil {
+		return f.conv.forwardWith(s.forwardUnfolded(x), f.w, f.b, nil)
+	}
 	for _, m := range s.mods {
 		x = m.Forward(x)
 	}
 	return x
+}
+
+// forwardUnfolded runs the modules ahead of a folded conv→BN pair.
+func (s *Sequential) forwardUnfolded(x *tensor.Tensor) *tensor.Tensor {
+	for _, m := range s.mods[:len(s.mods)-2] {
+		x = m.Forward(x)
+	}
+	return x
+}
+
+// FoldLen returns the lengths of the weight and bias a Fold of s writes,
+// or 0, 0 when s does not end in a dense Conv2D followed by the BatchNorm2D
+// of its output.
+func (s *Sequential) FoldLen() (w, b int) {
+	conv, bn := s.convBN()
+	if bn == nil {
+		return 0, 0
+	}
+	return conv.weight.Value.Size(), conv.OutC
+}
+
+func (s *Sequential) convBN() (*Conv2D, *BatchNorm2D) {
+	if len(s.mods) < 2 {
+		return nil, nil
+	}
+	conv, ok := s.mods[len(s.mods)-2].(*Conv2D)
+	bn, ok2 := s.mods[len(s.mods)-1].(*BatchNorm2D)
+	if !ok || !ok2 || conv.Groups != 1 || bn.C != conv.OutC {
+		return nil, nil
+	}
+	return conv, bn
+}
+
+// Fold makes s, in eval mode, run its trailing conv→BN pair as one conv:
+// it writes the pair's fold into w and b (lengths FoldLen),
+//
+//	w′ = w·γ/√(var+ε)    b′ = (b−μ)·γ/√(var+ε) + β,
+//
+// from the conv's current weight and bias and the batch norm's γ, β and
+// running statistics, and from then on Forward and ForwardAdd run the conv
+// with w′ and b′ and skip the batch norm. The fold is a snapshot: parameters
+// or statistics changed later are not seen until Fold runs again. Nothing
+// may run Backward through s while it is folded; SetTraining(true) drops
+// the fold. It panics when s has no pair to fold.
+func (s *Sequential) Fold(w, b []float64) {
+	conv, bn := s.convBN()
+	if bn == nil {
+		panic("nn: Fold on a Sequential that does not end in a dense conv and its batch norm")
+	}
+	cw := conv.weight.Value.Data()
+	per := len(cw) / conv.OutC
+	gamma, beta := bn.gamma.Value.Data(), bn.beta.Value.Data()
+	for oc := 0; oc < conv.OutC; oc++ {
+		scale := gamma[oc] / math.Sqrt(bn.runningVar[oc]+bn.Eps)
+		for i, v := range cw[oc*per : (oc+1)*per] {
+			w[oc*per+i] = v * scale
+		}
+		cb := 0.0
+		if conv.bias != nil {
+			cb = conv.bias.Value.Data()[oc]
+		}
+		b[oc] = (cb-bn.runningMean[oc])*scale + beta[oc]
+	}
+	s.fold = convFold{conv, w[:len(cw)], b[:conv.OutC]}
 }
 
 // Backward implements Module.
@@ -89,10 +166,15 @@ type backwardAdder interface {
 // have the output's shape, without materialising the output (a cell node
 // sums its edges this way). Every element of dst becomes dst + y, the bits
 // dst.AddInPlace(m.Forward(x)) gives. A Sequential adds through its last
-// module. It reports false, having run nothing, when m cannot add; the caller
-// then runs Forward and adds.
+// module, a folded one through its conv (dst + (y + b′)). It reports false,
+// having run nothing, when m cannot add; the caller then runs Forward and
+// adds.
 func ForwardAdd(m Module, x, dst *tensor.Tensor) bool {
 	if s, ok := m.(*Sequential); ok {
+		if f := &s.fold; f.conv != nil {
+			f.conv.forwardWith(s.forwardUnfolded(x), f.w, f.b, dst)
+			return true
+		}
 		last := len(s.mods) - 1
 		if last < 0 || !addsForward(s.mods[last]) {
 			return false
@@ -111,7 +193,7 @@ func ForwardAdd(m Module, x, dst *tensor.Tensor) bool {
 
 func addsForward(m Module) bool {
 	if s, ok := m.(*Sequential); ok {
-		return len(s.mods) > 0 && addsForward(s.mods[len(s.mods)-1])
+		return s.fold.conv != nil || len(s.mods) > 0 && addsForward(s.mods[len(s.mods)-1])
 	}
 	_, ok := m.(forwardAdder)
 	return ok
@@ -147,8 +229,12 @@ func addsBackward(m Module) bool {
 	return ok
 }
 
-// SetTraining implements TrainToggler, propagating to children.
+// SetTraining implements TrainToggler, propagating to children. Entering
+// training mode drops a Fold.
 func (s *Sequential) SetTraining(training bool) {
+	if training {
+		s.fold = convFold{}
+	}
 	SetTraining(training, s.mods...)
 }
 

@@ -212,7 +212,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -226,10 +226,16 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("shape %v has a non-positive dim", req.Shape))
 			return
 		}
+		if n > len(req.Input)/d {
+			// n·d exceeds the input, and stopping here keeps the
+			// product from overflowing.
+			n = -1
+			break
+		}
 		n *= d
 	}
 	if n != len(req.Input) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("shape %v needs %d values, got %d", req.Shape, n, len(req.Input)))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("shape %v does not hold the %d values given", req.Shape, len(req.Input)))
 		return
 	}
 	if req.Shape[0] != inf.InChannels() {

@@ -222,6 +222,9 @@ func checkShape(shape []int) int {
 		if d <= 0 {
 			panic(fmt.Sprintf("tensor: non-positive dim %d in shape %v", d, shape))
 		}
+		if n > math.MaxInt/d {
+			panic(fmt.Sprintf("tensor: shape %v has more elements than an int counts", shape))
+		}
 		n *= d
 	}
 	return n

@@ -71,6 +71,8 @@ func TestPanicOnBadShape(t *testing.T) {
 		func() { FromSlice([]float64{1}, 2) },
 		func() { FromSlice([]float64{1, 2}, 2).At(2) },
 		func() { FromSlice([]float64{1, 2}, 2).At(0, 0) },
+		func() { New(2, 1<<32, 1<<32) }, // the product wraps to 0
+		func() { FromSlice(nil, 2, 1<<32, 1<<32) },
 	}
 	for i, f := range cases {
 		func() {
