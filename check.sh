@@ -90,8 +90,8 @@ go test -run '^$' -fuzz '^FuzzInferBody$' -fuzztime 10s ./internal/serve/
 echo "== bench smoke (tensor, nn kernels, nas participant steps; 1 iteration, catches crashes/regressed shapes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor/... ./internal/nn/... ./internal/nas/...
 
-echo "== repo benchmark smoke (the three workloads the round core serves, at 1/50 size; each one's repeatability and accuracy checks must hold)"
-for w in pipeline softsync rpc; do
+echo "== repo benchmark smoke (the three workloads the round core serves, and serve, whose every 50th response must equal a standalone Forward bit for bit; at 1/50 size, each one's repeatability and accuracy checks must hold)"
+for w in pipeline softsync rpc serve; do
 	bench_last=$(bash bench/run.sh --workload "$w" --smoke | tail -n 1)
 	case "$bench_last" in
 	*'"correct":true'*) ;;

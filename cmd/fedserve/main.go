@@ -20,7 +20,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"fedrlnas/internal/serve"
 	"fedrlnas/internal/telemetry"
@@ -49,8 +48,7 @@ func run(args []string, stop <-chan struct{}, ready func(addr string)) error {
 		addr      = fs.String("addr", "127.0.0.1:7070", "HTTP address for the job API, /metrics, /healthz and pprof (port 0 picks a free port)")
 		ckptDir   = fs.String("checkpoint-dir", "checkpoints", "directory for job checkpoints (job-<id>.ckpt); empty disables checkpointing")
 		ckptEvery = fs.Int("checkpoint-every", 25, "stream a checkpoint every N rounds while a job runs (0 = lifecycle events only)")
-		maxBatch  = fs.Int("max-batch", 8, "default inference dispatch size: a batch launches when full")
-		maxWait   = fs.Duration("max-wait", 2*time.Millisecond, "default time the first queued request waits for the batch to fill before dispatching part-full")
+		maxBatch  = fs.Int("max-batch", 8, "default inference batch cap: a free model runs up to this many queued requests at once")
 		queueCap  = fs.Int("queue-cap", 0, "default admission queue capacity (0 = 4x max-batch); full queues apply backpressure")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +68,6 @@ func run(args []string, stop <-chan struct{}, ready func(addr string)) error {
 		CheckpointEvery: *ckptEvery,
 		DefaultBatch: serve.BatchConfig{
 			MaxBatch: *maxBatch,
-			MaxWait:  *maxWait,
 			QueueCap: *queueCap,
 		},
 	})

@@ -15,6 +15,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-nope"},
 		{"-max-batch", "0"},
+		{"-max-wait", "1ms"}, // deleted: a batch never waits for company
 		{"-addr", "999.999.999.999:0"},
 	}
 	for _, args := range cases {
@@ -42,7 +43,6 @@ func TestServeJobAndDrain(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-checkpoint-dir", filepath.Join(dir, "ckpt"),
 			"-max-batch", "4",
-			"-max-wait", "1ms",
 		}, stop, func(addr string) { addrCh <- addr })
 	}()
 	var base string
@@ -112,7 +112,7 @@ func TestServeJobAndDrain(t *testing.T) {
 
 	// Serve the job's current genotype and infer against it.
 	resp, err = http.Post(base+"/v1/jobs/"+job.ID+"/serve", "application/json",
-		bytes.NewReader([]byte(`{"seed":7,"max_batch":4,"max_wait_ms":1}`)))
+		bytes.NewReader([]byte(`{"seed":7,"max_batch":4}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -171,19 +170,37 @@ func TestEvalArenaHighWaterPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A take of n words that does not fit allocates a slab of at least n
-	// words. The bound tolerates the runtime's own small allocations, which
-	// the count of objects that TestArenaHighWaterPinned reads would not.
-	fits := func(n int) bool {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m.Net.ar.Reset()
-		m.Net.ar.Floats(n)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc-before.TotalAlloc < uint64(8*n)
-	}
-	if want := largest + largest/8; !fits(want) || fits(want+1) {
+	if want := largest + largest/8; !arenaFits(&m.Net.ar, want) || arenaFits(&m.Net.ar, want+1) {
 		t.Errorf("eval arena capacity moved from %d words", want)
+	}
+}
+
+// A served model's arena follows its largest dispatch, not the order fills
+// arrived in. A first dispatch of one request sizes the arena for one; the
+// full batch after it at least doubles the take, so the next Reset folds
+// its growth slabs into one slab for sixteen. Fills that rise one request
+// at a time fold on each doubling only, and keep the arena within twice
+// the full batch's.
+func TestEvalArenaFollowsLargestFill(t *testing.T) {
+	words := func(fills ...int) int {
+		m, xs := servedModel(t, 16)
+		for _, f := range fills {
+			if _, err := m.ForwardBatch(xs[:f], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m.Net.ar.Words()
+	}
+	full := words(16, 16, 16)
+	if got := words(1, 16, 16, 16); 8*got > 9*full {
+		t.Errorf("fills 1,16,16,16 leave %d arena words, fills 16,16,16 %d: want at most 9/8 of it", got, full)
+	}
+	rising := make([]int, 16)
+	for i := range rising {
+		rising[i] = i + 1
+	}
+	if got := words(rising...); got > 2*full {
+		t.Errorf("fills 1…16 leave %d arena words, want at most twice the %d of fills 16,16,16", got, full)
 	}
 }
 

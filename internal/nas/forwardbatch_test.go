@@ -2,7 +2,6 @@ package nas
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"fedrlnas/internal/tensor"
@@ -147,17 +146,7 @@ func TestForwardBatchSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, dispatch); allocs != 0 {
 		t.Fatalf("steady-state ForwardBatch allocates %v objects per dispatch, want 0", allocs)
 	}
-	// As TestArenaHighWaterPinned probes it: a Reset and a take of n words
-	// allocate nothing exactly when n fits.
-	fits := func(n int) bool {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m.batchAr.Reset()
-		m.batchAr.Floats(n)
-		runtime.ReadMemStats(&after)
-		return after.Mallocs == before.Mallocs
-	}
-	if largest := len(xs) * xs[0].Size(); !fits(largest) || fits(largest+1) {
+	if largest := len(xs) * xs[0].Size(); !arenaFits(&m.batchAr, largest) || arenaFits(&m.batchAr, largest+1) {
 		t.Errorf("staging arena does not hold exactly the largest batch, %d words", largest)
 	}
 	m.SetTraining(true)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/scenario"
@@ -38,18 +37,13 @@ type ModelSpec struct {
 	// Seed fixes the served model's weight initialization, making logits a
 	// pure function of (net, genotype, seed) — checksum-comparable across
 	// servers and batch policies.
-	Seed      int64 `json:"seed"`
-	MaxBatch  int   `json:"max_batch,omitempty"`
-	MaxWaitMS int   `json:"max_wait_ms,omitempty"`
-	QueueCap  int   `json:"queue_cap,omitempty"`
+	Seed     int64 `json:"seed"`
+	MaxBatch int   `json:"max_batch,omitempty"`
+	QueueCap int   `json:"queue_cap,omitempty"`
 }
 
 func (m *ModelSpec) batchConfig() BatchConfig {
-	return BatchConfig{
-		MaxBatch: m.MaxBatch,
-		MaxWait:  time.Duration(m.MaxWaitMS) * time.Millisecond,
-		QueueCap: m.QueueCap,
-	}
+	return BatchConfig{MaxBatch: m.MaxBatch, QueueCap: m.QueueCap}
 }
 
 // InferRequest is the POST /v1/models/{id}/infer request body: one example in

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"fedrlnas/internal/scenario"
 )
@@ -27,7 +26,7 @@ func jsonBody(t *testing.T, v any) io.Reader {
 // full scenario.Spec.
 func TestV1APIAndScenarioJob(t *testing.T) {
 	dir := t.TempDir()
-	s := NewServer(Options{CheckpointDir: dir, DefaultBatch: BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond}})
+	s := NewServer(Options{CheckpointDir: dir, DefaultBatch: BatchConfig{MaxBatch: 4}})
 	ts := httptest.NewServer(s.APIHandler())
 	defer ts.Close()
 
@@ -121,8 +120,9 @@ func TestCreateJobRejectsUnknownKeys(t *testing.T) {
 }
 
 // TestServeModelRejectsUnknownKeys: the two routes that start a served
-// model refuse a misspelled batching knob, at the top level or inside net,
-// with a 400 naming the key instead of serving on the default policy.
+// model refuse a misspelled or deleted batching knob (max_wait_ms), at the
+// top level or inside net, with a 400 naming the key instead of serving on
+// the default policy.
 func TestServeModelRejectsUnknownKeys(t *testing.T) {
 	s := NewServer(Options{CheckpointDir: t.TempDir()})
 	ts := httptest.NewServer(s.APIHandler())
@@ -140,10 +140,10 @@ func TestServeModelRejectsUnknownKeys(t *testing.T) {
 	withKey := func(kv string) string { return string(valid[:len(valid)-1]) + "," + kv + "}" }
 	cases := []struct{ route, body, key string }{
 		{"/v1/models", withKey(`"maxbatch":4`), "maxbatch"},
-		{"/v1/models", withKey(`"max_wait":50`), "max_wait"},
+		{"/v1/models", withKey(`"max_wait_ms":1`), "max_wait_ms"},
 		{"/v1/models", strings.Replace(string(valid), `"InChannels"`, `"Channels":2,"InChannels"`, 1), "Channels"},
 		{"/v1/jobs/" + j.ID + "/serve", `{"seed":7,"maxbatch":4}`, "maxbatch"},
-		{"/v1/jobs/" + j.ID + "/serve", `{"seed":7,"max_wait":50}`, "max_wait"},
+		{"/v1/jobs/" + j.ID + "/serve", `{"seed":7,"max_wait_ms":1}`, "max_wait_ms"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))

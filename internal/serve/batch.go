@@ -17,15 +17,15 @@ var ErrClosed = errors.New("serve: model closed")
 
 // BatchConfig is the micro-batching policy for one served model.
 type BatchConfig struct {
-	// MaxBatch is the dispatch size: a batch launches as soon as it holds
-	// MaxBatch requests. 1 disables coalescing (every request is its own
-	// forward). A batch that launches part-full forwards only the requests
-	// it holds; nas.ForwardBatch stages any fill without allocating.
+	// MaxBatch caps a dispatch: the dispatcher takes up to MaxBatch of the
+	// queued requests whenever the model is free. 1 disables coalescing
+	// (every request is its own forward). A part-full batch forwards only
+	// the requests it holds; nas.ForwardBatch stages any fill without
+	// allocating.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch launches part-full. Dispatch triggers on
-	// whichever of MaxBatch / MaxWait is hit first. 0 means launch with
-	// whatever is already queued, never wait.
+	// MaxWait is ignored: a batch never waits for company (see dispatch).
+	// The field stays only for callers that still set it; a negative value
+	// is refused.
 	MaxWait time.Duration
 	// QueueCap is the admission queue capacity; submitters beyond it block
 	// (closed-loop backpressure) rather than being dropped. <= 0 defaults
@@ -83,11 +83,22 @@ type inferReq struct {
 // batch norm would couple rows) — and must not be used elsewhere while
 // served.
 func NewInference(model *nas.FixedModel, cfg BatchConfig, met *Metrics) (*Inference, error) {
+	inf, err := newInference(model, cfg, met)
+	if err != nil {
+		return nil, err
+	}
+	go inf.dispatch()
+	return inf, nil
+}
+
+// newInference is NewInference without the dispatcher, which the caller
+// starts.
+func newInference(model *nas.FixedModel, cfg BatchConfig, met *Metrics) (*Inference, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	model.SetTraining(false)
-	inf := &Inference{
+	return &Inference{
 		model:   model,
 		cfg:     cfg,
 		met:     met,
@@ -96,9 +107,7 @@ func NewInference(model *nas.FixedModel, cfg BatchConfig, met *Metrics) (*Infere
 		pending: make([]*inferReq, 0, cfg.MaxBatch),
 		group:   make([]*inferReq, 0, cfg.MaxBatch),
 		xs:      make([]*tensor.Tensor, 0, cfg.MaxBatch),
-	}
-	go inf.dispatch()
-	return inf, nil
+	}, nil
 }
 
 // Config returns the model's micro-batching policy.
@@ -144,11 +153,15 @@ func (inf *Inference) Close() {
 	<-inf.done
 }
 
-// dispatch is the batching loop: block for the batch's first request, then
-// greedily absorb whatever is already queued, then wait out the remainder
-// of MaxWait for the batch to fill. Channel-close semantics do the drain
-// for free — after Close, receives keep yielding the queued backlog until
-// it is empty, and only then report closed.
+// dispatch is the batching loop, work-conserving: block for a first
+// request, take whatever else is already queued (up to MaxBatch) and run it
+// at once. Requests that arrive during a forward make up the next batch, so
+// under load the queue fills batches to MaxBatch by itself, and a lone
+// request never waits on a timer: a batch costs its own fill, so waiting
+// for company would save a few microseconds per request and cost the wait.
+// Channel-close semantics do the drain for free — after Close, receives
+// keep yielding the queued backlog until it is empty, and only then report
+// closed.
 func (inf *Inference) dispatch() {
 	defer close(inf.done)
 	batch := make([]*inferReq, 0, inf.cfg.MaxBatch)
@@ -158,36 +171,17 @@ func (inf *Inference) dispatch() {
 			return
 		}
 		batch = append(batch[:0], req)
-		// Greedy phase: take everything already waiting, no timer.
-	greedy:
+	take:
 		for len(batch) < inf.cfg.MaxBatch {
 			select {
 			case r, ok := <-inf.reqs:
 				if !ok {
-					inf.runBatch(batch)
-					return
+					break take
 				}
 				batch = append(batch, r)
 			default:
-				break greedy
+				break take
 			}
-		}
-		// Deadline phase: wait up to MaxWait for the batch to fill.
-		if len(batch) < inf.cfg.MaxBatch && inf.cfg.MaxWait > 0 {
-			timer := time.NewTimer(inf.cfg.MaxWait)
-		fill:
-			for len(batch) < inf.cfg.MaxBatch {
-				select {
-				case r, ok := <-inf.reqs:
-					if !ok {
-						break fill
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					break fill
-				}
-			}
-			timer.Stop()
 		}
 		inf.met.QueueDepth.Set(float64(len(inf.reqs)))
 		inf.runBatch(batch)
@@ -195,9 +189,9 @@ func (inf *Inference) dispatch() {
 		// every dispatch. Without this, a closed-loop inference ping-pong
 		// keeps the dispatcher and its clients in the scheduler's handoff
 		// fast path and training starves outright. The yield donates one
-		// scheduling quantum per *batch*, so coalescing amortizes the cost
-		// of training progress across the whole batch — this, not GEMM
-		// shape, is the dominant batching win on small hosts.
+		// scheduling quantum per *batch*. With no timer, light load runs
+		// small batches and yields more often; under load the queue fills
+		// batches to MaxBatch, which amortizes the yield across them.
 		runtime.Gosched()
 	}
 }

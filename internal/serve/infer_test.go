@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // inferHandler serves the test model on a fresh server and returns the API
@@ -15,7 +14,7 @@ import (
 func inferHandler(tb testing.TB) (http.Handler, string) {
 	tb.Helper()
 	s := NewServer(Options{CheckpointDir: tb.TempDir()})
-	id, _, err := s.ServeModel(testNetConfig(), testGenotype(), 5, BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	id, _, err := s.ServeModel(testNetConfig(), testGenotype(), 5, BatchConfig{MaxBatch: 4})
 	if err != nil {
 		tb.Fatal(err)
 	}

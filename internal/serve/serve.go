@@ -129,9 +129,6 @@ func (s *Server) ServeModel(netCfg nas.Config, g nas.Genotype, seed int64, bc Ba
 	if bc.MaxBatch < 1 {
 		bc.MaxBatch = s.opts.DefaultBatch.MaxBatch
 	}
-	if bc.MaxWait == 0 {
-		bc.MaxWait = s.opts.DefaultBatch.MaxWait
-	}
 	if bc.QueueCap <= 0 {
 		bc.QueueCap = s.opts.DefaultBatch.QueueCap
 	}

@@ -147,7 +147,7 @@ func TestDrainSuspendsAndCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, inf, err := s.ServeModel(testNetConfig(), testGenotype(), 5, BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	_, inf, err := s.ServeModel(testNetConfig(), testGenotype(), 5, BatchConfig{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestConcurrentInferenceWhileJobSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, inf, err := s.ServeModel(testNetConfig(), testGenotype(), 5, BatchConfig{MaxBatch: 8, MaxWait: time.Millisecond})
+	_, inf, err := s.ServeModel(testNetConfig(), testGenotype(), 5, BatchConfig{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestConcurrentInferenceWhileJobSteps(t *testing.T) {
 // the job, and run batched inference against it.
 func TestHTTPAPI(t *testing.T) {
 	dir := t.TempDir()
-	s := NewServer(Options{CheckpointDir: dir, DefaultBatch: BatchConfig{MaxBatch: 4, MaxWait: time.Millisecond}})
+	s := NewServer(Options{CheckpointDir: dir, DefaultBatch: BatchConfig{MaxBatch: 4}})
 	ts := httptest.NewServer(s.APIHandler())
 	defer ts.Close()
 
@@ -303,7 +303,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatal("empty genotype")
 	}
 	var model ModelInfo
-	postJSON(t, jobURL+"/serve", ModelSpec{Seed: 7, MaxBatch: 4, MaxWaitMS: 1}, http.StatusCreated, &model)
+	postJSON(t, jobURL+"/serve", ModelSpec{Seed: 7, MaxBatch: 4}, http.StatusCreated, &model)
 	if model.Classes != 5 || model.MaxBatch != 4 {
 		t.Fatalf("model info %+v", model)
 	}

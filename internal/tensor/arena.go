@@ -12,15 +12,20 @@ import (
 // and the model holds one step's buffers instead of one set per module it
 // might run.
 //
-// The first step grows the arena slab by slab, and the Reset after it folds
-// them into one with an eighth to spare. A later step that outgrows the
-// slabs appends one of an eighth of the largest step, kept from then on, so
-// the slabs never churn: once the largest step has run, no step allocates.
+// A step that outgrows the slabs appends one per take that does not fit,
+// holding the take and an eighth of the largest step before it (a quarter
+// of what the first step took so far). The Reset after the first step, and
+// after any step that took at least twice what the arena last folded,
+// folds the slabs into one with an eighth to spare. Folds are thus
+// logarithmic in growth, so slabs never churn, and an arena whose first
+// step was small drops its growth slabs once a step doubles it. Once the
+// largest step has run, no step allocates.
 // The zero Arena is ready to use; it is not safe for concurrent use.
 type Arena struct {
 	bufs       [][]float64
 	cur, off   int // carving bufs[cur] from off on
 	used, high int // words taken this step; the most any step took
+	folded     int // high at the last fold, 0 before the first
 }
 
 // Reset releases everything taken since the previous Reset. Built with the
@@ -28,17 +33,27 @@ type Arena struct {
 // reader of a dead buffer computes NaNs or indexes out of range instead of
 // reusing plausible stale values.
 func (a *Arena) Reset() {
-	first := a.high == 0
-	a.high = max(a.high, a.used)
-	if first && len(a.bufs) > 1 {
-		clear(a.bufs) // drop the old slabs, not just hide them past len
-		a.bufs = append(a.bufs[:0], alloc(a.high+a.high/8))
-	} else if fedcheck {
+	if fedcheck {
 		for _, b := range a.bufs {
 			poison(b)
 		}
 	}
+	a.high = max(a.high, a.used)
+	if len(a.bufs) > 1 && a.high >= 2*a.folded {
+		clear(a.bufs) // drop the old slabs, not just hide them past len
+		a.bufs = append(a.bufs[:0], alloc(a.high+a.high/8))
+		a.folded = a.high
+	}
 	a.cur, a.off, a.used = 0, 0, 0
+}
+
+// Words returns how many words the arena holds across its slabs.
+func (a *Arena) Words() int {
+	n := 0
+	for _, b := range a.bufs {
+		n += len(b)
+	}
+	return n
 }
 
 // Floats returns n float64s of step storage. Their contents are unspecified:
@@ -50,7 +65,7 @@ func (a *Arena) Floats(n int) []float64 {
 	if a.cur == len(a.bufs) {
 		// A new slab holds the take and a quarter of what a first step took
 		// so far (so that step needs logarithmically many slabs and
-		// overshoots little), or an eighth of the largest step.
+		// overshoots little), or an eighth of the largest earlier step.
 		spare := a.used / 4
 		if a.high > 0 {
 			spare = a.high / 8

@@ -28,8 +28,9 @@ func TestArenaReusesStorageInCallOrder(t *testing.T) {
 
 // The first step grows the arena slab by slab and the next Reset folds them
 // into one with an eighth to spare; a later, larger step appends a slab that
-// stays. Either way every step up to the largest so far then allocates
-// nothing.
+// stays, until a step takes twice the last fold and the Reset after it
+// folds again. Either way every step up to the largest so far then
+// allocates nothing.
 func TestArenaGrowsToHighWaterThenStopsAllocating(t *testing.T) {
 	var a Arena
 	sizes := []int{3, 100, 7, 50, 1, 400}
@@ -62,6 +63,14 @@ func TestArenaGrowsToHighWaterThenStopsAllocating(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, step(20)); allocs != 0 {
 		t.Fatalf("a step as large as the largest allocates %.0f objects", allocs)
+	}
+	step(95)() // 1140 words, twice the first step
+	a.Reset()
+	if len(a.bufs) != 1 || a.Words() != 1140+1140/8 {
+		t.Fatalf("after a doubled step: %d slabs, %d words; want one of %d", len(a.bufs), a.Words(), 1140+1140/8)
+	}
+	if allocs := testing.AllocsPerRun(10, step(95)); allocs != 0 {
+		t.Fatalf("a step as large as the refolded one allocates %.0f objects", allocs)
 	}
 }
 
