@@ -26,6 +26,8 @@ type Replica struct {
 	// identical supernet's; sub backs the current step's Sampled list.
 	bns []*nn.BatchNorm2D
 	sub []*nn.Param
+	// subTheta is Train's list of the θ entries the sub-model restores.
+	subTheta []*tensor.Tensor
 }
 
 // NewReplica builds a replica of the supernet cfg describes from its own
@@ -64,8 +66,9 @@ func (r *Replica) Sampled(g nas.Gates) []*nn.Param {
 // Step is one local update's inputs besides the participant's own stream.
 type Step struct {
 	Gates nas.Gates
-	// Theta, when set, is a full canonical θ restored onto the replica
-	// first; nil trains on the weights the caller loaded through Sampled.
+	// Theta, when set, is a full canonical θ whose sub-model entries are
+	// restored onto the replica first (the step reads no others); nil
+	// trains on the weights the caller loaded through Sampled.
 	Theta []*tensor.Tensor
 	// Head, when set, is the participant's private classifier head: it
 	// replaces the replica's for the step, its gradients stay on the device
@@ -99,14 +102,24 @@ type Slot struct {
 }
 
 // Train runs one participant update (Alg. 1 lines 37–42) on the replica: θ
-// restore and head swap, the participant's next batch gathered and
-// augmented from its own stream, forward and backward through the sub-model
-// st.Gates selects, then the sampled gradients copied out by canonical index
-// and the captured batch statistics drained into sl. Only the replica, sl,
-// part's stream and st.Head are written.
+// restore of the sub-model st.Gates selects and head swap, the
+// participant's next batch gathered and augmented from its own stream,
+// forward and backward through that sub-model, then the sampled gradients
+// copied out by canonical index and the captured batch statistics drained
+// into sl. Only the replica, sl, part's stream and st.Head are written.
 func (r *Replica) Train(ds *data.Dataset, part *Participant, st Step, sl *Slot) error {
+	sub := r.Sampled(st.Gates)
 	if st.Theta != nil {
-		if err := nn.RestoreParamValues(r.params, st.Theta); err != nil {
+		// Only the sub-model's weights are read, as on an RPC participant,
+		// which is sent nothing else.
+		if len(st.Theta) != len(r.params) {
+			return fmt.Errorf("restore: %d params vs %d snapshot tensors", len(r.params), len(st.Theta))
+		}
+		r.subTheta = r.subTheta[:0]
+		for _, p := range sub {
+			r.subTheta = append(r.subTheta, st.Theta[r.index[p]])
+		}
+		if err := nn.RestoreParamValues(sub, r.subTheta); err != nil {
 			return err
 		}
 	}
@@ -118,7 +131,6 @@ func (r *Replica) Train(ds *data.Dataset, part *Participant, st Step, sl *Slot) 
 	sl.x, sl.labels = x, y
 	x = st.Augment.ApplyInto(sl.aug, x, part.RNG)
 	sl.aug = x
-	sub := r.Sampled(st.Gates)
 	nn.ZeroGrads(sub)
 	loss, err := nn.CrossEntropyInto(sl.gradLogit, r.net.ForwardSampled(x, st.Gates), y)
 	if err != nil {

@@ -133,3 +133,55 @@ func TestReplicaTrainPersonalHead(t *testing.T) {
 		}
 	}
 }
+
+// A step restores only the sub-model its gates select: every other
+// parameter keeps the replica's own values. A θ of the wrong length, or
+// with a sampled entry of the wrong shape, is refused.
+func TestReplicaTrainRestoresOnlySubModel(t *testing.T) {
+	ds, cfg, theta := localTestSetup(t)
+	rep, err := NewReplica(7, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := nn.CloneParamValues(rep.params)
+	g := stepGates(rand.New(rand.NewSource(5)), cfg)
+	sampled := map[int]bool{}
+	for _, p := range rep.Sampled(g) {
+		sampled[rep.index[p]] = true
+	}
+	part, err := NewParticipant(0, []int{1, 2, 3, 4, 5}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sl Slot
+	if err := rep.Train(ds, part, Step{Gates: g, Theta: theta, BatchSize: 4}, &sl); err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	for i, p := range rep.params {
+		want := before[i]
+		if sampled[i] {
+			want, restored = theta[i], restored+1
+		}
+		if !p.Value.AllClose(want, 0) {
+			t.Fatalf("parameter %d (%s, sampled %v) does not hold the expected values", i, p.Name, sampled[i])
+		}
+	}
+	if restored == 0 || restored == len(rep.params) {
+		t.Fatalf("%d of %d parameters sampled; the test needs a strict subset", restored, len(rep.params))
+	}
+
+	if err := rep.Train(ds, part, Step{Gates: g, Theta: theta[:len(theta)-1], BatchSize: 4}, &sl); err == nil {
+		t.Error("a θ one tensor short was accepted")
+	}
+	bad := append([]*tensor.Tensor(nil), theta...)
+	for i := range bad {
+		if sampled[i] {
+			bad[i] = tensor.New(1)
+			break
+		}
+	}
+	if err := rep.Train(ds, part, Step{Gates: g, Theta: bad, BatchSize: 4}, &sl); err == nil {
+		t.Error("a sampled θ entry of the wrong shape was accepted")
+	}
+}

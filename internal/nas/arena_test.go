@@ -62,12 +62,15 @@ func TestLargestStepSizesEveryStep(t *testing.T) {
 }
 
 // The arena's capacity on the rpc benchmark network at batch 8 is pinned to
-// the word: one step of the largest sub-model plus the eighth the arena
-// keeps spare, and no other step grows it. It is a replica's resident step
-// memory. The probe needs no accessor: a Reset and a take of n words
-// allocate no slab exactly when n fits.
+// the word: the peak of the largest sub-model's step plus the eighth the
+// arena keeps spare, and no other step grows it. It is a replica's resident
+// step memory. The probe needs no accessor: a Reset and a take of n words
+// allocate no slab exactly when n fits. Before ops released what dies
+// inside a step (a cell edge's backward once added into a state gradient,
+// per-call lane plans and planes, the stem's column matrix), and before the
+// separable ops' ReLU was folded into their depthwise conv, it was 460,478.
 func TestArenaHighWaterPinned(t *testing.T) {
-	const largest = 460478 // words, 3.7 MB, on every build
+	const largest = 282208 // words, 2.3 MB, on every build
 	rng := rand.New(rand.NewSource(2))
 	s, err := NewSupernet(rng, rpcNet())
 	if err != nil {

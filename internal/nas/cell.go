@@ -254,10 +254,12 @@ func (c *Cell) SetTraining(training bool) {
 // Each element receives its edges' terms in edge order, as a sum that
 // started from the first edge's output with AddInPlace would; skipping a
 // none edge can only change the sign of an exact zero, which every reader of
-// a node state (a ReLU, a pool, a sum started at +0) cannot tell apart.
-// Later edges add into the first edge's output, so no op may end in a ReLU,
-// whose Backward reads its mask off that output (see nn.ReLU); every op
-// ends in batch norm or is a pool, an identity copy, a subsample or zeros.
+// a node state (a ReLU, a separable op's depthwise conv rectifying it, a
+// pool, a sum started at +0) cannot tell apart. Later edges add into the
+// first edge's output, so no op may end in a ReLU, whose Backward reads its
+// mask off that output (see nn.ReLU); every op ends in batch norm or is a
+// pool, an identity copy, a subsample or zeros. A finished state is never
+// written again, so a separable op may read its ReLU mask off its input.
 func (c *Cell) ForwardSampled(s0, s1 *tensor.Tensor, gates []int) *tensor.Tensor {
 	if len(gates) != len(c.Edges) {
 		panic(fmt.Sprintf("nas: %d gates for %d edges", len(gates), len(c.Edges)))
@@ -318,6 +320,14 @@ func (c *Cell) ForwardMixed(s0, s1 *tensor.Tensor, edgeProbs [][]float64) *tenso
 
 // Backward back-propagates the cell. It returns gradients for (s0, s1) and,
 // after a mixed forward, the per-edge dL/d(probs) rows (nil after sampled).
+//
+// Storage an edge takes on its way back dies once its input gradient has
+// been added into a state's gradient, so the arena releases it there: the
+// edge's internal gradients, scratch and, when it returned one, the input
+// gradient it added. A gradient that is kept — an edge's first
+// contribution to a state, which becomes that state's gradient, or what
+// pre0 and pre1 return — is never released: the takes nest, and a release
+// only rewinds to a mark set after everything kept.
 func (c *Cell) Backward(grad *tensor.Tensor) (gs0, gs1 *tensor.Tensor, dProbs [][]float64) {
 	// stateGrads[j] accumulates dL/d(states[j]); a node's entry starts as
 	// its slice of grad.
@@ -334,25 +344,32 @@ func (c *Cell) Backward(grad *tensor.Tensor) (gs0, gs1 *tensor.Tensor, dProbs []
 		for j := 2 + i - 1; j >= 0; j-- {
 			e := edgeStart + j
 			if c.lastMixed {
+				if stateGrads[j] == nil {
+					stateGrads[j], dProbs[e] = c.Edges[e].BackwardMixed(ng)
+					continue
+				}
+				m := c.ar.Mark()
 				gin, dp := c.Edges[e].BackwardMixed(ng)
 				dProbs[e] = dp
-				if stateGrads[j] == nil {
-					stateGrads[j] = gin
-				} else {
-					stateGrads[j].AddInPlace(gin)
-				}
+				stateGrads[j].AddInPlace(gin)
+				c.ar.Release(m)
 				continue
 			}
 			// Sampled: the mirror of ForwardSampled's sums. A none edge
 			// contributes nothing; the first contribution to a state's
 			// gradient is kept as is, and later ones add at their producer
-			// when the op starts with a ReLU or is an identity.
+			// when the op can (nn.BackwardAdd), then release what the edge
+			// took.
 			switch edge := c.Edges[e]; {
 			case edge.Candidates[c.lastGates[e]] == OpZero:
 			case stateGrads[j] == nil:
 				stateGrads[j] = edge.BackwardSampled(ng)
-			case !edge.backwardSampledAdd(ng, stateGrads[j]):
-				stateGrads[j].AddInPlace(edge.BackwardSampled(ng))
+			default:
+				m := c.ar.Mark()
+				if !edge.backwardSampledAdd(ng, stateGrads[j]) {
+					stateGrads[j].AddInPlace(edge.BackwardSampled(ng))
+				}
+				c.ar.Release(m)
 			}
 		}
 		edgeEnd = edgeStart

@@ -20,6 +20,11 @@ type Conv2D struct {
 	bias   *Param // nil when bias is disabled
 	params []*Param
 
+	// reluIn makes a depthwise layer apply a ReLU to its input itself
+	// (NewSepConv, NewDilConv; see depthwise.go). Its Backward reads the
+	// mask off the input, so nothing may write into that input before it.
+	reluIn bool
+
 	arenaRef
 	lastX *tensor.Tensor
 
@@ -174,6 +179,37 @@ func (c *Conv2D) backward(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 	}
 	mustDims4(grad, "Conv2D.Backward")
 	gradX := c.ar.TakeLike(&c.gradXBuf, x)
-	c.backwardDepthwise(c.ar, x, grad, gradX)
+	gxd := gradX.Data()
+	c.backwardDepthwise(c.ar, x, grad, gxd)
+	if c.reluIn {
+		tensor.ReLUGrad(gxd, gxd, x.Data())
+	}
 	return gradX
+}
+
+// backwardAdd adds the input gradient into dst (BackwardAdd) from storage
+// it releases before returning: a depthwise layer computes the gradient
+// into scratch and adds it, masked when reluIn — dst + g·m, the bits a ReLU
+// module's backwardAdd gives — and a dense layer adds what Backward returns.
+func (c *Conv2D) backwardAdd(grad, dst *tensor.Tensor) {
+	x := c.lastX
+	if x == nil {
+		panic("nn: Conv2D.Backward before Forward")
+	}
+	if !dst.SameShape(x) {
+		panic(fmt.Sprintf("nn: Conv2D adds an input gradient of %v into %v", x.Shape(), dst.Shape()))
+	}
+	defer c.ar.Release(c.ar.Mark())
+	if c.Groups == 1 {
+		dst.AddInPlace(c.backward(grad, true))
+		return
+	}
+	mustDims4(grad, "Conv2D.Backward")
+	gxd := c.ar.Floats(x.Size())
+	c.backwardDepthwise(c.ar, x, grad, gxd)
+	if c.reluIn {
+		tensor.ReLUGradAdd(dst.Data(), gxd, x.Data())
+	} else {
+		tensor.AddTo(dst.Data(), gxd)
+	}
 }

@@ -31,9 +31,18 @@ import (
 //	    input gradient is the same tap table walked backwards from each
 //	    input pixel (which is why Pad may not exceed the kernel's reach).
 //
-// Both planes and the tables live in the step's arena, rebuilt per call: the
-// planes are cleared first, since their borders and gaps must read +0 and
-// arena storage holds whatever it last held.
+// Both planes and the tables live in the step's arena, rebuilt per call and
+// released when it returns: the planes are cleared first, since their
+// borders and gaps must read +0 and arena storage holds whatever it last
+// held.
+//
+// A layer built with reluIn (the first layer of a separable or dilated
+// block) applies the ReLU ahead of it itself: it rectifies the interior of
+// xp after each interleave (tensor.ReLU, so ReLU(x) = x where x > 0, else
+// +0, bit for bit what a ReLU module's output held; the border stays +0),
+// and masks its input gradient with x > 0 (tensor.ReLUGrad with x for the
+// ReLU's output, which is > 0 exactly where x is). The rectified input is
+// never stored.
 
 // dwPlan holds one call's offset tables and scratch.
 type dwPlan struct {
@@ -164,14 +173,15 @@ func unpadLanes(d, p []float64, n, c, sz int) {
 	}
 }
 
-// loadWeights interleaves the filters of channels ch0..ch0+3 of c into wl,
-// a channel past the last repeating the last.
-func (p *dwPlan) loadWeights(wd []float64, ch0, c int) {
+// loadLaneWeights interleaves the ntaps-long filters of channels
+// ch0..ch0+3 of c in wd into wl, [tap][lane], a channel past the last
+// repeating the last.
+func loadLaneWeights(wl, wd []float64, ntaps, ch0, c int) {
 	for l := 0; l < tensor.DWLanes; l++ {
 		ch := min(ch0+l, c-1)
-		f := wd[ch*p.ntaps : (ch+1)*p.ntaps]
+		f := wd[ch*ntaps : (ch+1)*ntaps]
 		for t, v := range f {
-			p.wl[t*tensor.DWLanes+l] = v
+			wl[t*tensor.DWLanes+l] = v
 		}
 	}
 }
@@ -184,6 +194,7 @@ func (c *Conv2D) forwardDepthwise(ar *tensor.Arena, x, out *tensor.Tensor) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := out.Dim(2), out.Dim(3)
+	defer ar.Release(ar.Mark())
 	p := dwPlanFor(ar, c.geom(), h, w, oh, ow, false)
 	C, cs, hw := c.OutC, max(c.OutC, L), h*w
 	xd, od, wd := padLanes(ar, x.Data(), n, C, hw), out.Data(), c.weight.Value.Data()
@@ -194,9 +205,9 @@ func (c *Conv2D) forwardDepthwise(ar *tensor.Arena, x, out *tensor.Tensor) {
 	taps := p.ftaps[:p.ntaps]
 	for ch := 0; ch < C; ch += L {
 		ch0, _ := laneGroup(ch, C)
-		p.loadWeights(wd, ch0, C)
+		loadLaneWeights(p.wl, wd, p.ntaps, ch0, C)
 		for b := 0; b < n; b++ {
-			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*cs+ch0)*hw:], h, w)
+			c.loadInput(p.xp, xorg, p.xpW, xd[(b*cs+ch0)*hw:], h, w)
 			tensor.DWTaps(p.res, p.xp, p.xpix, taps, p.wl)
 			tensor.DWDeinterleave(od[(b*cs+ch0)*p.npix:], p.res, p.npix)
 		}
@@ -206,16 +217,31 @@ func (c *Conv2D) forwardDepthwise(ar *tensor.Arena, x, out *tensor.Tensor) {
 	}
 }
 
+// loadInput interleaves four input planes into xp at org, rectifying them
+// when the layer applies the ReLU ahead of it. The rectified span runs from
+// the first interior element to the last, so it takes in the side borders
+// between rows, which hold +0 and stay so.
+func (c *Conv2D) loadInput(xp []float64, org, xpW int, src []float64, h, w int) {
+	const L = tensor.DWLanes
+	tensor.DWInterleave(xp, org, xpW, 1, src, h, w)
+	if c.reluIn {
+		in := xp[org*L : (org+(h-1)*xpW+w)*L]
+		tensor.ReLU(in, in)
+	}
+}
+
 // backwardDepthwise accumulates the weight gradient of every channel, each
-// image's sums in image order, and overwrites gradX.
-func (c *Conv2D) backwardDepthwise(ar *tensor.Arena, x, grad, gradX *tensor.Tensor) {
+// image's sums in image order, and writes the input gradient into gxd
+// (the input's layout; unmasked: the caller applies reluIn's mask).
+func (c *Conv2D) backwardDepthwise(ar *tensor.Arena, x, grad *tensor.Tensor, gxd []float64) {
 	const L = tensor.DWLanes
 	n, _, h, w := mustDims4(x, "Conv2D")
 	oh, ow := grad.Dim(2), grad.Dim(3)
+	defer ar.Release(ar.Mark())
 	p := dwPlanFor(ar, c.geom(), h, w, oh, ow, true)
 	C, cs, hw := c.OutC, max(c.OutC, L), h*w
 	xd, gd := padLanes(ar, x.Data(), n, C, hw), padLanes(ar, grad.Data(), n, C, p.npix)
-	gxd, wd, gwd := gradX.Data(), c.weight.Value.Data(), c.weight.Grad.Data()
+	out, wd, gwd := gxd, c.weight.Value.Data(), c.weight.Grad.Data()
 	if C < L {
 		gxd = ar.Floats(n * L * hw)
 	}
@@ -224,9 +250,9 @@ func (c *Conv2D) backwardDepthwise(ar *tensor.Arena, x, grad, gradX *tensor.Tens
 	s := c.Stride
 	for ch := 0; ch < C; ch += L {
 		ch0, skip := laneGroup(ch, C)
-		p.loadWeights(wd, ch0, C)
+		loadLaneWeights(p.wl, wd, p.ntaps, ch0, C)
 		for b := 0; b < n; b++ {
-			tensor.DWInterleave(p.xp, xorg, p.xpW, 1, xd[(b*cs+ch0)*hw:], h, w)
+			c.loadInput(p.xp, xorg, p.xpW, xd[(b*cs+ch0)*hw:], h, w)
 			tensor.DWInterleave(p.gp, gorg, s*p.gpW, s, gd[(b*cs+ch0)*p.npix:], oh, ow)
 
 			tensor.DWGradW(p.gwl, p.gp, p.gpix, p.xp, p.xpix[:p.npix], p.ftaps)
@@ -242,6 +268,6 @@ func (c *Conv2D) backwardDepthwise(ar *tensor.Arena, x, grad, gradX *tensor.Tens
 		}
 	}
 	if C < L {
-		unpadLanes(gradX.Data(), gxd, n, C, hw)
+		unpadLanes(out, gxd, n, C, hw)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // amortize the kernel's packing) instead of a small matmul per image.
 //
 // Conv2D uses it for Groups == 1; depthwise convolutions take the lane
-// path in depthwise.go.
+// path in depthwise.go, and a dense layer of fewer than four input channels
+// (the stem) the one in lanedense.go.
 //
 // A pointwise convolution (1×1, stride 1, no padding) needs no lowering at
 // all: image b's column matrix is its [C, H·W] activation block as it lies in
@@ -132,8 +133,9 @@ func (c *Conv2D) lowerBatch(x *tensor.Tensor, n, h, w, oh, ow int) {
 }
 
 // forwardIm2col computes the convolution with weight wt and bias b (nil
-// for none) via batch im2col + one GEMM for Groups==1, taking the output
-// and the column matrices from ar. With a non-nil dst it adds y + b into
+// for none) via batch im2col + one GEMM for Groups==1 (or the lane or
+// batched-GEMM paths, which lower nothing), taking the output and the
+// column matrices from ar. With a non-nil dst it adds y + b into
 // dst, which must have the output's shape, instead of returning a buffer of
 // its own (a cell's node sum; b must be set). The bias rides the pass
 // that stores the product: the scatter out of the column matrix, or the one
@@ -160,9 +162,15 @@ func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor, wt, b []float
 		y = out.Data()
 	}
 	od := out.Data()
-	if c.pointwise() && tensor.GemmRawBatched(false, n, c.OutC, cols, c.InC, 1,
+	// The lane and batched-GEMM paths lower nothing; they store the product
+	// in y and add the bias in one pass over it.
+	lanes := c.laneDense()
+	if lanes {
+		c.forwardLanes(ar, x, wt, y, n, h, w, oh, ow)
+	}
+	if lanes || c.pointwise() && tensor.GemmRawBatched(false, n, c.OutC, cols, c.InC, 1,
 		wt, c.InC, x.Data(), cols, c.InC*cols, 0, y, cols, c.OutC*cols) {
-		c.colValid = false // nothing was lowered
+		c.colValid = false
 		if b != nil {
 			for i := 0; i < n*c.OutC; i++ {
 				storeBias(od[i*cols:(i+1)*cols], y[i*cols:(i+1)*cols], b[i%c.OutC], add)
@@ -173,6 +181,7 @@ func (c *Conv2D) forwardIm2col(ar *tensor.Arena, x *tensor.Tensor, wt, b []float
 	c.colBuf = ar.Floats(k * total)
 	outCol := y
 	if !add {
+		defer ar.Release(ar.Mark()) // the product dies with the scatter
 		outCol = ar.Floats(c.OutC * total)
 	}
 	c.lowerBatch(x, n, h, w, oh, ow)
@@ -214,8 +223,9 @@ func storeBias(d, s []float64, bv float64, add bool) {
 // backwardIm2col computes weight/bias/input gradients with two GEMMs over
 // the batch-wide column representation for Groups==1. With needGradX false
 // only the parameter gradients are accumulated and nil is returned. A
-// bias-free pointwise layer of ≥ 4 input and output channels whose forward
-// lowered nothing takes its weight gradient from gradWLanes.
+// layer of fewer than four input channels takes its weight gradient from
+// gradWDense, and a bias-free pointwise layer of ≥ 4 input and output
+// channels whose forward lowered nothing from gradWLanes.
 func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Tensor {
 	x, ar := c.lastX, c.ar
 	n, _, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -225,26 +235,33 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 	total := n * cols
 	gd := grad.Data()
 
+	if c.bias != nil {
+		// One chain per channel over (image, pixel): a row of the gathered
+		// gradient matrix, read in place.
+		gbd := c.bias.Grad.Data()
+		for oc := 0; oc < c.OutC; oc++ {
+			s := 0.0
+			for b := 0; b < n; b++ {
+				for _, v := range gd[(b*c.OutC+oc)*cols : (b*c.OutC+oc+1)*cols] {
+					s += v
+				}
+			}
+			gbd[oc] += s
+		}
+	}
 	var gradCol []float64
-	if c.pointwise() && !c.colValid && c.bias == nil && c.InC >= 4 && c.OutC >= 4 {
+	switch {
+	case c.laneDense():
+		c.gradWDense(ar, x.Data(), gd, n, h, w, oh, ow)
+	case c.pointwise() && !c.colValid && c.bias == nil && c.InC >= 4 && c.OutC >= 4:
 		c.gradWLanes(ar, x.Data(), gd, n, cols)
-	} else {
+	default:
 		if !c.colValid {
 			c.colBuf = ar.Floats(k * total)
 			c.lowerBatch(x, n, h, w, oh, ow)
 			c.colValid = true
 		}
 		gradCol = c.gatherGrad(ar, gd, n, total, cols)
-		if c.bias != nil {
-			gbd := c.bias.Grad.Data()
-			for oc := 0; oc < c.OutC; oc++ {
-				s := 0.0
-				for _, v := range gradCol[oc*total : (oc+1)*total] {
-					s += v
-				}
-				gbd[oc] += s
-			}
-		}
 		// gradW [OutC, k] += gradCol [OutC, total] · colAllᵀ [total, k]
 		tensor.GemmRaw(false, true, c.OutC, k, total, 1,
 			gradCol, total, c.colBuf, total, 1, c.weight.Grad.Data(), k)
@@ -264,6 +281,7 @@ func (c *Conv2D) backwardIm2col(grad *tensor.Tensor, needGradX bool) *tensor.Ten
 		gradCol = c.gatherGrad(ar, gd, n, total, cols)
 	}
 	// colGrad [k, total] = Wᵀ [k, OutC] · gradCol [OutC, total]
+	defer ar.Release(ar.Mark())
 	colGrad := ar.Floats(k * total)
 	tensor.GemmRaw(true, false, k, total, c.OutC, 1,
 		c.weight.Value.Data(), k, gradCol, total, 0, colGrad, total)
@@ -300,6 +318,7 @@ func (c *Conv2D) gatherGrad(ar *tensor.Arena, gd []float64, n, total, cols int) 
 // the lowered-batch path.
 func (c *Conv2D) gradWLanes(ar *tensor.Arena, xd, gd []float64, n, cols int) {
 	const L = tensor.DWLanes
+	defer ar.Release(ar.Mark())
 	xi, acc := ar.Floats(n*cols*L), ar.Floats(4*L)
 	gw := c.weight.Grad.Data()
 	for i := 0; i < c.InC; i += L {

@@ -17,7 +17,11 @@
 // private one the module resets at its own Forward. Tensors returned by
 // Forward and Backward therefore remain valid until the owning model's next
 // forward, header included: the next step rewrites them in place. Callers
-// that need a result to outlive it must Clone it. Modules keep only
+// that need a result to outlive it must Clone it. Storage that dies inside
+// a step goes back to the arena sooner (tensor.Arena.Release): an op's lane
+// plans, planes and scratch when the call that took them returns, and a
+// nas cell edge's backward storage once its input gradient has been added
+// into a state's gradient; what an op returns is never released by the op. Modules keep only
 // parameters, shape plans and tensor headers, so a model holds the buffers of
 // the one sub-model its step runs, and a steady-state step allocates nothing.
 package nn

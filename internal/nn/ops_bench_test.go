@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,4 +75,36 @@ func BenchmarkOpBN(b *testing.B) {
 
 func BenchmarkOpReLU(b *testing.B) {
 	benchOp(b, func(_ *rand.Rand, _, _ int) Module { return NewReLU() })
+}
+
+// BenchmarkOpPreprocess is a cell's input preprocessing, ReLU → 1×1 conv →
+// batch norm: stride 1 for pre1 and for pre0 after a normal cell, stride 2
+// (the ReLU → SubSample → pointwise form) for pre0 after a reduction cell.
+func BenchmarkOpPreprocess(b *testing.B) {
+	benchOp(b, func(rng *rand.Rand, c, s int) Module { return NewReLUConvBN("op", rng, c, c, 1, s) })
+}
+
+// BenchmarkOpStem is the network's stem, a 3×3 conv from the three image
+// channels and its batch norm, on a batch of 16 8×8 images at the pipeline
+// network's C=4 and the rpc network's C=6, with the backward a participant
+// runs through it: parameter gradients only (BackwardParams).
+func BenchmarkOpStem(b *testing.B) {
+	for _, c := range []int{4, 6} {
+		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			stem := NewSequential(
+				NewConv2D("stem.conv", rng, 3, c, 3, ConvOpts{Pad: 1}),
+				NewBatchNorm2D("stem.bn", c),
+			)
+			x := tensor.Randn(rng, 1, 16, 3, 8, 8)
+			grad := tensor.Randn(rng, 1, stem.Forward(x).Shape()...)
+			BackwardParams(stem, grad)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stem.Forward(x)
+				BackwardParams(stem, grad)
+			}
+		})
+	}
 }

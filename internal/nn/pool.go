@@ -45,6 +45,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	ow := convOutDim(w, p.K, p.Stride, p.Pad, 1)
 	out := ar.Take(&p.outBuf, n, c, oh, ow)
 	p.argmaxI = ar.Ints(out.Size())
+	defer ar.Release(ar.Mark()) // the plan and tables die with the call
 	pl := dwPlanFor(ar, dwGeom{p.K, p.K, p.Stride, p.Pad, 1}, h, w, oh, ow, false)
 	negInf := math.Inf(-1)
 	for i := range pl.xp {
@@ -142,6 +143,7 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	ow := convOutDim(w, p.K, p.Stride, p.Pad, 1)
 	ar := p.stepArena()
 	out := ar.Take(&p.outBuf, n, c, oh, ow)
+	defer ar.Release(ar.Mark())
 	pl := dwPlanFor(ar, p.geom(), h, w, oh, ow, false)
 	for i := range pl.wl {
 		pl.wl[i] = 1
@@ -172,6 +174,7 @@ func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, oh, ow := mustDims4(grad, "AvgPool2D.Backward")
 	gradX := p.ar.Take(&p.gradXBuf, p.lastShape[:]...)
 	h, w := p.lastShape[2], p.lastShape[3]
+	defer p.ar.Release(p.ar.Mark())
 	pl := dwPlanFor(p.ar, p.geom(), h, w, oh, ow, true)
 	slices.Reverse(pl.btaps)
 	inv := 1 / float64(p.K*p.K)

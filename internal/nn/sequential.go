@@ -239,36 +239,58 @@ func (s *Sequential) SetTraining(training bool) {
 }
 
 // NewSepConv builds the DARTS separable convolution block:
-// ReLU → depthwise k×k conv → pointwise 1×1 conv → batch norm.
+// ReLU → depthwise k×k conv → pointwise 1×1 conv → batch norm, the ReLU
+// applied by the depthwise conv to its own input (depthwise.go), so the
+// rectified input is never stored.
 // (The paper's search space applies the DARTS block; we use a single
 // depthwise-separable stage instead of DARTS' doubled stage to keep
 // participant-side compute tractable on this substrate — see DESIGN.md.)
 func NewSepConv(name string, rng *rand.Rand, c, k, stride int) *Sequential {
 	pad := k / 2
-	return NewSequential(
-		NewReLU(),
-		NewConv2D(name+".dw", rng, c, c, k, ConvOpts{Stride: stride, Pad: pad, Groups: c}),
-		NewConv2D(name+".pw", rng, c, c, 1, ConvOpts{}),
-		NewBatchNorm2D(name+".bn", c),
-	)
+	return newReLUSepConv(name, rng, c, k, ConvOpts{Stride: stride, Pad: pad, Groups: c})
 }
 
 // NewDilConv builds the DARTS dilated separable convolution block:
-// ReLU → depthwise k×k dilation-2 conv → pointwise 1×1 conv → batch norm.
+// ReLU → depthwise k×k dilation-2 conv → pointwise 1×1 conv → batch norm,
+// the ReLU applied as in NewSepConv.
 func NewDilConv(name string, rng *rand.Rand, c, k, stride int) *Sequential {
 	dil := 2
 	pad := dil * (k - 1) / 2
-	return NewSequential(
-		NewReLU(),
-		NewConv2D(name+".dw", rng, c, c, k, ConvOpts{Stride: stride, Pad: pad, Dilation: dil, Groups: c}),
+	return newReLUSepConv(name, rng, c, k, ConvOpts{Stride: stride, Pad: pad, Dilation: dil, Groups: c})
+}
+
+// newReLUSepConv builds ReLU → depthwise → pointwise → batch norm, the ReLU
+// folded into the depthwise layer. A one-channel "depthwise" layer is a
+// dense one (Groups 1), which keeps the ReLU module.
+func newReLUSepConv(name string, rng *rand.Rand, c, k int, dw ConvOpts) *Sequential {
+	mods := []Module{NewConv2D(name+".dw", rng, c, c, k, dw)}
+	if conv := mods[0].(*Conv2D); conv.Groups > 1 {
+		conv.reluIn = true
+	} else {
+		mods = append([]Module{NewReLU()}, mods...)
+	}
+	return NewSequential(append(mods,
 		NewConv2D(name+".pw", rng, c, c, 1, ConvOpts{}),
 		NewBatchNorm2D(name+".bn", c),
-	)
+	)...)
 }
 
 // NewReLUConvBN builds the DARTS preprocessing block:
 // ReLU → k×k conv → batch norm. Used for cell input preprocessing and stems.
+// A strided 1×1 conv reads one pixel per output, so that block runs as
+// ReLU → SubSample → pointwise conv → batch norm: the same parameters,
+// drawn from rng in the same order, and the same bits (each output is the
+// same one chain over the input channels), with the conv on the batched
+// pointwise path instead of a lowered column matrix.
 func NewReLUConvBN(name string, rng *rand.Rand, inC, outC, k, stride int) *Sequential {
+	if k == 1 && stride > 1 {
+		return NewSequential(
+			NewReLU(),
+			NewSubSample(stride),
+			NewConv2D(name+".conv", rng, inC, outC, 1, ConvOpts{}),
+			NewBatchNorm2D(name+".bn", outC),
+		)
+	}
 	return NewSequential(
 		NewReLU(),
 		NewConv2D(name+".conv", rng, inC, outC, k, ConvOpts{Stride: stride, Pad: k / 2}),

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"os"
 	"strconv"
@@ -107,7 +108,7 @@ type Tracer struct {
 
 	// drops counts events lost to write errors; dropCounter optionally
 	// mirrors them into a registry counter (trace_dropped_total), and
-	// warned gates the single best-effort stderr notice per tracer.
+	// warned gates the single best-effort warning per tracer.
 	drops       int64
 	dropCounter *Counter
 	warned      bool
@@ -300,14 +301,15 @@ func (t *Tracer) Emit(e Event) {
 	t.n++
 }
 
-// drop accounts one lost event (t.mu held) and warns on stderr once per
-// tracer so a broken trace sink is visible without spamming the console.
+// drop accounts one lost event (t.mu held) and logs a warning through
+// log/slog's default logger once per tracer, so a broken trace sink is
+// visible without spamming the console.
 func (t *Tracer) drop() {
 	t.drops++
 	t.dropCounter.Inc()
 	if !t.warned {
 		t.warned = true
-		fmt.Fprintf(os.Stderr, "telemetry: trace write failed, dropping events: %v\n", t.err)
+		slog.Warn("telemetry: trace write failed, dropping events", "err", t.err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -393,6 +394,31 @@ func TestTracerCountsDrops(t *testing.T) {
 	tr2.RoundStart(0)
 	if tr2.Dropped() != 1 {
 		t.Errorf("uncounted Dropped() = %d, want 1", tr2.Dropped())
+	}
+}
+
+// A failing sink is reported once per tracer, through log/slog's default
+// logger, however many events it then drops.
+func TestTracerWarnsOncePerTracer(t *testing.T) {
+	var logged bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	for _, tr := range []*Tracer{NewJSONLTracer(&failWriter{n: 0}), NewJSONLTracer(&failWriter{n: 1})} {
+		fixedClock(tr)
+		for r := range 4 {
+			tr.RoundStart(r)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("two failing tracers logged %d lines, want one each:\n%s", len(lines), logged.String())
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "level=WARN") || !strings.Contains(l, "trace write failed") || !strings.Contains(l, "err=") {
+			t.Errorf("warning %q lacks its level, message or error", l)
+		}
 	}
 }
 

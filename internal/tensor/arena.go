@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"unsafe"
 )
@@ -12,11 +13,17 @@ import (
 // and the model holds one step's buffers instead of one set per module it
 // might run.
 //
+// Storage that dies inside a step can go back sooner: Release hands back
+// everything taken since a Mark, so the takes behave as a stack. An op
+// marks before its scratch and releases once its result is out; the next
+// take reuses the words.
+//
 // A step that outgrows the slabs appends one per take that does not fit,
 // holding the take and an eighth of the largest step before it (a quarter
 // of what the first step took so far). The Reset after the first step, and
-// after any step that took at least twice what the arena last folded,
-// folds the slabs into one with an eighth to spare. Folds are thus
+// after any step that held at least twice what the arena last folded,
+// folds the slabs into one with an eighth to spare. A step's size is its
+// peak: the most words it held at once, releases included. Folds are thus
 // logarithmic in growth, so slabs never churn, and an arena whose first
 // step was small drops its growth slabs once a step doubles it. Once the
 // largest step has run, no step allocates.
@@ -24,9 +31,13 @@ import (
 type Arena struct {
 	bufs       [][]float64
 	cur, off   int // carving bufs[cur] from off on
-	used, high int // words taken this step; the most any step took
+	used, peak int // words held now; the most held at once this step
+	high       int // the largest peak of any step
 	folded     int // high at the last fold, 0 before the first
 }
+
+// Mark is a position in an arena's step, for Release.
+type Mark struct{ cur, off, used int }
 
 // Reset releases everything taken since the previous Reset. Built with the
 // fedcheck tag it first poisons the released storage with poisonBits, so a
@@ -38,13 +49,41 @@ func (a *Arena) Reset() {
 			poison(b)
 		}
 	}
-	a.high = max(a.high, a.used)
+	a.high = max(a.high, a.peak)
 	if len(a.bufs) > 1 && a.high >= 2*a.folded {
 		clear(a.bufs) // drop the old slabs, not just hide them past len
 		a.bufs = append(a.bufs[:0], alloc(a.high+a.high/8))
 		a.folded = a.high
 	}
-	a.cur, a.off, a.used = 0, 0, 0
+	a.cur, a.off, a.used, a.peak = 0, 0, 0, 0
+}
+
+// Mark returns the arena's current position: a later Release(m) hands back
+// everything taken after it.
+func (a *Arena) Mark() Mark { return Mark{a.cur, a.off, a.used} }
+
+// Release hands back everything taken since m, which must be no later than
+// the arena's position (takes and releases nest like a stack): the next
+// takes reuse that storage, so whoever still holds a slice of it must not
+// read or write it again. Built with the fedcheck tag it poisons the
+// released words, as Reset does.
+func (a *Arena) Release(m Mark) {
+	if m.used > a.used {
+		panic(fmt.Sprintf("tensor: arena release to %d words, past the %d held", m.used, a.used))
+	}
+	if fedcheck {
+		for i := m.cur; i <= a.cur && i < len(a.bufs); i++ {
+			b := a.bufs[i]
+			if i == a.cur {
+				b = b[:a.off]
+			}
+			if i == m.cur {
+				b = b[m.off:]
+			}
+			poison(b)
+		}
+	}
+	a.cur, a.off, a.used = m.cur, m.off, m.used
 }
 
 // Words returns how many words the arena holds across its slabs.
@@ -75,6 +114,7 @@ func (a *Arena) Floats(n int) []float64 {
 	b := a.bufs[a.cur][a.off : a.off+n : a.off+n]
 	a.off += n
 	a.used += n
+	a.peak = max(a.peak, a.used)
 	return b
 }
 

@@ -28,3 +28,31 @@ func TestArenaPoisonsReleasedStorage(t *testing.T) {
 		}
 	}
 }
+
+// Under fedcheck, the words a Release hands back read as the poison at
+// once, across slabs too, while the takes before the mark keep their
+// values.
+func TestArenaPoisonsReleasedWords(t *testing.T) {
+	var a Arena
+	keep := a.Floats(3)
+	clear(keep)
+	m := a.Mark()
+	f, n := a.Floats(5), a.Ints(7)
+	big := a.Floats(100) // past the first slab
+	clear(f)
+	clear(n)
+	clear(big)
+	a.Release(m)
+	for i, v := range keep {
+		if v != 0 {
+			t.Fatalf("kept storage [%d] = %v after a Release, want 0", i, v)
+		}
+	}
+	for _, s := range [][]float64{f, intWords(n), big} {
+		for i, v := range s {
+			if math.Float64bits(v) != poisonBits {
+				t.Fatalf("released word [%d] = %v, want the poison", i, v)
+			}
+		}
+	}
+}

@@ -90,3 +90,54 @@ func TestArenaTakeRewritesHeaderInPlace(t *testing.T) {
 		t.Fatalf("Take allocates %.0f objects", allocs)
 	}
 }
+
+// Takes after a Release reuse the released storage, and the fold after the
+// step sizes the slab for the step's peak, not for the sum of its takes.
+func TestArenaReleaseReusesStorageAndFoldsToPeak(t *testing.T) {
+	var a Arena
+	a.Floats(10)
+	m := a.Mark()
+	x := a.Floats(100)
+	a.Ints(50)
+	a.Release(m)
+	y := a.Floats(60)
+	if &y[0] != &x[0] {
+		t.Fatal("a take after a Release did not reuse the released storage")
+	}
+	a.Release(a.Mark()) // an empty release is a no-op
+	if z := a.Floats(1); &z[0] != &x[60] {
+		t.Fatal("an empty Release moved the arena's position")
+	}
+	a.Reset()
+	if peak := 10 + 100 + 50; a.Words() != peak+peak/8 {
+		t.Fatalf("after Reset: %d words, want the peak %d plus an eighth", a.Words(), peak)
+	}
+	step := func() {
+		a.Reset()
+		a.Floats(10)
+		for range 5 {
+			m := a.Mark()
+			a.Floats(150)
+			a.Release(m)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Fatalf("a step whose releases keep it within the peak allocates %.0f objects", allocs)
+	}
+}
+
+// Releasing to a mark past the arena's position is a nesting bug, and
+// panics instead of handing out storage twice.
+func TestArenaReleasePastPositionPanics(t *testing.T) {
+	var a Arena
+	m0 := a.Mark()
+	a.Floats(4)
+	m1 := a.Mark()
+	a.Release(m0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release to a mark past the position did not panic")
+		}
+	}()
+	a.Release(m1)
+}

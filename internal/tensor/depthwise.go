@@ -48,7 +48,7 @@ type dwKernel struct {
 	maxTaps func(out []float64, at []int, src []float64, pix, pixAt, taps, tapAt, lane []int)
 	gemmAcc func(acc, a []float64, aRow, aImg int, x []float64, n, nimg int)
 
-	interleave   func(dst []float64, org, rowStep, colStep int, src []float64, h, w int)
+	interleave   func(dst []float64, org, rowStep, colStep int, src []float64, planeStep, h, w int)
 	deinterleave func(dst, src []float64, n int)
 }
 
@@ -56,8 +56,8 @@ type dwKernel struct {
 // arm64) and what the assembly is tested against.
 var dwGo = dwKernel{
 	name: "go-lanes4", taps: dwTapsGo, gradW: dwGradWGo, maxTaps: dwMaxTapsGo, gemmAcc: dwGemmAccGo,
-	interleave: func(dst []float64, org, rowStep, colStep int, src []float64, h, w int) {
-		dwInterleaveCols(dst, org, rowStep, colStep, src, h, w, 0)
+	interleave: func(dst []float64, org, rowStep, colStep int, src []float64, planeStep, h, w int) {
+		dwInterleaveCols(dst, org, rowStep, colStep, src, planeStep, h, w, 0)
 	},
 	deinterleave: func(dst, src []float64, n int) { dwDeinterleaveFrom(dst, src, n, 0) },
 }
@@ -288,7 +288,22 @@ func DWInterleave(dst []float64, org, rowStep, colStep int, src []float64, h, w 
 	if org < 0 || rowStep < 0 || colStep < 1 || len(dst) < (last+1)*DWLanes || len(src) < DWLanes*h*w {
 		panic(fmt.Sprintf("tensor: DWInterleave %dx%d at %d step %d/%d into %d from %d", h, w, org, rowStep, colStep, len(dst), len(src)))
 	}
-	dwActive.interleave(dst, org, rowStep, colStep, src, h, w)
+	dwActive.interleave(dst, org, rowStep, colStep, src, h*w, h, w)
+}
+
+// DWBroadcast is DWInterleave from a single h×w plane: element (y,x) of src
+// lands in all four lane slots of dst[(org + y*rowStep + x*colStep)*4 :].
+// A dense convolution of fewer than four input channels reads its input
+// this way, one output channel per lane.
+func DWBroadcast(dst []float64, org, rowStep, colStep int, src []float64, h, w int) {
+	if h <= 0 || w <= 0 {
+		return
+	}
+	last := org + (h-1)*rowStep + (w-1)*colStep
+	if org < 0 || rowStep < 0 || colStep < 1 || len(dst) < (last+1)*DWLanes || len(src) < h*w {
+		panic(fmt.Sprintf("tensor: DWBroadcast %dx%d at %d step %d/%d into %d from %d", h, w, org, rowStep, colStep, len(dst), len(src)))
+	}
+	dwActive.interleave(dst, org, rowStep, colStep, src, 0, h, w)
 }
 
 // DWDeinterleave is the way back for a contiguous result: dst's four
@@ -330,10 +345,11 @@ func intWords(s []int) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
-// dwInterleaveCols is DWInterleave for columns [x0, w) of every row.
-func dwInterleaveCols(dst []float64, org, rowStep, colStep int, src []float64, h, w, x0 int) {
+// dwInterleaveCols is DWInterleave for columns [x0, w) of every row, the
+// four planes planeStep apart (0 replicates one plane into every lane).
+func dwInterleaveCols(dst []float64, org, rowStep, colStep int, src []float64, planeStep, h, w, x0 int) {
 	hw := h * w
-	p0, p1, p2, p3 := src[:hw], src[hw:2*hw], src[2*hw:3*hw], src[3*hw:4*hw]
+	p0, p1, p2, p3 := src[:hw], src[planeStep:planeStep+hw], src[2*planeStep:2*planeStep+hw], src[3*planeStep:3*planeStep+hw]
 	for y := 0; y < h; y++ {
 		at := (org + y*rowStep + x0*colStep) * DWLanes
 		for i := y*w + x0; i < (y+1)*w; i++ {

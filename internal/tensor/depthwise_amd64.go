@@ -27,13 +27,13 @@ func dwGemmAccAsm(acc, a []float64, aRow, aImg int, x []float64, n, nimg int) {
 
 // dwInterleaveAsm transposes whole blocks of four columns in registers and
 // leaves a row's last w%4 columns to the portable loop.
-func dwInterleaveAsm(dst []float64, org, rowStep, colStep int, src []float64, h, w int) {
+func dwInterleaveAsm(dst []float64, org, rowStep, colStep int, src []float64, planeStep, h, w int) {
 	if nblk := w / 4; nblk > 0 {
 		dwInterleaveAVX2(&dst[org*DWLanes], rowStep*DWLanes*8, colStep*DWLanes*8,
-			&src[0], h*w*8, w*8, h, nblk)
+			&src[0], planeStep*8, w*8, h, nblk)
 	}
 	if w%4 != 0 {
-		dwInterleaveCols(dst, org, rowStep, colStep, src, h, w, w&^3)
+		dwInterleaveCols(dst, org, rowStep, colStep, src, planeStep, h, w, w&^3)
 	}
 }
 

@@ -96,7 +96,7 @@ func TestDepthwiseVariantsBitIdentical(t *testing.T) {
 }
 
 // TestDepthwiseInterleaveRoundTrip checks both copy kernels of every variant
-// against the index formula, over widths that exercise whole blocks, tails
+// against the index formula, the interleave also as a broadcast of one plane, over widths that exercise whole blocks, tails
 // and neither, and leaves untouched destination slots untouched.
 func TestDepthwiseInterleaveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -120,10 +120,24 @@ func TestDepthwiseInterleaveRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			kv.interleave(dst, org, g.step*cols, g.step, src, g.h, g.w)
+			kv.interleave(dst, org, g.step*cols, g.step, src, g.h*g.w, g.h, g.w)
 			for i := range dst {
 				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s interleave %+v: dst[%d] = %v, want %v", kv.name, g, i, dst[i], want[i])
+				}
+			}
+			// A zero plane step broadcasts plane 0 into every lane.
+			for l := 0; l < DWLanes; l++ {
+				for y := 0; y < g.h; y++ {
+					for x := 0; x < g.w; x++ {
+						want[(org+y*g.step*cols+x*g.step)*DWLanes+l] = src[y*g.w+x]
+					}
+				}
+			}
+			kv.interleave(dst, org, g.step*cols, g.step, src, 0, g.h, g.w)
+			for i := range dst {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s broadcast %+v: dst[%d] = %v, want %v", kv.name, g, i, dst[i], want[i])
 				}
 			}
 
@@ -165,6 +179,7 @@ func TestDepthwiseRejectsUnpaddedTables(t *testing.T) {
 		dwMaxTapsGo(buf, make([]int, 16), buf, []int{0, 0, 0, 61}, make([]int, 4), make([]int, 1), make([]int, 1), make([]int, 4))
 	})
 	mustPanic("interleave past dst", func() { DWInterleave(buf, 1, 4, 1, buf, 4, 4) })
+	mustPanic("broadcast past dst", func() { DWBroadcast(buf, 1, 4, 1, buf, 4, 4) })
 	mustPanic("deinterleave past dst", func() { DWDeinterleave(buf[:8], buf, 4) })
 }
 
