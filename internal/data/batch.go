@@ -27,7 +27,12 @@ func NewBatcher(pool []int, rng *rand.Rand) (*Batcher, error) {
 
 // Next returns the next batch of up to size indices; it wraps to a new
 // shuffled epoch when the pool is exhausted. Batches never exceed the pool.
-func (b *Batcher) Next(size int) []int {
+func (b *Batcher) Next(size int) []int { return b.NextInto(nil, size) }
+
+// NextInto is Next with a caller-provided buffer: the batch is written into
+// dst[:0], whose backing array is reused when large enough. The draw is
+// Next's, random stream included.
+func (b *Batcher) NextInto(dst []int, size int) []int {
 	if size > len(b.pool) {
 		size = len(b.pool)
 	}
@@ -35,9 +40,9 @@ func (b *Batcher) Next(size int) []int {
 		b.shuffle()
 		b.pos = 0
 	}
-	out := append([]int(nil), b.pool[b.pos:b.pos+size]...)
+	dst = append(dst[:0], b.pool[b.pos:b.pos+size]...)
 	b.pos += size
-	return out
+	return dst
 }
 
 // PoolSize returns the number of indices the batcher cycles through.

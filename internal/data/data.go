@@ -138,14 +138,29 @@ func (d *Dataset) Image(i int) *tensor.Tensor {
 
 // Gather builds a batch tensor and label slice from training indices.
 func (d *Dataset) Gather(indices []int) (*tensor.Tensor, []int) {
-	return gather(d.TrainImages, d.TrainLabels, indices, d.Spec)
+	return d.GatherInto(nil, nil, indices)
 }
 
 // GatherInto is Gather with caller-provided buffers: dst is reused when its
 // shape matches the batch and labelBuf's backing array is reused when large
 // enough. It returns the (possibly newly allocated) batch and labels.
 func (d *Dataset) GatherInto(dst *tensor.Tensor, labelBuf []int, indices []int) (*tensor.Tensor, []int) {
-	c, h, w := d.Spec.Channels, d.Spec.Height, d.Spec.Width
+	return gatherInto(d.TrainImages, d.TrainLabels, d.Spec, dst, labelBuf, indices)
+}
+
+// GatherTest builds a batch tensor and label slice from test indices.
+func (d *Dataset) GatherTest(indices []int) (*tensor.Tensor, []int) {
+	return d.GatherTestInto(nil, nil, indices)
+}
+
+// GatherTestInto is GatherTest with caller-provided buffers, reused as
+// GatherInto reuses them.
+func (d *Dataset) GatherTestInto(dst *tensor.Tensor, labelBuf []int, indices []int) (*tensor.Tensor, []int) {
+	return gatherInto(d.TestImages, d.TestLabels, d.Spec, dst, labelBuf, indices)
+}
+
+func gatherInto(images *tensor.Tensor, labels []int, spec Spec, dst *tensor.Tensor, labelBuf []int, indices []int) (*tensor.Tensor, []int) {
+	c, h, w := spec.Channels, spec.Height, spec.Width
 	size := c * h * w
 	if dst == nil || !dst.ShapeIs(len(indices), c, h, w) {
 		dst = tensor.New(len(indices), c, h, w)
@@ -154,30 +169,12 @@ func (d *Dataset) GatherInto(dst *tensor.Tensor, labelBuf []int, indices []int) 
 		labelBuf = make([]int, len(indices))
 	}
 	labelBuf = labelBuf[:len(indices)]
-	od, id := dst.Data(), d.TrainImages.Data()
+	od, id := dst.Data(), images.Data()
 	for bi, idx := range indices {
 		copy(od[bi*size:(bi+1)*size], id[idx*size:(idx+1)*size])
-		labelBuf[bi] = d.TrainLabels[idx]
+		labelBuf[bi] = labels[idx]
 	}
 	return dst, labelBuf
-}
-
-// GatherTest builds a batch tensor and label slice from test indices.
-func (d *Dataset) GatherTest(indices []int) (*tensor.Tensor, []int) {
-	return gather(d.TestImages, d.TestLabels, indices, d.Spec)
-}
-
-func gather(images *tensor.Tensor, labels []int, indices []int, spec Spec) (*tensor.Tensor, []int) {
-	c, h, w := spec.Channels, spec.Height, spec.Width
-	size := c * h * w
-	out := tensor.New(len(indices), c, h, w)
-	outLabels := make([]int, len(indices))
-	od, id := out.Data(), images.Data()
-	for bi, idx := range indices {
-		copy(od[bi*size:(bi+1)*size], id[idx*size:(idx+1)*size])
-		outLabels[bi] = labels[idx]
-	}
-	return out, outLabels
 }
 
 func (d *Dataset) sampleSplit(rng *rand.Rand, perClass int) (*tensor.Tensor, []int, error) {

@@ -138,8 +138,9 @@ func (p *Participant) BandwidthAt(round int) float64 {
 }
 
 // Evaluate measures top-1 accuracy of model on the dataset's test split,
-// processing in batches of at most batchSize. The model is switched to eval
-// mode for the measurement and back to training mode afterwards.
+// processing in batches of at most batchSize, on one batch buffer refilled
+// per batch. The model is switched to eval mode for the measurement and
+// back to training mode afterwards.
 func Evaluate(model Model, ds *data.Dataset, batchSize int) float64 {
 	model.SetTraining(false)
 	defer model.SetTraining(true)
@@ -147,19 +148,10 @@ func Evaluate(model Model, ds *data.Dataset, batchSize int) float64 {
 	if n == 0 {
 		return 0
 	}
+	var b EvalBatch
 	correct := 0.0
 	for start := 0; start < n; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		indices := make([]int, end-start)
-		for i := range indices {
-			indices[i] = start + i
-		}
-		x, y := ds.GatherTest(indices)
-		logits := model.Forward(x)
-		correct += nn.Accuracy(logits, y) * float64(len(y))
+		correct += b.correct(model, ds, start, min(start+batchSize, n))
 	}
 	return correct / float64(n)
 }

@@ -41,7 +41,8 @@ type FedAvgConfig struct {
 	// worker count (see DESIGN.md §Concurrency).
 	Workers int
 	// NewReplica builds a model structurally identical to the one being
-	// trained, one per worker slot. nil keeps the sequential path.
+	// trained, one per worker slot when more than one runs. nil trains the
+	// model itself as the only slot.
 	NewReplica func() Model
 }
 
@@ -119,13 +120,32 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 	if err != nil {
 		return res, err
 	}
+	defer run.release()
 
-	// avgOut is one participant's contribution, merged in selection order.
+	// Everything a round writes is kept across rounds: each worker slot's
+	// parameters, batch and optimizer (its velocity zeroed per local update),
+	// the global snapshot, the weighted aggregate and each cohort position's
+	// contribution, merged in selection order.
+	type slot struct {
+		params []*nn.Param
+		batch  Batch
+		opt    *nn.SGD
+	}
+	slots := make([]slot, len(run.reps))
+	for w, rep := range run.reps {
+		slots[w] = slot{params: rep.Params(), opt: nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay, cfg.GradClip)}
+	}
 	type avgOut struct {
 		lastAcc float64
 		delta   []*tensor.Tensor
 		seconds float64
 		bn      [][]nn.BNStats
+	}
+	var outs []avgOut
+	var global []*tensor.Tensor
+	weightedDelta := make([]*tensor.Tensor, len(params))
+	for i, p := range params {
+		weightedDelta[i] = tensor.New(p.Value.Shape()...)
 	}
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -134,95 +154,67 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 		for _, p := range selected {
 			totalSamples += p.NumSamples
 		}
-		global := nn.CloneParamValues(params)
-		weightedDelta := make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			weightedDelta[i] = tensor.New(p.Value.Shape()...)
+		global = nn.SnapshotParamValues(global, params)
+		for _, d := range weightedDelta {
+			d.Zero()
 		}
-		roundTrainAcc := 0.0
-		roundSeconds := 0.0
-
-		if run.parallelPath() {
-			// Fan the selected participants' local updates out across the
-			// worker replicas; each task writes only its own outs slot, and
-			// the merge below folds them back in selection order, so the
-			// result is bit-identical to the sequential branch.
-			outs := make([]avgOut, len(selected))
-			err := run.pool.Run(len(selected), func(worker, j int) error {
-				part := selected[j]
-				rep := run.reps[worker]
-				rparams := rep.Params()
-				if err := nn.RestoreParamValues(rparams, global); err != nil {
+		for len(outs) < len(selected) {
+			outs = append(outs, avgOut{})
+		}
+		// Fan the selected participants' local updates out across the worker
+		// slots; each task writes only its own outs entry.
+		err := run.pool.Run(len(selected), func(worker, j int) error {
+			part, sl, out := selected[j], &slots[worker], &outs[j]
+			if err := nn.RestoreParamValues(sl.params, global); err != nil {
+				return fmt.Errorf("participant %d: %w", part.ID, err)
+			}
+			sl.opt.Reset()
+			rep := run.reps[worker]
+			for step := 0; step < cfg.LocalSteps; step++ {
+				x := sl.batch.Next(ds, part.Batcher, part.RNG, cfg.BatchSize, cfg.Augment)
+				nn.ZeroGrads(sl.params)
+				loss, err := sl.batch.Loss(rep.Forward(x))
+				if err != nil {
 					return fmt.Errorf("participant %d: %w", part.ID, err)
 				}
-				opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay, cfg.GradClip)
-				lastAcc := 0.0
-				for step := 0; step < cfg.LocalSteps; step++ {
-					var err error
-					if lastAcc, err = localGradient(rep, rparams, ds, part, cfg.BatchSize, cfg.Augment); err != nil {
-						return fmt.Errorf("participant %d: %w", part.ID, err)
-					}
-					opt.Step(rparams)
-				}
-				delta := make([]*tensor.Tensor, len(rparams))
-				for i, p := range rparams {
-					delta[i] = p.Value.Sub(global[i])
-				}
-				comm := 2 * nettrace.TransferSeconds(payloadBytes, part.BandwidthAt(round))
-				comp := float64(cfg.LocalSteps) * part.ComputeSeconds(paramCount, cfg.BatchSize)
-				outs[j] = avgOut{
-					lastAcc: lastAcc, delta: delta,
-					seconds: comm + comp, bn: run.drainBN(worker),
-				}
-				return nil
-			})
-			if err != nil {
-				return res, fmt.Errorf("round %d: %w", round, err)
+				rep.Backward(loss.GradLogits)
+				sl.opt.Step(sl.params)
+				out.lastAcc = loss.Accuracy
 			}
-			for j, part := range selected {
-				out := &outs[j]
-				roundTrainAcc += out.lastAcc
-				w := float64(part.NumSamples) / float64(totalSamples)
-				for i := range params {
-					weightedDelta[i].AXPY(w, out.delta[i])
-				}
-				run.replayBN(out.bn)
-				if out.seconds > roundSeconds {
-					roundSeconds = out.seconds
+			if out.delta == nil {
+				out.delta = make([]*tensor.Tensor, len(sl.params))
+				for i, p := range sl.params {
+					out.delta[i] = tensor.New(p.Value.Shape()...)
 				}
 			}
-			// The primary's weights were never touched during the parallel
-			// phase, so they still equal global; no restore needed before
-			// applying the aggregate delta.
-		} else {
-			for _, part := range selected {
-				if err := nn.RestoreParamValues(params, global); err != nil {
-					return res, fmt.Errorf("round %d participant %d: %w", round, part.ID, err)
-				}
-				opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay, cfg.GradClip)
-				lastAcc := 0.0
-				for step := 0; step < cfg.LocalSteps; step++ {
-					if lastAcc, err = localGradient(model, params, ds, part, cfg.BatchSize, cfg.Augment); err != nil {
-						return res, fmt.Errorf("round %d participant %d: %w", round, part.ID, err)
-					}
-					opt.Step(params)
-				}
-				roundTrainAcc += lastAcc
-				for i, p := range params {
-					delta := p.Value.Sub(global[i])
-					weightedDelta[i].AXPY(float64(part.NumSamples)/float64(totalSamples), delta)
-				}
-				// Virtual time: download + local compute + upload.
-				comm := 2 * nettrace.TransferSeconds(payloadBytes, part.BandwidthAt(round))
-				comp := float64(cfg.LocalSteps) * part.ComputeSeconds(paramCount, cfg.BatchSize)
-				if t := comm + comp; t > roundSeconds {
-					roundSeconds = t
-				}
+			for i, p := range sl.params {
+				p.Value.SubInto(out.delta[i], global[i])
 			}
-
-			if err := nn.RestoreParamValues(params, global); err != nil {
-				return res, fmt.Errorf("round %d: %w", round, err)
+			// Virtual time: download + local compute + upload.
+			comm := 2 * nettrace.TransferSeconds(payloadBytes, part.BandwidthAt(round))
+			comp := float64(cfg.LocalSteps) * part.ComputeSeconds(paramCount, cfg.BatchSize)
+			out.seconds = comm + comp
+			out.bn = run.drainBN(worker, out.bn)
+			return nil
+		})
+		if err != nil {
+			return res, fmt.Errorf("round %d: %w", round, err)
+		}
+		roundTrainAcc, roundSeconds := 0.0, 0.0
+		for j, part := range selected {
+			out := &outs[j]
+			roundTrainAcc += out.lastAcc
+			w := float64(part.NumSamples) / float64(totalSamples)
+			for i := range params {
+				weightedDelta[i].AXPY(w, out.delta[i])
 			}
+			run.replayBN(out.bn)
+			roundSeconds = max(roundSeconds, out.seconds)
+		}
+		// The primary may have trained as a slot; the aggregate applies to
+		// the round's starting weights.
+		if err := nn.RestoreParamValues(params, global); err != nil {
+			return res, fmt.Errorf("round %d: %w", round, err)
 		}
 		for i, p := range params {
 			p.Value.AddInPlace(weightedDelta[i])
@@ -244,21 +236,6 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 	}
 	res.FinalAcc = final
 	return res, nil
-}
-
-// localGradient is the fixed-model trainers' local step: part's next batch,
-// gathered and augmented from its own stream, forward and backward through
-// model, leaving ∇ in params' gradients. It returns the batch accuracy.
-func localGradient(model Model, params []*nn.Param, ds *data.Dataset, part *Participant, batchSize int, aug data.AugmentConfig) (float64, error) {
-	x, y := ds.Gather(part.Batcher.Next(batchSize))
-	x = aug.Apply(x, part.RNG)
-	nn.ZeroGrads(params)
-	loss, err := nn.CrossEntropy(model.Forward(x), y)
-	if err != nil {
-		return 0, err
-	}
-	model.Backward(loss.GradLogits)
-	return loss.Accuracy, nil
 }
 
 // selectCohort returns round's participant subset per the shared sampler:

@@ -95,10 +95,8 @@ type Slot struct {
 	// Size is the scalar parameter count of the trained sub-model.
 	Size int
 
-	grads     []*tensor.Tensor
-	x, aug    *tensor.Tensor
-	labels    []int
-	gradLogit *tensor.Tensor
+	grads []*tensor.Tensor
+	batch Batch
 }
 
 // Train runs one participant update (Alg. 1 lines 37–42) on the replica: θ
@@ -126,17 +124,12 @@ func (r *Replica) Train(ds *data.Dataset, part *Participant, st Step, sl *Slot) 
 	for i, h := range st.Head {
 		r.params[r.headStart+i].Value.CopyFrom(h)
 	}
-	batch := part.Batcher.Next(st.BatchSize)
-	x, y := ds.GatherInto(sl.x, sl.labels, batch)
-	sl.x, sl.labels = x, y
-	x = st.Augment.ApplyInto(sl.aug, x, part.RNG)
-	sl.aug = x
+	x := sl.batch.Next(ds, part.Batcher, part.RNG, st.BatchSize, st.Augment)
 	nn.ZeroGrads(sub)
-	loss, err := nn.CrossEntropyInto(sl.gradLogit, r.net.ForwardSampled(x, st.Gates), y)
+	loss, err := sl.batch.Loss(r.net.ForwardSampled(x, st.Gates))
 	if err != nil {
 		return err
 	}
-	sl.gradLogit = loss.GradLogits
 	r.net.BackwardSampled(loss.GradLogits)
 	sl.Acc, sl.Loss, sl.Size = loss.Accuracy, loss.Loss, nn.ParamCount(sub)
 
@@ -162,15 +155,22 @@ func (r *Replica) Train(ds *data.Dataset, part *Participant, st Step, sl *Slot) 
 		h.AXPY(-st.HeadLR, r.params[r.headStart+i].Grad)
 	}
 
-	// The records sl still holds were consumed after its previous step, so
-	// their storage goes back to the layers' freelists (a layer has the same
-	// channel count on every replica).
-	if len(sl.BNStats) != len(r.bns) {
-		sl.BNStats = make([][]nn.BNStats, len(r.bns))
-	}
-	for i, bn := range r.bns {
-		bn.RecycleStats(sl.BNStats[i])
-		sl.BNStats[i] = bn.DrainCapturedStatsInto(sl.BNStats[i][:0])
-	}
+	sl.BNStats = drainStats(r.bns, sl.BNStats)
 	return nil
+}
+
+// drainStats moves the batch statistics bns captured into recs, one record
+// list per layer, reusing recs' storage. The records recs still holds were
+// consumed after the step that captured them, so their storage goes back to
+// the layers' freelists first (a layer has the same channel count on every
+// replica).
+func drainStats(bns []*nn.BatchNorm2D, recs [][]nn.BNStats) [][]nn.BNStats {
+	if len(recs) != len(bns) {
+		recs = make([][]nn.BNStats, len(bns))
+	}
+	for i, bn := range bns {
+		bn.RecycleStats(recs[i])
+		recs[i] = bn.DrainCapturedStatsInto(recs[i][:0])
+	}
+	return recs
 }

@@ -6,6 +6,7 @@ import (
 	"fedrlnas/internal/data"
 	"fedrlnas/internal/nn"
 	"fedrlnas/internal/parallel"
+	"fedrlnas/internal/tensor"
 )
 
 // batchNormer is implemented by models that can enumerate their batch-norm
@@ -18,10 +19,12 @@ type batchNormer interface {
 }
 
 // runner fans a trainer's per-participant work out across a worker pool,
-// one private model replica per worker slot. A runner with no replicas
-// (reps == nil) marks the sequential path: the trainer falls back to its
-// original single-model loop, which the replica path reproduces
-// bit-identically (pure arithmetic on restored snapshots, ordered merge).
+// one model per worker slot. The slots are private replicas when a replica
+// factory is given and more than one can be in flight; otherwise the primary
+// itself is the only slot. Either way every training forward captures its
+// batch statistics for an ordered replay onto the primary, and the merge
+// runs in participant order, so the result is bit-identical at every slot
+// count (pure arithmetic on restored snapshots).
 type runner struct {
 	pool    *parallel.Pool
 	primary Model
@@ -29,44 +32,72 @@ type runner struct {
 
 	primaryBNs []*nn.BatchNorm2D
 	repBNs     [][]*nn.BatchNorm2D
+
+	// values are the primary's parameter values, which evaluate copies onto
+	// the replicas; evals and corrects are its per-slot batches and
+	// per-batch hit counts, kept across calls.
+	values   []*tensor.Tensor
+	evals    []EvalBatch
+	corrects []float64
 }
 
-// newRunner builds the replica set for a trainer run. newReplica may be nil
-// (sequential path); when set it must produce models structurally identical
-// to primary. maxTasks caps the replica count (more could never be in
-// flight). The primary must expose its batch-norm layers for the ordered
-// stat replay; a primary that cannot keeps the sequential path.
+// newRunner builds the worker slots for a trainer run. newReplica may be nil;
+// when set it must produce models structurally identical to primary, and is
+// called only when more than one slot can be in flight. maxTasks caps the
+// slot count (more could never be in flight). A primary that cannot expose
+// its batch-norm layers for the ordered stat replay trains as the only slot,
+// its running statistics updated in place in participant order. Call
+// release once the run ends.
 func newRunner(primary Model, workers, maxTasks int, newReplica func() Model) (*runner, error) {
-	r := &runner{primary: primary}
+	r := &runner{primary: primary, pool: parallel.New(workers)}
 	pbn, ok := primary.(batchNormer)
-	if newReplica == nil || !ok {
-		return r, nil
+	if ok {
+		r.primaryBNs = pbn.BatchNorms()
 	}
-	r.pool = parallel.New(workers)
-	n := r.pool.Workers()
-	if n > maxTasks {
-		n = maxTasks
+	n := min(r.pool.Workers(), maxTasks)
+	if newReplica != nil && ok && n > 1 {
+		if err := r.buildReplicas(n, newReplica); err != nil {
+			return nil, err
+		}
 	}
-	r.primaryBNs = pbn.BatchNorms()
-	primaryParams := primary.Params()
+	if len(r.reps) == 0 {
+		r.pool = parallel.New(1)
+		r.reps, r.repBNs = []Model{primary}, [][]*nn.BatchNorm2D{r.primaryBNs}
+		for _, bn := range r.primaryBNs {
+			bn.SetStatCapture(true)
+		}
+	}
+	params := primary.Params()
+	r.values = make([]*tensor.Tensor, len(params))
+	for i, p := range params {
+		r.values[i] = p.Value
+	}
+	r.evals = make([]EvalBatch, len(r.reps))
+	return r, nil
+}
+
+// buildReplicas fills reps with n replicas in capture mode, or leaves it
+// empty when the factory declines one.
+func (r *runner) buildReplicas(n int, newReplica func() Model) error {
+	primaryParams := r.primary.Params()
 	for i := 0; i < n; i++ {
 		m := newReplica()
 		if m == nil {
-			// Factory declined; train sequentially.
+			// Factory declined; the primary trains alone.
 			r.reps, r.repBNs = nil, nil
-			return r, nil
+			return nil
 		}
 		mbn, ok := m.(batchNormer)
 		if !ok {
-			return nil, fmt.Errorf("fed: replica %d cannot enumerate batch norms", i)
+			return fmt.Errorf("fed: replica %d cannot enumerate batch norms", i)
 		}
 		bns := mbn.BatchNorms()
 		if len(bns) != len(r.primaryBNs) {
-			return nil, fmt.Errorf("fed: replica %d has %d batch norms, primary %d",
+			return fmt.Errorf("fed: replica %d has %d batch norms, primary %d",
 				i, len(bns), len(r.primaryBNs))
 		}
 		if err := checkSameStructure(m.Params(), primaryParams, i); err != nil {
-			return nil, err
+			return err
 		}
 		m.SetTraining(true)
 		for _, bn := range bns {
@@ -75,7 +106,16 @@ func newRunner(primary Model, workers, maxTasks int, newReplica func() Model) (*
 		r.reps = append(r.reps, m)
 		r.repBNs = append(r.repBNs, bns)
 	}
-	return r, nil
+	return nil
+}
+
+// release takes the primary out of capture mode when it trained as a slot.
+func (r *runner) release() {
+	if !r.parallelPath() {
+		for _, bn := range r.primaryBNs {
+			bn.SetStatCapture(false)
+		}
+	}
 }
 
 // checkSameStructure verifies a replica's parameters are index-aligned and
@@ -100,17 +140,14 @@ func checkSameStructure(rep, primary []*nn.Param, i int) error {
 	return nil
 }
 
-// parallelPath reports whether per-participant work runs on replicas.
-func (r *runner) parallelPath() bool { return len(r.reps) > 0 }
+// parallelPath reports whether per-participant work runs on replicas
+// rather than on the primary.
+func (r *runner) parallelPath() bool { return r.reps[0] != r.primary }
 
-// drainBN collects the batch statistics worker w's replica captured during
-// a local step, for ordered replay via replayBN.
-func (r *runner) drainBN(w int) [][]nn.BNStats {
-	out := make([][]nn.BNStats, len(r.repBNs[w]))
-	for i, bn := range r.repBNs[w] {
-		out[i] = bn.DrainCapturedStats()
-	}
-	return out
+// drainBN moves the batch statistics worker w's slot captured during a local
+// step into recs (see drainStats), for ordered replay via replayBN.
+func (r *runner) drainBN(w int, recs [][]nn.BNStats) [][]nn.BNStats {
+	return drainStats(r.repBNs[w], recs)
 }
 
 // replayBN folds one participant's captured statistics into the primary
@@ -123,42 +160,33 @@ func (r *runner) replayBN(stats [][]nn.BNStats) {
 	}
 }
 
-// evaluate measures test accuracy like Evaluate, but fans the batches out
-// across the replicas when the parallel path is active. Batch results are
-// summed in batch order, so the value is bit-identical to the sequential
-// Evaluate.
+// evaluate measures test accuracy like Evaluate, with the batches fanned out
+// across the slots. Batch results are summed in batch order, so the value is
+// bit-identical to Evaluate's.
 func (r *runner) evaluate(ds *data.Dataset, batchSize int) (float64, error) {
-	if !r.parallelPath() {
-		return Evaluate(r.primary, ds, batchSize), nil
-	}
 	n := ds.NumTest()
 	if n == 0 {
 		return 0, nil
 	}
-	snap := nn.CloneParamValues(r.primary.Params())
 	for w, rep := range r.reps {
-		if err := nn.RestoreParamValues(rep.Params(), snap); err != nil {
-			return 0, fmt.Errorf("fed: eval replica %d: %w", w, err)
-		}
-		for i, bn := range r.repBNs[w] {
-			bn.CopyStatsFrom(r.primaryBNs[i])
+		if rep != r.primary {
+			if err := nn.RestoreParamValues(rep.Params(), r.values); err != nil {
+				return 0, fmt.Errorf("fed: eval replica %d: %w", w, err)
+			}
+			for i, bn := range r.repBNs[w] {
+				bn.CopyStatsFrom(r.primaryBNs[i])
+			}
 		}
 		rep.SetTraining(false)
 	}
 	nBatches := (n + batchSize - 1) / batchSize
-	corrects := make([]float64, nBatches)
+	if cap(r.corrects) < nBatches {
+		r.corrects = make([]float64, nBatches)
+	}
+	corrects := r.corrects[:nBatches]
 	err := r.pool.Run(nBatches, func(worker, b int) error {
 		start := b * batchSize
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		indices := make([]int, end-start)
-		for i := range indices {
-			indices[i] = start + i
-		}
-		x, y := ds.GatherTest(indices)
-		corrects[b] = nn.Accuracy(r.reps[worker].Forward(x), y) * float64(len(y))
+		corrects[b] = r.evals[worker].correct(r.reps[worker], ds, start, min(start+batchSize, n))
 		return nil
 	})
 	for _, rep := range r.reps {

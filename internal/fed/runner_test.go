@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"fedrlnas/internal/data"
+	"fedrlnas/internal/nn"
+	"fedrlnas/internal/tensor"
 )
 
 func buildTestParts(t *testing.T, ds *data.Dataset, k int, seed int64) []*Participant {
@@ -49,9 +51,10 @@ func assertSameParams(t *testing.T, a, b Model) {
 	}
 }
 
-// TestFedAvgParallelMatchesSequential: the replica-based parallel FedAvg
-// must be bit-identical to the original sequential trainer — same training
-// curve, same evaluation curve, same final weights.
+// TestFedAvgParallelMatchesSequential: FedAvg on four worker replicas must be
+// bit-identical to the model training alone as the only slot — same
+// training curve, same evaluation curve, same final weights and batch-norm
+// statistics.
 func TestFedAvgParallelMatchesSequential(t *testing.T) {
 	ds := testDataset(t)
 	cfg := FedAvgConfig{
@@ -82,6 +85,57 @@ func TestFedAvgParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("final accuracy %v vs %v", seqRes.FinalAcc, parRes.FinalAcc)
 	}
 	assertSameParams(t, seqModel, parModel)
+	assertSameStats(t, seqModel, parModel)
+}
+
+func assertSameStats(t *testing.T, a, b *SequentialModel) {
+	t.Helper()
+	if ha, hb := nn.StatsHash(a.BatchNorms()), nn.StatsHash(b.BatchNorms()); ha != hb {
+		t.Fatalf("batch-norm statistics diverge: %#x vs %#x", ha, hb)
+	}
+}
+
+// opaqueModel hides SequentialModel's BatchNorms, so FedAvg cannot capture
+// its batch statistics: it trains as the only slot and its forwards update
+// the running statistics in place.
+type opaqueModel struct{ m *SequentialModel }
+
+func (o opaqueModel) Forward(x *tensor.Tensor) *tensor.Tensor { return o.m.Forward(x) }
+func (o opaqueModel) Backward(g *tensor.Tensor)               { o.m.Backward(g) }
+func (o opaqueModel) Params() []*nn.Param                     { return o.m.Params() }
+func (o opaqueModel) SetTraining(training bool)               { o.m.SetTraining(training) }
+
+// A model training alone captures its batch statistics and replays them in
+// participant order: the same updates in the same order as in-place ones.
+// Afterwards it is out of capture mode again, so a later training forward
+// moves its running statistics.
+func TestFedAvgCaptureReplayMatchesInPlaceStats(t *testing.T) {
+	ds := testDataset(t)
+	cfg := FedAvgConfig{
+		Rounds: 3, LocalSteps: 2, BatchSize: 8,
+		LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, GradClip: 5,
+		EvalEvery: 1,
+	}
+	captured := tinyModel(rand.New(rand.NewSource(5)), 3)
+	capRes, err := FedAvg(captured, ds, buildTestParts(t, ds, 4, 31), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPlace := tinyModel(rand.New(rand.NewSource(5)), 3)
+	inRes, err := FedAvg(opaqueModel{inPlace}, ds, buildTestParts(t, ds, 4, 31), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCurve(t, "val accuracy", capRes.ValAcc.Values(), inRes.ValAcc.Values())
+	assertSameParams(t, captured, inPlace)
+	assertSameStats(t, captured, inPlace)
+
+	before := nn.StatsHash(captured.BatchNorms())
+	x, _ := ds.Gather([]int{0, 1, 2, 3})
+	captured.Forward(x)
+	if nn.StatsHash(captured.BatchNorms()) == before {
+		t.Fatal("FedAvg left the model's batch norms capturing")
+	}
 }
 
 // TestRunnerEvaluateMatchesSequential checks the pool-driven test-set
@@ -111,7 +165,7 @@ func TestRunnerEvaluateMatchesSequential(t *testing.T) {
 	x, _ := ds.Gather([]int{0, 1, 2, 3})
 	for w, rep := range run.reps {
 		rep.Forward(x)
-		stats := run.drainBN(w)
+		stats := run.drainBN(w, nil)
 		recorded := 0
 		for _, layer := range stats {
 			recorded += len(layer)
@@ -133,8 +187,8 @@ func TestRunnerRejectsMismatchedReplica(t *testing.T) {
 	}
 }
 
-// TestRunnerNilFactoryIsSequential: no replica factory means the legacy
-// sequential path, not an error.
+// TestRunnerNilFactoryIsSequential: no replica factory means the primary
+// trains as the only slot, not an error.
 func TestRunnerNilFactoryIsSequential(t *testing.T) {
 	model := tinyModel(rand.New(rand.NewSource(5)), 3)
 	run, err := newRunner(model, 4, 8, nil)

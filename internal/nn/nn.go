@@ -95,12 +95,24 @@ func ParamBytes(ps []*Param) int64 {
 
 // CloneParamValues deep-copies the parameter values (snapshot for staleness
 // memory pools and for participant-local model replicas).
-func CloneParamValues(ps []*Param) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		out[i] = p.Value.Clone()
+func CloneParamValues(ps []*Param) []*tensor.Tensor { return SnapshotParamValues(nil, ps) }
+
+// SnapshotParamValues is CloneParamValues into dst: a tensor of dst whose
+// shape matches its parameter's is overwritten in place, so a snapshot
+// retaken every round allocates only the first time. It returns the
+// snapshot.
+func SnapshotParamValues(dst []*tensor.Tensor, ps []*Param) []*tensor.Tensor {
+	if len(dst) != len(ps) {
+		dst = make([]*tensor.Tensor, len(ps))
 	}
-	return out
+	for i, p := range ps {
+		if dst[i] == nil || !dst[i].SameShape(p.Value) {
+			dst[i] = p.Value.Clone()
+		} else {
+			dst[i].CopyFrom(p.Value)
+		}
+	}
+	return dst
 }
 
 // ParamHash fingerprints parameter values to the bit: 64-bit FNV-1a over the

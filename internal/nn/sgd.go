@@ -106,5 +106,12 @@ func (s *SGD) SetVelocity(p *Param, v *tensor.Tensor) error {
 	return nil
 }
 
-// Reset clears momentum state (used when re-initializing a model at P3).
-func (s *SGD) Reset() { s.velocity = make(map[*Param]*tensor.Tensor) }
+// Reset clears momentum state in place: every velocity buffer is zeroed, not
+// dropped, so an optimizer reset for each local update keeps its storage. A
+// zeroed buffer steps bit-identically to the fresh one a first Step would
+// allocate — both hold +0 — so Reset then Step equals NewSGD then Step.
+func (s *SGD) Reset() {
+	for _, v := range s.velocity {
+		v.Zero()
+	}
+}

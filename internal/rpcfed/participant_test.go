@@ -256,8 +256,9 @@ func rpcBenchDataset(t *testing.T, seed int64) *data.Dataset {
 	return ds
 }
 
-// A steady-state dense Train allocates one object: the batcher's index
-// slice. Its reply gradients come from the participant's free list, which
+// A steady-state dense Train allocates nothing: the batch indices are drawn
+// into the slot's buffer. Its reply gradients come from the participant's
+// free list, which
 // the binary codec refills once it has encoded a reply (done by hand here).
 // Building a model per call (the design this replaced) cost 1,101 objects on
 // this network; copying the reply out into fresh slices, one per gradient
@@ -266,7 +267,7 @@ func TestParticipantTrainSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random, defeating scratch reuse")
 	}
-	const pinned = 1
+	const pinned = 0
 	ds := rpcBenchDataset(t, 1)
 	cfg := rpcBenchNet()
 	svc, err := NewParticipantService(0, ds, shardOf(40), cfg, 1)

@@ -56,7 +56,7 @@ func TestServerRoundSteadyStateAllocs(t *testing.T) {
 		step()
 	}
 	allocs := testing.AllocsPerRun(100, step)
-	const pinned = 110
+	const pinned = 102
 	t.Logf("steady-state rpc round: %.0f allocs", allocs)
 	if allocs > pinned+5 {
 		t.Errorf("a loopback round allocates %.0f objects, pinned at %d (+5)", allocs, pinned)

@@ -1,8 +1,10 @@
 package search
 
 import (
+	"runtime"
 	"testing"
 
+	"fedrlnas/internal/fed"
 	"fedrlnas/internal/staleness"
 )
 
@@ -58,8 +60,8 @@ func TestParallelSteadyStateAllocsMatchSerial(t *testing.T) {
 // A soft-sync round with delay compensation and late replies allocates no
 // more than a hard-sync one: the core refills a recycled snapshot (θ, α,
 // cohort, gates) instead of cloning, and compensates late gradients and the
-// α drift in place. What is left is outside the core: a batch index slice
-// per trained participant, transmission.Assign's index slices, two closures.
+// α drift in place. What is left is outside the core: transmission.Assign's
+// index slices, two closures.
 // Cloning θ per round and per late reply cost this network hundreds of
 // objects a round.
 func TestDCRoundSteadyStateAllocs(t *testing.T) {
@@ -88,12 +90,65 @@ func TestDCRoundSteadyStateAllocs(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	const pinned = 22
+	const pinned = 14
 	t.Logf("steady-state DC round: %.0f allocs, %d late replies over the runs", allocs, s.Stats.Late-late)
 	if s.Stats.Late == late {
 		t.Fatal("no late reply in the measured rounds; the pin would not cover compensation")
 	}
 	if allocs > pinned+2 {
 		t.Errorf("a DC round allocates %.0f objects, pinned at %d (+2)", allocs, pinned)
+	}
+}
+
+// allocBytes is the heap fn allocates, in bytes.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// P3 allocates nothing per step or per round: its trainers refill one batch,
+// optimizer, delta and evaluation buffer set. Tripling a run's length may
+// only grow the training curves (and a per-round closure), so the extra
+// steps or rounds add a few KiB, where one gathered, augmented batch of
+// garbage per step came to over a MiB.
+func TestRetrainAllocsDoNotGrowWithSteps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ds, netCfg, geno := retrainFixture(t)
+	const bound = 32 << 10
+	central := func(steps int) uint64 {
+		rcfg := DefaultRetrainConfig()
+		rcfg.Steps = steps
+		rcfg.BatchSize = 16
+		return allocBytes(func() {
+			if _, err := RetrainCentralized(ds, netCfg, geno, rcfg, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := central(50), central(150)
+	t.Logf("RetrainCentralized: %d B at 50 steps, %d B at 150", short, long)
+	if long > short+bound {
+		t.Errorf("RetrainCentralized allocates %d B more over 100 more steps (bound %d)", long-short, bound)
+	}
+	federated := func(rounds int) uint64 {
+		fcfg := fed.DefaultFedAvgConfig()
+		fcfg.Rounds = rounds
+		fcfg.BatchSize = 8
+		fcfg.Workers = 1
+		return allocBytes(func() {
+			if _, _, err := RetrainFederated(ds, netCfg, geno, Dirichlet, 0.5, 4, fcfg, 9); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long = federated(5), federated(15)
+	t.Logf("RetrainFederated: %d B at 5 rounds, %d B at 15", short, long)
+	if long > short+bound {
+		t.Errorf("FedAvg allocates %d B more over 10 more rounds (bound %d)", long-short, bound)
 	}
 }

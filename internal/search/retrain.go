@@ -92,17 +92,17 @@ func RetrainCentralized(ds *data.Dataset, netCfg nas.Config, geno nas.Genotype, 
 	}
 	model.SetTraining(true)
 	res := RetrainResult{Model: model}
+	params := model.Params()
+	var batch fed.Batch
 	for step := 0; step < cfg.Steps; step++ {
-		batch := batcher.Next(cfg.BatchSize)
-		x, y := ds.Gather(batch)
-		x = cfg.Augment.Apply(x, rng)
-		nn.ZeroGrads(model.Params())
-		lossRes, err := nn.CrossEntropy(model.Forward(x), y)
+		x := batch.Next(ds, batcher, rng, cfg.BatchSize, cfg.Augment)
+		nn.ZeroGrads(params)
+		lossRes, err := batch.Loss(model.Forward(x))
 		if err != nil {
 			return res, err
 		}
 		model.Backward(lossRes.GradLogits)
-		opt.StepWith(sched, step, model.Params())
+		opt.StepWith(sched, step, params)
 		res.TrainCurve.Add(step, lossRes.Accuracy)
 	}
 	res.TestAcc = fed.Evaluate(model, ds, 32)
@@ -147,7 +147,7 @@ func RetrainFederated(ds *data.Dataset, netCfg nas.Config, geno nas.Genotype,
 		cfg.NewReplica = func() fed.Model {
 			m, err := nas.NewFixedModel(rand.New(rand.NewSource(seed)), netCfg, geno)
 			if err != nil {
-				return nil // falls back to the sequential path
+				return nil // the model trains alone
 			}
 			return m
 		}

@@ -81,6 +81,11 @@ type Search struct {
 	bw      []float64
 	results []round.Reply
 
+	// evalBatch and evalHead are EvalGates' test batch and saved shared
+	// head, refilled per call.
+	evalBatch fed.EvalBatch
+	evalHead  []*tensor.Tensor
+
 	round int
 
 	// tracer receives per-round span events; nil (the default) is a
@@ -506,19 +511,16 @@ func (s *Search) EvalGates(g nas.Gates, testIdx []int, batchSize int, pid int) f
 	defer s.net.SetTraining(true)
 	if head := s.heads[pid]; head != nil { // never for pid < 0 or without heads
 		tail := s.net.Params()[s.headStart:]
-		saved := nn.CloneParamValues(tail)
+		s.evalHead = nn.SnapshotParamValues(s.evalHead, tail)
 		for i, t := range head {
 			tail[i].Value.CopyFrom(t)
 		}
-		defer nn.RestoreParamValues(tail, saved)
+		defer nn.RestoreParamValues(tail, s.evalHead)
 	}
 	correct := 0.0
 	for start := 0; start < len(testIdx); start += batchSize {
-		end := start + batchSize
-		if end > len(testIdx) {
-			end = len(testIdx)
-		}
-		x, y := s.ds.GatherTest(testIdx[start:end])
+		end := min(start+batchSize, len(testIdx))
+		x, y := s.evalBatch.Gather(s.ds, testIdx[start:end])
 		correct += nn.Accuracy(s.net.ForwardSampled(x, g), y) * float64(end-start)
 	}
 	return correct / float64(len(testIdx))

@@ -23,12 +23,18 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 
 // Sub returns t - o elementwise as a new tensor.
 func (t *Tensor) Sub(o *Tensor) *Tensor {
-	t.mustSameShape(o, "Sub")
-	r := t.Clone()
-	for i := range r.data {
-		r.data[i] -= o.data[i]
-	}
+	r := New(t.shape...)
+	t.SubInto(r, o)
 	return r
+}
+
+// SubInto writes t - o elementwise into dst, which must have t's shape.
+func (t *Tensor) SubInto(dst, o *Tensor) {
+	t.mustSameShape(o, "SubInto")
+	t.mustSameShape(dst, "SubInto")
+	for i, v := range t.data {
+		dst.data[i] = v - o.data[i]
+	}
 }
 
 // Mul returns the elementwise (Hadamard) product as a new tensor.
