@@ -81,7 +81,7 @@ go test -race ./internal/tensor/... ./internal/parallel/... ./internal/nn/... ./
 echo "== reuse under failure (-race, 10 runs: a reply buffer written after its call was abandoned, or recycled before it was encoded, races or moves a result)"
 go test -race -count=10 -run 'TestLateAnswerIntoAbandonedReplyLeavesLaterRoundsIntact|TestReplyGradsRecycledOnlyAfterEncode|TestConcurrentTrainRepliesMatchSerial' ./internal/rpcfed/
 
-echo "== fedcheck (arena resets, op-scoped arena releases — an op's lane plans and scratch when it returns, a cell edge's backward once its input gradient is added into a state's —, the next Exchange and snapshot eviction poison what they release: a buffer read past its lifetime fails loudly; tensor tests the arena's own poisoning; serve covers the dispatcher's reuse of model scratch; a FixedModel's folded forward panics when its parameters or batch-norm statistics moved since the fold)"
+echo "== fedcheck (arena resets, op-scoped arena releases — an op's lane plans and scratch when it returns, a cell edge's backward once its input gradient is added into a state's —, the next Exchange and snapshot eviction poison what they release: a buffer read past its lifetime fails loudly; tensor tests the arena's own poisoning and tensor.Resize's, fed that a batch refill at any size writes every element it hands out; serve covers the dispatcher's reuse of model scratch; a FixedModel's folded forward panics when its parameters or batch-norm statistics moved since the fold)"
 go test -tags fedcheck ./internal/tensor/... ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/round/... ./internal/search/... ./internal/rpcfed/... ./internal/serve/...
 
 echo "== fuzz the infer body (10 s from FuzzInferBody's seed corpus: every body a served model's infer route gets must answer 200 or 400, and none may panic the dispatcher)"

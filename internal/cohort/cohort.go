@@ -9,13 +9,13 @@
 // schedules from the same seed.
 //
 // Determinism contract: round r's cohort is a pure function of
-// (seed, enrolled, size, r). The sampler owns no mutable RNG stream —
-// every round reseeds from a SplitMix64 mix of the seed and the round
-// index — so the schedule is independent of call order, of how many times
-// a round is queried, of every other RNG stream in the system, and (the
-// invariant inherited from the lifecycle layer) of any fault or chaos
-// schedule. Two runs with the same seed sample the same cohorts even if
-// one of them loses half its connections.
+// (seed, enrolled, size, r). The sampler carries no RNG state from one
+// round to the next — every round reseeds its one stream from a SplitMix64
+// mix of the seed and the round index — so the schedule is independent of
+// call order, of how many times a round is queried, of every other RNG
+// stream in the system, and (the invariant inherited from the lifecycle
+// layer) of any fault or chaos schedule. Two runs with the same seed sample
+// the same cohorts even if one of them loses half its connections.
 package cohort
 
 import (
@@ -26,10 +26,10 @@ import (
 
 // Sampler draws a fixed-size per-round cohort from an enrolled population.
 // The zero value is not usable; construct with New. A Sampler is immutable
-// after construction except for an internal scratch map, so callers that
-// share one across goroutines must serialize AppendCohort calls (the round
-// loops that own samplers are single-threaded, and Cohort allocates a
-// private result anyway).
+// after construction except for the scratch AppendCohort reuses (a swap map
+// and the reseeded stream), so callers that share one across goroutines
+// must serialize AppendCohort calls (the round loops that own samplers are
+// single-threaded). Cohort and Contains draw on private scratch.
 type Sampler struct {
 	seed     int64
 	enrolled int
@@ -39,6 +39,10 @@ type Sampler struct {
 	// steady-state draw is O(size), not O(enrolled), in both time and
 	// fresh allocations.
 	swaps map[int]int
+	// rng is reseeded at every draw; Seed makes it draw exactly what a
+	// fresh rand.New(rand.NewSource(seed)) would, without allocating the
+	// source's ~5 KB state each round.
+	rng *rand.Rand
 }
 
 // New returns a sampler over an enrolled population of k participants that
@@ -59,6 +63,7 @@ func New(seed int64, enrolled, size int) (*Sampler, error) {
 		enrolled: enrolled,
 		size:     size,
 		swaps:    make(map[int]int, size),
+		rng:      rand.New(rand.NewSource(0)),
 	}, nil
 }
 
@@ -74,42 +79,54 @@ func (s *Sampler) Size() int { return s.size }
 func (s *Sampler) Full() bool { return s.size == s.enrolled }
 
 // Cohort returns round's cohort as a fresh sorted slice of participant
-// indices in [0, Enrolled), without duplicates.
+// indices in [0, Enrolled), without duplicates. It draws on private scratch,
+// so it may run beside the round loop's AppendCohort (a debug endpoint
+// reading the current cohort does).
 func (s *Sampler) Cohort(round int) []int {
-	return s.AppendCohort(nil, round)
+	if s.Full() {
+		return s.AppendCohort(nil, round)
+	}
+	rng := rand.New(rand.NewSource(roundSeed(s.seed, round)))
+	return s.draw(nil, rng, make(map[int]int, s.size))
 }
 
 // AppendCohort appends round's cohort to buf (pass buf[:0] to reuse
 // storage across rounds) and returns the extended slice, sorted ascending.
 // The ascending order is load-bearing: every merge downstream runs in
 // cohort order, so sorting here is what keeps aggregation order canonical
-// no matter what order the draw produced.
+// no matter what order the draw produced. It reuses the sampler's scratch,
+// so a steady-state draw allocates nothing.
 func (s *Sampler) AppendCohort(buf []int, round int) []int {
-	start := len(buf)
 	if s.Full() {
 		for i := 0; i < s.enrolled; i++ {
 			buf = append(buf, i)
 		}
 		return buf
 	}
-	// Partial Fisher–Yates over [0, enrolled) with sparse swap tracking:
-	// draw i swaps a uniform j ∈ [i, enrolled) into position i. Only
-	// positions actually touched live in the map, so a 10-member cohort
-	// from a 10,000-member population touches ~20 map entries.
-	rng := rand.New(rand.NewSource(roundSeed(s.seed, round)))
+	s.rng.Seed(roundSeed(s.seed, round))
 	clear(s.swaps)
+	return s.draw(buf, s.rng, s.swaps)
+}
+
+// draw appends the cohort rng, freshly seeded for the round, picks: a
+// partial Fisher–Yates over [0, enrolled) with sparse swap tracking in the
+// empty swaps. Draw i swaps a uniform j ∈ [i, enrolled) into position i.
+// Only positions actually touched live in the map, so a 10-member cohort
+// from a 10,000-member population touches ~20 map entries.
+func (s *Sampler) draw(buf []int, rng *rand.Rand, swaps map[int]int) []int {
+	start := len(buf)
 	for i := 0; i < s.size; i++ {
 		j := i + rng.Intn(s.enrolled-i)
-		vj, ok := s.swaps[j]
+		vj, ok := swaps[j]
 		if !ok {
 			vj = j
 		}
-		vi, ok := s.swaps[i]
+		vi, ok := swaps[i]
 		if !ok {
 			vi = i
 		}
 		buf = append(buf, vj)
-		s.swaps[j] = vi
+		swaps[j] = vi
 	}
 	sort.Ints(buf[start:])
 	return buf

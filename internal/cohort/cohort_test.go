@@ -200,6 +200,23 @@ func TestFractionSize(t *testing.T) {
 	}
 }
 
+// referenceCohort is round's cohort by a full Fisher–Yates over a fresh
+// source seeded for the round: the first size entries, sorted.
+func referenceCohort(seed int64, enrolled, size, round int) []int {
+	rng := rand.New(rand.NewSource(roundSeed(seed, round)))
+	perm := make([]int, enrolled)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := 0; i < size; i++ {
+		j := i + rng.Intn(enrolled-i)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	want := append([]int(nil), perm[:size]...)
+	sort.Ints(want)
+	return want
+}
+
 // Against a reference full Fisher–Yates using the same per-round stream:
 // the sparse partial shuffle must pick exactly the first `size` entries.
 func TestMatchesReferenceShuffle(t *testing.T) {
@@ -210,21 +227,73 @@ func TestMatchesReferenceShuffle(t *testing.T) {
 	)
 	s, _ := New(seed, enrolled, size)
 	for round := 0; round < 20; round++ {
-		rng := rand.New(rand.NewSource(roundSeed(seed, round)))
-		perm := make([]int, enrolled)
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := 0; i < size; i++ {
-			j := i + rng.Intn(enrolled-i)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		want := append([]int(nil), perm[:size]...)
-		sort.Ints(want)
+		want := referenceCohort(seed, enrolled, size, round)
 		if got := s.Cohort(round); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: sparse %v vs reference %v", round, got, want)
 		}
 	}
+}
+
+// AppendCohort reseeds one stream every round instead of building a source:
+// it must draw the cohorts a fresh source draws, in any round order, and a
+// steady-state draw allocates nothing (a new source is ~5 KB a round).
+func TestReusedStreamMatchesFreshSource(t *testing.T) {
+	const (
+		enrolled = 200
+		size     = 10
+		seed     = 5
+	)
+	s, _ := New(seed, enrolled, size)
+	buf := make([]int, 0, size)
+	for round := 0; round < 1000; round++ {
+		buf = s.AppendCohort(buf[:0], round)
+		if want := referenceCohort(seed, enrolled, size, round); !reflect.DeepEqual(buf, want) {
+			t.Fatalf("round %d: reused stream %v vs fresh source %v", round, buf, want)
+		}
+	}
+	if got, want := s.AppendCohort(buf[:0], 17), referenceCohort(seed, enrolled, size, 17); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round 17 redrawn after round 999: %v vs %v", got, want)
+	}
+	round := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = s.AppendCohort(buf[:0], round)
+		round++
+	})
+	if allocs != 0 {
+		t.Errorf("a steady-state AppendCohort allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// Cohort may run beside the round loop's AppendCohort (rpcfed's
+// /participants handler reads the current cohort while rounds draw), so it
+// must not touch the reused stream or swap map; under -race a shared one is
+// reported, and without it the two draws can corrupt each other.
+func TestCohortBesideAppendCohort(t *testing.T) {
+	const (
+		enrolled = 200
+		size     = 10
+		seed     = 3
+	)
+	s, _ := New(seed, enrolled, size)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 0; round < 300; round++ {
+			if got, want := s.Cohort(round), referenceCohort(seed, enrolled, size, round); !reflect.DeepEqual(got, want) {
+				t.Errorf("Cohort(%d) = %v, want %v", round, got, want)
+				return
+			}
+		}
+	}()
+	buf := make([]int, 0, size)
+	for round := 0; round < 300; round++ {
+		buf = s.AppendCohort(buf[:0], round)
+		if want := referenceCohort(seed, enrolled, size, round); !reflect.DeepEqual(buf, want) {
+			t.Errorf("AppendCohort(%d) = %v, want %v", round, buf, want)
+			break
+		}
+	}
+	<-done
 }
 
 func BenchmarkAppendCohort(b *testing.B) {

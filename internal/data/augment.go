@@ -29,14 +29,12 @@ func (a AugmentConfig) Apply(batch *tensor.Tensor, rng *rand.Rand) *tensor.Tenso
 	return a.ApplyInto(nil, batch, rng)
 }
 
-// ApplyInto is Apply with a caller-provided output buffer, reused when its
-// shape matches the batch (allocated otherwise). The input batch is left
-// untouched, and the RNG draw sequence is identical to Apply's.
+// ApplyInto is Apply with a caller-provided output buffer, whose storage is
+// reused whenever its capacity holds the batch (tensor.Resize). The input
+// batch is left untouched, and the RNG draw sequence is identical to Apply's.
 func (a AugmentConfig) ApplyInto(dst, batch *tensor.Tensor, rng *rand.Rand) *tensor.Tensor {
 	n, c, h, w := batch.Dim(0), batch.Dim(1), batch.Dim(2), batch.Dim(3)
-	if dst == nil || !dst.ShapeIs(n, c, h, w) {
-		dst = tensor.New(n, c, h, w)
-	}
+	dst = tensor.Resize(dst, [4]int{n, c, h, w}, 4)
 	sd, dd := batch.Data(), dst.Data()
 	size := c * h * w
 	for b := 0; b < n; b++ {

@@ -141,9 +141,10 @@ func (d *Dataset) Gather(indices []int) (*tensor.Tensor, []int) {
 	return d.GatherInto(nil, nil, indices)
 }
 
-// GatherInto is Gather with caller-provided buffers: dst is reused when its
-// shape matches the batch and labelBuf's backing array is reused when large
-// enough. It returns the (possibly newly allocated) batch and labels.
+// GatherInto is Gather with caller-provided buffers: dst's storage and
+// labelBuf's backing array are reused whenever their capacity holds the batch
+// (tensor.Resize), so a buffer refilled at varying batch sizes is sized by
+// the largest. It returns the (possibly newly allocated) batch and labels.
 func (d *Dataset) GatherInto(dst *tensor.Tensor, labelBuf []int, indices []int) (*tensor.Tensor, []int) {
 	return gatherInto(d.TrainImages, d.TrainLabels, d.Spec, dst, labelBuf, indices)
 }
@@ -162,9 +163,7 @@ func (d *Dataset) GatherTestInto(dst *tensor.Tensor, labelBuf []int, indices []i
 func gatherInto(images *tensor.Tensor, labels []int, spec Spec, dst *tensor.Tensor, labelBuf []int, indices []int) (*tensor.Tensor, []int) {
 	c, h, w := spec.Channels, spec.Height, spec.Width
 	size := c * h * w
-	if dst == nil || !dst.ShapeIs(len(indices), c, h, w) {
-		dst = tensor.New(len(indices), c, h, w)
-	}
+	dst = tensor.Resize(dst, [4]int{len(indices), c, h, w}, 4)
 	if cap(labelBuf) < len(indices) {
 		labelBuf = make([]int, len(indices))
 	}

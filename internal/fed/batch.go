@@ -12,8 +12,10 @@ import (
 // drawn indices, the gathered and the augmented images, their labels and the
 // loss gradient. Every local step — Replica.Train, FedAvg's and P3's central
 // retrain — runs its gather → augment → loss on one, so a steady-state step
-// allocates none of them. What Next and Loss return holds until the next
-// call on the same Batch.
+// allocates none of them. Each buffer is sized by the largest batch it has
+// held, so a slot whose participants' batches differ in size (min(batch,
+// shard) over unequal shards) stops allocating once the largest has run.
+// What Next and Loss return holds until the next call on the same Batch.
 type Batch struct {
 	idx       []int
 	x, aug    *tensor.Tensor
@@ -42,21 +44,18 @@ func (b *Batch) Loss(logits *tensor.Tensor) (nn.LossResult, error) {
 	return loss, nil
 }
 
-// EvalBatch is a test-set evaluation's batch, refilled in place. It keeps
-// two image buffers, so an evaluation whose last batch is shorter than the
-// rest reuses both sizes on every pass. What Gather returns holds until the
+// EvalBatch is a test-set evaluation's batch, refilled in place. Its image
+// buffer is sized by the largest batch it has held, so a short last batch
+// and the full ones after it share it. What Gather returns holds until the
 // next call.
 type EvalBatch struct {
-	idx      []int
-	x, other *tensor.Tensor
-	labels   []int
+	idx    []int
+	x      *tensor.Tensor
+	labels []int
 }
 
 // Gather fills the batch with ds's test samples indices.
 func (b *EvalBatch) Gather(ds *data.Dataset, indices []int) (*tensor.Tensor, []int) {
-	if b.x != nil && b.x.Dim(0) != len(indices) {
-		b.x, b.other = b.other, b.x
-	}
 	b.x, b.labels = ds.GatherTestInto(b.x, b.labels, indices)
 	return b.x, b.labels
 }

@@ -166,8 +166,8 @@ func NewCell(name string, rng *rand.Rand, spec CellSpec, candidates []OpKind) *C
 	}
 	c := &Cell{
 		Spec:       spec,
-		pre0:       nn.NewReLUConvBN(name+".pre0", rng, spec.CPrevPrev, spec.C, 1, pre0Stride),
-		pre1:       nn.NewReLUConvBN(name+".pre1", rng, spec.CPrev, spec.C, 1, 1),
+		pre0:       nn.NewReLUConvBN(name+".pre0", rng, spec.CPrevPrev, spec.C, pre0Stride),
+		pre1:       nn.NewReLUConvBN(name+".pre1", rng, spec.CPrev, spec.C, 1),
 		splitBufs:  make([]tensor.Tensor, spec.Nodes),
 		stateGrads: make([]*tensor.Tensor, 2+spec.Nodes),
 	}

@@ -212,9 +212,9 @@ func TestCopyStatsFrom(t *testing.T) {
 
 func TestCollectBatchNorms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sep := NewSepConv("sep", rng, 4, 3, 1)       // 1 BN
-	block := NewBasicBlock("blk", rng, 4)        // 2 BNs inside a Residual
-	pre := NewReLUConvBN("pre", rng, 4, 4, 1, 1) // 1 BN
+	sep := NewSepConv("sep", rng, 4, 3, 1)    // 1 BN
+	block := NewBasicBlock("blk", rng, 4)     // 2 BNs inside a Residual
+	pre := NewReLUConvBN("pre", rng, 4, 4, 1) // 1 BN
 	bns := CollectBatchNorms(sep, block, pre)
 	if len(bns) != 4 {
 		t.Fatalf("collected %d batch norms, want 4", len(bns))

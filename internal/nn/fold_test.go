@@ -33,7 +33,7 @@ func TestFoldMatchesUnfoldedEval(t *testing.T) {
 	}{
 		{"sep 4x4", NewSepConv("sep", rng, 6, 3, 1), []int{3, 6, 4, 4}},
 		{"sep 2x2", NewSepConv("sep2", rng, 6, 3, 1), []int{3, 6, 2, 2}},
-		{"pre stride 2", NewReLUConvBN("pre", rng, 4, 6, 1, 2), []int{3, 4, 8, 8}},
+		{"pre stride 2", NewReLUConvBN("pre", rng, 4, 6, 2), []int{3, 4, 8, 8}},
 		{"stem with bias", NewSequential(
 			NewConv2D("stem", rng, 3, 5, 3, ConvOpts{Pad: 1, Bias: true}),
 			NewBatchNorm2D("stem.bn", 5)), []int{3, 3, 8, 8}},

@@ -21,9 +21,9 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (LossResult, error) {
 }
 
 // CrossEntropyInto is CrossEntropy with a caller-provided gradient buffer:
-// gradBuf is reused as GradLogits when its shape matches (allocated
-// otherwise), letting hot loops evaluate the loss without per-step
-// allocations.
+// gradBuf is reused as GradLogits whenever its capacity holds the batch
+// (tensor.Resize), letting hot loops evaluate the loss without per-step
+// allocations even when the batch size varies.
 func CrossEntropyInto(gradBuf *tensor.Tensor, logits *tensor.Tensor, labels []int) (LossResult, error) {
 	if logits.Dims() != 2 {
 		return LossResult{}, fmt.Errorf("cross-entropy: logits must be 2-D, got %v", logits.Shape())
@@ -32,10 +32,7 @@ func CrossEntropyInto(gradBuf *tensor.Tensor, logits *tensor.Tensor, labels []in
 	if len(labels) != n {
 		return LossResult{}, fmt.Errorf("cross-entropy: %d labels for batch of %d", len(labels), n)
 	}
-	grad := gradBuf
-	if grad == nil || !grad.ShapeIs(n, classes) {
-		grad = tensor.New(n, classes)
-	}
+	grad := tensor.Resize(gradBuf, [4]int{n, classes}, 2)
 	ld, gd := logits.Data(), grad.Data()
 	totalLoss := 0.0
 	correct := 0

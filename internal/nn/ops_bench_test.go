@@ -81,7 +81,7 @@ func BenchmarkOpReLU(b *testing.B) {
 // batch norm: stride 1 for pre1 and for pre0 after a normal cell, stride 2
 // (the ReLU → SubSample → pointwise form) for pre0 after a reduction cell.
 func BenchmarkOpPreprocess(b *testing.B) {
-	benchOp(b, func(rng *rand.Rand, c, s int) Module { return NewReLUConvBN("op", rng, c, c, 1, s) })
+	benchOp(b, func(rng *rand.Rand, c, s int) Module { return NewReLUConvBN("op", rng, c, c, s) })
 }
 
 // BenchmarkOpStem is the network's stem, a 3×3 conv from the three image

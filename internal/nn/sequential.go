@@ -275,25 +275,20 @@ func newReLUSepConv(name string, rng *rand.Rand, c, k int, dw ConvOpts) *Sequent
 	)...)
 }
 
-// NewReLUConvBN builds the DARTS preprocessing block:
-// ReLU → k×k conv → batch norm. Used for cell input preprocessing and stems.
-// A strided 1×1 conv reads one pixel per output, so that block runs as
-// ReLU → SubSample → pointwise conv → batch norm: the same parameters,
-// drawn from rng in the same order, and the same bits (each output is the
-// same one chain over the input channels), with the conv on the batched
-// pointwise path instead of a lowered column matrix.
-func NewReLUConvBN(name string, rng *rand.Rand, inC, outC, k, stride int) *Sequential {
-	if k == 1 && stride > 1 {
-		return NewSequential(
-			NewReLU(),
-			NewSubSample(stride),
-			NewConv2D(name+".conv", rng, inC, outC, 1, ConvOpts{}),
-			NewBatchNorm2D(name+".bn", outC),
-		)
+// NewReLUConvBN builds the DARTS preprocessing block a cell runs on each of
+// its inputs: ReLU → 1×1 conv → batch norm. A strided 1×1 conv reads one
+// pixel per output, so a strided block runs as ReLU → SubSample → pointwise
+// conv → batch norm: the same parameters, drawn from rng in the same order,
+// and the same bits (each output is the same one chain over the input
+// channels), with the conv on the batched pointwise path instead of a
+// lowered column matrix.
+func NewReLUConvBN(name string, rng *rand.Rand, inC, outC, stride int) *Sequential {
+	mods := []Module{NewReLU()}
+	if stride > 1 {
+		mods = append(mods, NewSubSample(stride))
 	}
-	return NewSequential(
-		NewReLU(),
-		NewConv2D(name+".conv", rng, inC, outC, k, ConvOpts{Stride: stride, Pad: k / 2}),
+	return NewSequential(append(mods,
+		NewConv2D(name+".conv", rng, inC, outC, 1, ConvOpts{}),
 		NewBatchNorm2D(name+".bn", outC),
-	)
+	)...)
 }

@@ -2,9 +2,11 @@ package search
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fedrlnas/internal/fed"
+	"fedrlnas/internal/scenario"
 	"fedrlnas/internal/staleness"
 )
 
@@ -150,5 +152,73 @@ func TestRetrainAllocsDoNotGrowWithSteps(t *testing.T) {
 	t.Logf("RetrainFederated: %d B at 5 rounds, %d B at 15", short, long)
 	if long > short+bound {
 		t.Errorf("FedAvg allocates %d B more over 10 more rounds (bound %d)", long-short, bound)
+	}
+}
+
+// A soft-sync round allocates no batch-shaped storage, though its
+// participants' batches differ in size: a cohort drawn from a population
+// whose shards are unequal (a scenario's Dirichlet skew), each participant's
+// batch min(BatchSize, shard), late replies delay-compensated. A slot's
+// batch and loss gradient are refilled within the capacity of the largest
+// batch seen, and the sampler reseeds one stream, so 200 more rounds may
+// cost only what every round still allocates — the fixed dispatch objects
+// TestDCRoundSteadyStateAllocs pins and the history entries, ~650 B a round
+// here — and the step arena's growth when a larger sub-model first runs:
+// under 2 KiB a round. Rebuilding a slot's buffers whenever its batch
+// changed size, and the sampler's source every round, cost this config
+// ~36 KiB a round. The short run is long enough that the replica's step
+// arena has made its fold in both. TestDCRoundSteadyStateAllocs runs no
+// cohort over equal shards, where every round is shape-identical, so it
+// cannot see this.
+func TestSoftSyncRoundAllocsDoNotGrow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	cfg := tinyConfig()
+	cfg.Scenario = &scenario.Spec{Population: []scenario.Share{
+		{Profile: "phone-urban", Fraction: 0.7},
+		{Profile: "iot-rural", Fraction: 0.3},
+	}}
+	cfg.K = 16
+	cfg.CohortSize = 4
+	cfg.BatchSize = 16
+	cfg.Strategy = staleness.DC
+	cfg.Staleness = staleness.Severe()
+	cfg.StalenessThreshold = 2
+	cfg.Workers = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[int]bool{}
+	for _, p := range s.Participants() {
+		sizes[min(cfg.BatchSize, p.Batcher.PoolSize())] = true
+	}
+	if len(sizes) < 3 {
+		t.Fatalf("participants' batches take %d sizes; the test needs unequal shards", len(sizes))
+	}
+	// A GC empties the sync.Pool scratch that rounds draw from, and the
+	// refills would make the count depend on when collections fall.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func(rounds int) uint64 {
+		cfg.WarmupSteps, cfg.SearchSteps = rounds/2, rounds-rounds/2
+		return allocBytes(func() {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s.Round() < s.TotalRounds() {
+				if _, err := s.StepRound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	const n, perRound = 100, 2 << 10
+	run(n) // fills the process-wide scratch pools both runs then draw from
+	short, long := run(n), run(3*n)
+	t.Logf("soft-sync search (%d batch sizes): %d B at %d rounds, %d B at %d", len(sizes), short, n, long, 3*n)
+	if long > short+2*n*perRound {
+		t.Errorf("a soft-sync run allocates %d B more over %d more rounds (bound %d B a round)", long-short, 2*n, perRound)
 	}
 }

@@ -69,6 +69,33 @@ func Rebind(t *Tensor, data []float64, like *Tensor) *Tensor {
 	return t
 }
 
+// Resize points t at shape[:rank] (rank ≤ 4) and returns it, reusing t's
+// storage when its capacity holds the new size and allocating otherwise; a
+// nil t gets a new tensor. Only the header is rewritten, in place, so a
+// buffer refilled at varying sizes is sized by the largest it has held and
+// whoever still holds t sees the new shape. Contents are unspecified: the
+// caller writes every element before reading it. Built with the fedcheck
+// tag, the storage handed back is poisoned first, as Arena.Floats' is. t's
+// storage must be its own, never a window on a larger buffer, which a
+// resize would grow into. The shape is a fixed array rather than variadic
+// so it stays on the caller's stack: a refill allocates nothing.
+func Resize(t *Tensor, shape [4]int, rank int) *Tensor {
+	if t == nil {
+		t = &Tensor{}
+	}
+	t.shape = t.dims[:rank]
+	copy(t.shape, shape[:rank])
+	if n := checkShape(t.shape); cap(t.data) >= n {
+		t.data = t.data[:n]
+	} else {
+		t.data = make([]float64, n)
+	}
+	if fedcheck {
+		poison(t.data)
+	}
+	return t
+}
+
 // Full returns a tensor filled with v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)

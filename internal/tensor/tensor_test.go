@@ -320,3 +320,35 @@ func TestRandnDeterministic(t *testing.T) {
 		t.Error("Randn not deterministic for equal seeds")
 	}
 }
+
+// Resize rewrites the header in place and reuses the storage whenever its
+// capacity holds the new size, so a buffer refilled at varying sizes is
+// sized by the largest and a refill within it allocates nothing.
+func TestResizeReusesCapacity(t *testing.T) {
+	x := Resize(nil, [4]int{16, 2, 3, 3}, 4)
+	if !x.ShapeIs(16, 2, 3, 3) || x.Size() != 288 {
+		t.Fatalf("new: shape %v, size %d", x.Shape(), x.Size())
+	}
+	base := &x.Data()[0]
+	for _, c := range []struct {
+		shape [4]int
+		rank  int
+	}{{[4]int{3, 2, 3, 3}, 4}, {[4]int{16, 2, 3, 3}, 4}, {[4]int{11, 5}, 2}, {[4]int{288}, 1}} {
+		if y := Resize(x, c.shape, c.rank); y != x {
+			t.Fatal("Resize returned another header")
+		}
+		if !x.ShapeIs(c.shape[:c.rank]...) || x.Size() != checkShape(c.shape[:c.rank]) || &x.Data()[0] != base {
+			t.Fatalf("resize to %v: shape %v, size %d, storage moved %v", c.shape[:c.rank], x.Shape(), x.Size(), &x.Data()[0] != base)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		Resize(x, [4]int{3, 2, 3, 3}, 4)
+		Resize(x, [4]int{16, 2, 3, 3}, 4)
+	}); allocs != 0 {
+		t.Errorf("a resize within capacity allocates %.1f objects, want 0", allocs)
+	}
+	Resize(x, [4]int{17, 2, 3, 3}, 4)
+	if x.Size() != 306 || &x.Data()[0] == base {
+		t.Fatalf("a resize past capacity kept the storage (size %d)", x.Size())
+	}
+}
