@@ -62,7 +62,7 @@ go test ./...
 
 echo "== noasm fallback (pure-Go kernels must build, pass the same suite and vet clean)"
 go build -tags noasm ./...
-go test -tags noasm ./internal/tensor/... ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/search/...
+go test -tags noasm ./internal/tensor/... ./internal/nn/... ./internal/nas/... ./internal/fed/... ./internal/search/... ./internal/baselines/...
 go vet -tags noasm ./internal/tensor/... ./internal/nn/...
 # The nn/nas benches run the portable go-lanes4 kernels here, the code an
 # arm64 participant runs: 1 iteration, catches crashes/regressed shapes.

@@ -162,7 +162,7 @@ func TestFedNASRunsAndShipsSupernet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultFedNASConfig(testNet(), 3)
+	cfg := DefaultFedNASConfig(testNet())
 	cfg.Rounds = 10
 	cfg.BatchSize = 8
 	res, err := FedNAS(ds, part, cfg)
@@ -195,7 +195,7 @@ func TestEvoFedNASRunsAndEvolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultEvoConfig(testNet(), 3)
+	cfg := DefaultEvoConfig(testNet())
 	cfg.Rounds = 20
 	cfg.BatchSize = 8
 	cfg.GenerationEvery = 5
@@ -212,6 +212,15 @@ func TestEvoFedNASRunsAndEvolves(t *testing.T) {
 	cfg.Population = 1
 	if _, err := EvoFedNAS(ds, part, cfg); err == nil {
 		t.Error("expected error for population < 2")
+	}
+	// A generation period below one round is a config error, not a
+	// division by zero after the first round.
+	cfg.Population = 4
+	for _, every := range []int{0, -1} {
+		cfg.GenerationEvery = every
+		if _, err := EvoFedNAS(ds, part, cfg); err == nil {
+			t.Errorf("GenerationEvery %d: expected a config error", every)
+		}
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"fedrlnas/internal/nas"
 	"fedrlnas/internal/nettrace"
 	"fedrlnas/internal/nn"
-	"fedrlnas/internal/parallel"
-	"fedrlnas/internal/tensor"
 )
 
 // EvoConfig configures the EvoFedNAS baseline (Zhu & Jin): a population of
@@ -19,13 +17,13 @@ import (
 // participants and evolved on the server.
 type EvoConfig struct {
 	Net       nas.Config
-	K         int
 	Rounds    int
 	BatchSize int
 
 	// Population is the number of candidate genotypes.
 	Population int
-	// GenerationEvery is how many rounds pass between evolution steps.
+	// GenerationEvery is how many rounds pass between evolution steps
+	// (at least 1).
 	GenerationEvery int
 	// MutationRate is the per-edge probability of resampling an op.
 	MutationRate float64
@@ -46,9 +44,9 @@ type EvoConfig struct {
 }
 
 // DefaultEvoConfig returns substrate-scale EvoFedNAS settings.
-func DefaultEvoConfig(net nas.Config, k int) EvoConfig {
+func DefaultEvoConfig(net nas.Config) EvoConfig {
 	return EvoConfig{
-		Net: net, K: k, Rounds: 60, BatchSize: 16,
+		Net: net, Rounds: 60, BatchSize: 16,
 		Population: 8, GenerationEvery: 10, MutationRate: 0.2, FitnessDecay: 0.5,
 		ThetaLR: 0.025, ThetaMomentum: 0.9, ThetaWD: 3e-4, ThetaClip: 5,
 		Seed: 1,
@@ -105,7 +103,7 @@ type evoCandidate struct {
 // training accuracy; every GenerationEvery rounds the weakest half of the
 // population is replaced by mutated tournament winners.
 func EvoFedNAS(ds *data.Dataset, part data.Partition, cfg EvoConfig) (NASResult, error) {
-	if cfg.Rounds <= 0 || cfg.BatchSize <= 0 || cfg.Population < 2 {
+	if cfg.Rounds <= 0 || cfg.BatchSize <= 0 || cfg.Population < 2 || cfg.GenerationEvery <= 0 {
 		return NASResult{}, fmt.Errorf("baselines: invalid Evo config %+v", cfg)
 	}
 	parts, err := fed.BuildParticipants(ds, part, cfg.Seed+17)
@@ -117,8 +115,10 @@ func EvoFedNAS(ds *data.Dataset, part data.Partition, cfg EvoConfig) (NASResult,
 	if err != nil {
 		return NASResult{}, err
 	}
-	net.SetTraining(true)
-	params := net.Params()
+	run, err := newFedRun(net, parts, cfg.Workers, cfg.Seed+1, cfg.Net)
+	if err != nil {
+		return NASResult{}, err
+	}
 	opt := nn.NewSGD(cfg.ThetaLR, cfg.ThetaMomentum, cfg.ThetaWD, cfg.ThetaClip)
 
 	// Random initial population.
@@ -130,127 +130,41 @@ func EvoFedNAS(ds *data.Dataset, part data.Partition, cfg EvoConfig) (NASResult,
 	}
 
 	res := NASResult{Method: "evofednas"}
-	var totalPayload, payloadCount int64
+	var totalPayload int64
+	var sub []*nn.Param
 
-	pool := parallel.New(cfg.Workers)
-	var reps []*supReplica
-	var primaryBNs []*nn.BatchNorm2D
-	if pool.Workers() > 1 {
-		if reps, err = newSupReplicas(pool, len(parts), cfg.Seed+1, cfg.Net); err != nil {
-			return res, err
-		}
-		primaryBNs = net.BatchNorms()
-	}
-	// evoOut is one participant's contribution, merged in index order (the
-	// fitness EMA must fold in participant order — with K > Population the
-	// same candidate trains twice in a round).
-	type evoOut struct {
-		grads   []*tensor.Tensor
-		acc     float64
-		payload int64
-		seconds float64
-		bn      [][]nn.BNStats
-	}
-
+	inv := 1.0 / float64(len(parts))
 	for round := 0; round < cfg.Rounds; round++ {
-		nn.ZeroGrads(params)
-		aggTheta := nn.CloneParamGrads(params) // zero-valued accumulators
-		roundAcc := 0.0
-		roundSeconds := 0.0
-		if len(reps) > 0 {
-			global := nn.CloneParamValues(params)
-			outs := make([]evoOut, len(parts))
-			err := pool.Run(len(parts), func(worker, k int) error {
-				p := parts[k]
-				rep := reps[worker]
-				// Tasks only read the candidate's gates; fitness is
-				// updated in the ordered merge below.
-				cand := pop[(k+round*len(parts))%len(pop)]
-				if err := nn.RestoreParamValues(rep.params, global); err != nil {
-					return fmt.Errorf("participant %d: %w", p.ID, err)
-				}
-				batch := p.Batcher.Next(cfg.BatchSize)
-				x, y := ds.Gather(batch)
-				nn.ZeroGrads(rep.params)
-				lossRes, err := nn.CrossEntropy(rep.net.ForwardSampled(x, cand.gates), y)
-				if err != nil {
-					return fmt.Errorf("participant %d: %w", p.ID, err)
-				}
-				rep.net.BackwardSampled(lossRes.GradLogits)
-				sub := rep.net.SampledParams(cand.gates)
-				payload := nn.ParamBytes(sub)
-				comm := 2 * nettrace.TransferSeconds(payload, 100)
-				comp := p.ComputeSeconds(nn.ParamCount(sub), cfg.BatchSize)
-				outs[k] = evoOut{
-					grads:   nn.CloneParamGrads(rep.params),
-					acc:     lossRes.Accuracy,
-					payload: payload,
-					seconds: comm + comp,
-					bn:      rep.drainBN(),
-				}
-				return nil
-			})
-			if err != nil {
-				return res, fmt.Errorf("round %d: %w", round, err)
+		// Participant k trains candidate cand(k). Tasks only read its gates;
+		// fitness folds in the merge, in participant order — with K >
+		// Population the same candidate trains twice in a round.
+		cand := func(k int) *evoCandidate { return pop[(k+round*len(parts))%len(pop)] }
+		err := run.train(func(rep *fed.Replica, k int, sl *fed.Slot) error {
+			st := fed.Step{Gates: cand(k).gates, Theta: run.theta, BatchSize: cfg.BatchSize}
+			return rep.Train(ds, parts[k], st, sl)
+		})
+		if err != nil {
+			return res, fmt.Errorf("round %d: %w", round, err)
+		}
+		roundAcc, roundSeconds := 0.0, 0.0
+		for k, p := range parts {
+			sl := run.merge(k)
+			c := cand(k)
+			if c.seen {
+				c.fitness = cfg.FitnessDecay*sl.Acc + (1-cfg.FitnessDecay)*c.fitness
+			} else {
+				c.fitness = sl.Acc
+				c.seen = true
 			}
-			for k := range outs {
-				cand := pop[(k+round*len(parts))%len(pop)]
-				for i := range params {
-					aggTheta[i].AddInPlace(outs[k].grads[i])
-				}
-				if cand.seen {
-					cand.fitness = cfg.FitnessDecay*outs[k].acc + (1-cfg.FitnessDecay)*cand.fitness
-				} else {
-					cand.fitness = outs[k].acc
-					cand.seen = true
-				}
-				roundAcc += outs[k].acc
-				replayBN(primaryBNs, outs[k].bn)
-				totalPayload += outs[k].payload
-				payloadCount++
-				if outs[k].seconds > roundSeconds {
-					roundSeconds = outs[k].seconds
-				}
-			}
-		} else {
-			for k, p := range parts {
-				cand := pop[(k+round*len(parts))%len(pop)]
-				batch := p.Batcher.Next(cfg.BatchSize)
-				x, y := ds.Gather(batch)
-				nn.ZeroGrads(params)
-				lossRes, err := nn.CrossEntropy(net.ForwardSampled(x, cand.gates), y)
-				if err != nil {
-					return res, err
-				}
-				net.BackwardSampled(lossRes.GradLogits)
-				for i, pr := range params {
-					aggTheta[i].AddInPlace(pr.Grad)
-				}
-				if cand.seen {
-					cand.fitness = cfg.FitnessDecay*lossRes.Accuracy + (1-cfg.FitnessDecay)*cand.fitness
-				} else {
-					cand.fitness = lossRes.Accuracy
-					cand.seen = true
-				}
-				roundAcc += lossRes.Accuracy
+			roundAcc += sl.Acc
 
-				sub := net.SampledParams(cand.gates)
-				payload := nn.ParamBytes(sub)
-				totalPayload += payload
-				payloadCount++
-				comm := 2 * nettrace.TransferSeconds(payload, 100)
-				comp := p.ComputeSeconds(nn.ParamCount(sub), cfg.BatchSize)
-				if t := comm + comp; t > roundSeconds {
-					roundSeconds = t
-				}
-			}
+			sub = net.AppendSampledParams(sub[:0], c.gates)
+			payload := nn.ParamBytes(sub)
+			totalPayload += payload
+			comm := 2 * nettrace.TransferSeconds(payload, 100)
+			roundSeconds = max(roundSeconds, comm+p.ComputeSeconds(sl.Size, cfg.BatchSize))
 		}
-		inv := 1.0 / float64(len(parts))
-		for i, p := range params {
-			p.Grad.Zero()
-			p.Grad.AXPY(inv, aggTheta[i])
-		}
-		opt.Step(params)
+		run.step(opt, inv)
 		res.Curve.Add(round, roundAcc*inv)
 		res.SearchSeconds += roundSeconds
 
@@ -265,9 +179,7 @@ func EvoFedNAS(ds *data.Dataset, part data.Partition, cfg EvoConfig) (NASResult,
 		}
 	}
 	res.Genotype = nas.GenotypeFromGates(best.gates, cfg.Net.Candidates, cfg.Net.Nodes)
-	if payloadCount > 0 {
-		res.PayloadBytesPerRound = totalPayload / payloadCount
-	}
+	res.PayloadBytesPerRound = totalPayload / int64(cfg.Rounds*len(parts))
 	return res, nil
 }
 

@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strconv"
@@ -68,13 +69,13 @@ func (c Config) Validate() error {
 	switch {
 	case c.Latency < 0 || c.Jitter < 0:
 		return fmt.Errorf("chaos: negative latency/jitter")
-	case c.BandwidthMbps < 0:
-		return fmt.Errorf("chaos: BandwidthMbps %v must be >= 0", c.BandwidthMbps)
+	case !(c.BandwidthMbps >= 0) || math.IsInf(c.BandwidthMbps, 1):
+		return fmt.Errorf("chaos: BandwidthMbps %v must be finite and >= 0", c.BandwidthMbps)
 	case c.TraceStep < 0:
 		return fmt.Errorf("chaos: TraceStep must be >= 0")
 	case c.MaxWriteBytes < 0:
 		return fmt.Errorf("chaos: MaxWriteBytes %d must be >= 0", c.MaxWriteBytes)
-	case c.KillProb < 0 || c.KillProb > 1:
+	case !(c.KillProb >= 0 && c.KillProb <= 1):
 		return fmt.Errorf("chaos: KillProb %v outside [0,1]", c.KillProb)
 	}
 	return nil

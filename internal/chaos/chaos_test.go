@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -27,6 +28,9 @@ func TestConfigValidate(t *testing.T) {
 		{MaxWriteBytes: -1},
 		{KillProb: -0.1},
 		{KillProb: 1.1},
+		{KillProb: math.NaN()},
+		{BandwidthMbps: math.NaN()},
+		{BandwidthMbps: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)
@@ -50,7 +54,7 @@ func TestParseSpec(t *testing.T) {
 		cfg.Latency != 0 || cfg.BandwidthMbps != 0 || cfg.KillProb != 0 || len(cfg.Trace.Mbps) != 0 {
 		t.Errorf("empty spec: cfg=%+v err=%v", cfg, err)
 	}
-	for _, bad := range []string{"nope=1", "latency", "latency=xyz", "kill=2", "regime=warp"} {
+	for _, bad := range []string{"nope=1", "latency", "latency=xyz", "kill=2", "regime=warp", "bw=NaN", "bw=Inf", "kill=NaN"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

@@ -51,7 +51,7 @@ func fedNASGenotype(cfg search.Config, scale Scale) (nas.Genotype, error) {
 	if err != nil {
 		return nas.Genotype{}, err
 	}
-	fcfg := baselines.DefaultFedNASConfig(cfg.Net, cfg.K)
+	fcfg := baselines.DefaultFedNASConfig(cfg.Net)
 	fcfg.Workers = Workers
 	_, s, _, _ := scale.sizes()
 	// FedNAS ships the whole supernet each round; at the same round budget

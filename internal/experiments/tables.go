@@ -163,7 +163,7 @@ func Table3Federated(scale Scale) (Output, error) {
 		if err != nil {
 			return Output{}, err
 		}
-		ecfg := baselines.DefaultEvoConfig(netV, cfg.K)
+		ecfg := baselines.DefaultEvoConfig(netV)
 		ecfg.Workers = Workers
 		_, steps, _, _ := scale.sizes()
 		ecfg.Rounds = steps
@@ -258,7 +258,7 @@ func Table4NonIID(scale Scale) (Output, error) {
 				if err != nil {
 					return err
 				}
-				ecfg := baselines.DefaultEvoConfig(netV, cfg.K)
+				ecfg := baselines.DefaultEvoConfig(netV)
 				ecfg.Workers = Workers
 				_, steps, _, _ := scale.sizes()
 				ecfg.Rounds = steps
@@ -325,7 +325,7 @@ func Table5SearchTime(scale Scale) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	fncfg := baselines.DefaultFedNASConfig(cfg.Net, cfg.K)
+	fncfg := baselines.DefaultFedNASConfig(cfg.Net)
 	fncfg.Workers = Workers
 	fncfg.Rounds = steps
 	fncfg.BatchSize = cfg.BatchSize
@@ -336,7 +336,7 @@ func Table5SearchTime(scale Scale) (Output, error) {
 	t.AddRow("fednas", hours(fn.SearchSeconds), kb(fn.PayloadBytesPerRound))
 
 	// EvoFedNAS (big space; the paper reports 16.1 h, the slowest).
-	ecfg := baselines.DefaultEvoConfig(baselines.EvoBig.ApplyVariant(cfg.Net), cfg.K)
+	ecfg := baselines.DefaultEvoConfig(baselines.EvoBig.ApplyVariant(cfg.Net))
 	ecfg.Workers = Workers
 	ecfg.Rounds = steps * 2 // evolution needs more rounds to converge
 	ecfg.BatchSize = cfg.BatchSize

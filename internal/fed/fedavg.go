@@ -208,7 +208,7 @@ func FedAvg(model Model, ds *data.Dataset, parts []*Participant, cfg FedAvgConfi
 			for i := range params {
 				weightedDelta[i].AXPY(w, out.delta[i])
 			}
-			run.replayBN(out.bn)
+			nn.ReplayStats(run.primaryBNs, out.bn)
 			roundSeconds = max(roundSeconds, out.seconds)
 		}
 		// The primary may have trained as a slot; the aggregate applies to

@@ -159,6 +159,43 @@ func (r *Replica) Train(ds *data.Dataset, part *Participant, st Step, sl *Slot) 
 	return nil
 }
 
+// TrainMixed is FedNAS's whole-supernet local step (He et al.) on the
+// replica: the full θ restored, the participant's next batch drawn through
+// sl (no augmentation), forward and backward through every edge's blend of
+// candidates at the given per-edge probabilities (Supernet.ForwardMixed),
+// every parameter's gradient copied into sl by canonical index and the
+// captured batch statistics drained into sl. It returns the probability
+// sensitivities, fresh each call, for the caller to chain into α gradients.
+// Only the replica, sl and part's stream are written.
+func (r *Replica) TrainMixed(ds *data.Dataset, part *Participant, theta []*tensor.Tensor, probsNormal, probsReduce [][]float64, batchSize int, sl *Slot) (nas.MixedGrads, error) {
+	if err := nn.RestoreParamValues(r.params, theta); err != nil {
+		return nas.MixedGrads{}, err
+	}
+	x := sl.batch.Next(ds, part.Batcher, part.RNG, batchSize, data.AugmentConfig{})
+	nn.ZeroGrads(r.params)
+	loss, err := sl.batch.Loss(r.net.ForwardMixed(x, probsNormal, probsReduce))
+	if err != nil {
+		return nas.MixedGrads{}, err
+	}
+	mg := r.net.BackwardMixed(loss.GradLogits)
+	sl.Acc, sl.Loss, sl.Size = loss.Accuracy, loss.Loss, nn.ParamCount(r.params)
+
+	if len(sl.grads) != len(r.params) {
+		sl.grads = make([]*tensor.Tensor, len(r.params))
+	}
+	sl.SubIdx, sl.Grads = sl.SubIdx[:0], sl.Grads[:0]
+	for idx, p := range r.params {
+		if sl.grads[idx] == nil {
+			sl.grads[idx] = tensor.New(p.Grad.Shape()...)
+		}
+		sl.grads[idx].CopyFrom(p.Grad)
+		sl.SubIdx = append(sl.SubIdx, idx)
+	}
+	sl.Grads = append(sl.Grads, sl.grads...)
+	sl.BNStats = drainStats(r.bns, sl.BNStats)
+	return mg, nil
+}
+
 // drainStats moves the batch statistics bns captured into recs, one record
 // list per layer, reusing recs' storage. The records recs still holds were
 // consumed after the step that captured them, so their storage goes back to

@@ -145,19 +145,9 @@ func checkSameStructure(rep, primary []*nn.Param, i int) error {
 func (r *runner) parallelPath() bool { return r.reps[0] != r.primary }
 
 // drainBN moves the batch statistics worker w's slot captured during a local
-// step into recs (see drainStats), for ordered replay via replayBN.
+// step into recs (see drainStats), for ordered replay via nn.ReplayStats.
 func (r *runner) drainBN(w int, recs [][]nn.BNStats) [][]nn.BNStats {
 	return drainStats(r.repBNs[w], recs)
-}
-
-// replayBN folds one participant's captured statistics into the primary
-// model's running stats, exactly as its sequential local step would have.
-func (r *runner) replayBN(stats [][]nn.BNStats) {
-	for layer, recs := range stats {
-		for _, rec := range recs {
-			r.primaryBNs[layer].ApplyStats(rec)
-		}
-	}
 }
 
 // evaluate measures test accuracy like Evaluate, with the batches fanned out

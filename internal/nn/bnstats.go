@@ -69,6 +69,18 @@ func (bn *BatchNorm2D) ApplyStats(s BNStats) {
 	}
 }
 
+// ReplayStats folds one participant's captured statistics — stats[layer]
+// holds the records layer bns[layer] captured, oldest first — into bns'
+// running statistics, layer by layer, exactly as its non-capturing local
+// step would have.
+func ReplayStats(bns []*BatchNorm2D, stats [][]BNStats) {
+	for layer, recs := range stats {
+		for _, rec := range recs {
+			bns[layer].ApplyStats(rec)
+		}
+	}
+}
+
 // CopyStatsFrom overwrites bn's running statistics with src's (used to sync
 // evaluation replicas with the primary model; parameters are copied
 // separately via RestoreParamValues).

@@ -372,11 +372,7 @@ func (c *Core) Step(ctx context.Context, t int, updateTheta, updateAlpha bool) (
 	for _, i := range c.merged {
 		r := &replies[i]
 		c.aggAlpha.AXPY(c.ctrl.Reward(r.Acc), c.slots[i].logGrad)
-		for layer, recs := range r.BNStats {
-			for _, rec := range recs {
-				c.bns[layer].ApplyStats(rec)
-			}
-		}
+		nn.ReplayStats(c.bns, r.BNStats)
 		sumAcc += r.Acc
 		if r.Round == t {
 			sumFreshAcc += r.Acc

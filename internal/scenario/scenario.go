@@ -19,6 +19,8 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -250,6 +252,17 @@ func (s *Spec) Resolve() ([]Profile, []float64, error) {
 			fracs[i] = 1
 		}
 		sum = float64(len(fracs))
+	}
+	if math.IsInf(sum, 1) {
+		// Finite fractions near the float64 limit overflow their sum, and
+		// would all normalize to 0. Scaling each by one power of two below
+		// 1/len keeps their ratios and brings the sum back into range.
+		shift := -bits.Len(uint(len(fracs)))
+		sum = 0
+		for i := range fracs {
+			fracs[i] = math.Ldexp(fracs[i], shift)
+			sum += fracs[i]
+		}
 	}
 	for i := range fracs {
 		fracs[i] /= sum

@@ -121,6 +121,24 @@ func TestValidateReportsAllProblems(t *testing.T) {
 	}
 }
 
+// TestResolveHugeFractions: fractions whose sum overflows float64 keep
+// their ratios instead of all normalizing to 0.
+func TestResolveHugeFractions(t *testing.T) {
+	spec, err := Parse(hugeFractions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fracs, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fracs) != 2 || fracs[0] != 0.5 || fracs[1] != 0.5 {
+		t.Fatalf("1e308:1e308 resolved to %v, want [0.5 0.5]", fracs)
+	}
+}
+
+const hugeFractions = `{"population":[{"profile":"phone-urban","fraction":1e308},{"profile":"iot-rural","fraction":1e308}]}`
+
 // TestAssignDeterministicAndProportional: assignment is a pure function of
 // (fractions, k, seed) with largest-remainder counts.
 func TestAssignDeterministic(t *testing.T) {
